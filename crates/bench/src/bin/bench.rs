@@ -28,8 +28,9 @@ use serde::Serialize;
 use mbs_cnn::networks::toy;
 use mbs_serve::{ModelHandle, ServeConfig, Server};
 use mbs_tensor::arena;
-use mbs_tensor::ops::kernel::{self, MicroKernel};
-use mbs_tensor::ops::{gemm_fused_prec, gemm_with_kernel, Conv2dCfg, Epilogue, Im2colGeom, MatSrc};
+use mbs_tensor::ops::direct::{self, Exec};
+use mbs_tensor::ops::kernel;
+use mbs_tensor::ops::{gemm_fused_prec, gemm_with_kernel, Conv2dCfg, Epilogue, MatSrc};
 use mbs_tensor::prec::Precision;
 use mbs_tensor::Tensor;
 use mbs_train::data::generate;
@@ -91,7 +92,7 @@ struct KernelBench {
 /// One thread count of the scaling sweep.
 #[derive(Debug, Clone, Serialize)]
 struct ThreadScale {
-    /// Sweep workload (`matmul_256` or `conv_fwd_gemm`).
+    /// Sweep workload (`matmul_256` or `conv_fwd`).
     bench: String,
     /// Worker threads (the value `MBS_THREADS` would be set to).
     threads: usize,
@@ -535,30 +536,23 @@ fn precision_gemm() -> Vec<PrecisionGemmBench> {
     ]
 }
 
-/// One workload of the thread-scaling sweep: a named GEMM-core shape run
-/// at every swept thread count on the process-selected kernel.
-#[allow(clippy::too_many_arguments)]
+/// One workload of the thread-scaling sweep: `run(threads)` computes the
+/// named workload's output at a thread count (`effective(threads)` of
+/// which it can actually use) on the process-selected kernel.
 fn scale_workload(
     c: &mut Criterion,
     bench: &str,
-    a: &MatSrc<'_>,
-    b: &MatSrc<'_>,
-    m: usize,
-    n: usize,
-    k: usize,
     counts: &[usize],
-    kern: &MicroKernel,
+    effective: impl Fn(usize) -> usize,
+    run: impl Fn(usize) -> Vec<f32>,
 ) -> Vec<ThreadScale> {
-    let mut reference = vec![0.0f32; m * n];
-    gemm_with_kernel(a, b, &mut reference, m, n, k, 1, kern);
+    let reference = run(1);
     let mut rows = Vec::with_capacity(counts.len());
     let mut base_mean = f64::NAN;
     for &threads in counts {
-        let mut out = vec![0.0f32; m * n];
-        gemm_with_kernel(a, b, &mut out, m, n, k, threads, kern);
-        let bitwise = out == reference;
-        c.bench_function(&format!("gemm_threads/{bench}/{threads}"), |bch| {
-            bch.iter(|| gemm_with_kernel(a, b, &mut out, m, n, k, threads, kern))
+        let bitwise = run(threads) == reference;
+        c.bench_function(&format!("thread_scaling/{bench}/{threads}"), |bch| {
+            bch.iter(|| run(threads))
         });
         let mean = c
             .measurements()
@@ -571,7 +565,7 @@ fn scale_workload(
         rows.push(ThreadScale {
             bench: bench.to_string(),
             threads,
-            effective_threads: mbs_tensor::ops::pack::effective_workers(m, threads),
+            effective_threads: effective(threads),
             mean_ns: mean,
             speedup_vs_1: base_mean / mean,
             bitwise_equal_to_1_thread: bitwise,
@@ -581,7 +575,7 @@ fn scale_workload(
 }
 
 /// Sweeps `MBS_THREADS ∈ {1, 2, 4, max}` (deduped, sorted) over a square
-/// GEMM and a conv-forward-shaped fused-im2col GEMM.
+/// GEMM and the direct conv forward at the tensor_ops suite shape.
 fn thread_scaling(c: &mut Criterion) -> Vec<ThreadScale> {
     let max = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -597,39 +591,36 @@ fn thread_scaling(c: &mut Criterion) -> Vec<ThreadScale> {
     let mut rows = scale_workload(
         c,
         "matmul_256",
-        &MatSrc::RowMajor {
-            data: &a,
-            stride: DIM,
-        },
-        &MatSrc::RowMajor {
-            data: &b,
-            stride: DIM,
-        },
-        DIM,
-        DIM,
-        DIM,
         &counts,
-        kern,
+        |threads| mbs_tensor::ops::pack::effective_workers(DIM, threads),
+        |threads| {
+            let mut out = vec![0.0f32; DIM * DIM];
+            let src = |data| MatSrc::RowMajor { data, stride: DIM };
+            gemm_with_kernel(&src(&a), &src(&b), &mut out, DIM, DIM, DIM, threads, kern);
+            out
+        },
     );
 
-    // The conv-forward GEMM at the tensor_ops suite shape: virtual im2col
-    // of x[4, 8, 16, 16] against 16 3×3 filters.
-    let geom = Im2colGeom::new(4, 8, 16, 16, Conv2dCfg::square(3, 1, 1));
-    let x = filled(4 * 8 * 16 * 16, 1);
-    let w = filled(16 * geom.cols(), 2);
+    // x[4, 8, 16, 16] against 16 3×3 filters.
+    let cfg = Conv2dCfg::square(3, 1, 1);
+    let x = Tensor::from_vec(&[4, 8, 16, 16], filled(4 * 8 * 16 * 16, 1));
+    let w = Tensor::from_vec(&[16, 8, 3, 3], filled(16 * 8 * 9, 2));
     rows.extend(scale_workload(
         c,
-        "conv_fwd_gemm",
-        &MatSrc::Im2col { x: &x, geom },
-        &MatSrc::ColMajor {
-            data: &w,
-            stride: geom.cols(),
-        },
-        geom.rows(),
-        16,
-        geom.cols(),
+        "conv_fwd",
         &counts,
-        kern,
+        |threads| direct::effective_workers(kern, 4, 16, threads),
+        |threads| {
+            let exec = Exec {
+                kernel: kern,
+                threads,
+                ..Exec::process()
+            };
+            direct::forward(&x, &w, None, false, cfg, exec)
+                .0
+                .data()
+                .to_vec()
+        },
     ));
     rows
 }
@@ -1613,7 +1604,7 @@ fn main() {
         .map(|m| (m.name.as_str(), m.mean_ns))
         .collect();
     let pairs = [
-        ("conv2d_im2col", "conv2d_naive"),
+        ("conv2d", "conv2d_naive"),
         ("matmul_128", "matmul_naive_128"),
         ("matmul_256", "matmul_naive_256"),
     ];

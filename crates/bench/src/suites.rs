@@ -41,7 +41,7 @@ pub fn tensor_ops(c: &mut Criterion) {
     let w = tensor(&[16, 8, 3, 3], 2);
     let dy = tensor(&[4, 16, 16, 16], 3);
 
-    c.bench_function("conv2d_im2col", |b| b.iter(|| conv2d(&x, &w, cfg)));
+    c.bench_function("conv2d", |b| b.iter(|| conv2d(&x, &w, cfg)));
     c.bench_function("conv2d_naive", |b| b.iter(|| conv2d_naive(&x, &w, cfg)));
     c.bench_function("conv2d_backward_data", |b| {
         b.iter(|| conv2d_backward_data(&dy, &w, x.shape(), cfg))

@@ -3,8 +3,8 @@
 //!
 //! This is the computational foundation of the Fig. 6 reproduction: a
 //! from-scratch CPU implementation of the operators CNN training needs —
-//! GEMM, im2col convolution with data and weight gradients (the three
-//! GEMMs of the paper's Tab. 1), pooling, ReLU with 1-bit sign masks (the
+//! GEMM, direct convolution with data and weight gradients (the three
+//! reductions of the paper's Tab. 1), pooling, ReLU with 1-bit sign masks (the
 //! storage trick MBS uses in back propagation), and softmax cross-entropy.
 //!
 //! # Examples

@@ -61,13 +61,6 @@ impl BitMask {
     pub fn storage_bytes(&self) -> usize {
         self.len.div_ceil(8)
     }
-
-    /// Raw word access for in-crate producers that accumulate bits a word
-    /// at a time instead of paying a div/mod per element (`relu_inplace`,
-    /// the fused conv transpose).
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
 }
 
 /// A write-only, thread-safe sign-mask accumulator for the fused GEMM

@@ -1,51 +1,34 @@
-//! 2-D convolution: forward, data gradient, and weight gradient — the
-//! three GEMMs of the paper's Tab. 1 — on the packed blocked GEMM core.
+//! 2-D convolution: forward, data gradient and weight gradient — the
+//! three GEMM-shaped reductions of the paper's Tab. 1 — as the public
+//! entry points over the direct kernels of [`crate::ops::direct`].
 //!
-//! The forward and weight-gradient paths are **fused**: the im2col lowering
-//! of the input is a virtual [`MatSrc::Im2col`] operand whose
-//! receptive-field tiles are generated directly into the GEMM packing
-//! buffers, so the full `[n·ho·wo, ci·kh·kw]` column matrix never exists in
-//! memory. The data gradient computes its column-gradient matrix into a
-//! reusable arena buffer (its `col2im` scatter is the adjoint direction, so
-//! there is no input-side lowering to elide) and scatters per sample in
-//! parallel.
+//! Every geometry runs the same path: each sample is staged once into
+//! zero-padded planes and correlated by a register tile that writes NCHW
+//! output in place; no im2col matrix, column gradient or pixel-major
+//! staging buffer exists. [`conv2d_fused`] additionally applies a
+//! per-channel bias and a ReLU (with its 1-bit sign mask) in the tile's
+//! store — bias and activation in **zero extra passes** over the output,
+//! bitwise equal to the separate passes.
 //!
-//! [`conv2d_fused`] additionally folds a per-channel bias into the GEMM's
-//! C write-back ([`Epilogue::Bias`]) and a ReLU (with its 1-bit sign mask)
-//! into the flat→NCHW transpose that conv already pays — bias and
-//! activation in **zero extra passes** over the output.
-//!
-//! [`conv2d_naive`] keeps the direct loop nest as the reference
+//! [`conv2d_naive`] keeps the plain loop nest as the reference
 //! implementation the equivalence tests pin everything against.
 
-use crate::arena;
 use crate::ops::activation::{relu_inplace, BitMask};
-use crate::ops::im2col::{col2im_t, Conv2dCfg};
-use crate::ops::pack::{
-    configured_threads, fuse_enabled, gemm, gemm_fused, Epilogue, Im2colGeom, MatSrc,
-};
+use crate::ops::direct::{self, Exec};
+use crate::ops::im2col::Conv2dCfg;
+use crate::ops::pack::fuse_enabled;
 use crate::tensor::Tensor;
 
-fn dims(
-    x: &Tensor,
-    w: &Tensor,
-    cfg: Conv2dCfg,
-) -> (usize, usize, usize, usize, usize, usize, usize) {
+/// Loop-nest convolution forward; the reference for the direct path.
+pub fn conv2d_naive(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
     let [n, ci, h, wd]: [usize; 4] = x.shape().try_into().expect("conv expects 4-D input");
-    let [co, ci2, kh, kw]: [usize; 4] = w.shape().try_into().expect("conv expects 4-D weights");
-    assert_eq!(ci, ci2, "channel mismatch");
+    let co = w.shape()[0];
     assert_eq!(
-        (kh, kw),
-        (cfg.kernel_h, cfg.kernel_w),
-        "kernel/config mismatch"
+        w.shape(),
+        &[co, ci, cfg.kernel_h, cfg.kernel_w],
+        "weights/config mismatch"
     );
     let (ho, wo) = cfg.out_extent(h, wd);
-    (n, ci, h, wd, co, ho, wo)
-}
-
-/// Direct (loop-nest) convolution forward; reference for the fused path.
-pub fn conv2d_naive(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
-    let (n, ci, h, wd, co, ho, wo) = dims(x, w, cfg);
     let mut out = Tensor::zeros(&[n, co, ho, wo]);
     let xd = x.data();
     let wdat = w.data();
@@ -80,9 +63,9 @@ pub fn conv2d_naive(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
     out
 }
 
-/// Fused im2col + GEMM convolution forward: `y = cols(x) · Wᵀ`, where
-/// `cols(x)` is a virtual operand streamed tile-by-tile into the packed-A
-/// buffer (never materialized).
+/// Convolution forward: `y[n, co] = Σ_{ci, ky, kx} w[co, ci, ky, kx] ·
+/// x[n, ci, s·oy + ky - pad_h, s·ox + kx - pad_w]`, by direct correlation
+/// of the staged input ([`direct::forward`]).
 ///
 /// # Examples
 ///
@@ -100,60 +83,14 @@ pub fn conv2d_naive(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
 /// assert_eq!(y.get(&[0, 0, 0, 0]), 4.0); // corner: 2×2 window in-bounds
 /// ```
 pub fn conv2d(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
-    conv2d_gemm(x, w, None, false, cfg).0
+    direct::forward(x, w, None, false, cfg, Exec::process()).0
 }
 
-/// The shared conv-forward body: GEMM in im2col row order ([n·ho·wo, co],
-/// with an optional per-column bias epilogue), then one cheap transpose
-/// into the NCHW output (with an optional fused ReLU + sign mask). Both
-/// [`conv2d`] and the fused branch of [`conv2d_fused_with`] run here.
-fn conv2d_gemm(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    relu: bool,
-    cfg: Conv2dCfg,
-) -> (Tensor, Option<BitMask>) {
-    let (n, ci, h, wd, co, ho, wo) = dims(x, w, cfg);
-    let geom = Im2colGeom::new(n, ci, h, wd, cfg);
-    let (m, k) = (geom.rows(), geom.cols());
-    // A zero-channel input (k == 0) leaves the GEMM output untouched, so
-    // that degenerate case needs the zeroed buffer (bias is routed to the
-    // separate-pass path before reaching here — the epilogue needs a
-    // non-empty reduction).
-    debug_assert!(bias.is_none() || k > 0);
-    let mut flat = if k == 0 {
-        arena::take_zeroed(m * co)
-    } else {
-        arena::take(m * co)
-    };
-    let asrc = MatSrc::Im2col { x: x.data(), geom };
-    let bsrc = MatSrc::ColMajor {
-        data: w.data(),
-        stride: k,
-    };
-    match bias {
-        // Flat columns are output channels, so the per-channel bias is a
-        // per-column GEMM epilogue.
-        Some(b) => gemm_fused(&asrc, &bsrc, &mut flat, m, co, k, &Epilogue::Bias(b)),
-        None => gemm(&asrc, &bsrc, &mut flat, m, co, k),
-    }
-    let mut out = Tensor::uninit(&[n, co, ho, wo]);
-    let mask = if relu {
-        Some(rows_to_nchw_relu(&flat, n, co, ho, wo, out.data_mut()))
-    } else {
-        rows_to_nchw(&flat, n, co, ho, wo, out.data_mut());
-        None
-    };
-    (out, mask)
-}
-
-/// [`conv2d`] with a per-channel bias and optional ReLU fused in: the bias
-/// rides the GEMM epilogue (its columns *are* output channels in im2col
-/// row order), the ReLU clamp and its sign mask ride the flat→NCHW
-/// transpose conv performs anyway — zero extra passes over the output.
-/// Honors the process-wide `MBS_FUSE` knob; the mask (when `relu`) is in
-/// NCHW element order, ready for [`crate::ops::relu_backward`].
+/// [`conv2d`] with a per-channel bias and optional ReLU fused in: both
+/// ride the register tile's store into the NCHW output — zero extra passes
+/// over it. Honors the process-wide `MBS_FUSE` knob; the mask (when
+/// `relu`) is in NCHW element order, ready for
+/// [`crate::ops::relu_backward`].
 ///
 /// # Panics
 ///
@@ -180,41 +117,32 @@ pub fn conv2d_fused_with(
     cfg: Conv2dCfg,
     fused: bool,
 ) -> (Tensor, Option<BitMask>) {
-    let (_, ci, _, _, co, ho, wo) = dims(x, w, cfg);
-    if let Some(b) = bias {
-        assert_eq!(b.len(), co, "one bias per output channel");
+    if fused {
+        return direct::forward(x, w, bias, relu, cfg, Exec::process());
     }
-    // A zero-channel conv has an empty reduction (k = ci·kh·kw = 0): the
-    // GEMM epilogue can never fire, so route through the separate-pass
-    // path — the fused/unfused parity contract covers degenerate shapes
-    // too.
-    let fused = fused && ci * cfg.kernel_h * cfg.kernel_w > 0;
-    if !fused {
-        let mut y = conv2d(x, w, cfg);
-        if let Some(b) = bias {
-            let hw = ho * wo;
-            for (chunk, &bv) in y.data_mut().chunks_exact_mut(hw).zip(b.iter().cycle()) {
-                for v in chunk {
-                    *v += bv;
-                }
+    let mut y = conv2d(x, w, cfg);
+    if let Some(b) = bias {
+        assert_eq!(b.len(), y.shape()[1], "one bias per output channel");
+        let hw = y.shape()[2] * y.shape()[3];
+        for (chunk, &bv) in y.data_mut().chunks_exact_mut(hw).zip(b.iter().cycle()) {
+            for v in chunk {
+                *v += bv;
             }
         }
-        if relu {
-            let mask = relu_inplace(&mut y);
-            return (y, Some(mask));
-        }
-        return (y, None);
     }
-    conv2d_gemm(x, w, bias, relu, cfg)
+    let mask = relu.then(|| relu_inplace(&mut y));
+    (y, mask)
 }
 
-/// Gradient of the loss with respect to the convolution input:
-/// `dX = col2im(dY₂d · W)`.
+/// Gradient of the loss with respect to the convolution input: `dy`
+/// correlated with the flipped, channel-swapped kernel, one pass per
+/// stride phase ([`direct::backward_data`]); only one sample's padded `dy`
+/// is ever staged.
 ///
-/// The GEMM produces the column gradient **transposed** (`[ci·kh·kw,
-/// pixels]`, in a reusable arena buffer) because that layout makes the
-/// [`col2im_t`] scatter a series of contiguous zip-adds; `dY` is read
-/// in-place as a `[co × pixels]` view, so nothing else is materialized.
+/// # Panics
+///
+/// Panics if `w` is not `[co, ci, kernel_h, kernel_w]` for `dy`'s `co` and
+/// `x_shape`'s `ci`, or `dy` does not match the output extent.
 ///
 /// # Examples
 ///
@@ -228,35 +156,12 @@ pub fn conv2d_fused_with(
 /// assert_eq!(dx.shape(), &[2, 3, 8, 8]); // gradient matches the input shape
 /// ```
 pub fn conv2d_backward_data(dy: &Tensor, w: &Tensor, x_shape: &[usize], cfg: Conv2dCfg) -> Tensor {
-    let [n, ci, h, wd]: [usize; 4] = x_shape.try_into().expect("conv expects 4-D input shape");
-    let co = w.shape()[0];
-    let (ho, wo) = cfg.out_extent(h, wd);
-    assert_eq!(dy.shape(), &[n, co, ho, wo], "dy shape mismatch");
-    let cols_w = ci * cfg.kernel_h * cfg.kernel_w;
-    let pixels = n * ho * wo;
-    let mut dcols_t = arena::take(cols_w * pixels);
-    gemm(
-        &MatSrc::ColMajor {
-            data: w.data(),
-            stride: cols_w,
-        },
-        &MatSrc::NchwCols {
-            data: dy.data(),
-            c: co,
-            hw: ho * wo,
-        },
-        &mut dcols_t,
-        cols_w,
-        pixels,
-        co,
-    );
-    col2im_t(&dcols_t, n, ci, h, wd, cfg, configured_threads())
+    direct::backward_data(dy, w, x_shape, cfg, Exec::process())
 }
 
-/// Gradient of the loss with respect to the weights: `dW = dY₂dᵀ ·
-/// cols(x)`. Both operands are virtual views — `dY` as a `[co × pixels]`
-/// matrix and `cols(x)` as the streamed im2col lowering — so nothing is
-/// materialized besides `dW` itself.
+/// Gradient of the loss with respect to the weights: `dW[co, ci, ky, kx] =
+/// Σ_{n, oy, ox} dy[n, co, oy, ox] · x[n, ci, s·oy + ky - pad_h, s·ox + kx
+/// - pad_w]`, as a new tensor ([`conv2d_backward_weights_into`] on zeros).
 ///
 /// # Examples
 ///
@@ -272,144 +177,23 @@ pub fn conv2d_backward_data(dy: &Tensor, w: &Tensor, x_shape: &[usize], cfg: Con
 /// assert_eq!(dw.get(&[0, 0, 1, 1]), 128.0);
 /// ```
 pub fn conv2d_backward_weights(x: &Tensor, dy: &Tensor, cfg: Conv2dCfg) -> Tensor {
-    let [n, ci, h, wd]: [usize; 4] = x.shape().try_into().expect("conv expects 4-D input");
-    let [n2, co, ho, wo]: [usize; 4] = dy.shape().try_into().expect("conv expects 4-D dy");
-    assert_eq!(n, n2, "batch mismatch");
-    let geom = Im2colGeom::new(n, ci, h, wd, cfg);
-    assert_eq!((ho, wo), (geom.ho, geom.wo), "dy spatial extent mismatch");
-    let cols_w = geom.cols();
+    let (ci, co) = (x.shape()[1], dy.shape()[1]);
     let mut dw = Tensor::zeros(&[co, ci, cfg.kernel_h, cfg.kernel_w]);
-    if cfg.stride == 1 {
-        // Stride-1 weight gradients are themselves a convolution: correlate
-        // x (batch and channel axes swapped) with dY read as the filter
-        // bank. That puts the streamed im2col operand on the A side, whose
-        // packing is contiguous, and gives the micro-kernel `ci·kh·kw` rows
-        // of B-panel reuse instead of just `co`.
-        let hw_in = h * wd;
-        let mut x_perm = arena::take(n * ci * hw_in);
-        for ni in 0..n {
-            for c in 0..ci {
-                x_perm[(c * n + ni) * hw_in..(c * n + ni + 1) * hw_in]
-                    .copy_from_slice(&x.data()[(ni * ci + c) * hw_in..(ni * ci + c + 1) * hw_in]);
-            }
-        }
-        let swap_geom = Im2colGeom {
-            n: ci,
-            ci: n,
-            h,
-            w: wd,
-            ho: cfg.kernel_h,
-            wo: cfg.kernel_w,
-            cfg: Conv2dCfg {
-                kernel_h: ho,
-                kernel_w: wo,
-                stride: 1,
-                pad_h: cfg.pad_h,
-                pad_w: cfg.pad_w,
-            },
-        };
-        let mut flat = arena::take(cols_w * co); // [taps, co]
-        gemm(
-            &MatSrc::Im2col {
-                x: &x_perm,
-                geom: swap_geom,
-            },
-            &MatSrc::NchwRows {
-                data: dy.data(),
-                c: co,
-                hw: ho * wo,
-            },
-            &mut flat,
-            cols_w,
-            co,
-            n * ho * wo,
-        );
-        let dwd = dw.data_mut();
-        for t in 0..cols_w {
-            for o in 0..co {
-                dwd[o * cols_w + t] = flat[t * co + o];
-            }
-        }
-        return dw;
-    }
-    gemm(
-        &MatSrc::NchwCols {
-            data: dy.data(),
-            c: co,
-            hw: ho * wo,
-        },
-        &MatSrc::Im2col { x: x.data(), geom },
-        dw.data_mut(),
-        co,
-        cols_w,
-        geom.rows(),
-    );
+    conv2d_backward_weights_into(x, dy, cfg, &mut dw);
     dw
 }
 
-/// `[n·h·w, c] → [n, c, h, w]` scatter into `out`.
-fn rows_to_nchw(flat: &[f32], n: usize, c: usize, h: usize, w: usize, out: &mut [f32]) {
-    assert_eq!(flat.len(), n * h * w * c, "row matrix size mismatch");
-    assert_eq!(out.len(), flat.len(), "output size mismatch");
-    let hw = h * w;
-    for ni in 0..n {
-        for ci in 0..c {
-            let dst = &mut out[(ni * c + ci) * hw..(ni * c + ci + 1) * hw];
-            let src_base = ni * hw * c + ci;
-            for (off, slot) in dst.iter_mut().enumerate() {
-                *slot = flat[src_base + off * c];
-            }
-        }
-    }
-}
-
-/// [`rows_to_nchw`] with a ReLU fused into the scatter's write: the
-/// transpose is the pass conv pays anyway, so clamping there (and
-/// recording the sign bits, in NCHW order, a word at a time) costs no
-/// extra traversal of the output.
-fn rows_to_nchw_relu(
-    flat: &[f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    out: &mut [f32],
-) -> BitMask {
-    assert_eq!(flat.len(), n * h * w * c, "row matrix size mismatch");
-    assert_eq!(out.len(), flat.len(), "output size mismatch");
-    let hw = h * w;
-    let mut mask = BitMask::new(out.len());
-    let words = mask.words_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * hw;
-            let dst = &mut out[base..base + hw];
-            let src_base = ni * hw * c + ci;
-            // The bit run [base, base + hw) is contiguous in NCHW order:
-            // accumulate sign bits a word at a time.
-            let mut wi = base / 64;
-            let mut cur = 0u64;
-            for (off, slot) in dst.iter_mut().enumerate() {
-                let v = flat[src_base + off * c];
-                let pos = base + off;
-                // Branchless clamp: keep = 1 selects v's bits, keep = 0
-                // yields +0.0 — identical to `if v > 0.0 { v } else { 0.0 }`
-                // (NaN compares false and clamps to 0).
-                let keep = u32::from(v > 0.0);
-                *slot = f32::from_bits(v.to_bits() & keep.wrapping_neg());
-                cur |= u64::from(keep) << (pos % 64);
-                if pos % 64 == 63 {
-                    words[wi] |= cur;
-                    cur = 0;
-                    wi += 1;
-                }
-            }
-            if cur != 0 {
-                words[wi] |= cur;
-            }
-        }
-    }
-    mask
+/// `grad += dW` without materializing `dW`: each weight's sum over every
+/// sample and pixel completes in registers and is added to `grad` once, so
+/// the result is bitwise equal to [`conv2d_backward_weights`] followed by
+/// an element-wise add ([`direct::backward_weights_into`]).
+///
+/// # Panics
+///
+/// Panics if `dy` is not `[n, co, ho, wo]` for `x`'s batch and output
+/// extent, or `grad` is not `[co, ci, kernel_h, kernel_w]`.
+pub fn conv2d_backward_weights_into(x: &Tensor, dy: &Tensor, cfg: Conv2dCfg, grad: &mut Tensor) {
+    direct::backward_weights_into(x, dy, cfg, grad, Exec::process());
 }
 
 #[cfg(test)]
@@ -535,5 +319,52 @@ mod tests {
         let a = conv2d_naive(&x, &w, cfg);
         let b = conv2d(&x, &w, cfg);
         assert!(a.max_abs_diff(&b) < 1e-4);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv weights must be [3, 2, 3, 3]")]
+    fn data_gradient_rejects_weights_with_the_wrong_channels() {
+        // 4 input channels instead of 2: large enough to index, wrong
+        // stride — it used to be read silently.
+        let dy = seeded(&[1, 3, 5, 5], 1);
+        let w = seeded(&[3, 4, 3, 3], 2);
+        conv2d_backward_data(&dy, &w, &[1, 2, 5, 5], Conv2dCfg::square(3, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv weights must be [3, 2, 3, 3]")]
+    fn data_gradient_rejects_a_kernel_that_disagrees_with_cfg() {
+        let dy = seeded(&[1, 3, 5, 5], 1);
+        let w = seeded(&[3, 2, 5, 5], 2);
+        conv2d_backward_data(&dy, &w, &[1, 2, 5, 5], Conv2dCfg::square(3, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "dy shape mismatch: [1, 3, 5, 5] for a batch of 2 5×5 inputs")]
+    fn weight_gradient_rejects_a_batch_mismatch() {
+        let x = seeded(&[2, 2, 5, 5], 1);
+        let dy = seeded(&[1, 3, 5, 5], 2);
+        conv2d_backward_weights(&x, &dy, Conv2dCfg::square(3, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "weight gradient shape mismatch")]
+    fn weight_gradient_rejects_a_channel_mismatch() {
+        let x = seeded(&[1, 2, 5, 5], 1);
+        let dy = seeded(&[1, 3, 5, 5], 2);
+        let mut grad = Tensor::zeros(&[4, 2, 3, 3]);
+        conv2d_backward_weights_into(&x, &dy, Conv2dCfg::square(3, 1, 1), &mut grad);
+    }
+
+    #[test]
+    fn weights_into_accumulates_bitwise_like_alloc_then_add() {
+        let cfg = Conv2dCfg::square(3, 2, 1);
+        let x = seeded(&[3, 5, 9, 8], 14);
+        let dy = seeded(&[3, 9, 5, 4], 15);
+        let mut grad = seeded(&[9, 5, 3, 3], 16);
+        let mut want = grad.clone();
+        want.add_assign(&conv2d_backward_weights(&x, &dy, cfg));
+        conv2d_backward_weights_into(&x, &dy, cfg, &mut grad);
+        assert_eq!(grad, want);
     }
 }

@@ -1,5 +1,8 @@
-//! im2col / col2im lowering (the transformation WaveCore uses to map
-//! convolutions onto its systolic array, paper §4.1).
+//! Convolution geometry ([`Conv2dCfg`]) and the im2col / col2im lowering
+//! (the transformation WaveCore uses to map convolutions onto its systolic
+//! array, paper §4.1). The runtime convolutions are direct
+//! ([`crate::ops::direct`]) and never lower; [`im2col`] and [`col2im`] stay
+//! as the reference the conv tests compare against.
 
 use crate::tensor::Tensor;
 
@@ -92,7 +95,8 @@ pub fn im2col(x: &Tensor, cfg: Conv2dCfg) -> Tensor {
 }
 
 /// Adjoint of [`im2col`]: scatters column gradients back to the input
-/// layout `[n, ci, h, w]` (overlapping fields accumulate).
+/// layout `[n, ci, h, w]` (overlapping fields accumulate) — the same loop
+/// nest, with the assignment turned around.
 ///
 /// # Panics
 ///
@@ -105,176 +109,34 @@ pub fn col2im(cols: &Tensor, n: usize, ci: usize, h: usize, w: usize, cfg: Conv2
         &[n * ho * wo, cols_w],
         "col2im shape mismatch"
     );
-    col2im_slice(cols.data(), n, ci, h, w, cfg)
-}
-
-/// [`col2im`] over a raw slice.
-///
-/// # Panics
-///
-/// Panics if `cols.len()` does not match the implied geometry.
-pub fn col2im_slice(
-    cols: &[f32],
-    n: usize,
-    ci: usize,
-    h: usize,
-    w: usize,
-    cfg: Conv2dCfg,
-) -> Tensor {
-    let (ho, wo) = cfg.out_extent(h, w);
-    let cols_w = ci * cfg.kernel_h * cfg.kernel_w;
-    assert_eq!(cols.len(), n * ho * wo * cols_w, "col2im size mismatch");
     let mut out = Tensor::zeros(&[n, ci, h, w]);
-    let plane = ci * h * w;
-    let rows_per = ho * wo * cols_w;
-    for (ni, dst) in out.data_mut().chunks_mut(plane.max(1)).enumerate() {
-        scatter_sample(
-            &cols[ni * rows_per..(ni + 1) * rows_per],
-            dst,
-            ci,
-            h,
-            w,
-            cfg,
-        );
-    }
-    out
-}
-
-/// Adjoint scatter from a **transposed** column matrix `cols_t:
-/// [ci·kh·kw, n·ho·wo]` back to `[n, ci, h, w]`.
-///
-/// The layout makes both sides of the inner accumulate contiguous for
-/// stride-1 convolutions (one zip per `(tap, sample, output row)`), which
-/// is why the blocked data-gradient GEMM produces its column gradient
-/// transposed. Parallel over samples; per-sample order is fixed, so
-/// results are bitwise identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if `cols_t.len()` does not match the implied geometry.
-pub fn col2im_t(
-    cols_t: &[f32],
-    n: usize,
-    ci: usize,
-    h: usize,
-    w: usize,
-    cfg: Conv2dCfg,
-    threads: usize,
-) -> Tensor {
-    let (ho, wo) = cfg.out_extent(h, w);
-    let cols_w = ci * cfg.kernel_h * cfg.kernel_w;
-    let pixels = n * ho * wo;
-    assert_eq!(cols_t.len(), cols_w * pixels, "col2im_t size mismatch");
-    let mut out = Tensor::zeros(&[n, ci, h, w]);
-    let plane = ci * h * w;
-    crate::ops::pack::scoped_chunks(out.data_mut(), plane, n, threads, |_, first, planes| {
-        for (s, dst) in planes.chunks_mut(plane).enumerate() {
-            scatter_sample_t(cols_t, pixels, first + s, dst, ci, h, w, cfg);
-        }
-    });
-    out
-}
-
-/// One sample's scatter from the transposed column layout: for each tap,
-/// each output row contributes one contiguous zip-add into the input row.
-#[allow(clippy::too_many_arguments)]
-fn scatter_sample_t(
-    cols_t: &[f32],
-    pixels: usize,
-    ni: usize,
-    out: &mut [f32],
-    ci: usize,
-    h: usize,
-    w: usize,
-    cfg: Conv2dCfg,
-) {
-    let (ho, wo) = cfg.out_extent(h, w);
-    let (kh, kw) = (cfg.kernel_h, cfg.kernel_w);
-    let pad_w = cfg.pad_w as isize;
-    let row0 = ni * ho * wo;
-    for c in 0..ci {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let tap = (c * kh + ky) * kw + kx;
-                let kxi = kx as isize;
-                let ox_lo = ((pad_w - kxi).max(0) as usize).div_ceil(cfg.stride);
-                let ox_hi = {
-                    let top = w as isize - 1 - kxi + pad_w;
-                    if top < 0 {
-                        0
-                    } else {
-                        ((top / cfg.stride as isize) as usize + 1).min(wo)
-                    }
-                };
-                if ox_lo >= ox_hi {
-                    continue;
-                }
-                let len = ox_hi - ox_lo;
-                for oy in 0..ho {
-                    let iy = (oy * cfg.stride + ky) as isize - cfg.pad_h as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    let src0 = tap * pixels + row0 + oy * wo + ox_lo;
-                    let ix0 = ((ox_lo * cfg.stride) as isize + kxi - pad_w) as usize;
-                    let dst_row = (c * h + iy as usize) * w;
-                    if cfg.stride == 1 {
-                        for (dst, &v) in out[dst_row + ix0..dst_row + ix0 + len]
-                            .iter_mut()
-                            .zip(&cols_t[src0..src0 + len])
-                        {
-                            *dst += v;
+    let cd = cols.data();
+    let od = out.data_mut();
+    for ni in 0..n {
+        for oy in 0..ho {
+            for ox in 0..wo {
+                let base = (((ni * ho) + oy) * wo + ox) * cols_w;
+                for c in 0..ci {
+                    for ky in 0..cfg.kernel_h {
+                        let iy = (oy * cfg.stride + ky) as isize - cfg.pad_h as isize;
+                        if iy < 0 || iy as usize >= h {
+                            continue;
                         }
-                    } else {
-                        for q in 0..len {
-                            out[dst_row + ix0 + q * cfg.stride] += cols_t[src0 + q];
+                        for kx in 0..cfg.kernel_w {
+                            let ix = (ox * cfg.stride + kx) as isize - cfg.pad_w as isize;
+                            if ix < 0 || ix as usize >= w {
+                                continue;
+                            }
+                            let col = (c * cfg.kernel_h + ky) * cfg.kernel_w + kx;
+                            od[((ni * ci + c) * h + iy as usize) * w + ix as usize] +=
+                                cd[base + col];
                         }
                     }
                 }
             }
         }
     }
-}
-
-/// Scatters one sample's column rows into its `[ci, h, w]` plane.
-///
-/// Pixel-major (column rows are read contiguously); for each `(pixel, c,
-/// ky)` the valid `kx` interval is precomputed, so the inner accumulate is
-/// a branch-free zip of two contiguous slices.
-fn scatter_sample(rows: &[f32], out: &mut [f32], ci: usize, h: usize, w: usize, cfg: Conv2dCfg) {
-    let (ho, wo) = cfg.out_extent(h, w);
-    let (kh, kw) = (cfg.kernel_h, cfg.kernel_w);
-    let cols_w = ci * kh * kw;
-    for oy in 0..ho {
-        for ox in 0..wo {
-            let base = (oy * wo + ox) * cols_w;
-            let iy0 = (oy * cfg.stride) as isize - cfg.pad_h as isize;
-            let ix0 = (ox * cfg.stride) as isize - cfg.pad_w as isize;
-            // Valid kx interval for this output column.
-            let kx_lo = (-ix0).max(0) as usize;
-            let kx_hi = (w as isize - ix0).clamp(0, kw as isize) as usize;
-            if kx_lo >= kx_hi {
-                continue;
-            }
-            for c in 0..ci {
-                for ky in 0..kh {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    let dst0 = (c * h + iy as usize) * w + (ix0 + kx_lo as isize) as usize;
-                    let src0 = base + (c * kh + ky) * kw + kx_lo;
-                    let len = kx_hi - kx_lo;
-                    for (dst, &v) in out[dst0..dst0 + len]
-                        .iter_mut()
-                        .zip(&rows[src0..src0 + len])
-                    {
-                        *dst += v;
-                    }
-                }
-            }
-        }
-    }
+    out
 }
 
 #[cfg(test)]

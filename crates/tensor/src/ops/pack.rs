@@ -1,6 +1,6 @@
 //! Cache-blocked GEMM core with operand packing, SIMD micro-kernel
 //! dispatch, and deterministic multi-threading — the compute engine behind
-//! all three of the paper's per-layer training GEMMs (Tab. 1).
+//! `Linear` and the `matmul*` family.
 //!
 //! # Architecture
 //!
@@ -15,14 +15,10 @@
 //! FMA kernels where the CPU supports them, the portable autovectorized
 //! 8×8 tile otherwise.
 //!
-//! Operands are described by [`MatSrc`], which abstracts *where elements
-//! come from*: a row-major or column-major matrix in memory, an NCHW
-//! feature map viewed as a `[pixels × channels]` matrix, or a **virtual
-//! im2col matrix** generated straight from the convolution input. The last
-//! one is the fusion that makes `conv2d`/`conv2d_backward_weights` stream
-//! receptive-field tiles directly into the packing buffers instead of
-//! materializing the full `[n·ho·wo, ci·kh·kw]` lowering (the dominant
-//! memory cost the paper's data-reuse argument targets).
+//! Operands are described by [`MatSrc`]: a row-major matrix in memory or
+//! a column-major (transposed) view of one, so `Aᵀ·B` and `A·Bᵀ` need no
+//! materialized transpose. Convolutions are not lowered onto this core:
+//! they run as direct correlations ([`crate::ops::direct`]).
 //!
 //! # Threading, the shared B panel, and determinism
 //!
@@ -61,11 +57,11 @@
 //! f32 results are bitwise unchanged.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::{Barrier, OnceLock};
 
 use crate::arena;
 use crate::ops::activation::MaskSink;
-use crate::ops::im2col::Conv2dCfg;
 use crate::ops::kernel::{self, MicroKernel, MAX_MR, MAX_NR};
 use crate::prec::{self, Precision};
 
@@ -215,51 +211,6 @@ impl<E: PackElem> ElemBuf<E> {
     }
 }
 
-/// Convolution lowering geometry for the virtual im2col operand.
-#[derive(Debug, Clone, Copy)]
-pub struct Im2colGeom {
-    /// Batch size.
-    pub n: usize,
-    /// Input channels.
-    pub ci: usize,
-    /// Input height.
-    pub h: usize,
-    /// Input width.
-    pub w: usize,
-    /// Output height.
-    pub ho: usize,
-    /// Output width.
-    pub wo: usize,
-    /// Kernel/stride/padding geometry.
-    pub cfg: Conv2dCfg,
-}
-
-impl Im2colGeom {
-    /// Geometry for input `[n, ci, h, w]` under `cfg`.
-    pub fn new(n: usize, ci: usize, h: usize, w: usize, cfg: Conv2dCfg) -> Self {
-        let (ho, wo) = cfg.out_extent(h, w);
-        Self {
-            n,
-            ci,
-            h,
-            w,
-            ho,
-            wo,
-            cfg,
-        }
-    }
-
-    /// Rows of the virtual im2col matrix (`n·ho·wo` output pixels).
-    pub fn rows(&self) -> usize {
-        self.n * self.ho * self.wo
-    }
-
-    /// Columns of the virtual im2col matrix (`ci·kh·kw` filter taps).
-    pub fn cols(&self) -> usize {
-        self.ci * self.cfg.kernel_h * self.cfg.kernel_w
-    }
-}
-
 /// Where a GEMM operand's elements come from.
 ///
 /// Logical coordinates are always `(r, c)` in the orientation the GEMM
@@ -303,34 +254,6 @@ pub enum MatSrc<'a> {
         data: &'a [f32],
         /// Column stride (the stored row length).
         stride: usize,
-    },
-    /// An `[n, c, h, w]` feature map read as `[n·h·w pixels × c channels]`
-    /// (im2col row order): `(r, ch) → data[(rₙ·c + ch)·hw + r_off]`.
-    NchwRows {
-        /// Backing storage.
-        data: &'a [f32],
-        /// Channel count.
-        c: usize,
-        /// Spatial extent `h·w`.
-        hw: usize,
-    },
-    /// The transpose of [`MatSrc::NchwRows`]: `[c channels × n·h·w pixels]`.
-    NchwCols {
-        /// Backing storage.
-        data: &'a [f32],
-        /// Channel count.
-        c: usize,
-        /// Spatial extent `h·w`.
-        hw: usize,
-    },
-    /// Virtual im2col lowering of a convolution input: row `r` is output
-    /// pixel `r`, column `c` is filter tap `(ci, ky, kx)`. Elements are
-    /// generated on the fly during packing; the full matrix never exists.
-    Im2col {
-        /// The convolution input `[n, ci, h, w]`.
-        x: &'a [f32],
-        /// Lowering geometry.
-        geom: Im2colGeom,
     },
 }
 
@@ -506,28 +429,6 @@ fn check_extent(src: &MatSrc<'_>, rows: usize, cols: usize, which: &str) {
     let (len, need) = match *src {
         MatSrc::RowMajor { data, stride } => (data.len(), (rows - 1) * stride + cols),
         MatSrc::ColMajor { data, stride } => (data.len(), (cols - 1) * stride + rows),
-        // (r, ch) → ((r/hw)·c + ch)·hw + r%hw, maximal at r = rows-1,
-        // ch = cols-1.
-        MatSrc::NchwRows { data, c, hw } => (
-            data.len(),
-            ((rows - 1) / hw * c + cols - 1) * hw + (rows - 1) % hw + 1,
-        ),
-        MatSrc::NchwCols { data, c, hw } => (
-            data.len(),
-            ((cols - 1) / hw * c + rows - 1) * hw + (cols - 1) % hw + 1,
-        ),
-        MatSrc::Im2col { x, geom } => {
-            // The logical shape must also fit the lowering: packing maps
-            // row/col indices through the geometry, so an oversized m or
-            // k would index past x even when the map itself is complete.
-            assert!(
-                rows <= geom.rows() && cols <= geom.cols(),
-                "{which} operand too small: im2col lowering is {}×{}, GEMM wants {rows}×{cols}",
-                geom.rows(),
-                geom.cols()
-            );
-            (x.len(), geom.n * geom.ci * geom.h * geom.w)
-        }
     };
     assert!(
         len >= need,
@@ -602,12 +503,13 @@ fn run_shared<E: PackElem>(
         len: KC * NC,
     };
     let barrier = Barrier::new(workers);
-    scoped_chunks(c, MC * n, blocks, workers, |t, first_block, chunk| {
+    let bound = |block: usize| (block * MC).min(m) * n;
+    scoped_chunks(c, blocks, workers, bound, |t, run, chunk| {
         shared_worker(
             a,
             b,
             chunk,
-            first_block * MC,
+            run.start * MC,
             n,
             k,
             t,
@@ -828,23 +730,24 @@ pub fn effective_workers(m: usize, threads: usize) -> usize {
     chunk_workers(m.div_ceil(MC), threads)
 }
 
-/// Splits `buf` into contiguous runs of whole `unit`-sized items (`items`
-/// of them; the final item may be short) and runs `f(chunk_index,
-/// first_item, chunk)` for each run on a scoped thread. The partition is a
-/// pure function of `(items, threads)`, so any work whose per-item order
-/// is fixed stays bitwise-deterministic for every thread count. Shared by
-/// the GEMM row split ([`run_shared`]) and the
-/// [`crate::ops::im2col::col2im_t`] sample split.
-pub(crate) fn scoped_chunks<F>(buf: &mut [f32], unit: usize, items: usize, threads: usize, f: F)
+/// Splits `buf` at `bound(item)` offsets into one contiguous run of items
+/// per worker (`bound` is monotone, `bound(0) = 0`, `bound(items) =
+/// buf.len()`) and runs `f(worker, items, chunk)` for each run on a scoped
+/// thread. The partition is a pure function of `(items, threads)`, so any
+/// work whose per-item order is fixed stays bitwise-deterministic for
+/// every thread count. Shared by the GEMM row split ([`run_shared`]) and
+/// the direct convolutions' `(sample, channel block)` split.
+pub(crate) fn scoped_chunks<B, F>(buf: &mut [f32], items: usize, threads: usize, bound: B, f: F)
 where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
+    B: Fn(usize) -> usize,
+    F: Fn(usize, Range<usize>, &mut [f32]) + Sync,
 {
     if buf.is_empty() || items == 0 {
         return;
     }
     let threads = chunk_workers(items, threads);
     if threads == 1 {
-        f(0, 0, buf);
+        f(0, 0..items, buf);
         return;
     }
     let per = items / threads;
@@ -854,13 +757,12 @@ where
         let mut item = 0usize;
         for t in 0..threads {
             let count = per + usize::from(t < extra);
-            let len = (count * unit).min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(len);
+            let (chunk, tail) = rest.split_at_mut(bound(item + count) - bound(item));
             rest = tail;
-            let first = item;
+            let run = item..item + count;
             item += count;
             let f = &f;
-            scope.spawn(move || f(t, first, chunk));
+            scope.spawn(move || f(t, run, chunk));
         }
     });
 }
@@ -912,48 +814,6 @@ fn pack_a<E: PackElem>(
                 }
             }
         }
-        MatSrc::NchwRows { data, c, hw } => {
-            for s in 0..strips {
-                let strip = &mut buf[s * kc * mr..(s + 1) * kc * mr];
-                let lanes = mr.min(mc - s * mr);
-                for ii in 0..mr {
-                    if ii >= lanes {
-                        zero_lane(strip, kc, mr, ii);
-                        continue;
-                    }
-                    let r = i0 + s * mr + ii;
-                    let base = (r / hw) * c * hw + r % hw;
-                    for p in 0..kc {
-                        strip[p * mr + ii] = E::from_f32(data[base + (p0 + p) * hw]);
-                    }
-                }
-            }
-        }
-        MatSrc::NchwCols { data, c, hw } => {
-            for s in 0..strips {
-                let strip = &mut buf[s * kc * mr..(s + 1) * kc * mr];
-                let lanes = mr.min(mc - s * mr);
-                for ii in 0..mr {
-                    if ii >= lanes {
-                        zero_lane(strip, kc, mr, ii);
-                        continue;
-                    }
-                    let ch = i0 + s * mr + ii;
-                    let mut p = 0usize;
-                    while p < kc {
-                        let pix = p0 + p;
-                        let off = pix % hw;
-                        let run = (hw - off).min(kc - p);
-                        let src_run = &data[(pix / hw * c + ch) * hw + off..][..run];
-                        for (q, &v) in src_run.iter().enumerate() {
-                            strip[(p + q) * mr + ii] = E::from_f32(v);
-                        }
-                        p += run;
-                    }
-                }
-            }
-        }
-        MatSrc::Im2col { x, geom } => pack_a_im2col(x, &geom, buf, i0, mc, p0, kc, mr),
     }
 }
 
@@ -1003,42 +863,6 @@ fn pack_b<E: PackElem>(
                 }
             }
         }
-        MatSrc::NchwRows { data, c, hw } => {
-            for s in 0..strips {
-                let strip = &mut buf[s * kc * nr..(s + 1) * kc * nr];
-                let lanes = nr.min(nc - s * nr);
-                for p in 0..kc {
-                    let r = p0 + p;
-                    let base = (r / hw) * c * hw + r % hw;
-                    let cell = &mut strip[p * nr..(p + 1) * nr];
-                    for (jj, slot) in cell.iter_mut().enumerate() {
-                        *slot = if jj < lanes {
-                            E::from_f32(data[base + (j0 + s * nr + jj) * hw])
-                        } else {
-                            E::ZERO
-                        };
-                    }
-                }
-            }
-        }
-        MatSrc::NchwCols { data, c, hw } => {
-            for s in 0..strips {
-                let strip = &mut buf[s * kc * nr..(s + 1) * kc * nr];
-                let lanes = nr.min(nc - s * nr);
-                for jj in 0..nr {
-                    if jj >= lanes {
-                        zero_lane(strip, kc, nr, jj);
-                        continue;
-                    }
-                    let pix = j0 + s * nr + jj;
-                    let base = (pix / hw * c) * hw + pix % hw;
-                    for p in 0..kc {
-                        strip[p * nr + jj] = E::from_f32(data[base + (p0 + p) * hw]);
-                    }
-                }
-            }
-        }
-        MatSrc::Im2col { x, geom } => pack_b_im2col(x, &geom, buf, p0, kc, j0, nc, nr),
     }
 }
 
@@ -1048,250 +872,6 @@ fn zero_lane<E: PackElem>(strip: &mut [E], kc: usize, width: usize, lane: usize)
     for p in 0..kc {
         strip[p * width + lane] = E::ZERO;
     }
-}
-
-/// Streams im2col *rows* (output pixels) into packed-A strips: the fused
-/// conv-forward path.
-///
-/// Fast path: when a strip's `mr` pixels lie in one output row, the `mr`
-/// lanes of a tap read `mr` consecutive (stride 1) or evenly strided input
-/// values, so the whole tap packs as one bounds-checked copy; only strips
-/// touching the padding halo or an image-row boundary fall back to the
-/// per-lane loop.
-#[allow(clippy::too_many_arguments)]
-fn pack_a_im2col<E: PackElem>(
-    x: &[f32],
-    geom: &Im2colGeom,
-    buf: &mut [E],
-    i0: usize,
-    mc: usize,
-    p0: usize,
-    kc: usize,
-    mr: usize,
-) {
-    let runs = tap_runs(geom, p0, kc);
-    let strips = mc.div_ceil(mr);
-    let hw = geom.ho * geom.wo;
-    let stride = geom.cfg.stride;
-    for s in 0..strips {
-        let strip = &mut buf[s * kc * mr..(s + 1) * kc * mr];
-        let lanes = mr.min(mc - s * mr);
-        let r0 = i0 + s * mr;
-        // Whole strip in one (sample, output-row) pair?
-        let same_row =
-            lanes == mr && (r0 % geom.wo) + mr <= geom.wo && r0 / hw == (r0 + mr - 1) / hw;
-        if same_row {
-            let ni = r0 / hw;
-            let off = r0 % hw;
-            let oy = off / geom.wo;
-            let ox0 = off % geom.wo;
-            let iy0 = (oy * stride) as isize - geom.cfg.pad_h as isize;
-            let ix_first0 = (ox0 * stride) as isize - geom.cfg.pad_w as isize;
-            for run in &runs {
-                let iy = iy0 + run.ky;
-                if iy < 0 || iy as usize >= geom.h {
-                    for q in 0..run.len {
-                        strip[(run.start + q) * mr..(run.start + q) * mr + mr].fill(E::ZERO);
-                    }
-                    continue;
-                }
-                let row_base = ((ni * geom.ci + run.ch) * geom.h + iy as usize) * geom.w;
-                for q in 0..run.len {
-                    let ix_first = ix_first0 + run.kx0 + q as isize;
-                    let ix_last = ix_first + ((mr - 1) * stride) as isize;
-                    let cell = &mut strip[(run.start + q) * mr..(run.start + q) * mr + mr];
-                    if ix_first >= 0 && (ix_last as usize) < geom.w {
-                        let src0 = row_base + ix_first as usize;
-                        if stride == 1 {
-                            E::pack_from(cell, &x[src0..src0 + mr]);
-                        } else {
-                            for (ii, slot) in cell.iter_mut().enumerate() {
-                                *slot = E::from_f32(x[src0 + ii * stride]);
-                            }
-                        }
-                    } else if stride == 1 {
-                        // Boundary tile: zero the out-of-image lanes, copy
-                        // the contiguous in-bounds span.
-                        let lo = (-ix_first).clamp(0, mr as isize) as usize;
-                        let hi = (geom.w as isize - ix_first).clamp(0, mr as isize) as usize;
-                        cell[..lo].fill(E::ZERO);
-                        cell[hi..].fill(E::ZERO);
-                        if hi > lo {
-                            let src0 = (row_base as isize + ix_first + lo as isize) as usize;
-                            E::pack_from(&mut cell[lo..hi], &x[src0..src0 + hi - lo]);
-                        }
-                    } else {
-                        for (ii, slot) in cell.iter_mut().enumerate() {
-                            let ix = ix_first + (ii * stride) as isize;
-                            *slot = if ix < 0 || ix as usize >= geom.w {
-                                E::ZERO
-                            } else {
-                                E::from_f32(x[row_base + ix as usize])
-                            };
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-        for ii in 0..mr {
-            if ii >= lanes {
-                zero_lane(strip, kc, mr, ii);
-                continue;
-            }
-            let r = r0 + ii;
-            let ni = r / hw;
-            let off = r % hw;
-            let oy = off / geom.wo;
-            let ox = off % geom.wo;
-            let iy0 = (oy * stride) as isize - geom.cfg.pad_h as isize;
-            let ix0 = (ox * stride) as isize - geom.cfg.pad_w as isize;
-            for run in &runs {
-                let iy = iy0 + run.ky;
-                if iy < 0 || iy as usize >= geom.h {
-                    for q in 0..run.len {
-                        strip[(run.start + q) * mr + ii] = E::ZERO;
-                    }
-                    continue;
-                }
-                let row_base = ((ni * geom.ci + run.ch) * geom.h + iy as usize) * geom.w;
-                let ix_first = ix0 + run.kx0;
-                if ix_first >= 0 && (ix_first as usize) + run.len <= geom.w {
-                    let src0 = row_base + ix_first as usize;
-                    for (q, &v) in x[src0..src0 + run.len].iter().enumerate() {
-                        strip[(run.start + q) * mr + ii] = E::from_f32(v);
-                    }
-                } else {
-                    for q in 0..run.len {
-                        let ix = ix_first + q as isize;
-                        strip[(run.start + q) * mr + ii] = if ix < 0 || ix as usize >= geom.w {
-                            E::ZERO
-                        } else {
-                            E::from_f32(x[row_base + ix as usize])
-                        };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Streams im2col rows as a packed-B operand (rows are the *k* dimension —
-/// the fused weight-gradient path `dW = dY₂dᵀ · cols(x)`).
-///
-/// Two passes over a panel-sized scratch buffer: pixel-major row
-/// generation (contiguous writes, one bounds decision per tap run), then a
-/// re-pack into `nr`-column strips as contiguous `nr`-float copies. Only
-/// the `kc×nc` panel ever exists; the full lowering is never materialized.
-#[allow(clippy::too_many_arguments)]
-fn pack_b_im2col<E: PackElem>(
-    x: &[f32],
-    geom: &Im2colGeom,
-    buf: &mut [E],
-    p0: usize,
-    kc: usize,
-    j0: usize,
-    nc: usize,
-    nr: usize,
-) {
-    let runs = tap_runs(geom, j0, nc);
-    let hw = geom.ho * geom.wo;
-    let stride = geom.cfg.stride;
-    let pad_w = geom.cfg.pad_w as isize;
-    let mut scratch = arena::take(kc * nc);
-
-    // Pass 1: scratch[p][·] = im2col row of pixel p0+p, taps [j0, j0+nc).
-    let mut ni = (p0) / hw;
-    let mut off = (p0) % hw;
-    for p in 0..kc {
-        let oy = off / geom.wo;
-        let ox = off % geom.wo;
-        let iy0 = (oy * stride) as isize - geom.cfg.pad_h as isize;
-        let ix0 = (ox * stride) as isize - pad_w;
-        let kx_lo = (-ix0).max(0);
-        let kx_hi = (geom.w as isize - ix0).max(0);
-        let row = &mut scratch[p * nc..(p + 1) * nc];
-        for run in &runs {
-            let iy = iy0 + run.ky;
-            let dst = &mut row[run.start..run.start + run.len];
-            if iy < 0 || iy as usize >= geom.h {
-                dst.fill(0.0);
-                continue;
-            }
-            // Valid kx sub-interval of [kx0, kx0+len).
-            let lo = kx_lo.clamp(run.kx0, run.kx0 + run.len as isize);
-            let hi = kx_hi.clamp(run.kx0, run.kx0 + run.len as isize);
-            let row_base = ((ni * geom.ci + run.ch) * geom.h + iy as usize) * geom.w;
-            dst[..(lo - run.kx0) as usize].fill(0.0);
-            dst[(hi - run.kx0) as usize..].fill(0.0);
-            if hi > lo {
-                let from = (row_base as isize + ix0 + lo) as usize;
-                dst[(lo - run.kx0) as usize..(hi - run.kx0) as usize]
-                    .copy_from_slice(&x[from..from + (hi - lo) as usize]);
-            }
-        }
-        off += 1;
-        if off == hw {
-            off = 0;
-            ni += 1;
-        }
-    }
-
-    // Pass 2: strip re-pack (contiguous nr-element converting copies; the
-    // f32 scratch is where bf16 encoding happens for this operand).
-    let strips = nc.div_ceil(nr);
-    for s in 0..strips {
-        let strip = &mut buf[s * kc * nr..(s + 1) * kc * nr];
-        let lanes = nr.min(nc - s * nr);
-        for p in 0..kc {
-            let cell = &mut strip[p * nr..(p + 1) * nr];
-            E::pack_from(
-                &mut cell[..lanes],
-                &scratch[p * nc + s * nr..p * nc + s * nr + lanes],
-            );
-            cell[lanes..].fill(E::ZERO);
-        }
-    }
-}
-
-/// A maximal run of consecutive im2col taps sharing `(channel, ky)` — the
-/// unit at which the streaming packers do bounds checks and row lookups.
-struct TapRun {
-    /// Offset of the run's first tap within the packed range.
-    start: usize,
-    /// Taps in the run (≤ `kernel_w`).
-    len: usize,
-    /// Input channel.
-    ch: usize,
-    /// Kernel row, as a signed offset for padding arithmetic.
-    ky: isize,
-    /// First kernel column in the run, signed.
-    kx0: isize,
-}
-
-/// Decomposes taps `[first, first+count)` into [`TapRun`]s.
-fn tap_runs(geom: &Im2colGeom, first: usize, count: usize) -> Vec<TapRun> {
-    let (kh, kw) = (geom.cfg.kernel_h, geom.cfg.kernel_w);
-    let khkw = kh * kw;
-    let mut runs = Vec::with_capacity(count.div_ceil(kw) + 1);
-    let mut t = 0usize;
-    while t < count {
-        let col = first + t;
-        let ch = col / khkw;
-        let rem = col % khkw;
-        let ky = rem / kw;
-        let kx0 = rem % kw;
-        let len = (kw - kx0).min(count - t);
-        runs.push(TapRun {
-            start: t,
-            len,
-            ch,
-            ky: ky as isize,
-            kx0: kx0 as isize,
-        });
-        t += len;
-    }
-    runs
 }
 
 #[cfg(test)]
@@ -1403,147 +983,6 @@ mod tests {
         for (x, y) in c.iter().zip(&expect) {
             assert!((x - y).abs() <= 1e-3 * y.abs().max(1.0));
         }
-    }
-
-    #[test]
-    fn nchw_sources_match_explicit_matrices() {
-        // An [n, c, h, w] map viewed as pixels×channels (NchwRows) and
-        // channels×pixels (NchwCols), exercised as BOTH the A and B
-        // operand against explicitly materialized matrices.
-        let (n, c, h, w) = (3usize, 5usize, 4usize, 3usize);
-        let hw = h * w;
-        let pixels = n * hw;
-        let map: Vec<f32> = (0..n * c * hw).map(|v| (v % 13) as f32 - 6.0).collect();
-        // rows[pixel][ch] and its transpose, materialized.
-        let mut rows = vec![0.0f32; pixels * c];
-        for r in 0..pixels {
-            for ch in 0..c {
-                rows[r * c + ch] = map[(r / hw * c + ch) * hw + r % hw];
-            }
-        }
-        let other = seq(pixels * 7, 9); // shared dense operand
-
-        // NchwRows as A ([pixels, c] · [c, 7]).
-        let w2: Vec<f32> = other[..c * 7].to_vec();
-        let mut got = vec![0.0f32; pixels * 7];
-        let mut want = vec![0.0f32; pixels * 7];
-        gemm(
-            &MatSrc::NchwRows { data: &map, c, hw },
-            &MatSrc::RowMajor {
-                data: &w2,
-                stride: 7,
-            },
-            &mut got,
-            pixels,
-            7,
-            c,
-        );
-        gemm(
-            &MatSrc::RowMajor {
-                data: &rows,
-                stride: c,
-            },
-            &MatSrc::RowMajor {
-                data: &w2,
-                stride: 7,
-            },
-            &mut want,
-            pixels,
-            7,
-            c,
-        );
-        assert_eq!(got, want, "NchwRows as A");
-
-        // NchwCols as A ([c, pixels] · [pixels, 7]).
-        let mut got = vec![0.0f32; c * 7];
-        let mut want = vec![0.0f32; c * 7];
-        gemm(
-            &MatSrc::NchwCols { data: &map, c, hw },
-            &MatSrc::RowMajor {
-                data: &other,
-                stride: 7,
-            },
-            &mut got,
-            c,
-            7,
-            pixels,
-        );
-        gemm(
-            &MatSrc::ColMajor {
-                data: &rows,
-                stride: c,
-            },
-            &MatSrc::RowMajor {
-                data: &other,
-                stride: 7,
-            },
-            &mut want,
-            c,
-            7,
-            pixels,
-        );
-        assert_eq!(got, want, "NchwCols as A");
-
-        // NchwRows as B ([7, pixels] · [pixels, c]).
-        let mut got = vec![0.0f32; 7 * c];
-        let mut want = vec![0.0f32; 7 * c];
-        gemm(
-            &MatSrc::ColMajor {
-                data: &other,
-                stride: 7,
-            },
-            &MatSrc::NchwRows { data: &map, c, hw },
-            &mut got,
-            7,
-            c,
-            pixels,
-        );
-        gemm(
-            &MatSrc::ColMajor {
-                data: &other,
-                stride: 7,
-            },
-            &MatSrc::RowMajor {
-                data: &rows,
-                stride: c,
-            },
-            &mut want,
-            7,
-            c,
-            pixels,
-        );
-        assert_eq!(got, want, "NchwRows as B");
-
-        // NchwCols as B ([7, c] · [c, pixels]).
-        let a7: Vec<f32> = other[..7 * c].to_vec();
-        let mut got = vec![0.0f32; 7 * pixels];
-        let mut want = vec![0.0f32; 7 * pixels];
-        gemm(
-            &MatSrc::RowMajor {
-                data: &a7,
-                stride: c,
-            },
-            &MatSrc::NchwCols { data: &map, c, hw },
-            &mut got,
-            7,
-            pixels,
-            c,
-        );
-        gemm(
-            &MatSrc::RowMajor {
-                data: &a7,
-                stride: c,
-            },
-            &MatSrc::ColMajor {
-                data: &rows,
-                stride: c,
-            },
-            &mut want,
-            7,
-            pixels,
-            c,
-        );
-        assert_eq!(got, want, "NchwCols as B");
     }
 
     #[test]

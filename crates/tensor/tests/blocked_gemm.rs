@@ -1,15 +1,17 @@
-//! Property tests pinning the packed blocked GEMM core and the fused
-//! convolution paths against their naive references, across
+//! Property tests pinning the packed blocked GEMM core and the public
+//! convolution entry points against their naive references, across
 //! non-tile-divisible shapes, padding, stride, thread counts, and every
-//! SIMD micro-kernel available on this CPU.
+//! SIMD micro-kernel available on this CPU. (`direct_conv.rs` sweeps the
+//! convolution geometry grid.)
 
 use proptest::prelude::*;
 
+use mbs_tensor::ops::direct::{self, Exec};
 use mbs_tensor::ops::kernel;
-use mbs_tensor::ops::pack::{gemm_with_kernel, gemm_with_threads, Im2colGeom, MatSrc};
+use mbs_tensor::ops::pack::{gemm_with_kernel, gemm_with_threads, MatSrc};
 use mbs_tensor::ops::{
-    col2im, col2im_t, conv2d, conv2d_backward_data, conv2d_backward_weights, conv2d_naive, im2col,
-    matmul, matmul_a_bt, matmul_at_b, matmul_naive, Conv2dCfg,
+    col2im, conv2d, conv2d_backward_data, conv2d_backward_weights, conv2d_naive, im2col, matmul,
+    matmul_a_bt, matmul_at_b, matmul_naive, Conv2dCfg,
 };
 use mbs_tensor::Tensor;
 
@@ -186,31 +188,32 @@ proptest! {
         prop_assert_eq!(c1, cn);
     }
 
-    /// The same bitwise guarantee for the fused im2col operand and the
-    /// transposed col2im scatter (the two places convolution threads).
+    /// The same bitwise guarantee where convolution threads: the forward
+    /// pass and the data gradient split `(sample, channel block)` items,
+    /// the weight gradient channel blocks.
     #[test]
     fn fused_conv_gemm_is_bitwise_deterministic(
         x in tensor_strategy(vec![3, 2, 6, 5]),
         threads in 2usize..5,
     ) {
         let cfg = Conv2dCfg::square(3, 1, 1);
-        let geom = Im2colGeom::new(3, 2, 6, 5, cfg);
-        let w: Vec<f32> = (0..4 * geom.cols()).map(|v| (v % 13) as f32 / 3.0 - 2.0).collect();
-        let asrc = MatSrc::Im2col { x: x.data(), geom };
-        let bsrc = MatSrc::ColMajor { data: &w, stride: geom.cols() };
-        let (m, n, k) = (geom.rows(), 4, geom.cols());
-        let mut c1 = vec![0.0f32; m * n];
-        let mut cn = vec![0.0f32; m * n];
-        gemm_with_threads(&asrc, &bsrc, &mut c1, m, n, k, 1);
-        gemm_with_threads(&asrc, &bsrc, &mut cn, m, n, k, threads);
-        prop_assert_eq!(&c1, &cn);
-
-        // col2im_t: per-sample scatter must also be thread-invariant.
-        let cols_t: Vec<f32> =
-            (0..geom.cols() * geom.rows()).map(|v| (v % 9) as f32 - 4.0).collect();
-        let d1 = col2im_t(&cols_t, 3, 2, 6, 5, cfg, 1);
-        let dn = col2im_t(&cols_t, 3, 2, 6, 5, cfg, threads);
-        prop_assert_eq!(d1.data(), dn.data());
+        let w = Tensor::from_vec(&[4, 2, 3, 3], (0..72).map(|v| (v % 13) as f32 / 3.0 - 2.0).collect());
+        let dy = Tensor::from_vec(&[3, 4, 6, 5], (0..360).map(|v| (v % 9) as f32 - 4.0).collect());
+        let run = |threads: usize| {
+            let exec = Exec { threads, ..Exec::process() };
+            let mut dw = Tensor::zeros(w.shape());
+            direct::backward_weights_into(&x, &dy, cfg, &mut dw, exec);
+            (
+                direct::forward(&x, &w, None, false, cfg, exec).0,
+                direct::backward_data(&dy, &w, x.shape(), cfg, exec),
+                dw,
+            )
+        };
+        let (y1, dx1, dw1) = run(1);
+        let (yn, dxn, dwn) = run(threads);
+        prop_assert_eq!(y1.data(), yn.data());
+        prop_assert_eq!(dx1.data(), dxn.data());
+        prop_assert_eq!(dw1.data(), dwn.data());
     }
 
     /// Every micro-kernel available on this CPU (AVX-512, AVX2, scalar)
@@ -249,41 +252,26 @@ proptest! {
         }
     }
 
-    /// The fused im2col operand agrees across every kernel and stays
-    /// thread-invariant per kernel (the conv paths feed the same packed
-    /// strips to whichever kernel is selected).
+    /// The conv forward agrees across every kernel's tier and stays
+    /// thread-invariant per kernel.
     #[test]
     fn every_kernel_agrees_on_fused_conv_gemm(
         x in tensor_strategy(vec![2, 3, 7, 6]),
         threads in 2usize..6,
     ) {
         let cfg = Conv2dCfg::square(3, 1, 1);
-        let geom = Im2colGeom::new(2, 3, 7, 6, cfg);
-        let (m, n, k) = (geom.rows(), 5, geom.cols());
-        let w: Vec<f32> = (0..n * k).map(|v| (v % 13) as f32 / 3.0 - 2.0).collect();
-        let asrc = MatSrc::Im2col { x: x.data(), geom };
-        let bsrc = MatSrc::ColMajor { data: &w, stride: k };
-        let mut reference: Option<Vec<f32>> = None;
+        let w = Tensor::from_vec(&[5, 3, 3, 3], (0..135).map(|v| (v % 13) as f32 / 3.0 - 2.0).collect());
+        let mut reference: Option<Tensor> = None;
         for kern in kernel::available() {
-            let mut c1 = vec![0.0f32; m * n];
-            gemm_with_kernel(&asrc, &bsrc, &mut c1, m, n, k, 1, kern);
-            let mut cn = vec![0.0f32; m * n];
-            gemm_with_kernel(&asrc, &bsrc, &mut cn, m, n, k, threads, kern);
-            prop_assert_eq!(&c1, &cn, "{} im2col thread invariance", kern.name);
+            let exec = Exec { kernel: kern, threads: 1, ..Exec::process() };
+            let y1 = direct::forward(&x, &w, None, false, cfg, exec).0;
+            let yn = direct::forward(&x, &w, None, false, cfg, Exec { threads, ..exec }).0;
+            prop_assert_eq!(y1.data(), yn.data(), "{} conv thread invariance", kern.name);
             match &reference {
-                None => reference = Some(c1),
-                Some(want) => {
-                    // Different tile shapes round differently (FMA vs
-                    // separate mul+add), so cross-kernel equality is only
-                    // approximate.
-                    let tol = 1e-5 * (k as f32) * 4.0;
-                    for (got, want) in c1.iter().zip(want) {
-                        prop_assert!(
-                            (got - want).abs() < tol,
-                            "{}: {} vs {}", kern.name, got, want
-                        );
-                    }
-                }
+                None => reference = Some(y1),
+                // Different tiers round differently (FMA vs separate
+                // mul+add), so cross-kernel equality is only approximate.
+                Some(want) => assert_close(&y1, want, 27, kern.name),
             }
         }
     }

@@ -1,0 +1,361 @@
+//! Property tests of the direct convolution kernels (`ops::direct`): all
+//! three ops against the naive / im2col oracles over a geometry grid that
+//! straddles every tile boundary, for every ISA tier this CPU has, plus
+//! the adjoint identities and the bitwise pins the executor and the server
+//! rely on (batched ≡ single-sample, thread invariance, fused ≡ unfused,
+//! bf16 ≡ f32 on bf16-rounded operands, `_into` ≡ alloc-then-add).
+
+use proptest::prelude::*;
+
+use mbs_tensor::ops::direct::{self, Exec};
+use mbs_tensor::ops::{
+    col2im, conv2d_naive, im2col, kernel, matmul_naive, relu_inplace, Conv2dCfg, MicroKernel,
+};
+use mbs_tensor::prec::{bf16_to_f32, f32_to_bf16, Precision};
+use mbs_tensor::Tensor;
+
+/// Kernel extents, incl. the 1×7 / 7×1 pair of Inception.
+const KERNELS: [(usize, usize); 7] = [(1, 1), (2, 2), (3, 3), (5, 5), (7, 7), (1, 7), (7, 1)];
+/// Input widths around the 8- and 16-lane vector multiples, so pixel
+/// tiles straddle rows and the garbage-lane logic runs.
+const WIDTHS: [usize; 5] = [1, 15, 16, 17, 33];
+/// Channel counts around the 4- and 8-channel register blocks.
+const CHANNELS: [usize; 5] = [1, 3, 8, 9, 17];
+
+/// One point of the geometry grid.
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    cfg: Conv2dCfg,
+    n: usize,
+    ci: usize,
+    co: usize,
+    h: usize,
+    w: usize,
+}
+
+/// Strategy over the grid: kernels × stride {1,2,3} × pad 0..k-1 (with
+/// `pad_h != pad_w` whenever the kernel allows) × widths × channels ×
+/// batch {1,3}; the height is the smallest of 1..9 the kernel fits.
+fn cases() -> impl Strategy<Value = Case> {
+    (
+        (0usize..7, 1usize..4, 0usize..7, 0usize..7),
+        (0usize..5, 1usize..10),
+        (0usize..5, 0usize..5, 0usize..2),
+    )
+        .prop_map(|((ki, stride, pa, pb), (wi, h), (cii, coi, big))| {
+            let (kernel_h, kernel_w) = KERNELS[ki];
+            let pad_h = pa % kernel_h;
+            let mut pad_w = pb % kernel_w;
+            if pad_w == pad_h && kernel_w > 1 {
+                pad_w = (pad_w + 1) % kernel_w;
+            }
+            let fit = |ext: usize, k: usize, p: usize| ext.max(k.saturating_sub(2 * p));
+            Case {
+                cfg: Conv2dCfg {
+                    kernel_h,
+                    kernel_w,
+                    stride,
+                    pad_h,
+                    pad_w,
+                },
+                n: 1 + 2 * big,
+                ci: CHANNELS[cii],
+                co: CHANNELS[coi],
+                h: fit(h, kernel_h, pad_h),
+                w: fit(WIDTHS[wi], kernel_w, pad_w),
+            }
+        })
+}
+
+fn seeded(shape: &[usize], salt: usize) -> Tensor {
+    let len: usize = shape.iter().product();
+    Tensor::from_vec(
+        shape,
+        (0..len)
+            .map(|v| ((v * 31 + salt * 17) % 29) as f32 / 7.0 - 2.0)
+            .collect(),
+    )
+}
+
+impl Case {
+    fn x(&self) -> Tensor {
+        seeded(&[self.n, self.ci, self.h, self.w], 1)
+    }
+
+    fn weights(&self) -> Tensor {
+        seeded(&[self.co, self.ci, self.cfg.kernel_h, self.cfg.kernel_w], 2)
+    }
+
+    fn dy(&self) -> Tensor {
+        let (ho, wo) = self.cfg.out_extent(self.h, self.w);
+        seeded(&[self.n, self.co, ho, wo], 3)
+    }
+
+    fn taps(&self) -> usize {
+        self.ci * self.cfg.kernel_h * self.cfg.kernel_w
+    }
+}
+
+fn exec(kernel: &'static MicroKernel, threads: usize) -> Exec {
+    Exec {
+        kernel,
+        threads,
+        precision: Precision::F32,
+    }
+}
+
+/// `|a - b|` within a tolerance scaled by the reduction depth `k`.
+fn assert_close(a: &Tensor, b: &Tensor, k: usize, what: &str) {
+    assert_eq!(a.shape(), b.shape(), "{what}: shape");
+    let tol = 4e-5 * (k as f32).max(1.0);
+    let diff = a.max_abs_diff(b);
+    assert!(diff < tol, "{what}: diff {diff} tol {tol}");
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+fn dot(a: &Tensor, b: &Tensor) -> f64 {
+    a.data()
+        .iter()
+        .zip(b.data())
+        .map(|(x, y)| f64::from(*x) * f64::from(*y))
+        .sum()
+}
+
+/// `dy` as the `[n·ho·wo, co]` matrix of im2col row order.
+fn dy_rows(dy: &Tensor) -> Tensor {
+    let [n, co, ho, wo]: [usize; 4] = dy.shape().try_into().unwrap();
+    let hw = ho * wo;
+    let mut rows = Tensor::zeros(&[n * hw, co]);
+    for ni in 0..n {
+        for o in 0..co {
+            for p in 0..hw {
+                rows.set(&[ni * hw + p, o], dy.data()[(ni * co + o) * hw + p]);
+            }
+        }
+    }
+    rows
+}
+
+fn transpose(m: &Tensor) -> Tensor {
+    let (r, c) = (m.shape()[0], m.shape()[1]);
+    let mut t = Tensor::zeros(&[c, r]);
+    for i in 0..r {
+        for j in 0..c {
+            t.set(&[j, i], m.get(&[i, j]));
+        }
+    }
+    t
+}
+
+/// Sample `i` of a batch, as a batch of one.
+fn sample(t: &Tensor, i: usize) -> Tensor {
+    let per = t.len() / t.shape()[0];
+    let mut shape = t.shape().to_vec();
+    shape[0] = 1;
+    Tensor::from_vec(&shape, t.data()[i * per..(i + 1) * per].to_vec())
+}
+
+fn rounded(t: &Tensor) -> Tensor {
+    let data = t
+        .data()
+        .iter()
+        .map(|&v| bf16_to_f32(f32_to_bf16(v)))
+        .collect();
+    Tensor::from_vec(t.shape(), data)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Forward, data gradient and weight gradient equal their oracles
+    /// (`conv2d_naive`, `col2im(dy·W)`, `dyᵀ·im2col(x)`) on every tier.
+    #[test]
+    fn direct_ops_match_the_oracles(c in cases()) {
+        let (x, w, dy) = (c.x(), c.weights(), c.dy());
+        let rows = dy_rows(&dy);
+        let want_y = conv2d_naive(&x, &w, c.cfg);
+        let want_dx = col2im(
+            &matmul_naive(&rows, &w.reshape(&[c.co, c.taps()])),
+            c.n, c.ci, c.h, c.w, c.cfg,
+        );
+        let want_dw = matmul_naive(&transpose(&rows), &im2col(&x, c.cfg)).reshape(w.shape());
+        for kern in kernel::available() {
+            let e = exec(kern, 1);
+            let what = format!("{} {c:?}", kern.name);
+            let (y, mask) = direct::forward(&x, &w, None, false, c.cfg, e);
+            prop_assert!(mask.is_none());
+            assert_close(&y, &want_y, c.taps(), &format!("forward {what}"));
+            let dx = direct::backward_data(&dy, &w, x.shape(), c.cfg, e);
+            let depth = c.co * c.cfg.kernel_h * c.cfg.kernel_w;
+            assert_close(&dx, &want_dx, depth, &format!("backward_data {what}"));
+            let mut dw = Tensor::zeros(w.shape());
+            direct::backward_weights_into(&x, &dy, c.cfg, &mut dw, e);
+            assert_close(&dw, &want_dw, dy.len() / c.co, &format!("backward_weights {what}"));
+        }
+    }
+
+    /// `<conv(x,w), dy> == <x, bwd_data(dy,w)> == <w, bwd_weights(x,dy)>`:
+    /// the three ops are one bilinear form — the gradient oracle for
+    /// geometries the fixed-shape finite-difference tests do not reach.
+    #[test]
+    fn gradients_are_adjoints_of_the_forward(c in cases()) {
+        let (x, w, dy) = (c.x(), c.weights(), c.dy());
+        for kern in kernel::available() {
+            let e = exec(kern, 1);
+            let lhs = dot(&direct::forward(&x, &w, None, false, c.cfg, e).0, &dy);
+            let via_x = dot(&x, &direct::backward_data(&dy, &w, x.shape(), c.cfg, e));
+            let mut dw = Tensor::zeros(w.shape());
+            direct::backward_weights_into(&x, &dy, c.cfg, &mut dw, e);
+            let via_w = dot(&w, &dw);
+            let scale = lhs.abs().max(via_x.abs()).max(1.0);
+            prop_assert!((lhs - via_x).abs() <= 1e-3 * scale, "{} {c:?}: {lhs} vs <x,dx> {via_x}", kern.name);
+            prop_assert!((lhs - via_w).abs() <= 1e-3 * scale, "{} {c:?}: {lhs} vs <w,dw> {via_w}", kern.name);
+        }
+    }
+
+    /// Sample `i` of a batched forward / data gradient is bit-for-bit the
+    /// op run on sample `i` alone (what batched serving relies on).
+    #[test]
+    fn batched_equals_single_sample(c in cases()) {
+        let (x, w, dy) = (c.x(), c.weights(), c.dy());
+        for kern in kernel::available() {
+            let e = exec(kern, 1);
+            let y = direct::forward(&x, &w, None, false, c.cfg, e).0;
+            let dx = direct::backward_data(&dy, &w, x.shape(), c.cfg, e);
+            for i in 0..c.n {
+                let (xi, dyi) = (sample(&x, i), sample(&dy, i));
+                let yi = direct::forward(&xi, &w, None, false, c.cfg, e).0;
+                prop_assert_eq!(bits(&sample(&y, i)), bits(&yi), "{} fwd {:?}", kern.name, c);
+                let dxi = direct::backward_data(&dyi, &w, xi.shape(), c.cfg, e);
+                prop_assert_eq!(bits(&sample(&dx, i)), bits(&dxi), "{} bwd {:?}", kern.name, c);
+            }
+        }
+    }
+
+    /// 1, 2 and 3 worker threads give identical bits for all three ops
+    /// (incl. the fused mask): threads split `sample × channel-block`
+    /// items, never a reduction.
+    #[test]
+    fn thread_counts_are_bitwise_identical(c in cases()) {
+        let (x, w, dy) = (c.x(), c.weights(), c.dy());
+        let bias: Vec<f32> = (0..c.co).map(|o| o as f32 / 4.0 - 1.0).collect();
+        for kern in kernel::available() {
+            let run = |threads: usize| {
+                let e = exec(kern, threads);
+                let (y, mask) = direct::forward(&x, &w, Some(&bias), true, c.cfg, e);
+                let dx = direct::backward_data(&dy, &w, x.shape(), c.cfg, e);
+                let mut dw = seeded(w.shape(), 4);
+                direct::backward_weights_into(&x, &dy, c.cfg, &mut dw, e);
+                (bits(&y), mask, bits(&dx), bits(&dw))
+            };
+            let one = run(1);
+            for threads in [2usize, 3] {
+                prop_assert!(one == run(threads), "{} threads {threads} {c:?}", kern.name);
+            }
+        }
+    }
+
+    /// Bias and ReLU applied in the tile store equal conv, then a bias
+    /// pass, then `relu_inplace` — values and mask bits.
+    #[test]
+    fn fused_epilogue_equals_separate_passes(c in cases(), with_bias in 0usize..2) {
+        let (x, w) = (c.x(), c.weights());
+        let bias: Vec<f32> = (0..c.co).map(|o| (o % 5) as f32 / 2.0 - 1.0).collect();
+        let bias = (with_bias == 1).then_some(&bias[..]);
+        for kern in kernel::available() {
+            let e = exec(kern, 1);
+            let (fused, mask) = direct::forward(&x, &w, bias, true, c.cfg, e);
+            let mut plain = direct::forward(&x, &w, None, false, c.cfg, e).0;
+            if let Some(b) = bias {
+                let hw = plain.shape()[2] * plain.shape()[3];
+                for (chunk, bv) in plain.data_mut().chunks_exact_mut(hw).zip(b.iter().cycle()) {
+                    chunk.iter_mut().for_each(|v| *v += bv);
+                }
+            }
+            let want_mask = relu_inplace(&mut plain);
+            prop_assert_eq!(bits(&fused), bits(&plain), "{} {:?}", kern.name, c);
+            prop_assert_eq!(mask, Some(want_mask), "{} mask {:?}", kern.name, c);
+        }
+    }
+
+    /// bf16 mode is exactly f32 mode on operands rounded through bf16:
+    /// the precision lives in the staging copy, never in the arithmetic.
+    #[test]
+    fn bf16_equals_f32_on_rounded_operands(c in cases()) {
+        let (x, w, dy) = (c.x(), c.weights(), c.dy());
+        let (xr, wr, dyr) = (rounded(&x), rounded(&w), rounded(&dy));
+        for kern in kernel::available() {
+            let f32e = exec(kern, 1);
+            let bf16 = Exec { precision: Precision::Bf16, ..f32e };
+            prop_assert_eq!(
+                bits(&direct::forward(&x, &w, None, false, c.cfg, bf16).0),
+                bits(&direct::forward(&xr, &wr, None, false, c.cfg, f32e).0),
+                "{} fwd {:?}", kern.name, c
+            );
+            prop_assert_eq!(
+                bits(&direct::backward_data(&dy, &w, x.shape(), c.cfg, bf16)),
+                bits(&direct::backward_data(&dyr, &wr, x.shape(), c.cfg, f32e)),
+                "{} bwd data {:?}", kern.name, c
+            );
+            let (mut got, mut want) = (Tensor::zeros(w.shape()), Tensor::zeros(w.shape()));
+            direct::backward_weights_into(&x, &dy, c.cfg, &mut got, bf16);
+            direct::backward_weights_into(&xr, &dyr, c.cfg, &mut want, f32e);
+            prop_assert_eq!(bits(&got), bits(&want), "{} bwd weights {:?}", kern.name, c);
+        }
+    }
+
+    /// `backward_weights_into(grad)` is bit-for-bit "compute dW into
+    /// zeros, then `grad += dW`": one add per weight, after its sum.
+    #[test]
+    fn weights_into_equals_alloc_then_add(c in cases()) {
+        let (x, dy) = (c.x(), c.dy());
+        for kern in kernel::available() {
+            let e = exec(kern, 1);
+            let mut into = seeded(c.weights().shape(), 5);
+            let mut want = into.clone();
+            direct::backward_weights_into(&x, &dy, c.cfg, &mut into, e);
+            let mut dw = Tensor::zeros(want.shape());
+            direct::backward_weights_into(&x, &dy, c.cfg, &mut dw, e);
+            want.add_assign(&dw);
+            prop_assert_eq!(bits(&into), bits(&want), "{} {:?}", kern.name, c);
+        }
+    }
+}
+
+/// Shapes the grid cannot reach: empty batches and channel counts, and a
+/// stride past the kernel (whole input rows/columns no tap touches).
+#[test]
+fn degenerate_shapes_are_handled() {
+    let cfg = Conv2dCfg::square(1, 3, 0);
+    for kern in kernel::available() {
+        let e = exec(kern, 2);
+        let x = seeded(&[2, 3, 7, 8], 1);
+        let w = seeded(&[5, 3, 1, 1], 2);
+        let y = direct::forward(&x, &w, None, false, cfg, e).0;
+        assert_close(&y, &conv2d_naive(&x, &w, cfg), 3, "stride past kernel");
+        let dy = seeded(y.shape(), 3);
+        let dx = direct::backward_data(&dy, &w, x.shape(), cfg, e);
+        let rows = dy_rows(&dy);
+        let want = col2im(&matmul_naive(&rows, &w.reshape(&[5, 3])), 2, 3, 7, 8, cfg);
+        assert_close(&dx, &want, 5, "untouched positions are zero");
+
+        let cfg = Conv2dCfg::square(3, 1, 1);
+        let empty = Tensor::zeros(&[0, 3, 5, 5]);
+        let w = seeded(&[4, 3, 3, 3], 2);
+        assert_eq!(
+            direct::forward(&empty, &w, None, false, cfg, e).0.shape(),
+            &[0, 4, 5, 5]
+        );
+        let no_chan = Tensor::zeros(&[2, 0, 5, 5]);
+        let w0 = Tensor::zeros(&[4, 0, 3, 3]);
+        let bias = [1.0f32, -1.0, 0.5, 0.0];
+        let (y, mask) = direct::forward(&no_chan, &w0, Some(&bias), true, cfg, e);
+        assert_eq!(&y.data()[..25], &[1.0; 25]);
+        assert_eq!(&y.data()[25..50], &[0.0; 25]);
+        let mask = mask.expect("relu stores a mask");
+        assert!(mask.get(0) && !mask.get(25) && mask.get(50) && !mask.get(75));
+    }
+}

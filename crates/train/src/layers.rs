@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 
 use mbs_tensor::init::kaiming_normal;
 use mbs_tensor::ops::{
-    avgpool2d, avgpool2d_backward, conv2d_backward_data, conv2d_backward_weights,
+    avgpool2d, avgpool2d_backward, conv2d_backward_data, conv2d_backward_weights_into,
     conv2d_fused_with, fuse_enabled, global_avg_pool, global_avg_pool_backward, matmul,
     matmul_a_bt_fused_with, matmul_at_b, maxpool2d_backward, maxpool2d_padded, relu_backward,
     relu_clamp, relu_inplace, BitMask, Conv2dCfg,
@@ -20,9 +20,9 @@ use crate::module::{stash_mismatch, CacheEntry, CacheStash, Module, Param};
 /// The model zoo's default ([`Conv2d::new`]) is bias-free and
 /// activation-free because convs there pair with normalization layers. A
 /// conv built with [`Conv2d::with_bias_relu`] runs conv + bias + ReLU as
-/// one op: the bias rides the GEMM epilogue and the clamp (plus its 1-bit
-/// backward mask) rides the flat→NCHW transpose, so neither costs a pass
-/// over the output. The `MBS_FUSE=0` knob (or [`Conv2d::set_fused`])
+/// one op: the bias and the clamp (plus its 1-bit backward mask) ride the
+/// direct kernel's store into the NCHW output, so neither costs a pass
+/// over it. The `MBS_FUSE=0` knob (or [`Conv2d::set_fused`])
 /// switches to the separate-pass path, which is bitwise identical.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
@@ -238,8 +238,7 @@ impl Module for Conv2d {
                 gb[chunk_idx % co] += chunk.iter().sum::<f32>();
             }
         }
-        let dw = conv2d_backward_weights(x, dy, self.cfg);
-        self.weight.grad.add_assign(&dw);
+        conv2d_backward_weights_into(x, dy, self.cfg, &mut self.weight.grad);
         conv2d_backward_data(dy, &self.weight.value, x.shape(), self.cfg)
     }
 

@@ -11,7 +11,7 @@
 //! - [`cnn`] — network IR + zoo (ResNet, Inception v3/v4, AlexNet),
 //! - [`core`] — the MBS scheduler and traffic model,
 //! - [`wavecore`] — the accelerator simulator (timing/energy/utilization),
-//! - [`tensor`] — dense f32 tensor ops (GEMM, im2col convolution),
+//! - [`tensor`] — dense f32 tensor ops (GEMM, direct convolution),
 //! - [`train`] — the training substrate (BN/GN, MBS serialized executor),
 //! - [`serve`] — the dynamic-batching inference front-end (frozen model
 //!   handles, cache-budget batch sizing, thread-per-core request loop,
