@@ -8,22 +8,37 @@
 //! guards identity — a checkpoint saved for one (network, schedule) pair
 //! refuses to load into another.
 //!
-//! # On-disk format
+//! # On-disk format (version 2)
 //!
-//! Each checkpoint is one file named `ckpt-{seq:08}.mbsckpt` containing a
-//! single ASCII header line followed by a JSON payload:
+//! Each checkpoint is one file named `ckpt-{seq:08}.mbsckpt`: a 47-byte
+//! ASCII header line (length in 20 decimal digits, checksum in 16 hex
+//! digits), then a raw little-endian binary payload.
 //!
 //! ```text
-//! MBSCKPT <version> <payload-bytes> <fnv1a64-hex>\n
-//! {"fingerprint":...,"model":[...],...}
+//! MBSCKPT 2 <payload-bytes> <fnv1a64-hex>\n
+//! u64 fingerprint · u64 epoch · u64 step_in_epoch · u64 steps · f32 loss_sum
+//! net        : u64 byte count, UTF-8 bytes
+//! rng        : u64 count, count × u64
+//! curve      : u64 count, count × { u64 epoch, f32 train_loss,
+//!              f64 val_error_pct, f32 preact_first, f32 preact_last }
+//! model      : u64 count, count × { u64 rank, rank × u64 extent,
+//!                                   u64 elems, elems × f32 }
+//! velocities : as model
 //! ```
 //!
-//! The header pins the format version, the exact payload length
-//! (detects truncation), and an FNV-1a 64 checksum of the payload
-//! (detects bit flips). Loading validates magic → version → length →
-//! checksum → JSON → fingerprint, in that order, so every torn or
-//! corrupted file is rejected with a descriptive error instead of
-//! producing a silently wrong resume.
+//! Floats are stored as their bit patterns, so NaN payloads, `-0.0`,
+//! subnormals and infinities all round trip. The header pins the format
+//! version, the exact payload length (detects truncation), and an FNV-1a
+//! 64 checksum of the payload (detects bit flips). Loading validates
+//! magic → version → length → checksum → payload → fingerprint, in that
+//! order, and the payload reader checks every count against the bytes
+//! that remain *before* allocating for it — a torn, corrupted or hostile
+//! file is rejected with a descriptive error, never a panic, an
+//! oversized allocation or a silently wrong resume.
+//!
+//! Version 1 (the same header over a JSON payload, ~5× the bytes and
+//! ~30× the encode time) is still **read**, so directories written by
+//! older builds resume unchanged, but never written.
 //!
 //! # Durability
 //!
@@ -37,6 +52,19 @@
 //! so callers can count and surface the damage — so a torn latest
 //! checkpoint degrades to the previous good one rather than a panic.
 //!
+//! # Off the step path
+//!
+//! The training loop never runs [`save`] itself. It copies its state into
+//! a recycled [`TrainCheckpoint`] (a memcpy per tensor, no allocation
+//! after the second save) and hands it to a [`CheckpointWriter`], whose
+//! one background thread encodes, writes, fsyncs, renames and rotates
+//! behind the next training steps. At most one save is in flight, and the
+//! writer is joined before `train_grouped*` returns on any path, so
+//! *after the call returns* the newest checkpoint is on disk; *mid-run*
+//! the newest durable checkpoint may trail the trainer by one save. A
+//! crash between snapshot and rename resumes from the previous file,
+//! which reproduces the same bits.
+//!
 //! [`Module::export_state`]: crate::module::Module::export_state
 //! [`Schedule::fingerprint`]: mbs_core::Schedule::fingerprint
 
@@ -44,6 +72,8 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
@@ -52,8 +82,9 @@ use mbs_core::fnv1a64;
 use crate::module::StateEntry;
 use crate::training::EpochStats;
 
-/// Current checkpoint format version (the second header field).
-pub const CKPT_VERSION: u64 = 1;
+/// Checkpoint format version [`encode`] writes (the second header field).
+/// [`decode`] also reads version 1.
+pub const CKPT_VERSION: u64 = 2;
 
 /// Header magic (the first header field).
 pub const CKPT_MAGIC: &str = "MBSCKPT";
@@ -70,7 +101,7 @@ pub const CKPT_EXT: &str = "mbsckpt";
 /// batches of that epoch are already complete with `loss_sum` the sum of
 /// their losses over `steps` steps. An end-of-epoch checkpoint stores
 /// the *next* epoch with `step_in_epoch == 0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrainCheckpoint {
     /// [`Schedule::fingerprint`](mbs_core::Schedule::fingerprint) of the
     /// (network, schedule) pair this state belongs to.
@@ -102,7 +133,8 @@ pub struct TrainCheckpoint {
 /// Why a checkpoint could not be saved or loaded.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The underlying filesystem operation failed.
+    /// The underlying filesystem operation failed (or the
+    /// [`CheckpointWriter`] thread died before finishing a save).
     Io(std::io::Error),
     /// The file exists but is not a valid checkpoint (bad magic, torn
     /// write, checksum mismatch, unparseable payload, ...).
@@ -158,20 +190,79 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Encodes a checkpoint to its on-disk bytes (header line + JSON payload).
+/// Payload bytes of one [`EpochStats`] record.
+const CURVE_RECORD_BYTES: usize = 8 + 4 + 8 + 4 + 4;
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_entries(out: &mut Vec<u8>, entries: &[StateEntry]) {
+    put_u64(out, entries.len() as u64);
+    for entry in entries {
+        put_u64(out, entry.shape.len() as u64);
+        for &dim in &entry.shape {
+            put_u64(out, dim as u64);
+        }
+        put_u64(out, entry.data.len() as u64);
+        for v in &entry.data {
+            put_u32(out, v.to_bits());
+        }
+    }
+}
+
+/// [`encode`] into a caller-owned buffer (cleared first), so a writer
+/// that saves repeatedly reuses one allocation.
+fn encode_into(ckpt: &TrainCheckpoint, out: &mut Vec<u8>) {
+    out.clear();
+    // Length and checksum are fixed-width so they can be patched in once
+    // the payload they describe exists.
+    writeln!(out, "{CKPT_MAGIC} {CKPT_VERSION} {:020} {:016x}", 0, 0).expect("Vec writes");
+    let body = out.len();
+    for v in [
+        ckpt.fingerprint,
+        ckpt.epoch as u64,
+        ckpt.step_in_epoch as u64,
+        ckpt.steps as u64,
+    ] {
+        put_u64(out, v);
+    }
+    put_u32(out, ckpt.loss_sum.to_bits());
+    put_u64(out, ckpt.net.len() as u64);
+    out.extend_from_slice(ckpt.net.as_bytes());
+    put_u64(out, ckpt.rng.len() as u64);
+    for &word in &ckpt.rng {
+        put_u64(out, word);
+    }
+    put_u64(out, ckpt.curve.len() as u64);
+    for e in &ckpt.curve {
+        put_u64(out, e.epoch as u64);
+        put_u32(out, e.train_loss.to_bits());
+        put_u64(out, e.val_error_pct.to_bits());
+        put_u32(out, e.preact_first.to_bits());
+        put_u32(out, e.preact_last.to_bits());
+    }
+    put_entries(out, &ckpt.model);
+    put_entries(out, &ckpt.velocities);
+    let (len, checksum) = (out.len() - body, fnv1a64(&out[body..]));
+    let mut slot = &mut out[body - 38..body - 1];
+    write!(slot, "{len:020} {checksum:016x}").expect("the placeholders' width");
+}
+
+/// Encodes a checkpoint to its on-disk bytes (header line + binary
+/// payload, format version [`CKPT_VERSION`]).
 pub fn encode(ckpt: &TrainCheckpoint) -> Vec<u8> {
-    let payload = serde_json::to_string(ckpt).expect("checkpoint structs always serialize");
-    let mut bytes = format!(
-        "{CKPT_MAGIC} {CKPT_VERSION} {} {:016x}\n",
-        payload.len(),
-        fnv1a64(payload.as_bytes())
-    )
-    .into_bytes();
-    bytes.extend_from_slice(payload.as_bytes());
+    let mut bytes = Vec::new();
+    encode_into(ckpt, &mut bytes);
     bytes
 }
 
-/// Decodes and fully validates on-disk checkpoint bytes.
+/// Decodes and fully validates on-disk checkpoint bytes (format version 2,
+/// or the JSON payload of version 1).
 ///
 /// # Errors
 ///
@@ -180,14 +271,15 @@ pub fn encode(ckpt: &TrainCheckpoint) -> Vec<u8> {
 /// unparseable payload; [`CheckpointError::Version`] when the header
 /// declares a version newer than [`CKPT_VERSION`].
 pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
-    let bad = |msg: String| CheckpointError::Format(msg);
     let nl = bytes
         .iter()
         .position(|&b| b == b'\n')
         .ok_or_else(|| bad("missing header line".into()))?;
     let header =
         std::str::from_utf8(&bytes[..nl]).map_err(|_| bad("header is not valid UTF-8".into()))?;
-    let mut fields = header.split_ascii_whitespace();
+    // Exactly one space between fields and the checksum compared as
+    // text: no damaged header may parse back to the intended values.
+    let mut fields = header.split(' ');
     let magic = fields.next().unwrap_or("");
     if magic != CKPT_MAGIC {
         return Err(bad(format!("bad magic {magic:?} (want {CKPT_MAGIC:?})")));
@@ -203,10 +295,7 @@ pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("header length field is not an integer".into()))?;
-    let checksum = fields
-        .next()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| bad("header checksum field is not hex".into()))?;
+    let checksum = fields.next().unwrap_or("");
     if fields.next().is_some() {
         return Err(bad("trailing header fields".into()));
     }
@@ -217,15 +306,131 @@ pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
             payload.len()
         )));
     }
-    let actual = fnv1a64(payload);
+    let actual = format!("{:016x}", fnv1a64(payload));
     if actual != checksum {
         return Err(bad(format!(
-            "payload checksum {actual:016x} does not match header {checksum:016x} (corrupt file?)"
+            "payload checksum {actual} does not match header {checksum:?} (corrupt file?)"
         )));
     }
+    match version {
+        2 => Reader(payload).checkpoint(),
+        1 => decode_v1(payload),
+        v => Err(bad(format!("format version {v} was never written"))),
+    }
+}
+
+fn bad(msg: String) -> CheckpointError {
+    CheckpointError::Format(msg)
+}
+
+/// The version-1 payload: the checkpoint as one JSON object. Read-only —
+/// it exists for `tests/data/golden-v1.mbsckpt` and for directories
+/// written before version 2, and can be deleted once neither matters.
+fn decode_v1(payload: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
     let payload =
         std::str::from_utf8(payload).map_err(|_| bad("payload is not valid UTF-8".into()))?;
     serde_json::from_str(payload).map_err(|e| bad(format!("payload does not parse: {e}")))
+}
+
+/// Cursor over a version-2 payload. Every read is checked against the
+/// bytes that remain, and every count is checked against them *before*
+/// anything is allocated for it, so a hostile length field costs an
+/// error message, not memory.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+        if n > self.0.len() {
+            let left = self.0.len();
+            return Err(bad(format!(
+                "payload ends early: {n} bytes wanted, {left} left"
+            )));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> Result<u32, CheckpointError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("took 4"),
+        ))
+    }
+
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("took 8"),
+        ))
+    }
+
+    fn usize(&mut self) -> Result<usize, CheckpointError> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| bad(format!("value {v} does not fit this platform")))
+    }
+
+    /// A count of items that occupy at least `item_bytes` each: rejected
+    /// unless that many bytes remain.
+    fn count(&mut self, item_bytes: usize) -> Result<usize, CheckpointError> {
+        let (n, left) = (self.u64()?, self.0.len());
+        usize::try_from(n)
+            .ok()
+            .filter(|n| n.checked_mul(item_bytes).is_some_and(|b| b <= left))
+            .ok_or_else(|| bad(format!("count {n} exceeds the {left} payload bytes left")))
+    }
+
+    fn entries(&mut self) -> Result<Vec<StateEntry>, CheckpointError> {
+        // Grown by push: an in-memory entry is larger than its smallest
+        // encoding, so even a checked count must not size the vector.
+        let mut entries = Vec::new();
+        for _ in 0..self.count(16)? {
+            let rank = self.count(8)?;
+            let mut shape = Vec::with_capacity(rank);
+            for _ in 0..rank {
+                shape.push(self.usize()?);
+            }
+            let elems = self.count(4)?;
+            let data = self.take(4 * elems)?.chunks_exact(4);
+            let data = data.map(|b| f32::from_le_bytes(b.try_into().expect("chunks of 4")));
+            entries.push(StateEntry {
+                shape,
+                data: data.collect(),
+            });
+        }
+        Ok(entries)
+    }
+
+    fn checkpoint(mut self) -> Result<TrainCheckpoint, CheckpointError> {
+        let mut ckpt = TrainCheckpoint {
+            fingerprint: self.u64()?,
+            epoch: self.usize()?,
+            step_in_epoch: self.usize()?,
+            steps: self.usize()?,
+            loss_sum: f32::from_bits(self.u32()?),
+            ..TrainCheckpoint::default()
+        };
+        let net_len = self.count(1)?;
+        ckpt.net = std::str::from_utf8(self.take(net_len)?)
+            .map_err(|_| bad("net name is not valid UTF-8".into()))?
+            .to_string();
+        for _ in 0..self.count(8)? {
+            ckpt.rng.push(self.u64()?);
+        }
+        for _ in 0..self.count(CURVE_RECORD_BYTES)? {
+            ckpt.curve.push(EpochStats {
+                epoch: self.usize()?,
+                train_loss: f32::from_bits(self.u32()?),
+                val_error_pct: f64::from_bits(self.u64()?),
+                preact_first: f32::from_bits(self.u32()?),
+                preact_last: f32::from_bits(self.u32()?),
+            });
+        }
+        ckpt.model = self.entries()?;
+        ckpt.velocities = self.entries()?;
+        if !self.0.is_empty() {
+            return Err(bad(format!("{} trailing payload bytes", self.0.len())));
+        }
+        Ok(ckpt)
+    }
 }
 
 /// File name of checkpoint number `seq` (`ckpt-00000042.mbsckpt`).
@@ -239,7 +444,8 @@ pub fn file_name(seq: usize) -> String {
 /// The bytes land in `<name>.tmp` first, are fsynced, renamed over the
 /// final name, and the directory is fsynced — a crash at any point
 /// leaves either the old checkpoint set or the new file complete, never
-/// a torn `*.mbsckpt`.
+/// a torn `*.mbsckpt`. This is the function the [`CheckpointWriter`]
+/// thread runs for every save.
 ///
 /// # Errors
 ///
@@ -250,24 +456,49 @@ pub fn save(
     ckpt: &TrainCheckpoint,
     keep: usize,
 ) -> Result<PathBuf, CheckpointError> {
-    let path = write_atomic(dir, seq, &encode(ckpt))?;
-    rotate(dir, keep.max(1))?;
-    Ok(path)
+    save_with(&mut Vec::new(), dir, seq, ckpt, keep, None)
 }
 
-/// The atomic tmp-write/fsync/rename/dir-fsync sequence behind [`save`],
-/// taking raw bytes so fault-injection tests can write corrupted images
-/// through the same code path.
-fn write_atomic(dir: &Path, seq: usize, bytes: &[u8]) -> Result<PathBuf, CheckpointError> {
-    fs::create_dir_all(dir)?;
+/// [`save`] through a reusable encode buffer, suffering `fault` if one is
+/// given: the one encode → tmp-write → fsync → rename → dir-fsync →
+/// rotate sequence every save in the crate runs, injected damage
+/// included.
+fn save_with(
+    bytes: &mut Vec<u8>,
+    dir: &Path,
+    seq: usize,
+    ckpt: &TrainCheckpoint,
+    keep: usize,
+    fault: Option<Fault>,
+) -> Result<PathBuf, CheckpointError> {
     let path = dir.join(file_name(seq));
+    match fault {
+        Some(Fault::KillBeforeWrite) => return Ok(path),
+        Some(Fault::Panic) => panic!("fault plan: checkpoint writer panics at save {seq}"),
+        _ => {}
+    }
+    encode_into(ckpt, bytes);
+    let image = match fault {
+        Some(Fault::Truncate(n)) => &bytes[..bytes.len().saturating_sub(n.max(1))],
+        Some(Fault::FlipByte(i)) => {
+            let at = i % bytes.len();
+            bytes[at] ^= 0x40;
+            &bytes[..]
+        }
+        _ => &bytes[..],
+    };
+    fs::create_dir_all(dir)?;
     let tmp = dir.join(format!("{}.tmp", file_name(seq)));
     let mut f = File::create(&tmp)?;
-    f.write_all(bytes)?;
+    f.write_all(image)?;
     f.sync_all()?;
     drop(f);
+    if fault == Some(Fault::KillMidWrite) {
+        return Ok(path);
+    }
     fs::rename(&tmp, &path)?;
     sync_dir(dir);
+    rotate(dir, keep.max(1))?;
     Ok(path)
 }
 
@@ -292,10 +523,10 @@ fn rotate(dir: &Path, keep: usize) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-/// Finished checkpoints in `dir` as `(seq, path)`, oldest first. In-flight
-/// `*.tmp` files and unrelated names are ignored; a missing directory is
-/// an empty list.
-pub fn list(dir: &Path) -> Result<Vec<(usize, PathBuf)>, CheckpointError> {
+/// Checkpoint files in `dir` as `(seq, path, torn)`, unsorted: finished
+/// `ckpt-*.mbsckpt` files and (`torn`) the `*.mbsckpt.tmp` leftovers of
+/// saves that died mid-write. A missing directory is an empty list.
+fn scan(dir: &Path) -> Result<Vec<(usize, PathBuf, bool)>, CheckpointError> {
     let mut found = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
@@ -304,18 +535,30 @@ pub fn list(dir: &Path) -> Result<Vec<(usize, PathBuf)>, CheckpointError> {
     };
     for entry in entries {
         let path = entry?.path();
-        let name = match path.file_name().and_then(|n| n.to_str()) {
-            Some(n) => n,
-            None => continue,
-        };
-        let seq = name
-            .strip_prefix("ckpt-")
-            .and_then(|rest| rest.strip_suffix(&format!(".{CKPT_EXT}")))
-            .and_then(|digits| digits.parse::<usize>().ok());
-        if let Some(seq) = seq {
-            found.push((seq, path));
+        let parsed = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|name| name.strip_prefix("ckpt-"))
+            .and_then(|rest| {
+                let stem = rest.strip_suffix(".tmp");
+                let digits = stem.unwrap_or(rest).strip_suffix(&format!(".{CKPT_EXT}"))?;
+                Some((digits.parse::<usize>().ok()?, stem.is_some()))
+            });
+        if let Some((seq, torn)) = parsed {
+            found.push((seq, path, torn));
         }
     }
+    Ok(found)
+}
+
+/// Finished checkpoints in `dir` as `(seq, path)`, oldest first. In-flight
+/// `*.tmp` files and unrelated names are ignored; a missing directory is
+/// an empty list.
+pub fn list(dir: &Path) -> Result<Vec<(usize, PathBuf)>, CheckpointError> {
+    let mut found: Vec<_> = scan(dir)?
+        .into_iter()
+        .filter_map(|(seq, path, torn)| (!torn).then_some((seq, path)))
+        .collect();
     found.sort_unstable_by_key(|&(seq, _)| seq);
     Ok(found)
 }
@@ -462,9 +705,15 @@ impl CheckpointConfig {
 /// training loop itself never corrupts files).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
+    /// The process "dies" after the state was copied for this save but
+    /// before the writer touched the disk — the window the background
+    /// writer opens: no file and no `.tmp` appear, and resume must come
+    /// from the previous checkpoint.
+    KillBeforeWrite,
     /// The process "dies" after writing the `.tmp` file but before the
     /// rename: the finished checkpoint never appears, the torn `.tmp`
-    /// must be ignored by loaders.
+    /// must be ignored by loaders (and is swept by the next run's
+    /// [`CheckpointWriter`]).
     KillMidWrite,
     /// The file appears but its last `n` bytes are missing (header
     /// length check must reject it).
@@ -472,14 +721,18 @@ pub enum Fault {
     /// The file appears with byte `i` (mod length) bit-flipped
     /// (checksum must reject it).
     FlipByte(usize),
+    /// The save panics on the thread running it: the trainer must see a
+    /// [`CheckpointError`], not a hang or a lost checkpoint.
+    Panic,
 }
 
 /// Deterministic fault-injection plan for checkpoint saves.
 ///
-/// `train_grouped` threads each save through
-/// [`FaultPlan::apply`]; tests attach faults to specific save indices
-/// and a kill point, making "crashed mid-write at save 2, then died
-/// after save 3" a reproducible scenario instead of a race.
+/// `train_grouped` hands the plan to its [`CheckpointWriter`], whose
+/// thread inflicts the plan's fault on each save it names — there is no
+/// other, synchronous way to apply one. Tests attach faults to specific
+/// save indices and a kill point, making "crashed mid-write at save 2,
+/// then died after save 3" a reproducible scenario instead of a race.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// `(save_index, fault)` pairs: the `i`-th save (0-based, counted
@@ -508,58 +761,206 @@ impl FaultPlan {
         }
     }
 
-    /// Performs save number `index` (0-based) of checkpoint `seq` into
-    /// `dir`, injecting this plan's fault for that index if any.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`save`]; injected damage is not an error (the point is
-    /// that *loading* detects it).
-    pub fn apply(
-        &self,
-        index: usize,
-        dir: &Path,
-        seq: usize,
-        ckpt: &TrainCheckpoint,
-        keep: usize,
-    ) -> Result<(), CheckpointError> {
-        let fault = self
-            .faults
+    /// The fault save number `index` (0-based) suffers, if any.
+    fn fault(&self, index: usize) -> Option<Fault> {
+        self.faults
             .iter()
             .find(|(i, _)| *i == index)
-            .map(|&(_, f)| f);
-        match fault {
-            None => {
-                save(dir, seq, ckpt, keep)?;
-            }
-            Some(Fault::KillMidWrite) => {
-                // Write and fsync the tmp file, then "die": no rename.
-                fs::create_dir_all(dir)?;
-                let tmp = dir.join(format!("{}.tmp", file_name(seq)));
-                let mut f = File::create(&tmp)?;
-                f.write_all(&encode(ckpt))?;
-                f.sync_all()?;
-            }
-            Some(Fault::Truncate(n)) => {
-                let bytes = encode(ckpt);
-                let cut = bytes.len().saturating_sub(n.max(1));
-                write_atomic(dir, seq, &bytes[..cut])?;
-                rotate(dir, keep.max(1))?;
-            }
-            Some(Fault::FlipByte(i)) => {
-                let mut bytes = encode(ckpt);
-                let at = i % bytes.len();
-                bytes[at] ^= 0x40;
-                write_atomic(dir, seq, &bytes)?;
-                rotate(dir, keep.max(1))?;
-            }
-        }
-        Ok(())
+            .map(|&(_, f)| f)
     }
 
     /// Whether the run should die now, having completed `saves` saves.
     pub fn should_kill(&self, saves: usize) -> bool {
         self.kill_after_saves.is_some_and(|n| saves >= n)
+    }
+}
+
+/// A finished save: the buffer handed back for reuse, and how it went.
+type Done = (TrainCheckpoint, Result<(), CheckpointError>);
+
+/// The one background thread that makes a run's checkpoints durable.
+///
+/// [`submit`](CheckpointWriter::submit) lends the caller a recycled
+/// [`TrainCheckpoint`] to overwrite in place and sends it to the thread,
+/// which runs the [`save`] sequence behind the caller's next steps and
+/// hands the buffer back. Two buffers cycle forever (one being written,
+/// one being filled), both created by the first two saves. At most one
+/// save is in flight: a `submit` that finds the previous one unfinished
+/// blocks until it is. A failed or panicked save surfaces as a
+/// [`CheckpointError`] from the next `submit`, [`flush`] or [`finish`].
+///
+/// Dropping the writer waits for the in-flight save and joins the thread,
+/// so a training run that errors out still leaves its newest checkpoint
+/// complete on disk and leaks no thread.
+///
+/// [`flush`]: CheckpointWriter::flush
+/// [`finish`]: CheckpointWriter::finish
+///
+/// # Examples
+///
+/// ```
+/// use mbs_train::checkpoint::{self, CheckpointConfig, CheckpointWriter};
+///
+/// let dir = std::env::temp_dir().join("mbsckpt-doc-writer");
+/// # let _ = std::fs::remove_dir_all(&dir);
+/// let mut writer = CheckpointWriter::new(&CheckpointConfig::new(&dir), None).unwrap();
+/// for epoch in 1..=2 {
+///     writer.submit(|ckpt| ckpt.epoch = epoch).unwrap(); // returns at once
+/// }
+/// writer.finish().unwrap(); // both saves are on disk now
+/// let (newest, _) = checkpoint::load_latest(&dir, 0).unwrap();
+/// assert_eq!(newest.unwrap().1.epoch, 2);
+/// # let _ = std::fs::remove_dir_all(&dir);
+/// ```
+#[derive(Debug)]
+pub struct CheckpointWriter {
+    jobs: Option<SyncSender<TrainCheckpoint>>,
+    done: Receiver<Done>,
+    handle: Option<JoinHandle<()>>,
+    /// The buffer that is not in flight (`None` until a save returns it).
+    spare: Option<TrainCheckpoint>,
+    in_flight: bool,
+    submitted: usize,
+}
+
+impl CheckpointWriter {
+    /// Starts the writer for `cfg.dir`: removes the torn `*.mbsckpt.tmp`
+    /// files killed runs left behind, numbers its saves past every
+    /// finished checkpoint already there (corrupt ones included), and
+    /// spawns the thread. `plan` injects test faults by save index.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] if `cfg.dir` exists but cannot be listed
+    /// (it is a regular file, say) or the thread cannot be spawned.
+    pub fn new(cfg: &CheckpointConfig, plan: Option<FaultPlan>) -> Result<Self, CheckpointError> {
+        let mut first_seq = 0;
+        for (seq, path, torn) in scan(&cfg.dir)? {
+            if torn {
+                let _ = fs::remove_file(path);
+            } else {
+                first_seq = first_seq.max(seq + 1);
+            }
+        }
+        let (dir, keep) = (cfg.dir.clone(), cfg.keep);
+        // One slot each way is all "at most one save in flight" can fill,
+        // and a bounded channel never allocates per message.
+        let (jobs, job_rx) = mpsc::sync_channel::<TrainCheckpoint>(1);
+        let (done_tx, done) = mpsc::sync_channel::<Done>(1);
+        let handle = std::thread::Builder::new()
+            .name("mbs-ckpt".into())
+            .spawn(move || {
+                let mut bytes = Vec::new();
+                for (index, ckpt) in job_rx.iter().enumerate() {
+                    let fault = plan.as_ref().and_then(|p| p.fault(index));
+                    let saved = save_with(&mut bytes, &dir, first_seq + index, &ckpt, keep, fault);
+                    if done_tx.send((ckpt, saved.map(drop))).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Self {
+            jobs: Some(jobs),
+            done,
+            handle: Some(handle),
+            spare: None,
+            in_flight: false,
+            submitted: 0,
+        })
+    }
+
+    /// Snapshots and saves: `fill` overwrites a recycled checkpoint with
+    /// the caller's current state (while the previous save may still be
+    /// writing), then the buffer goes to the thread. Returns how many
+    /// saves have been submitted so far; the save itself completes behind
+    /// the caller.
+    ///
+    /// # Errors
+    ///
+    /// The *previous* save's failure, or the thread's panic — in both
+    /// cases the new snapshot is dropped, not written.
+    pub fn submit(
+        &mut self,
+        fill: impl FnOnce(&mut TrainCheckpoint),
+    ) -> Result<usize, CheckpointError> {
+        let mut buf = self.spare.take().unwrap_or_default();
+        fill(&mut buf);
+        self.flush()?;
+        let sent = self
+            .jobs
+            .as_ref()
+            .is_some_and(|jobs| jobs.send(buf).is_ok());
+        if !sent {
+            return Err(self.dead());
+        }
+        self.in_flight = true;
+        self.submitted += 1;
+        Ok(self.submitted)
+    }
+
+    /// Blocks until the in-flight save (if any) is durable.
+    ///
+    /// # Errors
+    ///
+    /// That save's failure, or the thread's panic.
+    pub fn flush(&mut self) -> Result<(), CheckpointError> {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(());
+        }
+        match self.done.recv() {
+            Ok((buf, saved)) => {
+                self.spare = Some(buf);
+                saved
+            }
+            Err(_) => Err(self.dead()),
+        }
+    }
+
+    /// [`flush`](CheckpointWriter::flush), then joins the thread: when
+    /// this returns `Ok`, every submitted save is on disk.
+    ///
+    /// # Errors
+    ///
+    /// The last save's failure, or the thread's panic.
+    pub fn finish(mut self) -> Result<(), CheckpointError> {
+        let flushed = self.flush();
+        self.join().and(flushed)
+    }
+
+    /// Closes the job channel (ending the thread's loop) and joins the
+    /// thread; a panic there becomes an error.
+    fn join(&mut self) -> Result<(), CheckpointError> {
+        self.jobs.take();
+        match self.handle.take().map(JoinHandle::join) {
+            Some(Err(panic)) => {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("no message");
+                Err(writer_died(&format!("panicked: {msg}")))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The thread stopped answering, which only a panic makes it do:
+    /// joins it and reports how it died.
+    fn dead(&mut self) -> CheckpointError {
+        self.join().err().unwrap_or_else(|| writer_died("is gone"))
+    }
+}
+
+fn writer_died(how: &str) -> CheckpointError {
+    CheckpointError::Io(std::io::Error::other(format!(
+        "checkpoint writer thread {how}"
+    )))
+}
+
+impl Drop for CheckpointWriter {
+    fn drop(&mut self) {
+        let _ = self.flush();
+        let _ = self.join();
     }
 }
 
@@ -600,6 +1001,20 @@ mod tests {
         }
     }
 
+    /// One `sample(fingerprint)` save per fault, each suffering its
+    /// fault, numbered after whatever `dir` already holds.
+    fn save_faulted(dir: &Path, faults: &[Fault], fingerprint: u64) {
+        let plan = FaultPlan {
+            faults: faults.iter().copied().enumerate().collect(),
+            kill_after_saves: None,
+        };
+        let mut writer = CheckpointWriter::new(&CheckpointConfig::new(dir), Some(plan)).unwrap();
+        for _ in faults {
+            writer.submit(|ckpt| *ckpt = sample(fingerprint)).unwrap();
+        }
+        writer.finish().unwrap();
+    }
+
     #[test]
     fn encode_decode_round_trips_bitwise() {
         let ckpt = sample(0xdead_beef);
@@ -630,13 +1045,15 @@ mod tests {
         assert!(
             matches!(decode(&magic), Err(CheckpointError::Format(msg)) if msg.contains("magic"))
         );
-        // Future version.
-        let text = String::from_utf8(good).unwrap();
-        let bumped = text.replacen(&format!("{CKPT_MAGIC} 1 "), &format!("{CKPT_MAGIC} 99 "), 1);
-        assert!(matches!(
-            decode(bumped.as_bytes()),
-            Err(CheckpointError::Version(99))
-        ));
+        // Future version (checked before length and checksum).
+        let mut bumped = good.clone();
+        bumped[CKPT_MAGIC.len() + 1] = b'9';
+        assert!(matches!(decode(&bumped), Err(CheckpointError::Version(9))));
+        // Version 0 is older than anything ever written.
+        bumped[CKPT_MAGIC.len() + 1] = b'0';
+        assert!(
+            matches!(decode(&bumped), Err(CheckpointError::Format(msg)) if msg.contains("never"))
+        );
     }
 
     #[test]
@@ -661,12 +1078,7 @@ mod tests {
         let dir = scratch("fallback");
         save(&dir, 0, &sample(5), 3).unwrap();
         // Newest is damaged two different ways; both must be skipped.
-        FaultPlan::fault_at(0, Fault::Truncate(10))
-            .apply(0, &dir, 1, &sample(5), 3)
-            .unwrap();
-        FaultPlan::fault_at(0, Fault::FlipByte(40))
-            .apply(0, &dir, 2, &sample(5), 3)
-            .unwrap();
+        save_faulted(&dir, &[Fault::Truncate(10), Fault::FlipByte(60)], 5);
         let (found, report) = load_latest(&dir, 5).unwrap();
         let (seq, _) = found.unwrap();
         assert_eq!(seq, 0, "must fall back to the oldest intact file");
@@ -683,9 +1095,7 @@ mod tests {
     #[test]
     fn torn_tmp_files_are_invisible() {
         let dir = scratch("torn");
-        FaultPlan::fault_at(0, Fault::KillMidWrite)
-            .apply(0, &dir, 0, &sample(9), 3)
-            .unwrap();
+        save_faulted(&dir, &[Fault::KillMidWrite], 9);
         assert!(dir.join("ckpt-00000000.mbsckpt.tmp").exists());
         assert!(list(&dir).unwrap().is_empty());
         let (found, report) = load_latest(&dir, 9).unwrap();

@@ -76,7 +76,8 @@ pub mod optim;
 pub mod training;
 
 pub use checkpoint::{
-    CheckpointConfig, CheckpointError, Fault, FaultPlan, LoadReport, TrainCheckpoint,
+    CheckpointConfig, CheckpointError, CheckpointWriter, Fault, FaultPlan, LoadReport,
+    TrainCheckpoint,
 };
 pub use executor::{evaluate, train_step_full, train_step_mbs};
 pub use grouped::{stash_enabled, GroupedExecutor};

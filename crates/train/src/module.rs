@@ -189,32 +189,15 @@ pub(crate) fn stash_mismatch(wanted: &str, got: &CacheEntry) -> ! {
 
 /// One serialized piece of a module's durable state: a shaped f32 blob
 /// (a parameter tensor, or auxiliary state like batch-norm running
-/// statistics). The JSON encoding round-trips every finite f32 bitwise
-/// (`serde_json` prints shortest-round-trip floats).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// statistics). Checkpoints store `data` as raw little-endian bit
+/// patterns, so every value — NaN payloads and `-0.0` included — round
+/// trips bitwise.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StateEntry {
     /// Tensor shape (auxiliary vectors use a rank-1 shape).
     pub shape: Vec<usize>,
     /// Row-major values, `shape.iter().product()` of them.
     pub data: Vec<f32>,
-}
-
-impl StateEntry {
-    /// Captures a tensor's shape and values.
-    pub fn from_tensor(t: &Tensor) -> Self {
-        Self {
-            shape: t.shape().to_vec(),
-            data: t.data().to_vec(),
-        }
-    }
-
-    /// Captures a flat f32 vector as a rank-1 entry.
-    pub fn from_slice(v: &[f32]) -> Self {
-        Self {
-            shape: vec![v.len()],
-            data: v.to_vec(),
-        }
-    }
 }
 
 /// Error raised when a [`StateDict`] does not match the module tree it is
@@ -276,28 +259,65 @@ impl std::error::Error for StateError {}
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct StateDict {
     entries: VecDeque<StateEntry>,
+    /// How many entries at the front are retired storage awaiting reuse
+    /// (see [`StateDict::recycling`]) rather than content.
+    stale: usize,
 }
 
 impl StateDict {
+    /// An empty dict that refills `retired` entries **in place**: each
+    /// [`push_tensor`](StateDict::push_tensor) /
+    /// [`push_slice`](StateDict::push_slice) overwrites the oldest retired
+    /// entry's `shape` and `data` vectors instead of allocating new ones.
+    /// Re-exporting the same module tree into its previous export (what
+    /// every checkpoint after a run's first two does) is then one memcpy
+    /// per entry and no allocation. Retired entries never count as
+    /// content: `len`, `pop` and `into_entries` see only what was pushed.
+    pub fn recycling(retired: Vec<StateEntry>) -> Self {
+        Self {
+            stale: retired.len(),
+            entries: retired.into(),
+        }
+    }
+
+    /// The oldest retired entry, if any is left.
+    fn take_stale(&mut self) -> Option<StateEntry> {
+        self.stale = self.stale.checked_sub(1)?;
+        self.entries.pop_front()
+    }
+
     /// Appends one entry (modules call this from
     /// [`Module::export_state`]).
     pub fn push(&mut self, entry: StateEntry) {
+        // Popping before pushing keeps the ring from growing past the
+        // retired set's capacity.
+        drop(self.take_stale());
+        self.entries.push_back(entry);
+    }
+
+    fn push_parts(&mut self, shape: &[usize], data: &[f32]) {
+        let mut entry = self.take_stale().unwrap_or_default();
+        entry.shape.clear();
+        entry.shape.extend_from_slice(shape);
+        entry.data.clear();
+        entry.data.extend_from_slice(data);
         self.entries.push_back(entry);
     }
 
     /// Appends a tensor's shape and values.
     pub fn push_tensor(&mut self, t: &Tensor) {
-        self.push(StateEntry::from_tensor(t));
+        self.push_parts(t.shape(), t.data());
     }
 
     /// Appends a flat f32 vector as a rank-1 entry.
     pub fn push_slice(&mut self, v: &[f32]) {
-        self.push(StateEntry::from_slice(v));
+        self.push_parts(&[v.len()], v);
     }
 
     /// Removes and returns the oldest entry; `consumed` is how many the
     /// caller already popped (for the error message).
     pub fn pop(&mut self, consumed: usize) -> Result<StateEntry, StateError> {
+        while self.take_stale().is_some() {}
         self.entries
             .pop_front()
             .ok_or(StateError::Missing { consumed })
@@ -331,16 +351,17 @@ impl StateDict {
 
     /// Number of entries currently held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() - self.stale
     }
 
     /// Whether the dict holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Consumes the dict into its entries, in walk order.
-    pub fn into_entries(self) -> Vec<StateEntry> {
+    pub fn into_entries(mut self) -> Vec<StateEntry> {
+        while self.take_stale().is_some() {}
         self.entries.into()
     }
 
@@ -349,6 +370,7 @@ impl StateDict {
     pub fn from_entries(entries: Vec<StateEntry>) -> Self {
         Self {
             entries: entries.into(),
+            stale: 0,
         }
     }
 }
@@ -539,6 +561,56 @@ mod tests {
         let s = slice_batch(&x, 1, 3);
         assert_eq!(s.shape(), &[2, 2]);
         assert_eq!(s.data(), &[3.0, 4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn recycling_dict_refills_retired_entries_in_place() {
+        let a = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
+        let b = Tensor::from_vec(&[3], vec![5.0, 6.0, 7.0]);
+        let mut first = StateDict::default();
+        first.push_tensor(&a);
+        first.push_tensor(&b);
+        first.push_slice(&[8.0]);
+        let retired = first.clone().into_entries();
+        let storage: Vec<*const f32> = retired.iter().map(|e| e.data.as_ptr()).collect();
+
+        // Retired entries are storage, not content.
+        let mut dict = StateDict::recycling(retired);
+        assert_eq!((dict.len(), dict.is_empty()), (0, true));
+        // A shorter re-export reuses the leading buffers and drops the rest.
+        dict.push_tensor(&b);
+        dict.push_slice(&[9.0, 10.0, 11.0]);
+        assert_eq!(dict.len(), 2);
+        let entries = dict.into_entries();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(
+            (&entries[0].shape, &entries[0].data),
+            (&vec![3], &vec![5.0, 6.0, 7.0])
+        );
+        assert_eq!(entries[1].data, [9.0, 10.0, 11.0]);
+        assert_eq!(
+            entries[0].data.as_ptr(),
+            storage[0],
+            "4-float buffer reused"
+        );
+        assert_eq!(
+            entries[1].data.as_ptr(),
+            storage[1],
+            "3-float buffer reused"
+        );
+
+        // A longer one runs out of retired entries and allocates the tail;
+        // the same walk twice gives the same dict either way.
+        let mut dict = StateDict::recycling(entries);
+        dict.push_tensor(&a);
+        dict.push_tensor(&b);
+        dict.push_slice(&[8.0]);
+        assert_eq!(dict, first);
+        // Popping never hands out a retired entry.
+        let mut dict = StateDict::recycling(first.clone().into_entries());
+        dict.push_slice(&[1.5]);
+        assert_eq!(dict.pop(0).unwrap().data, [1.5]);
+        assert_eq!(dict.pop(1), Err(StateError::Missing { consumed: 1 }));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use mbs_tensor::Tensor;
 
-use crate::module::{Module, StateDict, StateEntry, StateError};
+use crate::module::{Module, StateDict, StateError};
 
 /// Stochastic gradient descent with classical momentum.
 #[derive(Debug, Clone)]
@@ -62,7 +62,7 @@ impl Sgd {
     /// them. An optimizer that has not stepped yet exports an empty dict.
     pub fn export_state(&self, dict: &mut StateDict) {
         for v in &self.velocities {
-            dict.push(StateEntry::from_tensor(v));
+            dict.push_tensor(v);
         }
     }
 

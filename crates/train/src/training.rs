@@ -17,7 +17,9 @@ use serde::{Deserialize, Serialize};
 use mbs_cnn::Network;
 use mbs_core::Schedule;
 
-use crate::checkpoint::{self, CheckpointConfig, CheckpointError, FaultPlan, TrainCheckpoint};
+use crate::checkpoint::{
+    self, CheckpointConfig, CheckpointError, CheckpointWriter, FaultPlan, TrainCheckpoint,
+};
 use crate::data::Dataset;
 use crate::executor::{evaluate, train_step_full, train_step_mbs};
 use crate::grouped::GroupedExecutor;
@@ -331,7 +333,11 @@ pub fn train(
 /// With `cfg.checkpoint` set (or `MBS_CKPT_DIR` in the environment), the
 /// run saves durable checkpoints — always at epoch boundaries, plus
 /// every [`CheckpointConfig::every_steps`] steps — and resumes from the
-/// newest valid one on restart. **Guarantee:** a run killed at any point
+/// newest valid one on restart. A save costs the step loop one copy of
+/// the state: a [`CheckpointWriter`] thread makes it durable behind the
+/// next steps and is joined before this function returns, `Ok` or `Err`,
+/// so a returned call means the newest checkpoint is on disk (mid-run it
+/// may trail the trainer by one save). **Guarantee:** a run killed at any point
 /// and resumed from its checkpoint directory produces the same epoch
 /// curve as the unkilled run — bitwise, because the checkpoint restores
 /// the exact shuffle-RNG state alongside parameters, running statistics,
@@ -532,16 +538,16 @@ fn run_grouped(
     let mut order: Vec<usize> = (0..n).collect();
     let mut curve = Vec::with_capacity(cfg.epochs);
 
-    // Resume bookkeeping: where to continue, how much of the first epoch
-    // is already done, and the next checkpoint sequence number (always
-    // past every file already in the directory, even corrupt ones).
+    // Resume bookkeeping: where to continue and how much of the first
+    // epoch is already done. The writer starts first: it sweeps torn
+    // `.tmp` files and numbers its saves past every file already in the
+    // directory, even corrupt ones.
     let mut start_epoch = 0usize;
     let mut resumed_steps = 0usize;
     let mut resumed_loss_sum = 0.0f32;
-    let mut seq = 0usize;
-    let mut saves = 0usize;
+    let mut writer = None;
     if let Some(ck) = &ckpt_cfg {
-        seq = checkpoint::list(&ck.dir)?.last().map_or(0, |&(s, _)| s + 1);
+        writer = Some(CheckpointWriter::new(ck, cfg.fault_plan.clone())?);
         if ck.resume {
             let (found, report) = checkpoint::load_latest(&ck.dir, fingerprint)?;
             if !report.is_clean() {
@@ -556,6 +562,7 @@ fn run_grouped(
             }
         }
     }
+    let plan = cfg.fault_plan.as_ref();
 
     for epoch in start_epoch..cfg.epochs {
         // Shuffle-RNG state at the top of the epoch: a mid-epoch
@@ -593,20 +600,20 @@ fn run_grouped(
             };
             steps += 1;
             start = end;
-            if let Some(ck) = &ckpt_cfg {
+            if let (Some(ck), Some(writer)) = (&ckpt_cfg, &mut writer) {
                 if ck.every_steps > 0 && steps % ck.every_steps == 0 && start < n {
-                    let snapshot = snapshot(
-                        fingerprint,
-                        net.name(),
-                        epoch,
-                        steps,
-                        loss_sum,
-                        epoch_rng,
-                        &mut model,
-                        &opt,
-                        &curve,
-                    );
-                    persist(ck, cfg.fault_plan.as_ref(), &mut seq, &mut saves, &snapshot)?;
+                    let cursor = (epoch, steps, loss_sum, epoch_rng);
+                    persist(writer, plan, |buf| {
+                        snapshot(
+                            buf,
+                            fingerprint,
+                            net.name(),
+                            cursor,
+                            &mut model,
+                            &opt,
+                            &curve,
+                        )
+                    })?;
                 }
             }
         }
@@ -619,21 +626,26 @@ fn run_grouped(
             preact_first: first,
             preact_last: last,
         });
-        if let Some(ck) = &ckpt_cfg {
+        if let Some(writer) = &mut writer {
             // Epoch-boundary save: cursor at the top of the next epoch.
-            let snapshot = snapshot(
-                fingerprint,
-                net.name(),
-                epoch + 1,
-                0,
-                0.0,
-                rng.state(),
-                &mut model,
-                &opt,
-                &curve,
-            );
-            persist(ck, cfg.fault_plan.as_ref(), &mut seq, &mut saves, &snapshot)?;
+            let cursor = (epoch + 1, 0, 0.0, rng.state());
+            persist(writer, plan, |buf| {
+                snapshot(
+                    buf,
+                    fingerprint,
+                    net.name(),
+                    cursor,
+                    &mut model,
+                    &opt,
+                    &curve,
+                )
+            })?;
         }
+    }
+    // "The call returned" means "the newest checkpoint is on disk": the
+    // error paths above get the same join from the writer's `Drop`.
+    if let Some(writer) = writer {
+        writer.finish()?;
     }
     Ok((curve, feed.stats()))
 }
@@ -686,56 +698,52 @@ fn validate_inputs(
     Ok(())
 }
 
-/// Captures the full resumable state as a [`TrainCheckpoint`].
-#[allow(clippy::too_many_arguments)]
+/// Overwrites `buf` with the full resumable state at `cursor` = (epoch,
+/// completed steps of it, their loss sum, shuffle-RNG state at its top).
+/// `buf` is one of the writer's two recycled checkpoints: every vector is
+/// refilled in place, so after a run's first two saves this is a memcpy
+/// per tensor and no allocation.
 fn snapshot(
+    buf: &mut TrainCheckpoint,
     fingerprint: u64,
     net: &str,
-    epoch: usize,
-    step_in_epoch: usize,
-    loss_sum: f32,
-    rng_state: [u64; 4],
+    (epoch, step_in_epoch, loss_sum, rng_state): (usize, usize, f32, [u64; 4]),
     model: &mut LoweredNet,
     opt: &Sgd,
     curve: &[EpochStats],
-) -> TrainCheckpoint {
-    let mut dict = StateDict::default();
+) {
+    buf.fingerprint = fingerprint;
+    buf.net.clear();
+    buf.net.push_str(net);
+    buf.epoch = epoch;
+    buf.step_in_epoch = step_in_epoch;
+    buf.loss_sum = loss_sum;
+    buf.steps = step_in_epoch;
+    buf.rng.clear();
+    buf.rng.extend_from_slice(&rng_state);
+    let mut dict = StateDict::recycling(std::mem::take(&mut buf.model));
     model.export_state(&mut dict);
-    let mut vdict = StateDict::default();
-    opt.export_state(&mut vdict);
-    TrainCheckpoint {
-        fingerprint,
-        net: net.to_string(),
-        epoch,
-        step_in_epoch,
-        loss_sum,
-        steps: step_in_epoch,
-        rng: rng_state.to_vec(),
-        model: dict.into_entries(),
-        velocities: vdict.into_entries(),
-        curve: curve.to_vec(),
-    }
+    buf.model = dict.into_entries();
+    let mut dict = StateDict::recycling(std::mem::take(&mut buf.velocities));
+    opt.export_state(&mut dict);
+    buf.velocities = dict.into_entries();
+    buf.curve.clear();
+    buf.curve.extend_from_slice(curve);
 }
 
-/// Saves `ckpt` (through the fault plan when one is configured) and
-/// enforces the plan's deterministic kill point.
+/// Hands a snapshot to the writer and enforces the fault plan's
+/// deterministic kill point: the run "dies" only once the save that
+/// triggers it has drained, exactly as a process killed right after that
+/// save would have.
 fn persist(
-    ck: &CheckpointConfig,
+    writer: &mut CheckpointWriter,
     plan: Option<&FaultPlan>,
-    seq: &mut usize,
-    saves: &mut usize,
-    ckpt: &TrainCheckpoint,
+    fill: impl FnOnce(&mut TrainCheckpoint),
 ) -> Result<(), TrainError> {
-    match plan {
-        Some(plan) => plan.apply(*saves, &ck.dir, *seq, ckpt, ck.keep)?,
-        None => {
-            checkpoint::save(&ck.dir, *seq, ckpt, ck.keep)?;
-        }
-    }
-    *seq += 1;
-    *saves += 1;
-    if plan.is_some_and(|p| p.should_kill(*saves)) {
-        return Err(TrainError::Killed { saves: *saves });
+    let saves = writer.submit(fill)?;
+    if plan.is_some_and(|p| p.should_kill(saves)) {
+        writer.flush()?;
+        return Err(TrainError::Killed { saves });
     }
     Ok(())
 }

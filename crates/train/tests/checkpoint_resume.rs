@@ -10,9 +10,10 @@ use std::path::{Path, PathBuf};
 use mbs_cnn::networks::toy;
 use mbs_cnn::Network;
 use mbs_core::{ExecConfig, HardwareConfig, MbsScheduler, Schedule};
+use mbs_train::checkpoint::{self, CheckpointWriter};
 use mbs_train::data::{generate, Dataset};
 use mbs_train::training::{train_grouped, TrainConfig, TrainError};
-use mbs_train::{CheckpointConfig, CheckpointError, Fault, FaultPlan};
+use mbs_train::{CheckpointConfig, CheckpointError, Fault, FaultPlan, TrainCheckpoint};
 
 struct Case {
     name: &'static str,
@@ -141,6 +142,45 @@ fn killed_and_resumed_runs_reproduce_the_baseline_curve() {
                 "{label}: resumed curve must match the unkilled baseline bitwise"
             );
             let _ = std::fs::remove_dir_all(&dir);
+
+            // The window the background writer opens: the state of save 1
+            // was copied, then the process died before the writer touched
+            // the disk. Only save 0 exists; resume comes from it.
+            cfg.fault_plan = Some(FaultPlan {
+                faults: vec![(1, Fault::KillBeforeWrite)],
+                kill_after_saves: Some(2),
+            });
+            let killed = train_grouped(
+                &case.net,
+                &case.schedule,
+                &case.train_set,
+                &case.val_set,
+                &cfg,
+            );
+            assert!(
+                matches!(killed, Err(TrainError::Killed { saves: 2 })),
+                "{label}: should die with save 1 snapshotted but unwritten: {killed:?}"
+            );
+            let on_disk: Vec<usize> = checkpoint::list(&dir)
+                .unwrap()
+                .into_iter()
+                .map(|(seq, _)| seq)
+                .collect();
+            assert_eq!(on_disk, [0], "{label}: save 1 must have left nothing");
+            cfg.fault_plan = None;
+            let resumed = train_grouped(
+                &case.net,
+                &case.schedule,
+                &case.train_set,
+                &case.val_set,
+                &cfg,
+            )
+            .expect("resume from the previous file");
+            assert_eq!(
+                resumed, baseline,
+                "{label}: a kill between snapshot and write must not change the curve"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -162,6 +202,7 @@ fn corrupt_checkpoints_fall_back_without_losing_equivalence() {
     .expect("baseline run");
 
     for (label, fault) in [
+        ("unwritten", Fault::KillBeforeWrite),
         ("torn", Fault::KillMidWrite),
         ("truncated", Fault::Truncate(25)),
         ("flipped", Fault::FlipByte(60)),
@@ -235,6 +276,190 @@ fn all_corrupt_checkpoints_degrade_to_a_cold_start() {
         &cfg,
     )
     .expect("cold start past corrupt files");
+    assert_eq!(resumed, baseline);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Torn `.tmp` files do not live forever: a run killed mid-write leaves
+/// one, and the next run's writer sweeps it before its first save — the
+/// directory ends up holding finished files only, within `keep`.
+#[test]
+fn torn_tmp_files_are_swept_by_the_next_run() {
+    let case = &cases()[1];
+    let dir = scratch("sweep");
+    let mut cfg = base_cfg();
+    cfg.checkpoint = Some(ckpt(&dir, 1, 2));
+    cfg.fault_plan = Some(FaultPlan {
+        faults: vec![(1, Fault::KillMidWrite)],
+        kill_after_saves: Some(2),
+    });
+    let killed = train_grouped(
+        &case.net,
+        &case.schedule,
+        &case.train_set,
+        &case.val_set,
+        &cfg,
+    );
+    assert!(matches!(killed, Err(TrainError::Killed { saves: 2 })));
+    let torn = dir.join("ckpt-00000001.mbsckpt.tmp");
+    assert!(torn.exists(), "the killed run leaves its torn write behind");
+
+    cfg.fault_plan = None;
+    train_grouped(
+        &case.net,
+        &case.schedule,
+        &case.train_set,
+        &case.val_set,
+        &cfg,
+    )
+    .expect("resumed run");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    // Saves 0 and 1 (torn) before the kill, then 1..=3 after the resume
+    // from save 0 (the torn one never became a finished file, so its
+    // number is reused); `keep` = 2 leaves the newest two.
+    assert_eq!(names, ["ckpt-00000002.mbsckpt", "ckpt-00000003.mbsckpt"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writer failures are structured. A checkpoint `dir` that is a regular
+/// file fails before any training; a directory that *becomes* unwritable
+/// mid-run fails the save on the writer thread and surfaces at the next
+/// `submit` (or at `finish`), never as a hang or a silently missing file.
+#[test]
+fn unwritable_checkpoint_dir_is_an_io_error() {
+    let case = &cases()[1];
+    let root = scratch("notadir");
+    std::fs::create_dir_all(&root).unwrap();
+    let file = root.join("occupied");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let mut cfg = base_cfg();
+    cfg.checkpoint = Some(ckpt(&file, 1, 3));
+    let err = train_grouped(
+        &case.net,
+        &case.schedule,
+        &case.train_set,
+        &case.val_set,
+        &cfg,
+    )
+    .expect_err("a file cannot hold checkpoints");
+    assert!(
+        matches!(err, TrainError::Checkpoint(CheckpointError::Io(_))),
+        "{err}"
+    );
+
+    let dir = root.join("ckpts");
+    let mut writer = CheckpointWriter::new(&ckpt(&dir, 1, 3), None).unwrap();
+    writer.submit(|c| c.epoch = 1).unwrap();
+    writer.flush().expect("the first save lands");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::write(&dir, b"now a file").unwrap();
+    // This save fails behind the caller; the submit itself still returns.
+    writer.submit(|c| c.epoch = 2).unwrap();
+    let err = writer.submit(|c| c.epoch = 3).expect_err("surfaces here");
+    assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+    // The failed save handed its buffer back, so the writer is still
+    // usable — and still failing, now reported by `finish`.
+    writer.submit(|c| c.epoch = 4).unwrap();
+    let err = writer.finish().expect_err("and here");
+    assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A panic on the writer thread is an error out of `train_grouped`, with
+/// the thread joined (the run returns instead of hanging on a dead
+/// channel) and the checkpoints written before it intact.
+#[test]
+fn a_panicking_save_is_a_structured_error() {
+    let case = &cases()[1];
+    let dir = scratch("panic");
+    let mut cfg = base_cfg();
+    cfg.checkpoint = Some(ckpt(&dir, 1, 3));
+    cfg.fault_plan = Some(FaultPlan::fault_at(1, Fault::Panic));
+    let err = train_grouped(
+        &case.net,
+        &case.schedule,
+        &case.train_set,
+        &case.val_set,
+        &cfg,
+    )
+    .expect_err("the second save panics");
+    match err {
+        TrainError::Checkpoint(CheckpointError::Io(e)) => {
+            assert!(e.to_string().contains("panicked"), "{e}");
+        }
+        other => panic!("want a checkpoint I/O error, got {other}"),
+    }
+    let (found, report) =
+        checkpoint::load_latest(&dir, case.schedule.fingerprint(&case.net)).unwrap();
+    assert_eq!(found.map(|(seq, _)| seq), Some(0));
+    assert!(report.is_clean());
+
+    // At the writer's own surface: the panic surfaces once, and a dead
+    // writer keeps refusing work instead of pretending to save.
+    let plan = FaultPlan::fault_at(0, Fault::Panic);
+    let mut writer = CheckpointWriter::new(&ckpt(&dir, 1, 3), Some(plan)).unwrap();
+    writer.submit(|c| c.epoch = 1).unwrap();
+    let err = writer.flush().expect_err("the save panicked");
+    assert!(err.to_string().contains("panicked"), "{err}");
+    assert!(writer.submit(|c| c.epoch = 2).is_err());
+    drop(writer); // must return at once: the thread is already joined
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory written by a build that still encoded version 1 (JSON
+/// payload) resumes to the same curve: the interrupted run's files are
+/// rewritten here as v1 images of the same checkpoints.
+#[test]
+fn a_version_1_directory_resumes_to_the_same_curve() {
+    fn encode_v1(ckpt: &TrainCheckpoint) -> Vec<u8> {
+        let payload = serde_json::to_string(ckpt).unwrap();
+        let sum = mbs_core::fnv1a64(payload.as_bytes());
+        format!("MBSCKPT 1 {} {sum:016x}\n{payload}", payload.len()).into_bytes()
+    }
+
+    let case = &cases()[1];
+    let mut cfg = base_cfg();
+    let baseline = train_grouped(
+        &case.net,
+        &case.schedule,
+        &case.train_set,
+        &case.val_set,
+        &cfg,
+    )
+    .expect("baseline run");
+
+    let dir = scratch("v1-dir");
+    cfg.checkpoint = Some(ckpt(&dir, 1, 3));
+    cfg.fault_plan = Some(FaultPlan::kill_after(3));
+    assert!(train_grouped(
+        &case.net,
+        &case.schedule,
+        &case.train_set,
+        &case.val_set,
+        &cfg,
+    )
+    .is_err());
+    let files = checkpoint::list(&dir).unwrap();
+    assert_eq!(files.len(), 3);
+    for (_, path) in &files {
+        let ckpt = checkpoint::load_file(path).unwrap();
+        std::fs::write(path, encode_v1(&ckpt)).unwrap();
+        assert_eq!(checkpoint::load_file(path).unwrap(), ckpt, "v1 reads back");
+    }
+
+    cfg.fault_plan = None;
+    let resumed = train_grouped(
+        &case.net,
+        &case.schedule,
+        &case.train_set,
+        &case.val_set,
+        &cfg,
+    )
+    .expect("resume from v1 files");
     assert_eq!(resumed, baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }

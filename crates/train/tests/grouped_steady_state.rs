@@ -13,13 +13,18 @@
 //! thread buffer handoff and all — must also run with zero arena misses
 //! after warm-up (the loader's fixed buffer ring is why), and the loader
 //! must join its thread without leaking buffers even when training
-//! errors out mid-epoch.
+//! errors out mid-epoch. Nor may checkpointing: a step that also
+//! snapshots its state into the background [`CheckpointWriter`]'s
+//! recycled buffer stays arena-miss free, and a run that dies — by a kill
+//! point or by a panicking save — leaves neither the loader's nor the
+//! writer's thread behind.
 //!
 //! Like `steady_state_alloc.rs`, this lives in its own integration-test
 //! binary (with a single `#[test]`) because the arena's hit/miss counters
 //! are process-global and concurrently running tests would pollute them.
 //!
 //! [`StreamLoader`]: mbs_train::loader::StreamLoader
+//! [`CheckpointWriter`]: mbs_train::checkpoint::CheckpointWriter
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,12 +32,33 @@ use rand::SeedableRng;
 use mbs_cnn::networks::toy;
 use mbs_core::{ExecConfig, Group, Schedule};
 use mbs_tensor::arena;
+use mbs_train::checkpoint::CheckpointWriter;
 use mbs_train::data::generate;
 use mbs_train::grouped::GroupedExecutor;
 use mbs_train::loader::{save_dataset_chunked, DiskDataset, StreamLoader};
 use mbs_train::lower::lower;
 use mbs_train::training::{train_grouped_source, DataSource, TrainConfig, TrainError};
-use mbs_train::{CheckpointConfig, FaultPlan, Sgd};
+use mbs_train::{CheckpointConfig, CheckpointError, Fault, FaultPlan, Module, Sgd, StateDict};
+
+/// Names of this process's live threads (Linux; empty elsewhere, which
+/// makes the leak checks below vacuous rather than wrong).
+fn live_thread_names() -> Vec<String> {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return Vec::new();
+    };
+    tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+fn assert_no_background_threads(when: &str) {
+    let leaked: Vec<String> = live_thread_names()
+        .into_iter()
+        .filter(|n| n.starts_with("mbs-"))
+        .collect();
+    assert!(leaked.is_empty(), "{when}: leaked threads {leaked:?}");
+}
 
 #[test]
 fn steady_state_grouped_training_is_arena_miss_free() {
@@ -91,14 +117,32 @@ fn steady_state_grouped_training_is_arena_miss_free() {
     let mut loader = StreamLoader::new(&disk, 2).unwrap();
     let order: Vec<usize> = (0..16).collect();
     exec.set_stashing(true);
+    // Every step also checkpoints, the way `train_grouped` does it: model
+    // and momentum copied into the writer's recycled buffer, the save
+    // itself running behind the next step on the writer's thread.
+    let ckpt_cfg = CheckpointConfig::new(dir.join("steady-ckpts"));
+    let mut writer = CheckpointWriter::new(&ckpt_cfg, None).unwrap();
+    let mut save = |model: &mut mbs_train::LoweredNet, opt: &Sgd| {
+        let saved = writer.submit(|buf| {
+            let mut dict = StateDict::recycling(std::mem::take(&mut buf.model));
+            model.export_state(&mut dict);
+            buf.model = dict.into_entries();
+            let mut dict = StateDict::recycling(std::mem::take(&mut buf.velocities));
+            opt.export_state(&mut dict);
+            buf.velocities = dict.into_entries();
+        });
+        saved.expect("background save");
+    };
     // Warm-up: three full epochs (6 batches) — more than enough fills for
-    // the ring to reach its fixed size, after which creation is disabled.
+    // the ring to reach its fixed size, after which creation is disabled,
+    // and more than the two saves that create the writer's buffers.
     for _ in 0..3 {
         loader.begin_epoch(&order, 8, 0);
         for _ in 0..2 {
             let batch = loader.next_batch().unwrap();
             let _ = exec.train_step(&mut model, &batch.images, &batch.labels, &mut opt);
             loader.recycle(batch);
+            save(&mut model, &opt);
         }
     }
     arena::reset_stats();
@@ -106,6 +150,7 @@ fn steady_state_grouped_training_is_arena_miss_free() {
     let batch = loader.next_batch().unwrap();
     let _ = exec.train_step(&mut model, &batch.images, &batch.labels, &mut opt);
     loader.recycle(batch);
+    save(&mut model, &opt);
     let (hits, misses) = arena::stats();
     assert!(
         hits > 0,
@@ -115,24 +160,34 @@ fn steady_state_grouped_training_is_arena_miss_free() {
         misses, 0,
         "streamed: steady-state step with a prefetch loader allocated fresh buffers"
     );
+    // Both background threads are visible to the leak check while alive.
+    let alive = live_thread_names();
+    if !alive.is_empty() {
+        for name in ["mbs-loader", "mbs-ckpt"] {
+            assert!(alive.iter().any(|n| n == name), "{name} not in {alive:?}");
+        }
+    }
     // Drain the epoch so shutdown happens mid-flight with a full queue.
     let stats = loader.finish();
     assert!(
         stats.batches_filled >= 7,
         "prefetch thread should have run ahead"
     );
+    writer.finish().expect("every background save landed");
+    assert_no_background_threads("after finishing the loader and the writer");
 
     // ---- Shutdown leg: training errors mid-epoch must still join the
-    // loader thread (run_grouped drops the Feed — and with it the
-    // loader, whose Drop closes every channel and joins; a leak or
-    // deadlock would hang this test). The FaultPlan kills the run right
-    // after the first mid-epoch checkpoint save, prefetch still full.
+    // loader thread and the checkpoint writer's (run_grouped drops the
+    // Feed and the writer, whose Drops close every channel and join; a
+    // leak or deadlock would hang this test). The FaultPlan kills the run
+    // right after the first mid-epoch checkpoint save, prefetch still
+    // full — and then, in a second run, makes a save panic instead.
     let net2 = toy::runtime_mix(8, 8);
     let hw = mbs_core::HardwareConfig::cpu().with_global_buffer(3 * 1024);
     let schedule2 = mbs_core::MbsScheduler::new(&net2, &hw, ExecConfig::Mbs1)
         .with_batch(8)
         .schedule();
-    let cfg = TrainConfig {
+    let mut cfg = TrainConfig {
         epochs: 2,
         batch: 8,
         checkpoint: Some(CheckpointConfig {
@@ -157,5 +212,23 @@ fn steady_state_grouped_training_is_arena_miss_free() {
         matches!(killed, Err(TrainError::Killed { saves: 1 })),
         "streamed run should die mid-epoch: {killed:?}"
     );
+    assert_no_background_threads("after a killed run");
+
+    cfg.fault_plan = Some(FaultPlan::fault_at(0, Fault::Panic));
+    let panicked = train_grouped_source(
+        &net2,
+        &schedule2,
+        &DataSource::Stream(path.clone()),
+        &val_set,
+        &cfg,
+    );
+    assert!(
+        matches!(
+            panicked,
+            Err(TrainError::Checkpoint(CheckpointError::Io(_)))
+        ),
+        "a panicking save is an error: {panicked:?}"
+    );
+    assert_no_background_threads("after a panicked save");
     let _ = std::fs::remove_dir_all(&dir);
 }
