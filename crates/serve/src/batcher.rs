@@ -1,10 +1,12 @@
 //! Dynamic-batch sizing policy and the admission-controlled queue.
 //!
-//! A batch dispatches when it is **full** (at the effective max batch) or
-//! when the **oldest waiting request hits the max-wait deadline** —
-//! whichever comes first. The effective max batch is the smaller of the
-//! configured limit and the cache-budget bound: the same per-sample
-//! footprint model the scheduler uses
+//! Collection is **work-conserving**: a free worker takes
+//! `min(queued, max_batch)` requests the moment anything is queued and
+//! dispatches at once ([`BatchPolicy::take`]). A lone request is never
+//! held for batch-mates; a batch larger than one is exactly the arrivals
+//! that accumulated while every worker was busy. The effective max batch
+//! is the smaller of the configured limit and the cache-budget bound: the
+//! same per-sample footprint model the scheduler uses
 //! ([`mbs_core::footprint::max_sub_batch`]) applied to the serving
 //! [`HardwareConfig`](mbs_core::HardwareConfig) budget, so a dynamic batch
 //! never outgrows the on-chip buffer MBS sizes work against.
@@ -29,32 +31,23 @@ use mbs_core::footprint;
 /// (`per_sample_bytes == 0`) still get a finite batch size.
 const MAX_BATCH_CEILING: usize = 1024;
 
-/// When a partially filled batch must stop waiting and dispatch.
+/// How many queued requests a free worker takes into its next batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Largest batch the policy ever assembles (already clamped to the
     /// cache-budget bound by [`BatchPolicy::new`]).
     pub max_batch: usize,
-    /// Longest time the oldest request in a forming batch may wait before
-    /// the batch dispatches, in microseconds.
-    pub max_wait_us: u128,
 }
 
 impl BatchPolicy {
     /// Builds a policy from a configured batch limit, the per-sample
     /// footprint of the served model, and the hardware cache budget. The
     /// effective max batch is `min(limit, budget cap)`, never zero.
-    pub fn new(
-        limit: usize,
-        per_sample_bytes: usize,
-        buffer_bytes: usize,
-        max_wait_us: u128,
-    ) -> Self {
+    pub fn new(limit: usize, per_sample_bytes: usize, buffer_bytes: usize) -> Self {
         Self {
             max_batch: limit
                 .max(1)
                 .min(Self::budget_batch_cap(per_sample_bytes, buffer_bytes)),
-            max_wait_us,
         }
     }
 
@@ -67,29 +60,11 @@ impl BatchPolicy {
         cap.clamp(1, MAX_BATCH_CEILING)
     }
 
-    /// Whether a batch holding `filled` requests is at capacity.
-    pub fn full(&self, filled: usize) -> bool {
-        filled >= self.max_batch
-    }
-
-    /// Whether the oldest request (arrived at `oldest_us`) has waited out
-    /// the deadline at time `now_us`.
-    pub fn expired(&self, oldest_us: u128, now_us: u128) -> bool {
-        now_us.saturating_sub(oldest_us) >= self.max_wait_us
-    }
-
-    /// Whether a non-empty batch must dispatch *now*: it is full, or its
-    /// oldest request has hit the deadline. An empty batch never
-    /// dispatches.
-    pub fn must_dispatch(&self, filled: usize, oldest_us: u128, now_us: u128) -> bool {
-        filled > 0 && (self.full(filled) || self.expired(oldest_us, now_us))
-    }
-
-    /// Microseconds the batch may keep waiting for more requests before
-    /// the oldest one expires. Zero when already expired.
-    pub fn time_left_us(&self, oldest_us: u128, now_us: u128) -> u128 {
-        self.max_wait_us
-            .saturating_sub(now_us.saturating_sub(oldest_us))
+    /// The whole collection rule: a free worker facing `queued` requests
+    /// takes `min(queued, max_batch)` of them now. Zero only when nothing
+    /// is queued — the one case in which a worker waits.
+    pub fn take(&self, queued: usize) -> usize {
+        queued.min(self.max_batch)
     }
 }
 
@@ -102,6 +77,8 @@ pub struct QueuedMeta {
     /// Absolute expiry timestamp on the caller's clock (the same clock
     /// `now_us` arguments use), or `None` for no deadline.
     pub deadline_us: Option<u128>,
+    /// When the request was admitted, on the same clock.
+    pub enqueued_us: u128,
     /// Admission order stamp — FIFO tiebreaker within a priority level.
     pub seq: u64,
 }
@@ -203,12 +180,13 @@ impl<T> ShedQueue<T> {
     }
 
     /// Unconditionally admits a request (the blocking-submit path, whose
-    /// caller already waited for [`ShedQueue::has_room`]). Never sheds;
-    /// may overfill if the caller lied about room.
-    pub fn push(&mut self, priority: u8, deadline_us: Option<u128>, item: T) {
+    /// caller already waited for [`ShedQueue::has_room`]) at `now_us`.
+    /// Never sheds; may overfill if the caller lied about room.
+    pub fn push(&mut self, priority: u8, deadline_us: Option<u128>, now_us: u128, item: T) {
         let meta = QueuedMeta {
             priority,
             deadline_us,
+            enqueued_us: now_us,
             seq: self.next_seq,
         };
         self.next_seq += 1;
@@ -226,14 +204,14 @@ impl<T> ShedQueue<T> {
         item: T,
     ) -> Offer<T> {
         if self.has_room() {
-            self.push(priority, deadline_us, item);
+            self.push(priority, deadline_us, now_us, item);
             return Offer::Admitted;
         }
         match self.shed_victim(priority, now_us) {
             Some(at) => {
                 let victim = self.items.remove(at);
                 let expired = victim.0.expired(now_us);
-                self.push(priority, deadline_us, item);
+                self.push(priority, deadline_us, now_us, item);
                 Offer::Shed { victim, expired }
             }
             None => Offer::Full(item),
@@ -327,32 +305,31 @@ mod tests {
 
     #[test]
     fn new_clamps_the_limit_to_the_budget() {
-        let p = BatchPolicy::new(64, 1024, 8 * 1024, 500);
+        let p = BatchPolicy::new(64, 1024, 8 * 1024);
         assert_eq!(p.max_batch, 8);
-        let p = BatchPolicy::new(4, 1024, 8 * 1024, 500);
+        let p = BatchPolicy::new(4, 1024, 8 * 1024);
         assert_eq!(p.max_batch, 4);
-        let p = BatchPolicy::new(0, 1024, 8 * 1024, 500);
+        let p = BatchPolicy::new(0, 1024, 8 * 1024);
         assert_eq!(p.max_batch, 1, "a zero limit still serves one at a time");
     }
 
     #[test]
-    fn dispatch_on_full_or_deadline_only() {
-        let p = BatchPolicy::new(4, 0, 0, 100);
-        assert!(!p.must_dispatch(0, 0, 1_000_000), "empty never dispatches");
-        assert!(p.must_dispatch(4, 0, 0), "full dispatches immediately");
-        assert!(!p.must_dispatch(2, 50, 149), "under deadline: keep waiting");
-        assert!(p.must_dispatch(2, 50, 150), "deadline reached: dispatch");
-        assert_eq!(p.time_left_us(50, 149), 1);
-        assert_eq!(p.time_left_us(50, 151), 0);
+    fn take_is_everything_queued_up_to_the_cap() {
+        let p = BatchPolicy::new(4, 0, 0);
+        assert_eq!(p.take(0), 0, "an empty queue is the only wait");
+        assert_eq!(p.take(1), 1, "a lone request goes at once");
+        assert_eq!(p.take(3), 3, "a partial batch is not held for more");
+        assert_eq!(p.take(4), 4);
+        assert_eq!(p.take(9), 4, "the rest waits for the next free worker");
     }
 
     #[test]
     fn pop_serves_priority_first_fifo_within() {
         let mut q: ShedQueue<u32> = ShedQueue::new(8);
-        q.push(0, None, 10);
-        q.push(2, None, 20);
-        q.push(0, None, 11);
-        q.push(2, None, 21);
+        q.push(0, None, 0, 10);
+        q.push(2, None, 0, 20);
+        q.push(0, None, 0, 11);
+        q.push(2, None, 0, 21);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop(0)).map(|(_, v)| v).collect();
         assert_eq!(order, vec![20, 21, 10, 11]);
     }
@@ -360,8 +337,8 @@ mod tests {
     #[test]
     fn pop_never_returns_expired_entries() {
         let mut q: ShedQueue<u32> = ShedQueue::new(8);
-        q.push(5, Some(100), 1); // high priority but expired at t=100
-        q.push(0, None, 2);
+        q.push(5, Some(100), 0, 1); // high priority but expired at t=100
+        q.push(0, None, 0, 2);
         assert_eq!(q.pop(100).unwrap().1, 2, "expired high-prio is skipped");
         assert!(q.pop(100).is_none(), "only the expired entry remains");
         let expired = q.take_expired(100);
@@ -373,10 +350,10 @@ mod tests {
     #[test]
     fn offer_sheds_expired_before_lower_priority() {
         let mut q: ShedQueue<u32> = ShedQueue::new(2);
-        q.push(0, None, 1);
-        q.push(3, Some(50), 2); // expires at t=50
-                                // At t=60 the expired high-priority entry is the victim even
-                                // though the no-deadline entry has lower priority.
+        q.push(0, None, 0, 1);
+        q.push(3, Some(50), 0, 2); // expires at t=50
+                                   // At t=60 the expired high-priority entry is the victim even
+                                   // though the no-deadline entry has lower priority.
         match q.offer(1, None, 60, 3) {
             Offer::Shed { victim, expired } => {
                 assert_eq!(victim.1, 2);
@@ -390,8 +367,8 @@ mod tests {
     #[test]
     fn offer_sheds_only_strictly_lower_priority() {
         let mut q: ShedQueue<u32> = ShedQueue::new(2);
-        q.push(1, None, 1);
-        q.push(1, None, 2);
+        q.push(1, None, 0, 1);
+        q.push(1, None, 0, 2);
         // Equal priority does not shed: the incoming request is refused.
         assert!(matches!(q.offer(1, None, 0, 3), Offer::Full(3)));
         // Higher priority sheds the newest of the lowest level.
@@ -410,9 +387,9 @@ mod tests {
     #[test]
     fn drain_all_returns_arrival_order() {
         let mut q: ShedQueue<u32> = ShedQueue::new(4);
-        q.push(0, None, 1);
-        q.push(7, None, 2);
-        q.push(3, Some(1), 3);
+        q.push(0, None, 0, 1);
+        q.push(7, None, 0, 2);
+        q.push(3, Some(1), 0, 3);
         let drained: Vec<u32> = q.drain_all().into_iter().map(|(_, v)| v).collect();
         assert_eq!(drained, vec![1, 2, 3]);
         assert!(q.is_empty());

@@ -4,22 +4,25 @@
 //! The paper's central discipline — size work to the on-chip cache budget
 //! in [`HardwareConfig`](mbs_core::HardwareConfig) — applies to serving
 //! just as it does to training: requests arriving one sample at a time
-//! are coalesced into dynamic batches bounded by **both** a max-wait
-//! deadline and the cache-budget cap the scheduler's footprint model
-//! yields ([`BatchPolicy`]). The pieces:
+//! are coalesced into dynamic batches bounded by the cache-budget cap the
+//! scheduler's footprint model yields ([`BatchPolicy`]). Batching is
+//! work-conserving: a free worker dispatches whatever is queued at once,
+//! so batches form only from requests that arrived while every worker
+//! was busy, and no request is held on a timer. The pieces:
 //!
 //! - [`ModelHandle`] ([`model`]): a frozen, `Send + Sync` model loaded
 //!   from a [`TrainCheckpoint`](mbs_train::TrainCheckpoint) through the
 //!   inference lowering path ([`mbs_train::lower_inference`]) — state
 //!   imported, batch norms folded into their convolutions, no training
 //!   caches.
-//! - [`BatchPolicy`] / [`ShedQueue`] ([`batcher`]): the pure dispatch
-//!   rule (full or deadline-expired) and the bounded priority queue with
-//!   shed-on-full admission, shared verbatim by the worker loop and the
-//!   property tests.
+//! - [`BatchPolicy`] / [`ShedQueue`] ([`batcher`]): the pure collection
+//!   rule (take `min(queued, max_batch)`) and the bounded priority queue
+//!   with shed-on-full admission, shared verbatim by the worker loop and
+//!   the property tests.
 //! - [`Server`] / [`Client`] ([`server`]): thread-per-core workers behind
 //!   the shed queue, responses fanned back over per-request oneshot
-//!   slots, graceful drain on shutdown — plus the robustness layer:
+//!   slots, graceful drain on shutdown, per-stage time sums in
+//!   [`ServeStats`] — plus the robustness layer:
 //!   deadline shedding ([`ServeError::DeadlineExceeded`]), admission
 //!   control with measured-backoff refusals ([`ServeError::Overloaded`]),
 //!   panic supervision with a respawn circuit breaker

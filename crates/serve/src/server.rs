@@ -4,21 +4,23 @@
 //! priority-ordered request queue (a [`ShedQueue`] under a mutex/condvar
 //! pair). Each request carries its own oneshot response slot; a
 //! [`Client`] submits a single sample and gets a [`Pending`] handle to
-//! wait on. One worker at a time holds the collector lock and assembles a
-//! dynamic batch under the [`BatchPolicy`] (dispatch when full or when
-//! the first-collected request hits the max-wait deadline), then releases
-//! it — so the next worker collects while the previous one runs
-//! inference. Each worker installs a
+//! wait on. Collection is work-conserving: a free worker sleeps only
+//! while the queue is empty, then takes `min(queued, max_batch)` requests
+//! ([`BatchPolicy::take`]) and dispatches at once — a lone request is
+//! never held for batch-mates, and a batch larger than one is exactly
+//! what queued up while every worker was busy. Each worker installs a
 //! [`LocalArena`](mbs_tensor::arena::LocalArena) so scratch-buffer reuse
-//! never contends across workers.
+//! never contends across workers. [`ServeStats`] splits the time a
+//! request spends in the server into queue-wait, collect, forward and
+//! fan-out.
 //!
 //! **Overload.** [`Client::submit`] blocks while the queue is full (the
 //! classic backpressure path); [`Client::try_submit`] never blocks —
 //! when the queue is full it sheds the most-expired, then
 //! lowest-priority queued request to admit more important work, and
 //! refuses the incoming request with [`ServeError::Overloaded`] (carrying
-//! a `retry_after_us` computed from the measured service rate and the
-//! cache-budget batch capacity) when nothing queued is less important.
+//! a `retry_after_us` computed from the measured per-request service
+//! time) when nothing queued is less important.
 //! Collectors answer already-expired requests with
 //! [`ServeError::DeadlineExceeded`] *before* batching, so no forward pass
 //! is wasted on a result nobody will read.
@@ -96,9 +98,9 @@ pub enum ServeError {
     /// priority unexpired work (or this request was shed to admit more
     /// important work). Retry after backing off.
     Overloaded {
-        /// Suggested backoff before retrying, in microseconds: the
-        /// current queue length divided by the measured service rate
-        /// (batches/second × cache-budget batch capacity × workers).
+        /// Suggested backoff before retrying, in microseconds: how long
+        /// the current queue takes to drain at the measured per-request
+        /// service time, spread over the workers.
         retry_after_us: u64,
     },
     /// The request's deadline passed before a result was ready — it was
@@ -250,8 +252,10 @@ pub struct ServeConfig {
     /// Largest dynamic batch a worker assembles. `for_model` clamps this
     /// to the cache-budget bound; hand-built configs are taken as-is.
     pub max_batch: usize,
-    /// Longest a collected request waits for batch-mates, in
-    /// microseconds.
+    /// **Ignored.** Nothing is held to wait for batch-mates (see
+    /// [`BatchPolicy::take`]); the field is accepted for source
+    /// compatibility and goes when the repository benchmark stops
+    /// setting it.
     pub max_wait_us: u64,
     /// Bound of the shared request queue — full-queue [`Client::submit`]
     /// calls block (backpressure) and [`Client::try_submit`] calls shed
@@ -272,13 +276,13 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     /// Small, safe defaults for hand-built configs: 1 worker, batch 8,
-    /// 2 ms wait, queue 32, no default deadline, 4 priority levels,
-    /// breaker at 3 respawns.
+    /// queue 32, no default deadline, 4 priority levels, breaker at 3
+    /// respawns (`max_wait_us` is ignored, whatever it holds).
     fn default() -> Self {
         Self {
             workers: 1,
             max_batch: 8,
-            max_wait_us: 2_000,
+            max_wait_us: 0,
             queue_depth: 32,
             deadline_us: 0,
             priority_levels: 4,
@@ -290,16 +294,16 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Derives a config from the served model and the hardware budget:
     /// one worker per core, max batch = the cache-budget cap
-    /// ([`BatchPolicy::budget_batch_cap`]), a 2 ms max wait, a queue
-    /// deep enough for every worker to have a full batch in flight, no
-    /// default deadline, 4 priority levels, and a breaker at 3 respawns.
+    /// ([`BatchPolicy::budget_batch_cap`]), a queue deep enough for
+    /// every worker to have a full batch in flight, no default deadline,
+    /// 4 priority levels, and a breaker at 3 respawns (the ignored
+    /// `max_wait_us` is left at 0).
     ///
-    /// Environment knobs override each field (see
+    /// Environment knobs override each of those (see
     /// [`mbs_tensor::env`] for the grammar): `MBS_SERVE_WORKERS`,
     /// `MBS_SERVE_MAX_BATCH` (still clamped to the budget cap),
-    /// `MBS_SERVE_MAX_WAIT_US`, `MBS_SERVE_QUEUE`,
-    /// `MBS_SERVE_DEADLINE_US`, `MBS_SERVE_PRIORITY_LEVELS`,
-    /// `MBS_SERVE_MAX_RESPAWNS`.
+    /// `MBS_SERVE_QUEUE`, `MBS_SERVE_DEADLINE_US`,
+    /// `MBS_SERVE_PRIORITY_LEVELS`, `MBS_SERVE_MAX_RESPAWNS`.
     pub fn for_model(model: &ModelHandle, hw: &HardwareConfig) -> Self {
         let budget_cap =
             BatchPolicy::budget_batch_cap(model.per_sample_bytes(), hw.global_buffer_bytes);
@@ -307,7 +311,6 @@ impl ServeConfig {
         let max_batch = env::positive_usize_knob("MBS_SERVE_MAX_BATCH")
             .unwrap_or(budget_cap)
             .min(budget_cap);
-        let max_wait_us = env::positive_usize_knob("MBS_SERVE_MAX_WAIT_US").unwrap_or(2_000) as u64;
         let queue_depth =
             env::positive_usize_knob("MBS_SERVE_QUEUE").unwrap_or((workers * max_batch * 2).max(8));
         let deadline_us = env::knob(
@@ -328,7 +331,7 @@ impl ServeConfig {
         Self {
             workers,
             max_batch,
-            max_wait_us,
+            max_wait_us: 0,
             queue_depth,
             deadline_us,
             priority_levels,
@@ -362,6 +365,20 @@ pub struct ServeStats {
     pub respawns: u64,
     /// Successful model swaps.
     pub swaps: u64,
+    /// Nanoseconds served requests spent queued, summed per request:
+    /// from submission (a blocking submit's wait for queue room
+    /// included) until a free worker popped them.
+    pub queue_wait_ns: u64,
+    /// Nanoseconds from a batch's pop to the start of its forward pass
+    /// (runner refresh, stacking, an injected stall), summed per batch.
+    pub collect_ns: u64,
+    /// Nanoseconds inside the model's forward pass, summed per batch.
+    pub forward_ns: u64,
+    /// Nanoseconds from the end of a forward pass until the batch's last
+    /// response was ready for its slot, summed per batch. Waking that
+    /// last waiter is not included, so the four sums never exceed what
+    /// the clients observed.
+    pub fan_out_ns: u64,
 }
 
 impl ServeStats {
@@ -522,8 +539,6 @@ struct Shared {
     not_empty: Condvar,
     /// Signalled when queue room appears (blocking submit backpressure).
     not_full: Condvar,
-    /// Whichever worker holds this is the collector assembling a batch.
-    collector: Mutex<()>,
     stats: Mutex<ServeStats>,
     /// The served model; [`Server::swap`] replaces the `Arc` and bumps
     /// `model_version`, and workers re-clone their runner when the
@@ -534,13 +549,14 @@ struct Shared {
     /// successful batch in between, and the reject-fast degraded flag.
     consecutive_panics: AtomicU32,
     degraded: AtomicBool,
-    /// EWMA of wall nanoseconds per dispatched batch (bits of an `f64`);
-    /// `0` until the first batch. Feeds `retry_after_us`.
-    batch_ns_ewma: AtomicU64,
+    /// EWMA of forward nanoseconds per served *request* (bits of an
+    /// `f64`); `0` until the first batch. Feeds `retry_after_us`.
+    request_ns_ewma: AtomicU64,
     /// Global dispatch counter driving the fault plan.
     batch_counter: AtomicU64,
     fault: ServeFaultPlan,
-    /// Epoch all queue timestamps (deadlines) are measured against.
+    /// Epoch all queue timestamps (admission, deadlines) and stage
+    /// boundaries are measured against.
     epoch: Instant,
     input: FeatureShape,
     classes: usize,
@@ -549,49 +565,39 @@ struct Shared {
 }
 
 impl Shared {
-    /// Microseconds since the server's epoch — the clock queue deadlines
-    /// live on.
-    fn now_us(&self) -> u128 {
-        self.epoch.elapsed().as_micros()
-    }
-
     fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Acquire)
     }
 
-    /// Resolves submit options against the config: clamp the priority,
-    /// apply the default deadline.
-    fn admission(&self, opts: SubmitOptions) -> (u8, Option<u128>) {
+    /// Resolves submit options against the config and reads the
+    /// request's one clock: clamped priority, absolute deadline (explicit
+    /// or the configured default), admission time — both in microseconds
+    /// since the epoch.
+    fn admission(&self, opts: SubmitOptions) -> (u8, Option<u128>, u128) {
         let priority = opts.priority.min(self.config.priority_levels.max(1) - 1);
         let deadline = opts.deadline.map(|d| d.as_micros()).or_else(|| {
             (self.config.deadline_us > 0).then_some(u128::from(self.config.deadline_us))
         });
-        (priority, deadline.map(|d| self.now_us() + d))
+        // Rounded up, so a queue wait computed from it is never longer
+        // than the real one.
+        let now_us = self.epoch.elapsed().as_nanos().div_ceil(1_000);
+        (priority, deadline.map(|d| now_us + d), now_us)
     }
 
-    /// Suggested retry backoff for an overloaded answer: how long the
-    /// current queue takes to drain at the measured service rate
-    /// (batches/second × cache-budget batch capacity × workers). Before
-    /// the first measured batch, the batching deadline is the estimate.
+    /// Suggested retry backoff for an overloaded answer; see
+    /// [`retry_hint_us`].
     fn retry_after_us(&self, queue_len: usize) -> u64 {
-        let batch_ns = f64::from_bits(self.batch_ns_ewma.load(Ordering::Relaxed));
-        if batch_ns <= 0.0 {
-            return self.config.max_wait_us.max(1);
-        }
-        let per_request_ns =
-            batch_ns / (self.policy.max_batch.max(1) * self.config.workers.max(1)) as f64;
-        (((queue_len as f64 + 1.0) * per_request_ns / 1e3).ceil() as u64).max(1)
+        let request_ns = f64::from_bits(self.request_ns_ewma.load(Ordering::Relaxed));
+        retry_hint_us(queue_len, request_ns, self.config.workers)
     }
 
-    /// Folds one measured batch wall time into the service-rate EWMA.
-    fn note_batch_time(&self, dt_ns: f64) {
-        let prev = f64::from_bits(self.batch_ns_ewma.load(Ordering::Relaxed));
-        let next = if prev <= 0.0 {
-            dt_ns
-        } else {
-            0.8 * prev + 0.2 * dt_ns
-        };
-        self.batch_ns_ewma.store(next.to_bits(), Ordering::Relaxed);
+    /// Folds one measured forward pass over `k` requests into the
+    /// per-request service-time EWMA.
+    fn note_batch_time(&self, dt_ns: f64, k: usize) {
+        let prev = f64::from_bits(self.request_ns_ewma.load(Ordering::Relaxed));
+        let next = fold_request_ns(prev, dt_ns, k);
+        self.request_ns_ewma
+            .store(next.to_bits(), Ordering::Relaxed);
     }
 
     /// Answers and counts a shed victim (from `try_submit` admission).
@@ -612,6 +618,29 @@ impl Shared {
         };
         job.slot.fill(Err(err));
     }
+}
+
+/// The per-request service-time EWMA after a forward pass of `dt_ns`
+/// over `k` requests. Dividing by the batch's own size — not by the
+/// largest batch the policy allows — keeps the estimate right whether
+/// batches run full or, as at light load, hold one request each. `prev`
+/// is `0` before the first measurement.
+fn fold_request_ns(prev: f64, dt_ns: f64, k: usize) -> f64 {
+    let per_request = dt_ns / k.max(1) as f64;
+    if prev <= 0.0 {
+        per_request
+    } else {
+        0.8 * prev + 0.2 * per_request
+    }
+}
+
+/// Microseconds until a request admitted behind `queue_len` others would
+/// be served: `(queue_len + 1) × request_ns ÷ workers`. Before the first
+/// measured batch (`request_ns` 0) there is nothing to go on, and the
+/// hint is the smallest one.
+fn retry_hint_us(queue_len: usize, request_ns: f64, workers: usize) -> u64 {
+    let drain_ns = (queue_len as f64 + 1.0) * request_ns / workers.max(1) as f64;
+    ((drain_ns / 1e3).ceil() as u64).max(1)
 }
 
 /// A running dynamic-batching inference server. Dropping it (or calling
@@ -639,7 +668,6 @@ impl Server {
     ) -> Self {
         let policy = BatchPolicy {
             max_batch: config.max_batch.max(1),
-            max_wait_us: u128::from(config.max_wait_us),
         };
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
@@ -648,13 +676,12 @@ impl Server {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            collector: Mutex::new(()),
             stats: Mutex::new(ServeStats::default()),
             model: Mutex::new(Arc::new(model.clone())),
             model_version: AtomicU64::new(0),
             consecutive_panics: AtomicU32::new(0),
             degraded: AtomicBool::new(false),
-            batch_ns_ewma: AtomicU64::new(0),
+            request_ns_ewma: AtomicU64::new(0),
             batch_counter: AtomicU64::new(0),
             fault,
             epoch: Instant::now(),
@@ -850,7 +877,7 @@ impl Client {
     /// Same as [`Client::submit`].
     pub fn submit_with(&self, sample: &Tensor, opts: SubmitOptions) -> Result<Pending, ServeError> {
         let (job, pending) = self.make_job(sample)?;
-        let (priority, deadline_us) = self.shared.admission(opts);
+        let (priority, deadline_us, now_us) = self.shared.admission(opts);
         let mut qs = lock(&self.shared.queue);
         loop {
             if qs.closed {
@@ -860,7 +887,7 @@ impl Client {
                 return Err(ServeError::WorkerFailed);
             }
             if qs.queue.has_room() {
-                qs.queue.push(priority, deadline_us, job);
+                qs.queue.push(priority, deadline_us, now_us, job);
                 drop(qs);
                 self.shared.not_empty.notify_one();
                 return Ok(pending);
@@ -889,7 +916,7 @@ impl Client {
     /// everything [`Client::submit`] reports.
     pub fn try_submit(&self, sample: &Tensor, opts: SubmitOptions) -> Result<Pending, ServeError> {
         let (job, pending) = self.make_job(sample)?;
-        let (priority, deadline_us) = self.shared.admission(opts);
+        let (priority, deadline_us, now_us) = self.shared.admission(opts);
         let mut qs = lock(&self.shared.queue);
         if qs.closed {
             return Err(ServeError::Rejected);
@@ -897,8 +924,7 @@ impl Client {
         if self.shared.is_degraded() {
             return Err(ServeError::WorkerFailed);
         }
-        let now = self.shared.now_us();
-        match qs.queue.offer(priority, deadline_us, now, job) {
+        match qs.queue.offer(priority, deadline_us, now_us, job) {
             Offer::Admitted => {
                 drop(qs);
                 self.shared.not_empty.notify_one();
@@ -923,19 +949,30 @@ impl Client {
     }
 }
 
+/// The requests one free worker took off the queue together.
+struct Batch {
+    jobs: Vec<Job>,
+    /// When they were popped, since the epoch.
+    popped: Duration,
+    /// Summed over `jobs`: submission until `popped`, in nanoseconds.
+    queue_wait_ns: u64,
+}
+
 /// What one collection attempt produced.
 enum Collected {
-    /// A batch to dispatch (possibly empty if the server degraded while
-    /// collecting — the caller just loops).
-    Batch(Vec<Job>),
+    Batch(Batch),
+    /// The server degraded while this worker waited; the caller loops
+    /// into the degraded drain.
+    Degraded,
     /// The queue is closed and fully drained; the worker exits.
     Closed,
 }
 
-/// Answers every expired queued request with `DeadlineExceeded` — called
-/// before each pop so an expired request never enters a batch.
-fn answer_expired(shared: &Shared, qs: &mut QueueState) {
-    let expired = qs.queue.take_expired(shared.now_us());
+/// Answers every queued request already expired at `now_us` with
+/// `DeadlineExceeded` — called before each pop so an expired request
+/// never enters a batch.
+fn answer_expired(shared: &Shared, qs: &mut QueueState, now_us: u128) {
+    let expired = qs.queue.take_expired(now_us);
     if expired.is_empty() {
         return;
     }
@@ -946,28 +983,39 @@ fn answer_expired(shared: &Shared, qs: &mut QueueState) {
     shared.not_full.notify_all();
 }
 
-/// Collect-dispatch batch assembly for one worker. Holding the collector
-/// lock marks this worker as the collector; the policy decides when its
-/// batch stops waiting. The deadline clock starts when the worker picks
-/// up the first request of a batch.
+/// Work-conserving batch assembly for one free worker: sleep (in bounded
+/// slices, so closed/degraded flips are noticed) only while nothing is
+/// poppable, then take what [`BatchPolicy::take`] allows in one pass
+/// under the queue lock and return. Nothing is ever held for batch-mates.
 fn collect(shared: &Shared) -> Collected {
-    let _collector = lock(&shared.collector);
-    let mut batch: Vec<Job> = Vec::with_capacity(shared.policy.max_batch);
     let mut qs = lock(&shared.queue);
-    // First request: block (in bounded slices, so closed/degraded flips
-    // are noticed) until something is poppable.
     loop {
-        answer_expired(shared, &mut qs);
-        if let Some((_, job)) = qs.queue.pop(shared.now_us()) {
-            batch.push(job);
+        let popped = shared.epoch.elapsed();
+        let (now_us, popped_ns) = (popped.as_micros(), popped.as_nanos());
+        answer_expired(shared, &mut qs, now_us);
+        let take = shared.policy.take(qs.queue.len());
+        if take > 0 {
+            let mut jobs = Vec::with_capacity(take);
+            let mut queue_wait_ns = 0;
+            // Nothing left in the queue is expired at `now_us`, so every
+            // pop yields.
+            for (meta, job) in std::iter::from_fn(|| qs.queue.pop(now_us)).take(take) {
+                queue_wait_ns += popped_ns.saturating_sub(meta.enqueued_us * 1_000) as u64;
+                jobs.push(job);
+            }
+            drop(qs);
             shared.not_full.notify_all();
-            break;
+            return Collected::Batch(Batch {
+                jobs,
+                popped,
+                queue_wait_ns,
+            });
         }
         if qs.closed {
             return Collected::Closed;
         }
         if shared.is_degraded() {
-            return Collected::Batch(batch);
+            return Collected::Degraded;
         }
         let (guard, _) = shared
             .not_empty
@@ -975,31 +1023,6 @@ fn collect(shared: &Shared) -> Collected {
             .unwrap_or_else(PoisonError::into_inner);
         qs = guard;
     }
-    // Fill until the policy says dispatch (full, or the first-picked
-    // request has waited out max_wait_us).
-    let start = Instant::now();
-    loop {
-        let waited_us = start.elapsed().as_micros();
-        if shared.policy.must_dispatch(batch.len(), 0, waited_us) {
-            break;
-        }
-        answer_expired(shared, &mut qs);
-        if let Some((_, job)) = qs.queue.pop(shared.now_us()) {
-            batch.push(job);
-            shared.not_full.notify_all();
-            continue;
-        }
-        if qs.closed || shared.is_degraded() {
-            break;
-        }
-        let left = shared.policy.time_left_us(0, waited_us).clamp(1, 25_000) as u64;
-        let (guard, _) = shared
-            .not_empty
-            .wait_timeout(qs, Duration::from_micros(left))
-            .unwrap_or_else(PoisonError::into_inner);
-        qs = guard;
-    }
-    Collected::Batch(batch)
 }
 
 /// Owns a batch through dispatch: any job still unanswered when this
@@ -1040,8 +1063,8 @@ impl Drop for BatchGuard<'_> {
 /// timed-out [`Pending`]) is skipped silently. May panic — by injected
 /// fault or a genuine model bug — in which case the [`BatchGuard`]
 /// answers the batch and the supervisor respawns the worker.
-fn dispatch(shared: &Shared, runner: &mut Option<(ModelRunner, u64)>, batch: Vec<Job>) {
-    let mut guard = BatchGuard::new(shared, batch);
+fn dispatch(shared: &Shared, runner: &mut Option<(ModelRunner, u64)>, batch: Batch) {
+    let mut guard = BatchGuard::new(shared, batch.jobs);
     let index = shared.batch_counter.fetch_add(1, Ordering::Relaxed);
     if !shared.fault.is_empty() {
         if let Some(stall) = shared.fault.stall_for(index) {
@@ -1070,18 +1093,31 @@ fn dispatch(shared: &Shared, runner: &mut Option<(ModelRunner, u64)>, batch: Vec
         data.extend_from_slice(job.sample.data());
     }
     let x = Tensor::from_vec(&[k, shape.channels, shape.height, shape.width], data);
-    let t0 = Instant::now();
+    let forward_start = shared.epoch.elapsed();
     let y = runner.infer(x);
-    shared.note_batch_time(t0.elapsed().as_nanos() as f64);
+    let forward_end = shared.epoch.elapsed();
+    let forward_ns = (forward_end - forward_start).as_nanos() as u64;
+    shared.note_batch_time(forward_ns as f64, k);
     let classes = runner.classes();
     let out = y.data();
+    let mut fanned_out = forward_end;
     for i in 0..k {
         let job = guard.jobs[i].take().expect("each job answered once");
         let logits = out[i * classes..(i + 1) * classes].to_vec();
-        job.slot.fill(Ok(Prediction::from_logits(logits)));
+        let prediction = Prediction::from_logits(logits);
+        if i + 1 == k {
+            // Read before the last waiter can wake; see `fan_out_ns`.
+            fanned_out = shared.epoch.elapsed();
+        }
+        job.slot.fill(Ok(prediction));
     }
     drop(guard);
-    lock(&shared.stats).record_batch(k);
+    let mut stats = lock(&shared.stats);
+    stats.record_batch(k);
+    stats.queue_wait_ns += batch.queue_wait_ns;
+    stats.collect_ns += (forward_start - batch.popped).as_nanos() as u64;
+    stats.forward_ns += forward_ns;
+    stats.fan_out_ns += (fanned_out - forward_end).as_nanos() as u64;
 }
 
 /// Reject-fast service while degraded: every queued (and newly arriving)
@@ -1132,10 +1168,8 @@ fn worker_run(shared: &Shared) {
         }
         match collect(shared) {
             Collected::Closed => return,
+            Collected::Degraded => continue,
             Collected::Batch(batch) => {
-                if batch.is_empty() {
-                    continue; // degraded flipped mid-collect
-                }
                 dispatch(shared, &mut runner, batch);
                 // A successful batch proves the model serves: reset the
                 // breaker.
@@ -1174,5 +1208,49 @@ fn worker_thread(shared: &Arc<Shared>) {
                 thread::sleep(Duration::from_millis(backoff));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The EWMA after `n` identical forward passes of `dt_ns` over `k`.
+    fn settled(dt_ns: f64, k: usize, n: usize) -> f64 {
+        (0..n).fold(0.0, |ewma, _| fold_request_ns(ewma, dt_ns, k))
+    }
+
+    #[test]
+    fn retry_hint_is_the_queue_drain_time_at_singleton_batches() {
+        // 1 ms forwards of one request each, 8 queued, one worker: the
+        // refused request would be the ninth in line.
+        let request_ns = settled(1e6, 1, 20);
+        assert_eq!(request_ns, 1e6);
+        assert_eq!(retry_hint_us(8, request_ns, 1), 9_000);
+    }
+
+    #[test]
+    fn retry_hint_does_not_depend_on_how_requests_were_batched() {
+        // The same service rate, reached in full batches: 8 ms per 8.
+        assert_eq!(settled(8e6, 8, 20), settled(1e6, 1, 20));
+        assert_eq!(retry_hint_us(8, settled(8e6, 8, 20), 1), 9_000);
+        // A mix converges on the same per-request time too.
+        let mixed = (0..40).fold(0.0, |ewma, i| {
+            let k = [1, 8, 3][i % 3];
+            fold_request_ns(ewma, k as f64 * 1e6, k)
+        });
+        assert!((mixed - 1e6).abs() < 1.0, "mixed batches read {mixed} ns");
+    }
+
+    #[test]
+    fn retry_hint_splits_the_queue_across_workers() {
+        assert_eq!(retry_hint_us(8, 1e6, 2), 4_500);
+        assert_eq!(retry_hint_us(0, 1e6, 2), 500);
+        assert_eq!(retry_hint_us(8, 1e6, 0), 9_000, "zero workers reads as one");
+    }
+
+    #[test]
+    fn retry_hint_before_any_measurement_is_the_smallest() {
+        assert_eq!(retry_hint_us(64, 0.0, 1), 1);
     }
 }

@@ -1,48 +1,161 @@
-//! Property tests for the dispatch policy. The simulation below mirrors
-//! the worker collect loop exactly — same `BatchPolicy` arithmetic, but
-//! on a virtual microsecond clock — so the invariants it proves are the
+//! Property tests for the collection policy on a virtual microsecond
+//! clock *with service time*: W workers, a service-time table `t(k)`,
+//! seeded arrivals, and the same [`BatchPolicy::take`] and [`ShedQueue`]
+//! the server's collect loop calls. The invariants proved here are the
 //! ones the server runs under:
 //!
-//! 1. no batch ever exceeds the configured max batch size,
-//! 2. no batch ever exceeds the cache-budget bound,
-//! 3. no request is held past the max-wait deadline once a collector has
-//!    picked it up, and
-//! 4. every request lands in exactly one batch.
+//! 1. no batch exceeds the configured max batch size or the cache-budget
+//!    bound, and every request lands in exactly one batch, in order;
+//! 2. **zero hold** — a batch starts at `max(its oldest member's arrival,
+//!    the instant its worker became free)`, never later;
+//! 3. **work conservation** — there is no instant at which a worker is
+//!    idle while a request is queued;
+//! 4. **natural batching** — a batch larger than one holds only requests
+//!    that arrived while every worker was busy, and when `max_batch` or
+//!    more are queued at a worker's release its next batch is full.
+//!
+//! The deleted full-or-deadline rule lives on below as an oracle: in the
+//! benchmark's regime the work-conserving rule must beat it by most of
+//! its 2 ms timer.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use mbs_serve::{BatchPolicy, Offer, ShedQueue};
 
-/// One simulated dispatch: how many requests it carried and how long its
-/// oldest request waited (pickup → dispatch, virtual µs).
+/// One simulated dispatch, in virtual µs.
+#[derive(Debug)]
 struct SimBatch {
-    size: usize,
-    held_us: u128,
+    worker: usize,
+    /// When its worker finished its previous batch (0 before the first).
+    free_us: u128,
+    /// When the batch was popped; its forward pass starts at once.
+    start_us: u128,
+    done_us: u128,
+    /// Queued before the pop (members included).
+    queued: usize,
+    /// Each member's arrival time, in pop order.
+    arrivals: Vec<u128>,
 }
 
-/// Replays the worker collect loop over arrival times on a virtual
-/// clock. The collector picks up the first pending request (no sooner
-/// than its arrival), then keeps taking requests until the policy says
-/// dispatch: full, or the pickup deadline passes (a timeout dispatches
-/// exactly at the deadline, like `recv_timeout`).
-fn simulate(policy: BatchPolicy, arrivals: &[u128]) -> Vec<SimBatch> {
+/// Replays the server's collect loop over sorted arrival times: whichever
+/// worker is free first sleeps only while the queue is empty, then pops
+/// `policy.take(queued)` requests and is busy for `service_us(size)`.
+fn simulate(
+    policy: BatchPolicy,
+    workers: usize,
+    arrivals: &[u128],
+    service_us: impl Fn(usize) -> u128,
+) -> Vec<SimBatch> {
+    let mut queue: ShedQueue<usize> = ShedQueue::new(arrivals.len());
+    let mut free_at = vec![0u128; workers];
     let mut batches = Vec::new();
-    let mut now: u128 = 0;
+    let (mut admitted, mut served) = (0, 0);
+    while served < arrivals.len() {
+        let (worker, free_us) = free_at
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(w, t)| (t, w))
+            .expect("at least one worker");
+        // The oldest unserved request is queued already, or the worker
+        // sleeps until it arrives.
+        let start_us = free_us.max(arrivals[served]);
+        while admitted < arrivals.len() && arrivals[admitted] <= start_us {
+            queue.push(0, None, arrivals[admitted], admitted);
+            admitted += 1;
+        }
+        let queued = queue.len();
+        let members: Vec<u128> = (0..policy.take(queued))
+            .map(|_| {
+                let (meta, id) = queue.pop(start_us).expect("take never exceeds the queue");
+                assert_eq!(id, served, "requests of one priority are served in order");
+                served += 1;
+                meta.enqueued_us
+            })
+            .collect();
+        let done_us = start_us + service_us(members.len());
+        free_at[worker] = done_us;
+        batches.push(SimBatch {
+            worker,
+            free_us,
+            start_us,
+            done_us,
+            queued,
+            arrivals: members,
+        });
+    }
+    batches
+}
+
+/// Whether every worker is inside a batch at `t_us` (the instants a batch
+/// starts and ends count as busy).
+fn all_busy_at(batches: &[SimBatch], workers: usize, t_us: u128) -> bool {
+    (0..workers).all(|w| {
+        batches
+            .iter()
+            .any(|b| b.worker == w && b.start_us <= t_us && t_us <= b.done_us)
+    })
+}
+
+/// The first `(worker, from, to)` during which a worker sat idle although
+/// a request that had arrived was still queued, if any.
+fn idle_while_queued(batches: &[SimBatch], workers: usize) -> Option<(usize, u128, u128)> {
+    for w in 0..workers {
+        // The gaps between this worker's batches, the one before its
+        // first and the one after its last included.
+        let mine = || batches.iter().filter(move |b| b.worker == w);
+        let ends = std::iter::once(0).chain(mine().map(|b| b.done_us));
+        let starts = mine().map(|b| b.start_us).chain(std::iter::once(u128::MAX));
+        for (idle_from, idle_to) in ends.zip(starts) {
+            for b in batches {
+                for &arrived in &b.arrivals {
+                    let (from, to) = (idle_from.max(arrived), idle_to.min(b.start_us));
+                    if from < to {
+                        return Some((w, from, to));
+                    }
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Cumulative arrival times from gaps.
+fn arrivals_from(gaps: &[u64]) -> Vec<u128> {
+    let mut t: u128 = 0;
+    gaps.iter()
+        .map(|&g| {
+            t += u128::from(g);
+            t
+        })
+        .collect()
+}
+
+/// The deleted full-or-deadline rule on one worker, kept as the oracle
+/// the work-conserving rule is compared against: the collector picks up
+/// the oldest request when it is free, then holds the batch until it is
+/// full or `max_wait_us` have passed *since the pickup*. Returns each
+/// request's latency (arrival to end of its forward pass).
+fn full_or_deadline_latencies(
+    max_batch: usize,
+    max_wait_us: u128,
+    arrivals: &[u128],
+    service_us: impl Fn(usize) -> u128,
+) -> Vec<u128> {
+    let mut latencies = Vec::with_capacity(arrivals.len());
+    let mut free_us: u128 = 0;
     let mut i = 0;
     while i < arrivals.len() {
-        now = now.max(arrivals[i]);
-        let oldest = now;
-        let mut size = 1;
+        let first = i;
+        let mut now = free_us.max(arrivals[i]);
+        let deadline = now + max_wait_us;
         i += 1;
-        loop {
-            if policy.must_dispatch(size, oldest, now) {
-                break;
-            }
-            let deadline = oldest + policy.max_wait_us;
+        while i - first < max_batch {
             match arrivals.get(i) {
                 Some(&t) if t.max(now) < deadline => {
                     now = t.max(now);
-                    size += 1;
                     i += 1;
                 }
                 _ => {
@@ -51,79 +164,136 @@ fn simulate(policy: BatchPolicy, arrivals: &[u128]) -> Vec<SimBatch> {
                 }
             }
         }
-        batches.push(SimBatch {
-            size,
-            held_us: now - oldest,
-        });
+        free_us = now + service_us(i - first);
+        latencies.extend(arrivals[first..i].iter().map(|&a| free_us - a));
     }
-    batches
+    latencies
+}
+
+/// `(median, mean, 99th percentile)` of latencies in µs.
+fn summary(mut latencies: Vec<u128>) -> (f64, f64, f64) {
+    latencies.sort_unstable();
+    let n = latencies.len();
+    let mean = latencies.iter().sum::<u128>() as f64 / n as f64;
+    (
+        latencies[n / 2] as f64,
+        mean,
+        latencies[n * 99 / 100] as f64,
+    )
+}
+
+/// The benchmark's regime — Poisson arrivals at 300 and 600 requests per
+/// second, one worker, `t(k) = 310·k µs` (the measured `batch_gain` ≈ 1),
+/// batches of up to 8 — against the deleted rule at its 2 000 µs default.
+/// Seeded, so the numbers repeat exactly.
+#[test]
+fn work_conserving_beats_the_deleted_timer_in_the_benchmark_regime() {
+    let service_us = |k: usize| 310 * k as u128;
+    for (seed, rps) in [(1u64, 300.0f64), (2, 600.0)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t_us = 0.0f64;
+        let arrivals: Vec<u128> = (0..20_000)
+            .map(|_| {
+                t_us += -(1.0 - rng.gen_range(0.0f64..1.0)).ln() / rps * 1e6;
+                t_us as u128
+            })
+            .collect();
+        let policy = BatchPolicy::new(8, 0, 0);
+        let new: Vec<u128> = simulate(policy, 1, &arrivals, service_us)
+            .iter()
+            .flat_map(|b| b.arrivals.iter().map(|&a| b.done_us - a))
+            .collect();
+        let old = full_or_deadline_latencies(8, 2_000, &arrivals, service_us);
+        assert_eq!(new.len(), old.len());
+        let (new_p50, new_mean, new_p99) = summary(new);
+        let (old_p50, old_mean, old_p99) = summary(old);
+        assert!(
+            old_p50 - new_p50 >= 1_500.0,
+            "{rps} rps: median {new_p50} µs against {old_p50} µs"
+        );
+        assert!(
+            old_mean - new_mean >= 1_500.0,
+            "{rps} rps: mean {new_mean:.0} µs against {old_mean:.0} µs"
+        );
+        assert!(
+            new_p99 <= old_p99,
+            "{rps} rps: 99th percentile {new_p99} µs against {old_p99} µs"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     #[test]
-    fn batches_respect_caps_deadlines_and_conservation(
+    fn batches_respect_caps_conservation_and_never_idle_on_queued_work(
         limit in 1usize..24,
         per_sample_bytes in 0usize..4096,
         buffer_bytes in 0usize..65536,
-        max_wait_us in 0u64..5000,
+        workers in 1usize..4,
+        table in proptest::collection::vec(1u64..3000, 24usize),
         gaps in proptest::collection::vec(0u64..2000, 1usize..80),
     ) {
-        let policy = BatchPolicy::new(
-            limit,
-            per_sample_bytes,
-            buffer_bytes,
-            u128::from(max_wait_us),
-        );
+        let policy = BatchPolicy::new(limit, per_sample_bytes, buffer_bytes);
         // Arrival stream: cumulative jittered gaps (bursts when gap 0).
-        let mut t: u128 = 0;
-        let arrivals: Vec<u128> = gaps
-            .iter()
-            .map(|&g| {
-                t += u128::from(g);
-                t
-            })
-            .collect();
-        let batches = simulate(policy, &arrivals);
+        let arrivals = arrivals_from(&gaps);
+        let batches = simulate(policy, workers, &arrivals, |k| u128::from(table[k - 1]));
         let budget_cap = BatchPolicy::budget_batch_cap(per_sample_bytes, buffer_bytes);
-        let mut total = 0usize;
         for b in &batches {
-            prop_assert!(b.size >= 1, "empty batch dispatched");
+            let size = b.arrivals.len();
+            prop_assert!(size >= 1, "empty batch dispatched");
             prop_assert!(
-                b.size <= limit.max(1),
-                "batch of {} exceeds the configured limit {limit}",
-                b.size
+                size <= limit,
+                "batch of {size} exceeds the configured limit {limit}"
             );
             prop_assert!(
-                b.size <= budget_cap,
-                "batch of {} exceeds the cache-budget bound {budget_cap}",
-                b.size
+                size <= budget_cap,
+                "batch of {size} exceeds the cache-budget bound {budget_cap}"
             );
-            prop_assert!(
-                b.held_us <= u128::from(max_wait_us),
-                "oldest request held {}us past a {}us deadline",
-                b.held_us,
-                max_wait_us
+            // Zero hold.
+            prop_assert_eq!(
+                b.start_us,
+                b.free_us.max(b.arrivals[0]),
+                "batch held after its worker was free and its oldest member queued"
             );
-            total += b.size;
+            // Everything queued goes, up to the cap.
+            prop_assert_eq!(size, b.queued.min(policy.max_batch));
         }
-        // Conservation: every arrival is in exactly one batch.
-        prop_assert_eq!(total, arrivals.len());
+        // Conservation: every arrival is in exactly one batch, in order.
+        let served: Vec<u128> = batches.iter().flat_map(|b| b.arrivals.iter().copied()).collect();
+        prop_assert_eq!(&served, &arrivals);
+        // Work conservation.
+        let idle = idle_while_queued(&batches, workers);
+        prop_assert!(idle.is_none(), "worker idle while work was queued: {idle:?}");
     }
 
     #[test]
-    fn zero_wait_policies_serve_immediately(
-        limit in 1usize..8,
-        gaps in proptest::collection::vec(0u64..50, 1usize..40),
+    fn batches_larger_than_one_form_only_behind_busy_workers(
+        limit in 2usize..12,
+        workers in 1usize..4,
+        table in proptest::collection::vec(1u64..3000, 12usize),
+        // Distinct arrival times: simultaneous arrivals may share a batch
+        // at an idle worker, which is not batching behind anything.
+        gaps in proptest::collection::vec(1u64..1500, 1usize..80),
     ) {
-        // With no wait allowance every pickup dispatches at once.
-        let policy = BatchPolicy::new(limit, 0, 0, 0);
-        let mut t: u128 = 0;
-        let arrivals: Vec<u128> = gaps.iter().map(|&g| { t += u128::from(g); t }).collect();
-        for b in simulate(policy, &arrivals) {
-            prop_assert_eq!(b.size, 1);
-            prop_assert_eq!(b.held_us, 0u128);
+        let policy = BatchPolicy::new(limit, 0, 0);
+        let arrivals = arrivals_from(&gaps);
+        let batches = simulate(policy, workers, &arrivals, |k| u128::from(table[k - 1]));
+        for b in batches.iter().filter(|b| b.arrivals.len() > 1) {
+            prop_assert_eq!(
+                b.start_us, b.free_us,
+                "a batch of {} went out later than its worker's release", b.arrivals.len()
+            );
+            for &arrived in &b.arrivals {
+                prop_assert!(
+                    all_busy_at(&batches, workers, arrived),
+                    "a request that arrived at {arrived} with a worker idle was batched: {b:?}"
+                );
+            }
+        }
+        // With a full batch's worth queued at a release, the batch is full.
+        for b in batches.iter().filter(|b| b.queued >= policy.max_batch) {
+            prop_assert_eq!(b.arrivals.len(), policy.max_batch);
         }
     }
 

@@ -104,7 +104,6 @@ fn overload_panics_and_swaps_keep_exact_accounting() {
             ServeConfig {
                 workers: chaos_workers(),
                 max_batch: 4,
-                max_wait_us: 500,
                 queue_depth: 8,
                 ..ServeConfig::default()
             },
@@ -237,7 +236,6 @@ fn expired_requests_never_reach_the_model() {
             ServeConfig {
                 workers: 1,
                 max_batch: 1, // singleton batches: the stall pins batch 0
-                max_wait_us: 0,
                 queue_depth: 8,
                 ..ServeConfig::default()
             },
@@ -288,7 +286,6 @@ fn timed_out_waiter_reclaims_its_slot() {
             ServeConfig {
                 workers: 1,
                 max_batch: 1,
-                max_wait_us: 0,
                 queue_depth: 4,
                 ..ServeConfig::default()
             },
@@ -314,5 +311,89 @@ fn timed_out_waiter_reclaims_its_slot() {
             stats.requests, 2,
             "both batches dispatched; the late answer was dropped, not an error"
         );
+    });
+}
+
+/// The backoff hint of a refusal is the time the queue really takes to
+/// drain: served one request per batch, then refused at a full queue
+/// behind a stalled worker, a client is told to come back after at least
+/// `queue_len` measured forward passes — not an eighth of that, which is
+/// what dividing by `max_batch` on the assumption of full batches gave.
+#[test]
+fn refusal_hint_covers_the_queue_at_the_measured_singleton_rate() {
+    with_timeout(60, || {
+        const WARM: u64 = 30;
+        const QUEUE: usize = 4;
+        let handle = cheap_handle();
+        let server = Server::start_with_faults(
+            &handle,
+            ServeConfig {
+                workers: 1,
+                max_batch: 8,
+                queue_depth: QUEUE,
+                ..ServeConfig::default()
+            },
+            ServeFaultPlan::default().stall_at(WARM, Duration::from_millis(200)),
+        );
+        let client = server.client();
+        let s = sample(handle.input(), 5);
+
+        // One request at a time: every batch is a singleton, and the
+        // forward time of each is read off the stats before the next.
+        let mut forward_ns = Vec::new();
+        let mut total_ns = 0;
+        for served in 1..=WARM {
+            client
+                .submit(&s)
+                .expect("submit")
+                .wait_timeout(Duration::from_secs(30))
+                .expect("response");
+            // The answer is out before the batch is recorded.
+            let stats = loop {
+                let stats = server.stats();
+                if stats.batches == served {
+                    break stats;
+                }
+                thread::yield_now();
+            };
+            forward_ns.push(stats.forward_ns - total_ns);
+            total_ns = stats.forward_ns;
+        }
+        assert_eq!(server.stats().histogram, vec![0, WARM]);
+        let (fastest, slowest) = (
+            *forward_ns.iter().min().expect("warm-up ran"),
+            *forward_ns.iter().max().expect("warm-up ran"),
+        );
+
+        // Dispatch `WARM` stalls with whatever it popped (a queue's worth
+        // at most); behind it the queue fills, and the first submission
+        // past that is refused.
+        let mut admitted = Vec::new();
+        let hint_us = loop {
+            match client.try_submit(&s, SubmitOptions::default()) {
+                Ok(pending) => admitted.push(pending),
+                Err(ServeError::Overloaded { retry_after_us }) => break retry_after_us,
+                Err(e) => panic!("unexpected refusal: {e}"),
+            }
+            assert!(admitted.len() <= 2 * QUEUE, "the queue never filled");
+        };
+        // The estimate is an average of the measured singleton forwards,
+        // over the `QUEUE` requests ahead and the refused one itself.
+        let hint_ns = hint_us * 1_000;
+        assert!(
+            hint_ns >= QUEUE as u64 * fastest,
+            "hint {hint_us} us is below {QUEUE} forwards of at least {fastest} ns"
+        );
+        assert!(
+            hint_ns <= (QUEUE as u64 + 1) * slowest + 1_000,
+            "hint {hint_us} us is above {} forwards of at most {slowest} ns",
+            QUEUE + 1
+        );
+        for pending in admitted {
+            pending
+                .wait_timeout(Duration::from_secs(30))
+                .expect("queued behind the stall, still answered");
+        }
+        server.shutdown();
     });
 }

@@ -7,15 +7,22 @@
 //! Each net is checked across batch caps {1, 3, 7, max} (max = the
 //! cache-budget cap for a 1 MiB buffer, the same bound
 //! `ServeConfig::for_model` would derive) and both 1 and 2 worker
-//! threads, with enough requests to exercise full batches plus a partial
-//! remainder.
+//! threads. The server only batches what queues up behind busy workers,
+//! so every leg stalls each worker's first dispatch, submits its burst
+//! into the stall, and requires from the batch histogram that full
+//! batches really formed — otherwise the comparison would quietly become
+//! single ≡ single.
 
 use std::time::Duration;
 
 use mbs_cnn::networks::toy;
 use mbs_cnn::{FeatureShape, Network};
-use mbs_serve::{BatchPolicy, ModelHandle, Prediction, ServeConfig, Server};
+use mbs_serve::{BatchPolicy, ModelHandle, Prediction, ServeConfig, ServeFaultPlan, Server};
 use mbs_tensor::Tensor;
+
+/// How long each worker's first dispatch is stalled: far longer than
+/// submitting a burst takes, so the burst is queued when the stall ends.
+const STALL: Duration = Duration::from_millis(100);
 
 /// Deterministic, sample-unique input data.
 fn sample(shape: FeatureShape, salt: usize) -> Tensor {
@@ -38,22 +45,26 @@ fn check_net(net: &Network) {
     let handle = ModelHandle::from_network(net, 42).expect("freeze model");
     let mut reference = handle.runner();
     let caps = [1, 3, 7, max_cap(&handle)];
-    let n = 2 * caps.iter().max().copied().unwrap() + 1;
+    let n = 3 * caps.iter().max().copied().unwrap() + 1;
     let samples: Vec<Tensor> = (0..n).map(|i| sample(handle.input(), i)).collect();
     let expected: Vec<Prediction> = samples.iter().map(|s| reference.infer_one(s)).collect();
 
     for max_batch in caps {
         for workers in [1, 2] {
-            let count = 2 * max_batch + 1;
-            let server = Server::start(
+            // The stalled first dispatches take at most `max_batch`
+            // each; more than a full batch is left queued behind them.
+            let count = (workers + 1) * max_batch + 1;
+            let stalls = (0..workers as u64)
+                .fold(ServeFaultPlan::default(), |plan, i| plan.stall_at(i, STALL));
+            let server = Server::start_with_faults(
                 &handle,
                 ServeConfig {
                     workers,
                     max_batch,
-                    max_wait_us: 20_000,
                     queue_depth: count.max(8),
                     ..ServeConfig::default()
                 },
+                stalls,
             );
             let client = server.client();
             let pending: Vec<_> = samples[..count]
@@ -81,6 +92,16 @@ fn check_net(net: &Network) {
                     net.name()
                 );
             }
+            // Real batches were compared: once the stalls end everything
+            // is queued, so all but the stalled dispatches and one
+            // remainder are full — and at least one is.
+            let full = stats.histogram.get(max_batch).copied().unwrap_or(0);
+            assert!(
+                full >= 1 && stats.batches - full <= workers as u64 + 1,
+                "{}: max_batch={max_batch} workers={workers} dispatched {:?}",
+                net.name(),
+                stats.histogram
+            );
         }
     }
 }

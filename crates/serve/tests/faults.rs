@@ -158,7 +158,6 @@ fn requests_after_shutdown_reject_cleanly() {
         ServeConfig {
             workers: 1,
             max_batch: 2,
-            max_wait_us: 100,
             queue_depth: 4,
             ..ServeConfig::default()
         },

@@ -4,17 +4,18 @@
 //! without deadlocking. Each scenario runs under a hard timeout so a hang
 //! fails the test instead of wedging the suite.
 
+use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mbs_cnn::networks::toy;
 use mbs_cnn::FeatureShape;
-use mbs_serve::{ModelHandle, Prediction, ServeConfig, ServeError, Server};
+use mbs_serve::{ModelHandle, Pending, Prediction, ServeConfig, ServeError, ServeStats, Server};
 use mbs_tensor::Tensor;
 
 /// Runs `body` on a helper thread and panics if it does not finish within
@@ -56,7 +57,6 @@ fn every_request_gets_exactly_one_correct_response() {
             ServeConfig {
                 workers: 2,
                 max_batch: 5,
-                max_wait_us: 300,
                 queue_depth: 16,
                 ..ServeConfig::default()
             },
@@ -109,8 +109,8 @@ fn every_request_gets_exactly_one_correct_response() {
 #[test]
 fn shutdown_drains_queued_requests() {
     with_timeout(60, || {
-        // Not a multiple of max_batch, so the final partial batch only
-        // dispatches because shutdown's disconnect cuts the wait short.
+        // Not a multiple of max_batch: whatever is left queued when the
+        // queue closes still goes out, as a partial batch.
         const BURST: usize = 10;
         let handle = cheap_handle();
         let mut reference = handle.runner();
@@ -119,9 +119,6 @@ fn shutdown_drains_queued_requests() {
             ServeConfig {
                 workers: 2,
                 max_batch: 4,
-                // A long deadline: shutdown must still answer everything
-                // promptly because disconnect cuts the wait short.
-                max_wait_us: 5_000_000,
                 queue_depth: BURST,
                 ..ServeConfig::default()
             },
@@ -147,5 +144,80 @@ fn shutdown_drains_queued_requests() {
             client.submit(&samples[0]).map(|_| ()),
             Err(ServeError::Rejected)
         );
+    });
+}
+
+/// The four stage sums of `ServeStats` account for where a request's time
+/// went: over a seeded closed loop they add up to no more than what the
+/// client observed from submit to answer, and every stage a request
+/// goes through is counted. With one request outstanding every batch is a singleton
+/// and the difference is the two thread wake-ups the server cannot see;
+/// with three, batches form, and a batch's shared stages are counted
+/// once, not once per member. `max_wait_us` is as large as it gets:
+/// nothing is held for it, or this would not finish.
+#[test]
+fn stage_sums_account_for_the_observed_latency() {
+    with_timeout(60, || {
+        const REQUESTS: usize = 200;
+        let handle = cheap_handle();
+        let stage_sum =
+            |s: &ServeStats| s.queue_wait_ns + s.collect_ns + s.forward_ns + s.fan_out_ns;
+        for window in [1, 3] {
+            let server = Server::start(
+                &handle,
+                ServeConfig {
+                    workers: 1,
+                    max_batch: 4,
+                    max_wait_us: u64::MAX,
+                    queue_depth: 8,
+                    ..ServeConfig::default()
+                },
+            );
+            assert_eq!(stage_sum(&server.stats()), 0, "nothing served yet");
+
+            let client = server.client();
+            let mut rng = StdRng::seed_from_u64(17);
+            let mut outstanding: VecDeque<(Instant, Pending)> = VecDeque::new();
+            let mut observed_ns = 0u128;
+            let mut halfway = None;
+            for i in 0..REQUESTS + window {
+                if i >= window {
+                    let (sent, pending) = outstanding.pop_front().expect("window is full");
+                    pending
+                        .wait_timeout(Duration::from_secs(30))
+                        .expect("response");
+                    observed_ns += sent.elapsed().as_nanos();
+                }
+                if i == REQUESTS / 2 {
+                    halfway = Some(server.stats());
+                }
+                if i < REQUESTS {
+                    let s = sample(handle.input(), rng.gen_range(0usize..64));
+                    let sent = Instant::now();
+                    outstanding.push_back((sent, client.submit(&s).expect("submit")));
+                }
+            }
+            let halfway = halfway.expect("snapshot taken");
+            let stats = server.shutdown();
+
+            assert_eq!(stats.requests, REQUESTS as u64);
+            assert_eq!(stats.answered(), REQUESTS as u64);
+            assert!(
+                u128::from(stage_sum(&stats)) <= observed_ns,
+                "window {window}: stages sum to {} ns, the client observed {observed_ns} ns",
+                stage_sum(&stats)
+            );
+            assert!(stats.queue_wait_ns > 0 && stats.collect_ns > 0 && stats.forward_ns > 0);
+            // Monotone: no sum ever runs backwards.
+            assert!(stage_sum(&halfway) > 0);
+            for (earlier, later) in [
+                (halfway.queue_wait_ns, stats.queue_wait_ns),
+                (halfway.collect_ns, stats.collect_ns),
+                (halfway.forward_ns, stats.forward_ns),
+                (halfway.fan_out_ns, stats.fan_out_ns),
+            ] {
+                assert!(earlier <= later);
+            }
+        }
     });
 }

@@ -111,15 +111,20 @@ fn every_response_is_bitwise_attributable_to_one_version() {
             ref_a,
             ref_b,
         } = two_versions(N);
-        let server = Server::start(
+        // Both workers' first dispatches stall, so the first wave queues
+        // up behind them and is served in real batches.
+        let stall = Duration::from_millis(50);
+        let server = Server::start_with_faults(
             &a,
             ServeConfig {
                 workers: 2,
                 max_batch: 4,
-                max_wait_us: 300,
                 queue_depth: 32,
                 ..ServeConfig::default()
             },
+            ServeFaultPlan::default()
+                .stall_at(0, stall)
+                .stall_at(1, stall),
         );
         let client = server.client();
         let wave = |client: &mbs_serve::Client| -> Vec<Prediction> {
@@ -182,6 +187,11 @@ fn every_response_is_bitwise_attributable_to_one_version() {
         let stats = server.shutdown();
         assert_eq!(stats.swaps, 7, "every accepted swap counted");
         assert_eq!(stats.failed, 0, "no request was lost across swaps");
+        assert!(
+            stats.histogram.iter().skip(2).any(|&batches| batches > 0),
+            "attribution was only checked on singleton batches: {:?}",
+            stats.histogram
+        );
     });
 }
 
@@ -200,7 +210,6 @@ fn failed_swaps_leave_the_old_model_serving() {
             ServeConfig {
                 workers: 1,
                 max_batch: 4,
-                max_wait_us: 200,
                 queue_depth: 16,
                 ..ServeConfig::default()
             },
@@ -258,7 +267,6 @@ fn circuit_breaker_degrades_and_a_swap_heals() {
             ServeConfig {
                 workers: 1,
                 max_batch: 1,
-                max_wait_us: 0,
                 queue_depth: 8,
                 max_respawns: 1,
                 ..ServeConfig::default()

@@ -17,7 +17,7 @@
 //! | `MBS_SERVE_DEADLINE_US`, `MBS_SERVE_MAX_RESPAWNS` | non-negative integer | [`parse_usize`] |
 //! | `MBS_CACHE_BUDGET` | byte size with K/M/G suffix | [`parse_byte_size`] |
 //! | `MBS_PREC` | `f32` or `bf16` | [`crate::prec::parse_precision`] |
-//! | `MBS_SERVE_WORKERS`, `MBS_SERVE_MAX_BATCH`, `MBS_SERVE_MAX_WAIT_US`, `MBS_SERVE_QUEUE`, `MBS_SERVE_PRIORITY_LEVELS` | positive integer | [`positive_usize_knob`] |
+//! | `MBS_SERVE_WORKERS`, `MBS_SERVE_MAX_BATCH`, `MBS_SERVE_QUEUE`, `MBS_SERVE_PRIORITY_LEVELS` | positive integer | [`positive_usize_knob`] |
 //! | `MBS_LOADER_PREFETCH`, `MBS_LOADER_CHUNK` | positive integer | [`positive_usize_knob`] |
 //!
 //! (`MBS_KERNEL` is a name resolved against the detected kernel set and

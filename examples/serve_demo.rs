@@ -105,8 +105,8 @@ fn main() {
     let serve_hw = HardwareConfig::new();
     let config = ServeConfig::for_model(&model, &serve_hw);
     println!(
-        "server: {} workers, max batch {} (budget-capped), max wait {} us",
-        config.workers, config.max_batch, config.max_wait_us
+        "server: {} workers, max batch {} (budget-capped)",
+        config.workers, config.max_batch
     );
     let server = Server::start(&model, config);
     let client = server.client();
@@ -141,5 +141,16 @@ fn main() {
             println!("  batch size {size}: {count}x");
         }
     }
+    // Where the server spent that time, per answered request. Batches
+    // form only from what queues up behind a busy (or still starting)
+    // worker; nothing is held to wait for batch-mates.
+    let per_request_us = |ns: u64| ns as f64 / 1e3 / stats.requests.max(1) as f64;
+    println!(
+        "  per request: queue wait {:.1} us, collect {:.1} us, forward {:.1} us, fan-out {:.1} us",
+        per_request_us(stats.queue_wait_ns),
+        per_request_us(stats.collect_ns),
+        per_request_us(stats.forward_ns),
+        per_request_us(stats.fan_out_ns)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
