@@ -1,5 +1,5 @@
 //! Runs the full experiment suite, prints every table/figure, and writes
-//! JSON reports to `reports/` (used to fill EXPERIMENTS.md).
+//! JSON reports to `reports/`.
 //!
 //! Pass `--quick` to run the Fig. 6 training experiment at test scale.
 

@@ -2,10 +2,14 @@
 //! pre-activation means — plus the numerical-equivalence check that
 //! underpins MBS's correctness claim.
 //!
-//! Scaled-down substitution (see DESIGN.md): the paper trains ResNet50 on
-//! ImageNet for 90 epochs on 4 GPUs; we train the same *algorithm* (a
-//! residual CNN with the same normalization choices and the same MBS
-//! serialized executor) on a seeded synthetic texture-classification task.
+//! Scaled-down substitution: the paper trains ResNet50 on ImageNet for 90
+//! epochs on 4 GPUs; we train the same *algorithm* (a residual CNN with the
+//! same normalization choices and the same MBS serialized executor) on a
+//! seeded synthetic texture-classification task
+//! ([`mbs_train::data::generate`], whose docs describe the classes). What
+//! carries over is relative — the shape of the BN vs GN+MBS curves and the
+//! §3 equivalence of serialized and full-batch GN — so absolute error
+//! rates are not comparable to the paper's.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,7 +70,7 @@ pub struct Fig06 {
 pub enum Scale {
     /// Seconds-scale run for tests.
     Quick,
-    /// The full (still CPU-friendly) run used for EXPERIMENTS.md.
+    /// The full (still CPU-friendly) run `fig06_training` prints by default.
     Full,
 }
 

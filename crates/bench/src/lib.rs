@@ -1,14 +1,15 @@
 //! Experiment harness for the MBS reproduction: regenerates every table and
-//! figure of the paper's evaluation (see DESIGN.md for the index) and backs
-//! the Criterion benches.
+//! figure of the paper's evaluation — one module per figure or table under
+//! [`experiments`], one `figNN_*`/`tabNN_*` binary each — and hosts the
+//! [`crash`] scenario behind the `crash_resume` SIGKILL test.
 //!
 //! Each figure binary (`cargo run --release -p mbs-bench --bin fig10_main`)
 //! prints the same rows/series the paper reports; `all_experiments` runs
-//! the whole suite and writes JSON reports.
+//! the whole suite and writes JSON reports. Performance is measured by the
+//! repository benchmark (`examples/benchmark/`), not here.
 
 pub mod crash;
 pub mod experiments;
-pub mod suites;
 pub mod table;
 
 use std::fs;

@@ -4,7 +4,8 @@
 //! (one 1×1 feeding both a 1×3 and a 3×1 convolution). The IR models a
 //! block as independent branches from a shared input, so the shared 1×1
 //! prefix is duplicated into both branches. This slightly overstates compute
-//! and intra-branch traffic for those two modules and is noted in DESIGN.md.
+//! and intra-branch traffic for those two modules; every other module is
+//! modeled exactly.
 
 use crate::block::{Block, Node};
 use crate::layer::{FeatureShape, Layer, PoolKind};

@@ -3,7 +3,8 @@
 //! As in [`super::inception_v3`], branches that split internally in the 8×8
 //! "C" modules are duplicated into independent branches (shared prefixes
 //! re-computed), since the IR models blocks as independent branches from a
-//! shared input. Noted in DESIGN.md.
+//! shared input. As there, this slightly overstates the compute and
+//! intra-branch traffic of the "C" modules only.
 
 use crate::block::{Block, Node};
 use crate::layer::{FeatureShape, Layer, PoolKind};

@@ -1,6 +1,6 @@
 //! Serde round-trip coverage for [`Schedule`]: schedules are now consumed
-//! across crate boundaries (the grouped training runtime) and recorded in
-//! bench reports, so serialize → deserialize must reproduce them exactly —
+//! across crate boundaries (the grouped training runtime), so
+//! serialize → deserialize must reproduce them exactly —
 //! matching the `Network` round-trip coverage in `cnn/tests/proptest_ir.rs`.
 
 use mbs_cnn::networks::{resnet, toy};

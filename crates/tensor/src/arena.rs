@@ -14,8 +14,8 @@
 //! output, gradient, and cache produced inside the serialized training loop
 //! recycles a pooled buffer instead of hitting the system allocator. After
 //! a warm-up step the steady-state `train_step_mbs` loop runs with zero
-//! arena misses (pinned by `crates/train/tests/steady_state_alloc.rs` and
-//! recorded in `BENCH_train.json`).
+//! arena misses (pinned by `crates/train/tests/steady_state_alloc.rs`; the
+//! repository benchmark reports `tensor.arena_misses_per_step`).
 //!
 //! The pool is process-global and thread-safe; GEMM worker threads check
 //! buffers in and out independently. [`stats`] exposes hit/miss counters so

@@ -48,13 +48,13 @@ use crate::arena::{self, Scratch};
 use crate::ops::activation::{BitMask, MaskSink};
 use crate::ops::im2col::Conv2dCfg;
 use crate::ops::kernel::{self, MicroKernel};
-use crate::ops::pack::{chunk_workers, configured_threads, scoped_chunks};
+use crate::ops::pack::{configured_threads, scoped_chunks};
 use crate::prec::{self, bf16_to_f32, f32_to_bf16, Precision};
 use crate::tensor::Tensor;
 
 /// How a direct convolution runs: ISA tier, worker threads and operand
-/// precision. The `conv2d*` entry points use [`Exec::process`]; tests and
-/// the bench runner sweep the fields explicitly.
+/// precision. The `conv2d*` entry points use [`Exec::process`]; the
+/// parity and thread-invariance tests sweep the fields explicitly.
 #[derive(Debug, Clone, Copy)]
 pub struct Exec {
     /// Selects the register tiles (same tier as the GEMM micro-kernel).
@@ -242,13 +242,6 @@ fn tiles(kern: &MicroKernel) -> &'static Tiles {
     }
     let _ = kern;
     &PORTABLE
-}
-
-/// Worker threads a forward pass or data gradient producing `out_chans`
-/// channels for `n` samples actually runs under `threads` (work splits
-/// into `(sample, channel block)` items); the bench runner records it.
-pub fn effective_workers(kern: &MicroKernel, n: usize, out_chans: usize, threads: usize) -> usize {
-    chunk_workers(n * out_chans.div_ceil(tiles(kern).cb), threads)
 }
 
 fn dims4(shape: &[usize], what: &str) -> [usize; 4] {

@@ -66,7 +66,8 @@ pub const MAX_NR: usize = 16;
 /// packed depth steps. See the [module docs](self) for the data contract.
 #[derive(Debug)]
 pub struct MicroKernel {
-    /// Stable identifier (recorded in `BENCH_tensor.json`).
+    /// Stable identifier (recorded in the repository benchmark's result
+    /// line as `kernel`).
     pub name: &'static str,
     /// Tile rows — the A packing strip width.
     pub mr: usize,

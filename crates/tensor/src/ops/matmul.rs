@@ -7,8 +7,8 @@
 //! ReLU fold into the GEMM's C write-back via [`Epilogue`], so the layer
 //! output is produced in zero extra passes. [`matmul_naive`] keeps the
 //! original triple loop (minus its broken `a == 0.0` skip, which
-//! suppressed NaN/Inf propagation) as the reference the property tests and
-//! benches compare against.
+//! suppressed NaN/Inf propagation) as the reference the property tests
+//! compare against.
 
 use crate::ops::activation::{relu_inplace, BitMask, MaskSink};
 use crate::ops::pack::{fuse_enabled, gemm, gemm_fused, Epilogue, MatSrc};
@@ -121,8 +121,8 @@ pub fn matmul_a_bt_fused(
 
 /// [`matmul_a_bt_fused`] with the fused/unfused decision made explicitly
 /// (`fused = false` reproduces GEMM, then a bias pass, then
-/// [`relu_inplace`] — the parity tests and the A/B bench pin that both
-/// paths agree bitwise, output and mask).
+/// [`relu_inplace`] — the parity tests pin that both paths agree
+/// bitwise, output and mask).
 pub fn matmul_a_bt_fused_with(
     a: &Tensor,
     b: &Tensor,
@@ -182,9 +182,8 @@ fn out_buffer(m: usize, n: usize, k: usize) -> Tensor {
     }
 }
 
-/// Reference triple-loop `C = A · B` (no blocking, no threading). Kept for
-/// equivalence tests and as the bench baseline the blocked core is measured
-/// against.
+/// Reference triple-loop `C = A · B` (no blocking, no threading). Kept as
+/// the oracle the blocked core's equivalence tests compare against.
 ///
 /// # Panics
 ///

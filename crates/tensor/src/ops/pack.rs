@@ -271,9 +271,8 @@ pub fn gemm(a: &MatSrc<'_>, b: &MatSrc<'_>, c: &mut [f32], m: usize, n: usize, k
     gemm_with_threads(a, b, c, m, n, k, configured_threads());
 }
 
-/// [`gemm`] with an explicit thread count (used by the determinism tests
-/// and the bench runner's scaling sweep; results are bitwise identical for
-/// any `threads ≥ 1`).
+/// [`gemm`] with an explicit thread count (used by the determinism tests;
+/// results are bitwise identical for any `threads ≥ 1`).
 ///
 /// # Panics
 ///
@@ -291,9 +290,9 @@ pub fn gemm_with_threads(
 }
 
 /// [`gemm_with_threads`] with an explicit micro-kernel (used by the
-/// per-kernel parity tests and the bench runner's kernel comparison; the
-/// production entry points always use the process-wide
-/// [`kernel::selected`] so results stay run-to-run identical).
+/// per-kernel parity tests; the production entry points always use the
+/// process-wide [`kernel::selected`] so results stay run-to-run
+/// identical).
 ///
 /// # Panics
 ///
@@ -364,8 +363,8 @@ pub fn gemm_fused_with(
     gemm_fused_prec(a, b, c, m, n, k, threads, kern, epi, prec::precision());
 }
 
-/// [`gemm_fused_with`] with an explicit operand [`Precision`] (tests and
-/// the bench runner sweep both modes inside one process; the production
+/// [`gemm_fused_with`] with an explicit operand [`Precision`] (the
+/// precision tests sweep both modes inside one process; the production
 /// entry points always use the process-wide [`prec::precision`], so
 /// results stay run-to-run identical).
 ///
@@ -719,15 +718,6 @@ fn compute_block<E: PackElem>(
 /// drift from the split itself.
 pub(crate) fn chunk_workers(items: usize, threads: usize) -> usize {
     threads.max(1).min(items)
-}
-
-/// Worker threads a GEMM over `m` output rows actually runs when
-/// `threads` are requested: the row split hands out whole `MC` blocks, so
-/// small workloads cap below the request. The bench runner records this
-/// next to each `thread_scaling` measurement so flat scaling on small
-/// shapes is attributable to the workload, not the scheduler.
-pub fn effective_workers(m: usize, threads: usize) -> usize {
-    chunk_workers(m.div_ceil(MC), threads)
 }
 
 /// Splits `buf` at `bound(item)` offsets into one contiguous run of items

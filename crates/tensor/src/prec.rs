@@ -21,8 +21,8 @@
 //!
 //! The process-wide mode comes from the `MBS_PREC` environment knob
 //! ([`precision`], default [`Precision::F32`]); explicit-precision entry
-//! points (`gemm_fused_prec`, executor setters) let tests and the bench
-//! runner sweep both modes inside one process.
+//! points (`gemm_fused_prec`, executor setters) let tests sweep both modes
+//! inside one process.
 //!
 //! # Examples
 //!
@@ -63,8 +63,7 @@ impl Precision {
         }
     }
 
-    /// Stable lowercase name (the `MBS_PREC` spelling; recorded in bench
-    /// reports).
+    /// Stable lowercase name (the `MBS_PREC` spelling).
     pub fn name(self) -> &'static str {
         match self {
             Precision::F32 => "f32",

@@ -1,6 +1,7 @@
 //! Seeded synthetic image-classification dataset.
 //!
-//! Substitute for ImageNet in the Fig. 6 reproduction (see DESIGN.md): four
+//! Substitute for ImageNet in the Fig. 6 reproduction (the substitution is
+//! described in `mbs-bench`'s `experiments::fig06` module docs): four
 //! texture classes — horizontal stripes, vertical stripes, checkerboard,
 //! diagonal waves — with randomized frequency, phase, per-channel gain, and
 //! additive Gaussian noise. Hard enough that an un-normalized network

@@ -172,9 +172,10 @@ impl GroupedExecutor {
     }
 
     /// Overrides the process-wide `MBS_STASH` decision for this executor
-    /// (the bench sweeps stash vs replay in one process; training results
-    /// are bitwise identical either way). Takes effect from the next
-    /// forward — do not flip it between a forward and its backward.
+    /// (the equivalence tests sweep stash vs replay in one process;
+    /// training results are bitwise identical either way). Takes effect
+    /// from the next forward — do not flip it between a forward and its
+    /// backward.
     /// Turning stashing off drops any held stashes (their tensors return
     /// to the arena).
     pub fn set_stashing(&mut self, stashing: bool) {
@@ -194,8 +195,8 @@ impl GroupedExecutor {
     }
 
     /// Overrides the process-wide `MBS_PREC` decision for this executor's
-    /// boundary buffers and cache stashes (the bench A/Bs the two
-    /// precisions in one process; the GEMM packing precision stays
+    /// boundary buffers and cache stashes (the precision tests compare the
+    /// two in one process; the GEMM packing precision stays
     /// process-wide). Takes effect from the next forward — held stashes
     /// and staged boundaries are dropped, their storage returning to the
     /// arena.
@@ -666,27 +667,55 @@ mod tests {
 
     /// The bf16 footprint pin: with bf16 storage, the interior boundary
     /// buffers and the stashed cache tensors occupy **exactly half** the
-    /// bytes their f32 counterparts do.
+    /// bytes their f32 counterparts do — and the stash bytes a training
+    /// forward leaves resident equal the scheduler's model
+    /// ([`Schedule::stash_bytes_at`]) byte for byte at both precisions, on
+    /// the hand-built two-group plan and on scheduler-chosen MBS1 plans.
     #[test]
     fn bf16_storage_halves_boundary_and_stash_bytes() {
-        let net = toy::runtime_mix(8, 8);
-        let mut m = lower(&net, &mut StdRng::seed_from_u64(7)).unwrap();
-        let d = generate(8, 8, 0.3, 47);
-        let sched = multi_group_schedule(net.nodes().len(), 8);
-        let mut exec = GroupedExecutor::new(&sched, m.len());
-        exec.set_stashing(true);
+        use mbs_core::{HardwareConfig, MbsScheduler};
 
-        exec.set_precision(Precision::F32);
-        let _ = exec.forward(&mut m, &d.images, true);
-        let (b32, s32) = (exec.boundary_bytes(), exec.stash_tensor_bytes());
-        assert!(b32 > 0, "interior boundary must be staged");
-        assert!(s32 > 0, "multi-chunk group must stash");
+        let hand = toy::runtime_mix(8, 8);
+        let hand_sched = multi_group_schedule(hand.nodes().len(), 8);
+        // (network, plan, input extent); the scheduler plans at each
+        // network's default batch.
+        let mut cases = vec![(hand, hand_sched, 8)];
+        for (net, buffer, size) in [
+            (toy::runtime_mix(16, 16), 16 * 1024, 16),
+            (toy::tiny_resnet(1, 8), 128 * 1024, 32),
+            (toy::runtime_mix(8, 8), 3 * 1024, 8),
+            (toy::tiny_inception(16, 8), 32 * 1024, 16),
+        ] {
+            let hw = HardwareConfig::cpu().with_global_buffer(buffer);
+            let sched = MbsScheduler::new(&net, &hw, ExecConfig::Mbs1).schedule();
+            cases.push((net, sched, size));
+        }
 
-        exec.set_precision(Precision::Bf16);
-        let _ = exec.forward(&mut m, &d.images, true);
-        let (b16, s16) = (exec.boundary_bytes(), exec.stash_tensor_bytes());
-        assert_eq!(b16 * 2, b32, "boundary bytes must halve");
-        assert_eq!(s16 * 2, s32, "stash tensor bytes must halve");
+        for (net, sched, size) in cases {
+            let name = net.name();
+            let mut m = lower(&net, &mut StdRng::seed_from_u64(7)).unwrap();
+            let d = generate(sched.batch(), size, 0.3, 47);
+            let mut exec = GroupedExecutor::new(&sched, m.len());
+            exec.set_stashing(true);
+
+            let [(b32, s32), (b16, s16)] = [Precision::F32, Precision::Bf16].map(|p| {
+                exec.set_precision(p);
+                let _ = exec.forward(&mut m, &d.images, true);
+                let stash = exec.stash_tensor_bytes();
+                assert_eq!(
+                    stash,
+                    sched.stash_bytes_at(&net, p),
+                    "{name} {p:?}: resident stash bytes vs the model"
+                );
+                (exec.boundary_bytes(), stash)
+            });
+            if sched.groups().len() > 1 {
+                assert!(b32 > 0, "{name}: interior boundary must be staged");
+            }
+            assert!(s32 > 0, "{name}: multi-chunk group must stash");
+            assert_eq!(b16 * 2, b32, "{name}: boundary bytes must halve");
+            assert_eq!(s16 * 2, s32, "{name}: stash tensor bytes must halve");
+        }
     }
 
     /// bf16 grouped training tracks the full-batch step within the

@@ -126,8 +126,8 @@ impl Conv2d {
     }
 
     /// Overrides the process-wide `MBS_FUSE` decision for this layer (the
-    /// bench sweeps fused vs unfused in one process; results are bitwise
-    /// identical either way).
+    /// fused≡unfused parity test sweeps both in one process; results are
+    /// bitwise identical either way).
     pub fn set_fused(&mut self, fused: bool) {
         self.fused = fused;
     }

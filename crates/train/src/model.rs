@@ -142,17 +142,6 @@ impl Module for ResidualBlock {
     }
 }
 
-impl ResidualBlock {
-    /// Overrides the `MBS_FUSE` decision for every GEMM layer in the block.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.conv1.set_fused(fused);
-        self.conv2.set_fused(fused);
-        if let Some((conv, _)) = &mut self.shortcut {
-            conv.set_fused(fused);
-        }
-    }
-}
-
 /// The Fig. 6 experiment model: stem conv/norm/relu, two stages of
 /// residual blocks, global average pooling, and a linear classifier.
 #[derive(Debug, Clone)]
@@ -194,17 +183,6 @@ impl MiniResNet {
             pool: GlobalAvgPool::new(),
             head: Linear::new(cur, classes, rng),
         }
-    }
-
-    /// Overrides the process-wide `MBS_FUSE` decision for every GEMM layer
-    /// (convs and the classifier head). The bench runner uses this to
-    /// sweep fused vs unfused training steps inside one process.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.stem_conv.set_fused(fused);
-        for b in &mut self.blocks {
-            b.set_fused(fused);
-        }
-        self.head.set_fused(fused);
     }
 
     /// Mean output of the first and last normalization layers on `x`
@@ -279,8 +257,8 @@ impl Module for MiniResNet {
 /// A norm-free conv–bias–ReLU stack (stem → `depth` same-width conv
 /// layers → global pool → classifier): every layer is a fused
 /// conv+bias+ReLU, so this is the model where the epilogue pipeline
-/// carries the *whole* per-layer post-processing — the bench runner sweeps
-/// it fused vs unfused to measure the executor-level win.
+/// carries the *whole* per-layer post-processing (the steady-state
+/// allocation test trains it).
 #[derive(Debug, Clone)]
 pub struct ConvNet {
     convs: Vec<Conv2d>,
@@ -311,14 +289,6 @@ impl ConvNet {
             pool: GlobalAvgPool::new(),
             head: Linear::new(cur, classes, rng),
         }
-    }
-
-    /// Overrides the process-wide `MBS_FUSE` decision for every layer.
-    pub fn set_fused(&mut self, fused: bool) {
-        for c in &mut self.convs {
-            c.set_fused(fused);
-        }
-        self.head.set_fused(fused);
     }
 }
 

@@ -431,8 +431,9 @@ pub fn train_grouped_source(
 }
 
 /// [`train_grouped_source`] that also returns the loader's counters
-/// (`None` for in-memory sources) — what the bench bin reports as the
-/// `loader` section: prefetch stalls, bytes off disk, chunk reads.
+/// (`None` for in-memory sources) — prefetch stalls, bytes off disk,
+/// chunk reads: what the repository benchmark reports as
+/// `train.loader.{stalls, bytes_read, chunk_loads}`.
 ///
 /// # Errors
 ///
