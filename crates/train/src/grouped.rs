@@ -324,10 +324,11 @@ impl GroupedExecutor {
         self.backward_inner(model, x, dlogits, true)
     }
 
-    /// [`GroupedExecutor::backward_from_logits`] body; `want_dx` skips
-    /// assembling the full-batch input gradient (an input-sized buffer
-    /// plus one copy per group-0 chunk) when the caller discards it, as
-    /// [`GroupedExecutor::train_step`] does.
+    /// [`GroupedExecutor::backward_from_logits`] body; `want_dx = false`
+    /// skips the network input's gradient when the caller discards it, as
+    /// [`GroupedExecutor::train_step`] does: no input-sized buffer, no
+    /// copy per group-0 chunk, and no data-gradient pass through the
+    /// first node ([`LoweredNet::backward_range_params`]).
     fn backward_inner(
         &mut self,
         model: &mut LoweredNet,
@@ -386,13 +387,17 @@ impl GroupedExecutor {
                     self.last_fwd_start[g] = start;
                 }
                 slice_batch_into(&dy_full, start, end, &mut self.dy_chunk);
-                let d = model.backward_range(group.start..group.end, &self.dy_chunk);
-                if g == 0 {
-                    if want_dx {
-                        stage_rows(&mut dx, &d, start, n);
-                    }
-                } else {
+                let range = group.start..group.end;
+                if g > 0 {
+                    let d = model.backward_range(range, &self.dy_chunk);
                     stage_rows(&mut self.grads[g - 1], &d, start, n);
+                } else if want_dx {
+                    let d = model.backward_range(range, &self.dy_chunk);
+                    stage_rows(&mut dx, &d, start, n);
+                } else {
+                    // Nobody reads the network input's gradient: the first
+                    // node skips computing it.
+                    model.backward_range_params(range, &self.dy_chunk);
                 }
             }
             if let Some(boundary) = src_owned {

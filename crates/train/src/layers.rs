@@ -193,28 +193,10 @@ impl Conv2d {
         }
         y
     }
-}
 
-impl Module for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.run_forward(x, train);
-        if train {
-            self.cache_x = Some(x.clone());
-        }
-        y
-    }
-
-    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
-        let y = self.run_forward(&x, train);
-        if train {
-            // Move the input into the cache — the clone `forward` pays is
-            // the only difference between the two entry points.
-            self.cache_x = Some(x);
-        }
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    /// Backward body: accumulates the parameter gradients and, only when
+    /// `want_dx`, computes the input gradient.
+    fn run_backward(&mut self, dy: &Tensor, want_dx: bool) -> Option<Tensor> {
         let x = self
             .cache_x
             .as_ref()
@@ -239,7 +221,38 @@ impl Module for Conv2d {
             }
         }
         conv2d_backward_weights_into(x, dy, self.cfg, &mut self.weight.grad);
-        conv2d_backward_data(dy, &self.weight.value, x.shape(), self.cfg)
+        want_dx.then(|| conv2d_backward_data(dy, &self.weight.value, x.shape(), self.cfg))
+    }
+}
+
+impl Module for Conv2d {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let y = self.run_forward(x, train);
+        if train {
+            self.cache_x = Some(x.clone());
+        }
+        y
+    }
+
+    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
+        let y = self.run_forward(&x, train);
+        if train {
+            // Move the input into the cache — the clone `forward` pays is
+            // the only difference between the two entry points.
+            self.cache_x = Some(x);
+        }
+        y
+    }
+
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.run_backward(dy, true)
+            .expect("a backward that wants dx returns it")
+    }
+
+    /// Skips the data-gradient convolution — as costly as the weight
+    /// gradient — whose result the caller would discard.
+    fn backward_params(&mut self, dy: &Tensor) {
+        let _ = self.run_backward(dy, false);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -32,7 +32,9 @@ use mbs_tensor::ops::{concat_channels, slice_channels, Conv2dCfg};
 use mbs_tensor::Tensor;
 
 use crate::layers::{AvgPool2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d, Relu};
-use crate::module::{stash_mismatch, CacheEntry, CacheStash, Module, Param, StateDict, StateError};
+use crate::module::{
+    slice_batch_owned, stash_mismatch, CacheEntry, CacheStash, Module, Param, StateDict, StateError,
+};
 use crate::norm::{LocalResponseNorm, Norm, NormChoice};
 
 /// Error raised when a network uses an IR construct the training runtime
@@ -167,6 +169,15 @@ impl Module for LayerModule {
                     Some(shape) => d.into_reshaped(shape),
                     None => d,
                 }
+            }
+        }
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) {
+        match self {
+            LayerModule::Conv(m) => m.backward_params(dy),
+            _ => {
+                let _ = self.backward(dy);
             }
         }
     }
@@ -474,6 +485,11 @@ impl NodeModule {
     pub fn name(&self) -> &str {
         &self.name
     }
+
+    /// Whether this node is a single normalization layer.
+    fn is_norm(&self) -> bool {
+        matches!(&self.body, NodeBody::Single(m) if matches!(**m, LayerModule::Norm(_)))
+    }
 }
 
 impl Module for NodeModule {
@@ -494,6 +510,14 @@ impl Module for NodeModule {
             NodeBody::Single(m) => m.backward(dy),
             NodeBody::Block(b) => b.backward(dy),
             NodeBody::Concat(b) => b.backward(dy),
+        }
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) {
+        match &mut self.body {
+            NodeBody::Single(m) => m.backward_params(dy),
+            NodeBody::Block(b) => b.backward_params(dy),
+            NodeBody::Concat(b) => b.backward_params(dy),
         }
     }
 
@@ -590,15 +614,27 @@ impl LoweredNet {
     /// Panics if the range is out of bounds or a node in the range has no
     /// cached training forward.
     pub fn backward_range(&mut self, range: Range<usize>, dy: &Tensor) -> Tensor {
-        let mut iter = self.nodes[range].iter_mut().rev();
-        let mut d = match iter.next() {
-            Some(node) => node.backward(dy),
-            None => dy.clone(),
+        backward_nodes(&mut self.nodes[range], dy)
+    }
+
+    /// [`LoweredNet::backward_range`] for a caller that discards the
+    /// range's input gradient: the same parameter gradients accumulate,
+    /// but the range's first node runs [`Module::backward_params`] and so
+    /// skips computing a gradient nobody reads. The grouped training step
+    /// runs the network's first group through this.
+    ///
+    /// # Panics
+    ///
+    /// As [`LoweredNet::backward_range`].
+    pub(crate) fn backward_range_params(&mut self, range: Range<usize>, dy: &Tensor) {
+        let Some((first, rest)) = self.nodes[range].split_first_mut() else {
+            return;
         };
-        for node in iter {
-            d = node.backward(&d);
+        if rest.is_empty() {
+            first.backward_params(dy);
+        } else {
+            first.backward_params(&backward_nodes(rest, dy));
         }
-        d
     }
 
     /// Moves the backward caches of nodes `range` (the state the last
@@ -634,19 +670,50 @@ impl LoweredNet {
     /// of `MiniResNet::preactivation_means` (the Fig. 6 diagnostic).
     /// Returns `(0.0, 0.0)` if the network has no top-level norm node
     /// (norms inside blocks are not probed).
-    pub fn preactivation_means(&mut self, probe: &Tensor) -> (f32, f32) {
-        let mut x = probe.clone();
-        let mut first = None;
-        let mut last = None;
-        for node in &mut self.nodes {
-            x = node.forward_owned(x, false);
-            if matches!(&node.body, NodeBody::Single(m) if matches!(**m, LayerModule::Norm(_))) {
-                let mean = x.mean();
-                first.get_or_insert(mean);
-                last = Some(mean);
+    ///
+    /// The probe runs `chunk` samples at a time and stops at the last
+    /// top-level norm node, so its activations are no larger than a
+    /// training step's at batch `chunk` and the arena buffers they leave
+    /// behind are ones training reuses. Every node is per-sample and each
+    /// mean's f32 sum continues across chunks in element order, so the
+    /// result is bitwise the same for every `chunk`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is zero.
+    pub fn preactivation_means(&mut self, probe: &Tensor, chunk: usize) -> (f32, f32) {
+        assert!(chunk > 0, "probe chunk must be positive");
+        let (Some(first), Some(last)) = (
+            self.nodes.iter().position(NodeModule::is_norm),
+            self.nodes.iter().rposition(NodeModule::is_norm),
+        ) else {
+            return (0.0, 0.0);
+        };
+        // (running sum, elements) of the first and last norm's outputs.
+        let mut sums: [(Option<f32>, usize); 2] = [(None, 0); 2];
+        let n = probe.shape()[0];
+        let mut start = 0;
+        while start < n {
+            let end = (start + chunk).min(n);
+            let mut x = slice_batch_owned(probe, start, end);
+            for (i, node) in self.nodes[..=last].iter_mut().enumerate() {
+                x = node.forward_owned(x, false);
+                for (at, (sum, elems)) in [first, last].into_iter().zip(&mut sums) {
+                    if i == at {
+                        // `Tensor::sum` is a left fold: continuing it from
+                        // the previous chunk's partial is the one-shot sum.
+                        *sum = Some(match *sum {
+                            None => x.sum(),
+                            Some(s) => x.data().iter().fold(s, |a, &v| a + v),
+                        });
+                        *elems += x.len();
+                    }
+                }
             }
+            start = end;
         }
-        (first.unwrap_or(0.0), last.unwrap_or(0.0))
+        let [first, last] = sums.map(|(sum, elems)| sum.map_or(0.0, |s| s / elems as f32));
+        (first, last)
     }
 
     /// Folds every batch norm that directly follows a convolution into
@@ -696,6 +763,20 @@ impl LoweredNet {
         }
         folded
     }
+}
+
+/// Backward through `nodes` in reverse, returning the gradient with
+/// respect to the first node's input (`dy` itself for an empty slice).
+fn backward_nodes(nodes: &mut [NodeModule], dy: &Tensor) -> Tensor {
+    let mut iter = nodes.iter_mut().rev();
+    let mut d = match iter.next() {
+        Some(node) => node.backward(dy),
+        None => dy.clone(),
+    };
+    for node in iter {
+        d = node.backward(&d);
+    }
+    d
 }
 
 /// If `a` is a conv and `b` a batch norm, folds the norm into the conv
@@ -1170,6 +1251,46 @@ mod tests {
         let dy = Tensor::full(ya.shape(), 0.5);
         // Restored caches must reproduce the original backward bitwise.
         assert_eq!(a.backward(&dy), b.backward(&dy));
+    }
+
+    /// The probe's chunking is invisible: chunks of 1, 3 and all 8
+    /// samples give bitwise the means of the whole probe pushed through
+    /// the net in one shot, node by node, as the unchunked probe did.
+    #[test]
+    fn chunked_preactivation_probe_matches_one_shot_bitwise() {
+        for (net, size) in [
+            (toy::tiny_resnet(1, 4), 32),
+            (toy::tiny_inception(8, 4), 8),
+            (toy::runtime_mix(8, 4), 8),
+        ] {
+            let mut m = lower(&net, &mut rng()).unwrap();
+            let x = probe(&[8, 3, size, size]);
+            let norms: Vec<usize> = (0..net.nodes().len())
+                .filter(|&i| {
+                    matches!(&net.nodes()[i], Node::Single(l)
+                        if matches!(l.kind, LayerKind::Norm { .. }))
+                })
+                .collect();
+            assert!(!norms.is_empty(), "{}: needs a top-level norm", net.name());
+            let mut means = Vec::new();
+            let mut h = x.clone();
+            for i in 0..net.nodes().len() {
+                h = m.forward_range(i..i + 1, h, false);
+                if norms.contains(&i) {
+                    means.push(h.mean());
+                }
+            }
+            let one_shot = (means[0], means[means.len() - 1]);
+            for chunk in [1, 3, 8] {
+                let (first, last) = m.preactivation_means(&x, chunk);
+                assert_eq!(
+                    (first.to_bits(), last.to_bits()),
+                    (one_shot.0.to_bits(), one_shot.1.to_bits()),
+                    "{} chunk {chunk}",
+                    net.name()
+                );
+            }
+        }
     }
 
     /// A small conv→BN net with a second BN that does *not* follow a conv

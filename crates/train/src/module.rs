@@ -397,6 +397,14 @@ pub trait Module {
     /// gradients, and returns the input gradient.
     fn backward(&mut self, dy: &Tensor) -> Tensor;
 
+    /// [`Module::backward`] for a caller that discards the input gradient:
+    /// accumulates exactly the same parameter gradients and returns
+    /// nothing. The default runs `backward` and drops its result; layers
+    /// whose input gradient costs real work (convolution) skip it.
+    fn backward_params(&mut self, dy: &Tensor) {
+        let _ = self.backward(dy);
+    }
+
     /// Visits every parameter (used by optimizers and gradient checks).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 

@@ -8,6 +8,31 @@
 //! (AlexNet's cross-channel normalization) is likewise per-sample and
 //! MBS-compatible; the IR models it as `NormKind::Local` and the lowering
 //! maps it onto [`LocalResponseNorm`].
+//!
+//! # GroupNorm's reduction order
+//!
+//! Every GN reduction runs over one contiguous NCHW span: the forward's
+//! Σx and Σx² over a (sample, group) span of `channels/groups · h · w`
+//! elements, the backward's Σdy and Σdy·x̂ over a (sample, channel) plane
+//! of `h · w`. Element `i` of a span accumulates into f32 lane `i % 16`,
+//! and the 16 lanes then combine as a fixed binary tree (lane `l` takes
+//! `l + 8`, then `l + 4`, `l + 2`, `l + 1`). The backward's group sums
+//! Σγ·dy and Σγ·dy·x̂ are the per-channel sums weighted by γ and added
+//! in channel order; dγ and dβ add each sample's per-channel sums in
+//! sample order. Rust never contracts `a·b + c` into a fused
+//! multiply-add, so the order alone fixes every rounding: results are
+//! deterministic on every ISA and thread count, and a sample's outputs
+//! never depend on the rest of the batch. Before PR 25 each sum was one
+//! serial f32 chain (the compiler may not reassociate it, so it ran
+//! scalar at 1–1.5 ns per element); the lanes add the same terms in a
+//! different order, so results differ from then only by f32 rounding —
+//! smaller, if anything, since each lane's chain is 16× shorter.
+//!
+//! The variance is the one-pass `E[x²] − μ²`: it loses relative accuracy
+//! as `(μ/σ)²·2⁻²⁴` when a group's mean dwarfs its spread (bounded
+//! against an f64 reference in the tests). An inference forward
+//! (`train = false`) writes only `y`; x̂ is materialized for the backward
+//! cache alone, and both paths round `y` identically.
 
 #![allow(clippy::needless_range_loop)] // indexed loops read several parallel buffers
 
@@ -233,50 +258,97 @@ impl GroupNorm {
     }
 }
 
+/// Accumulator lanes of every GroupNorm reduction.
+const LANES: usize = 16;
+
+/// `(Σ a, Σ a·b)` over two equal-length slices: element `i` accumulates
+/// into f32 lane `i % LANES`, then [`pairwise`] combines the lanes. The
+/// independent lanes are what lets the compiler keep the sums in vector
+/// registers; the order depends only on the slice length.
+fn sum_and_dot(a: &[f32], b: &[f32]) -> (f32, f32) {
+    assert_eq!(a.len(), b.len(), "reduction operands must match");
+    let (a_body, a_tail) = a.as_chunks::<LANES>();
+    let (b_body, b_tail) = b.as_chunks::<LANES>();
+    let mut sum = [0.0f32; LANES];
+    let mut dot = [0.0f32; LANES];
+    for (ca, cb) in a_body.iter().zip(b_body) {
+        for l in 0..LANES {
+            sum[l] += ca[l];
+            dot[l] += ca[l] * cb[l];
+        }
+    }
+    for (l, (&va, &vb)) in a_tail.iter().zip(b_tail).enumerate() {
+        sum[l] += va;
+        dot[l] += va * vb;
+    }
+    (pairwise(sum), pairwise(dot))
+}
+
+/// Sums the lanes as a fixed binary tree: lane `l` takes lane
+/// `l + LANES/2`, then `l + LANES/4`, … down to lane 0.
+fn pairwise(mut lanes: [f32; LANES]) -> f32 {
+    let mut width = LANES / 2;
+    while width > 0 {
+        for l in 0..width {
+            lanes[l] += lanes[l + width];
+        }
+        width /= 2;
+    }
+    lanes[0]
+}
+
 impl Module for GroupNorm {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let [n, c, h, w]: [usize; 4] = x.shape().try_into().expect("gn expects 4-D");
+        let hw = h * w;
         let cpg = c / self.groups;
-        let m = (cpg * h * w) as f32;
-        let xd = x.data();
-        let mut y = Tensor::uninit(x.shape());
-        let mut xhat = Tensor::uninit(x.shape());
-        let mut ivar = vec![0.0f32; n * self.groups];
+        // One (sample, group) pair owns `span` contiguous NCHW elements.
+        let span = cpg * hw;
+        let m = span as f32;
         let gd = self.gamma.value.data();
         let bd = self.beta.value.data();
+        let mut y = Tensor::uninit(x.shape());
+        // Only a training forward materializes x̂: inference writes y alone.
+        let mut xhat = train.then(|| Tensor::uninit(x.shape()));
+        let mut ivar = vec![0.0f32; n * self.groups];
 
-        let yd = y.data_mut();
-        let xhd = xhat.data_mut();
-        for ni in 0..n {
-            for gi in 0..self.groups {
-                let mut sum = 0.0;
-                let mut sq = 0.0;
-                for cc in gi * cpg..(gi + 1) * cpg {
-                    let base = (ni * c + cc) * h * w;
-                    for &v in &xd[base..base + h * w] {
-                        sum += v;
-                        sq += v * v;
+        let spans = x
+            .data()
+            .chunks_exact(span)
+            .zip(y.data_mut().chunks_exact_mut(span));
+        for (s, (xs, ys)) in spans.enumerate() {
+            let (sum, sq) = sum_and_dot(xs, xs);
+            let mean = sum / m;
+            let var = (sq / m - mean * mean).max(0.0);
+            let iv = 1.0 / (var + EPS).sqrt();
+            ivar[s] = iv;
+            let c0 = (s % self.groups) * cpg;
+            let affine = gd[c0..c0 + cpg].iter().zip(&bd[c0..c0 + cpg]);
+            let channels = xs.chunks_exact(hw).zip(ys.chunks_exact_mut(hw)).zip(affine);
+            // Both arms evaluate `γ·((x − μ)·σ⁻¹) + β` identically, so eval
+            // and training outputs agree bitwise.
+            match &mut xhat {
+                Some(xhat) => {
+                    let xhs = xhat.data_mut()[s * span..(s + 1) * span].chunks_exact_mut(hw);
+                    for (((xc, yc), (&g, &b)), xhc) in channels.zip(xhs) {
+                        for (&v, xh) in xc.iter().zip(xhc.iter_mut()) {
+                            *xh = (v - mean) * iv;
+                        }
+                        for (&t, yv) in xhc.iter().zip(yc) {
+                            *yv = g * t + b;
+                        }
                     }
                 }
-                let mean = sum / m;
-                let var = (sq / m - mean * mean).max(0.0);
-                let iv = 1.0 / (var + EPS).sqrt();
-                ivar[ni * self.groups + gi] = iv;
-                for cc in gi * cpg..(gi + 1) * cpg {
-                    let base = (ni * c + cc) * h * w;
-                    let (gcc, bcc) = (gd[cc], bd[cc]);
-                    let xs = &xd[base..base + h * w];
-                    let xh = &mut xhd[base..base + h * w];
-                    let ys = &mut yd[base..base + h * w];
-                    for ((&v, xh_i), y_i) in xs.iter().zip(xh.iter_mut()).zip(ys.iter_mut()) {
-                        let t = (v - mean) * iv;
-                        *xh_i = t;
-                        *y_i = gcc * t + bcc;
+                None => {
+                    for ((xc, yc), (&g, &b)) in channels {
+                        for (&v, yv) in xc.iter().zip(yc) {
+                            *yv = g * ((v - mean) * iv) + b;
+                        }
                     }
                 }
             }
         }
-        if train {
+        if let Some(xhat) = xhat {
             self.cache = Some(GnCache { xhat, ivar });
         }
         y
@@ -287,57 +359,45 @@ impl Module for GroupNorm {
             .cache
             .as_ref()
             .expect("backward requires a training forward");
-        let [n, c, h, w]: [usize; 4] = dy.shape().try_into().expect("gn expects 4-D");
+        let [_, c, h, w]: [usize; 4] = dy.shape().try_into().expect("gn expects 4-D");
+        let hw = h * w;
         let cpg = c / self.groups;
-        let m = (cpg * h * w) as f32;
-        let dyd = dy.data();
-        let xh = cache.xhat.data();
+        let span = cpg * hw;
+        let m = span as f32;
         let gd = self.gamma.value.data();
-        // Every element of dx is written below (all groups × all channels
-        // cover the tensor), so the buffer starts uninitialized.
+        let dgamma = self.gamma.grad.data_mut();
+        let dbeta = self.beta.grad.data_mut();
+        // Every element of dx is written below (the (sample, group) spans
+        // tile the tensor), so the buffer starts uninitialized.
         let mut dx = Tensor::uninit(dy.shape());
 
-        // Per-channel parameter gradients.
-        for cc in 0..c {
-            let mut s_dy = 0.0;
-            let mut s_dyx = 0.0;
-            for ni in 0..n {
-                let base = (ni * c + cc) * h * w;
-                for (&d, &xv) in dyd[base..base + h * w].iter().zip(&xh[base..base + h * w]) {
-                    s_dy += d;
-                    s_dyx += d * xv;
-                }
+        let spans = dy
+            .data()
+            .chunks_exact(span)
+            .zip(cache.xhat.data().chunks_exact(span))
+            .zip(dx.data_mut().chunks_exact_mut(span));
+        for (s, ((dys, xhs), dxs)) in spans.enumerate() {
+            let c0 = (s % self.groups) * cpg;
+            // Per-(sample, channel) Σdy and Σdy·x̂ feed dβ and dγ directly
+            // and, weighted by γ, the group sums Σγ·dy and Σγ·dy·x̂.
+            let mut sum_g = 0.0;
+            let mut sum_gx = 0.0;
+            for (k, (dc, xc)) in dys.chunks_exact(hw).zip(xhs.chunks_exact(hw)).enumerate() {
+                let cc = c0 + k;
+                let (s_dy, s_dyx) = sum_and_dot(dc, xc);
+                dbeta[cc] += s_dy;
+                dgamma[cc] += s_dyx;
+                sum_g += gd[cc] * s_dy;
+                sum_gx += gd[cc] * s_dyx;
             }
-            self.beta.grad.data_mut()[cc] += s_dy;
-            self.gamma.grad.data_mut()[cc] += s_dyx;
-        }
-
-        // Per-(sample, group) input gradients.
-        let dxd = dx.data_mut();
-        for ni in 0..n {
-            for gi in 0..self.groups {
-                let mut sum_g = 0.0; // Σ γ·dy
-                let mut sum_gx = 0.0; // Σ γ·dy·xhat
-                for cc in gi * cpg..(gi + 1) * cpg {
-                    let base = (ni * c + cc) * h * w;
-                    let gcc = gd[cc];
-                    for (&d, &xv) in dyd[base..base + h * w].iter().zip(&xh[base..base + h * w]) {
-                        let g = gcc * d;
-                        sum_g += g;
-                        sum_gx += g * xv;
-                    }
-                }
-                let iv = cache.ivar[ni * self.groups + gi];
-                for cc in gi * cpg..(gi + 1) * cpg {
-                    let base = (ni * c + cc) * h * w;
-                    let gcc = gd[cc];
-                    let dys = &dyd[base..base + h * w];
-                    let xs = &xh[base..base + h * w];
-                    let dst = &mut dxd[base..base + h * w];
-                    for ((&d, &xv), out) in dys.iter().zip(xs).zip(dst.iter_mut()) {
-                        let g = gcc * d;
-                        *out = iv / m * (m * g - sum_g - xv * sum_gx);
-                    }
+            let scale = cache.ivar[s] / m;
+            let channels = dys
+                .chunks_exact(hw)
+                .zip(xhs.chunks_exact(hw))
+                .zip(dxs.chunks_exact_mut(hw));
+            for (((dc, xc), dxc), &g) in channels.zip(&gd[c0..c0 + cpg]) {
+                for ((&d, &xv), out) in dc.iter().zip(xc).zip(dxc) {
+                    *out = scale * (m * (g * d) - sum_g - xv * sum_gx);
                 }
             }
         }
@@ -794,6 +854,191 @@ mod tests {
     fn gn_gradient_matches_finite_difference() {
         let mut gn = GroupNorm::new(4, 2);
         grad_check_norm(&mut gn, &[2, 4, 4, 4]);
+    }
+
+    /// `len` values of `offset + spread·u`, `u` uniform in `[-1, 1)` from a
+    /// seeded LCG (aperiodic at every test length, unlike [`seeded`]).
+    fn lcg(len: usize, seed: u64, offset: f32, spread: f32) -> Vec<f32> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let u = (s >> 40) as f32 / (1u64 << 24) as f32;
+                offset + spread * (2.0 * u - 1.0)
+            })
+            .collect()
+    }
+
+    /// A GN layer with non-trivial γ and β.
+    fn gn_with_affine(c: usize, groups: usize) -> GroupNorm {
+        let mut gn = GroupNorm::new(c, groups);
+        gn.gamma.value = Tensor::from_vec(&[c], lcg(c, 11, 1.0, 0.5));
+        gn.beta.value = Tensor::from_vec(&[c], lcg(c, 12, 0.0, 0.5));
+        gn
+    }
+
+    /// What the f64 reference computes for one GN forward and backward.
+    struct GnReference {
+        y: Vec<f64>,
+        xhat: Vec<f64>,
+        ivar: Vec<f64>,
+        dx: Vec<f64>,
+        dgamma: Vec<f64>,
+        dbeta: Vec<f64>,
+    }
+
+    /// GN forward and backward in f64 with a two-pass variance — the
+    /// textbook formulas, no shared code with the f32 kernels.
+    fn gn_reference(
+        x: &[f32],
+        dy: &[f32],
+        shape: [usize; 4],
+        groups: usize,
+        gamma: &[f32],
+        beta: &[f32],
+    ) -> GnReference {
+        let [n, c, h, w] = shape;
+        let span = c / groups * h * w;
+        let m = span as f64;
+        let mut r = GnReference {
+            y: vec![0.0; x.len()],
+            xhat: vec![0.0; x.len()],
+            ivar: vec![0.0; n * groups],
+            dx: vec![0.0; x.len()],
+            dgamma: vec![0.0; c],
+            dbeta: vec![0.0; c],
+        };
+        let chan = |i: usize| i / (h * w) % c;
+        for s in 0..n * groups {
+            let idx = s * span..(s + 1) * span;
+            let mean = idx.clone().map(|i| x[i] as f64).sum::<f64>() / m;
+            let var = idx
+                .clone()
+                .map(|i| (x[i] as f64 - mean).powi(2))
+                .sum::<f64>()
+                / m;
+            let iv = 1.0 / (var + EPS as f64).sqrt();
+            r.ivar[s] = iv;
+            let (mut sum_g, mut sum_gx) = (0.0, 0.0);
+            for i in idx.clone() {
+                let g = gamma[chan(i)] as f64;
+                let xh = (x[i] as f64 - mean) * iv;
+                r.xhat[i] = xh;
+                r.y[i] = g * xh + beta[chan(i)] as f64;
+                r.dbeta[chan(i)] += dy[i] as f64;
+                r.dgamma[chan(i)] += dy[i] as f64 * xh;
+                sum_g += g * dy[i] as f64;
+                sum_gx += g * dy[i] as f64 * xh;
+            }
+            for i in idx {
+                let g = gamma[chan(i)] as f64 * dy[i] as f64;
+                r.dx[i] = iv / m * (m * g - sum_g - r.xhat[i] * sum_gx);
+            }
+        }
+        r
+    }
+
+    /// Largest absolute error relative to the largest reference magnitude.
+    fn rel_err(got: &[f32], want: &[f64]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        let scale = want.iter().fold(0.0f64, |a, v| a.max(v.abs())).max(1e-30);
+        let err = got
+            .iter()
+            .zip(want)
+            .fold(0.0f64, |a, (&g, &r)| a.max((g as f64 - r).abs()));
+        err / scale
+    }
+
+    /// Every GN output — `y`, the cached `x̂` and `σ⁻¹`, and `dx`, `dγ`,
+    /// `dβ` — against the f64 reference, over spans that are and are not
+    /// multiples of the 16 accumulator lanes, one channel per group, one
+    /// group, several samples, and inputs whose mean dwarfs their spread
+    /// (where the one-pass `E[x²] − μ²` variance loses the most).
+    #[test]
+    fn gn_matches_f64_reference() {
+        // (shape, groups, input offset, input spread, bound). The spread
+        // is uniform, so σ = spread/√3. The one-pass variance cancels
+        // relative error ~(μ/σ)²·2⁻²⁴ into σ⁻¹: observed 7e-5 at μ/σ ≈ 28
+        // and 1.2e-3 at μ/σ ≈ 104, against ~2e-7 for centred inputs.
+        let cases: [([usize; 4], usize, f32, f32, f64); 6] = [
+            ([2, 4, 3, 5], 2, 0.0, 2.0, 1e-5),
+            ([1, 6, 7, 7], 6, 0.5, 1.0, 1e-5),
+            ([3, 4, 5, 4], 1, -1.0, 3.0, 1e-5),
+            ([2, 8, 16, 16], 4, 0.0, 1.0, 1e-5),
+            ([2, 6, 9, 9], 3, 8.0, 0.5, 2e-4),
+            ([1, 4, 11, 13], 2, 30.0, 0.5, 5e-3),
+        ];
+        for (ci, (shape, groups, offset, spread, bound)) in cases.into_iter().enumerate() {
+            let len: usize = shape.iter().product();
+            let x = Tensor::from_vec(&shape, lcg(len, ci as u64, offset, spread));
+            let dy = Tensor::from_vec(&shape, lcg(len, 100 + ci as u64, 0.0, 1.0));
+            let mut gn = gn_with_affine(shape[1], groups);
+            let want = gn_reference(
+                x.data(),
+                dy.data(),
+                shape,
+                groups,
+                gn.gamma.value.data(),
+                gn.beta.value.data(),
+            );
+            let y = gn.forward(&x, true);
+            let cache = gn.cache.as_ref().expect("training forward caches");
+            let errs = [
+                ("y", rel_err(y.data(), &want.y)),
+                ("xhat", rel_err(cache.xhat.data(), &want.xhat)),
+                ("ivar", rel_err(&cache.ivar, &want.ivar)),
+            ];
+            let dx = gn.backward(&dy);
+            let errs = errs.into_iter().chain([
+                ("dx", rel_err(dx.data(), &want.dx)),
+                ("dgamma", rel_err(gn.gamma.grad.data(), &want.dgamma)),
+                ("dbeta", rel_err(gn.beta.grad.data(), &want.dbeta)),
+            ]);
+            for (what, err) in errs {
+                assert!(
+                    err <= bound,
+                    "case {ci} {shape:?}/{groups} (mean {offset}, spread {spread}): \
+                     {what} relative error {err:e} > {bound:e}"
+                );
+            }
+        }
+    }
+
+    /// GN is per-sample (the property MBS relies on), and so is its
+    /// arithmetic: a batch's `y` and `dx` equal each sample's own, bitwise.
+    #[test]
+    fn gn_batched_equals_per_sample_bitwise() {
+        let shape = [3, 6, 5, 7];
+        let len: usize = shape.iter().product();
+        let x = Tensor::from_vec(&shape, lcg(len, 1, 0.3, 2.0));
+        let dy = Tensor::from_vec(&shape, lcg(len, 2, 0.0, 1.0));
+        let mut batched = gn_with_affine(6, 3);
+        let y = batched.forward(&x, true);
+        let dx = batched.backward(&dy);
+        for i in 0..3 {
+            let mut single = gn_with_affine(6, 3);
+            let yi = single.forward(&slice_batch(&x, i, i + 1), true);
+            assert_eq!(yi, slice_batch(&y, i, i + 1), "sample {i} y");
+            let dxi = single.backward(&slice_batch(&dy, i, i + 1));
+            assert_eq!(dxi, slice_batch(&dx, i, i + 1), "sample {i} dx");
+        }
+    }
+
+    /// An inference forward writes only `y` — bitwise the training
+    /// forward's — and materializes no backward cache.
+    #[test]
+    fn gn_eval_forward_matches_train_and_caches_nothing() {
+        let shape = [2, 8, 9, 9];
+        let len: usize = shape.iter().product();
+        let x = Tensor::from_vec(&shape, lcg(len, 3, 1.0, 2.0));
+        let mut gn = gn_with_affine(8, 4);
+        let y_eval = gn.forward(&x, false);
+        assert!(gn.cache.is_none(), "an eval forward must not cache x̂");
+        let y_train = gn.forward(&x, true);
+        assert_eq!(y_eval, y_train);
+        assert!(gn.cache.is_some());
     }
 
     #[test]

@@ -619,7 +619,7 @@ fn run_grouped(
             }
         }
         let (_, err) = evaluate(&mut model, &val_set.images, &val_set.labels, cfg.batch);
-        let (first, last) = model.preactivation_means(&probe);
+        let (first, last) = model.preactivation_means(&probe, cfg.batch);
         curve.push(EpochStats {
             epoch,
             train_loss: loss_sum / steps.max(1) as f32,

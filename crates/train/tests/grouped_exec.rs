@@ -244,6 +244,68 @@ fn equivalence_matrix_inception_and_alexnet_toys() {
     }
 }
 
+/// `train_step` skips the first node's input gradient (nobody reads it);
+/// that must not change what training computes. Its parameters stay
+/// bitwise equal to a step written out over the public calls — forward,
+/// `backward_from_logits` (which still computes the input gradient), one
+/// optimizer step — under both backward strategies.
+#[test]
+fn train_step_matches_forward_backward_from_logits_bitwise() {
+    use mbs_tensor::ops::{cross_entropy, softmax, softmax_xent_backward};
+
+    let batch = 4;
+    for (net, size) in [
+        (toy::tiny_resnet(1, batch), 32),
+        (toy::tiny_inception(8, batch), 8),
+        (toy::runtime_mix(8, batch), 8),
+    ] {
+        let nodes = net.nodes().len();
+        let schedule = Schedule::new(
+            ExecConfig::Mbs1,
+            batch,
+            vec![
+                Group::new(0, nodes / 2, 2, batch),
+                Group::new(nodes / 2, nodes, batch, batch),
+            ],
+            true,
+        );
+        let d = generate(batch, size, 0.3, 97);
+        for stashing in [true, false] {
+            let (mut stepped, mut spelled) = lowered_pair(&net, 51);
+            let mut ea = GroupedExecutor::new(&schedule, stepped.len());
+            let mut eb = GroupedExecutor::new(&schedule, spelled.len());
+            ea.set_stashing(stashing);
+            eb.set_stashing(stashing);
+            let mut oa = Sgd::new(0.05, 0.9, 1e-4);
+            let mut ob = Sgd::new(0.05, 0.9, 1e-4);
+            for step in 0..2 {
+                let la = ea.train_step(&mut stepped, &d.images, &d.labels, &mut oa);
+                spelled.zero_grad();
+                let logits = eb.forward(&mut spelled, &d.images, true);
+                let probs = softmax(logits);
+                let lb = cross_entropy(&probs, &d.labels);
+                let dlogits = softmax_xent_backward(&probs, &d.labels, batch);
+                let dx = eb.backward_from_logits(&mut spelled, &d.images, dlogits);
+                assert_eq!(dx.shape(), d.images.shape(), "dx still returned");
+                ob.step(&mut spelled);
+                assert_eq!(
+                    la.to_bits(),
+                    lb.to_bits(),
+                    "{} stash={stashing} step {step}: loss",
+                    net.name()
+                );
+            }
+            let mut pa = Vec::new();
+            stepped.visit_params(&mut |p| pa.push(p.value.clone()));
+            let mut i = 0;
+            spelled.visit_params(&mut |p| {
+                assert_eq!(pa[i], p.value, "{} stash={stashing} param {i}", net.name());
+                i += 1;
+            });
+        }
+    }
+}
+
 /// Full-network acceptance: a scheduler-chosen grouped train step on the
 /// real `inception_v3()` (299×299, concat blocks, avg pools) and
 /// `alexnet()` (227×227, LRN, big FCs) matches the uniform serialized
