@@ -3,9 +3,10 @@
 //! underpins MBS's correctness claim.
 //!
 //! Scaled-down substitution: the paper trains ResNet50 on ImageNet for 90
-//! epochs on 4 GPUs; we train the same *algorithm* (a residual CNN with the
-//! same normalization choices and the same MBS serialized executor) on a
-//! seeded synthetic texture-classification task
+//! epochs on 4 GPUs; we train the same *algorithm* (a residual CNN,
+//! [`toy::fig6_resnet`], with the same normalization choices, every step
+//! run by the grouped executor under a one-group [`Schedule::uniform`]) on
+//! a seeded synthetic texture-classification task
 //! ([`mbs_train::data::generate`], whose docs describe the classes). What
 //! carries over is relative — the shape of the BN vs GN+MBS curves and the
 //! §3 equivalence of serialized and full-batch GN — so absolute error
@@ -15,12 +16,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
+use mbs_cnn::networks::toy;
+use mbs_cnn::NormKind;
+use mbs_core::Schedule;
 use mbs_train::data::{generate, Dataset};
-use mbs_train::executor::{train_step_full, train_step_mbs};
-use mbs_train::model::MiniResNet;
-use mbs_train::norm::NormChoice;
+use mbs_train::executor::train_step_full;
+use mbs_train::grouped::GroupedExecutor;
+use mbs_train::lower::lower;
 use mbs_train::optim::Sgd;
-use mbs_train::training::{train, EpochStats, TrainConfig};
+use mbs_train::training::{train_grouped, EpochStats, TrainConfig};
 use mbs_train::Module;
 
 use crate::table::TextTable;
@@ -32,9 +36,9 @@ pub struct Point {
     pub epoch: usize,
     /// Validation error %.
     pub val_error_pct: f64,
-    /// Mean of the first normalization layer's output.
+    /// Mean input of the first top-level ReLU (the first pre-activation).
     pub preact_first: f32,
-    /// Mean of the last normalization layer's output.
+    /// Mean input of the last top-level ReLU.
     pub preact_last: f32,
 }
 
@@ -54,7 +58,7 @@ impl From<&EpochStats> for Point {
 pub struct Fig06 {
     /// BN, conventionally propagated.
     pub bn: Vec<Point>,
-    /// GN propagated with the MBS serialized executor.
+    /// GN propagated at a uniform MBS sub-batch of 4.
     pub gn_mbs: Vec<Point>,
     /// No normalization (the paper's divergent pre-activation case).
     pub no_norm: Vec<Point>,
@@ -90,24 +94,29 @@ pub fn run(scale: Scale) -> Fig06 {
     let train_set = generate(n_train, size, noise, 101);
     let val_set = generate(n_val, size, noise, 202);
 
-    let cfg = |sub: Option<usize>| TrainConfig {
+    let cfg = TrainConfig {
         epochs,
-        batch: 16,
-        sub_batch: sub,
+        batch: BATCH,
         base_lr: 0.05,
-        lr_milestones: milestones.clone(),
+        lr_milestones: milestones,
         momentum: 0.9,
         weight_decay: 1e-4,
-        blocks_per_stage: 1,
         seed: 1234,
         ..TrainConfig::default()
     };
+    // One leg: the Fig. 6 model with `norm`, every step propagating `sub`
+    // samples at a time (`sub = BATCH` is the conventional step).
+    let leg = |norm: Option<NormKind>, sub: usize| {
+        let net = toy::fig6_resnet(size, CLASSES, 1, norm, BATCH);
+        let schedule = Schedule::uniform(&net, BATCH, sub);
+        train_grouped(&net, &schedule, &train_set, &val_set, &cfg).expect("fig6 leg trains")
+    };
 
-    let bn = train(NormChoice::Batch, &train_set, &val_set, &cfg(None));
-    let gn_mbs = train(NormChoice::Group(4), &train_set, &val_set, &cfg(Some(4)));
-    let no_norm = train(NormChoice::None, &train_set, &val_set, &cfg(None));
+    let bn = leg(Some(NormKind::Batch), BATCH);
+    let gn_mbs = leg(Some(GN), 4);
+    let no_norm = leg(None, BATCH);
 
-    let equivalence = equivalence_check(&train_set);
+    let equivalence = equivalence_check(&train_set, size);
     let final_errors = (
         bn.last().map(|e| e.val_error_pct).unwrap_or(100.0),
         gn_mbs.last().map(|e| e.val_error_pct).unwrap_or(100.0),
@@ -121,19 +130,29 @@ pub fn run(scale: Scale) -> Fig06 {
     }
 }
 
-/// Trains two identically-seeded GN models — one full-batch, one MBS
-/// serialized — for a few steps and returns the max parameter difference.
-fn equivalence_check(set: &Dataset) -> f32 {
-    let mut full = MiniResNet::new(3, 4, 1, NormChoice::Group(4), &mut StdRng::seed_from_u64(7));
-    let mut mbs = MiniResNet::new(3, 4, 1, NormChoice::Group(4), &mut StdRng::seed_from_u64(7));
+/// Mini-batch size of every leg.
+const BATCH: usize = 16;
+/// Classes of the synthetic task.
+const CLASSES: usize = 4;
+/// The group norm of the GN leg.
+const GN: NormKind = NormKind::Group { groups: 4 };
+
+/// Trains two identically-seeded lowered GN models — one full-batch, one
+/// at a uniform MBS sub-batch of 4 — for a few steps and returns the max
+/// parameter difference.
+fn equivalence_check(set: &Dataset, size: usize) -> f32 {
+    let net = toy::fig6_resnet(size, CLASSES, 1, Some(GN), BATCH);
+    let mut full = lower(&net, &mut StdRng::seed_from_u64(7)).expect("fig6_resnet lowers");
+    let mut mbs = lower(&net, &mut StdRng::seed_from_u64(7)).expect("fig6_resnet lowers");
+    let mut exec = GroupedExecutor::new(&Schedule::uniform(&net, BATCH, 4), mbs.len());
     let mut oa = Sgd::new(0.05, 0.9, 1e-4);
     let mut ob = Sgd::new(0.05, 0.9, 1e-4);
-    let n = set.len().min(16);
+    let n = set.len().min(BATCH);
     let x = mbs_train::module::slice_batch(&set.images, 0, n);
     let labels = &set.labels[..n];
     for _ in 0..5 {
         let _ = train_step_full(&mut full, &x, labels, &mut oa);
-        let _ = train_step_mbs(&mut mbs, &x, labels, 4, &mut ob);
+        let _ = exec.train_step(&mut mbs, &x, labels, &mut ob);
     }
     let mut params = Vec::new();
     full.visit_params(&mut |p| params.push(p.value.clone()));

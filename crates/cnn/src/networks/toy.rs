@@ -32,9 +32,9 @@ pub fn fig1_toy() -> Network {
 /// A small residual network (stem + `blocks` bottleneck-free residual pairs
 /// per stage over two stages), useful for exercising block scheduling
 /// without ResNet-scale compute.
-pub fn tiny_resnet(blocks_per_stage: usize, default_batch: usize) -> Network {
+pub fn tiny_resnet(blocks: usize, default_batch: usize) -> Network {
     let mut b = NetworkBuilder::new(
-        format!("TinyResNet{blocks_per_stage}"),
+        format!("TinyResNet{blocks}"),
         FeatureShape::new(3, 32, 32),
         default_batch,
     );
@@ -43,7 +43,7 @@ pub fn tiny_resnet(blocks_per_stage: usize, default_batch: usize) -> Network {
     }
     for stage in 0..2 {
         let channels = 16 << stage;
-        for i in 0..blocks_per_stage {
+        for i in 0..blocks {
             let input = b.shape();
             let stride = if stage > 0 && i == 0 { 2 } else { 1 };
             let name = format!("res{stage}_{i}");
@@ -83,6 +83,74 @@ pub fn tiny_resnet(blocks_per_stage: usize, default_batch: usize) -> Network {
     }
     b = b.global_avg_pool("gap");
     b.fully_connected("fc", 10).build()
+}
+
+/// The paper's Fig. 6 training model, scaled down: a 3×3 stem conv, two
+/// stages of `blocks` two-conv residual blocks (16 and 32 channels, the
+/// second stage entering at stride 2, projection shortcuts where the shape
+/// changes), then — as in [`super::resnet_custom`] — a top-level norm →
+/// ReLU before global average pooling and a `classes`-way classifier, on
+/// `size`×`size` RGB inputs. Every conv is followed by a `norm` layer of
+/// the given kind; `None` builds the same net without any norm layer (the
+/// figure's un-normalized leg).
+pub fn fig6_resnet(
+    size: usize,
+    classes: usize,
+    blocks: usize,
+    norm: Option<NormKind>,
+    default_batch: usize,
+) -> Network {
+    // Conv (same-padded) followed by the optional norm.
+    let conv_norm = |prefix: &str, input: FeatureShape, out: usize, kernel: usize, stride| {
+        let conv = Layer::conv(
+            format!("{prefix}.conv"),
+            input,
+            out,
+            kernel,
+            stride,
+            kernel / 2,
+        )
+        .unwrap_or_else(|e| panic!("fig6_resnet {prefix}: {e}"));
+        let shape = conv.output;
+        let mut layers = vec![conv];
+        layers.extend(norm.map(|kind| Layer::norm(format!("{prefix}.norm"), shape, kind)));
+        layers
+    };
+    let mut b = NetworkBuilder::new(
+        format!("Fig6ResNet{blocks}"),
+        FeatureShape::new(3, size, size),
+        default_batch,
+    );
+    for l in conv_norm("stem", b.shape(), 16, 3, 1) {
+        b = b.push(Node::Single(l));
+    }
+    b = b.relu("stem.relu");
+    for (stage, width) in [16, 32].into_iter().enumerate() {
+        for i in 0..blocks {
+            let input = b.shape();
+            let stride = if stage > 0 && i == 0 { 2 } else { 1 };
+            let name = format!("res{stage}_{i}");
+            let mut main = conv_norm(&format!("{name}.1"), input, width, 3, stride);
+            let mid = main.last().expect("non-empty").output;
+            main.push(Layer::relu(format!("{name}.1.relu"), mid));
+            main.extend(conv_norm(&format!("{name}.2"), mid, width, 3, 1));
+            let shortcut = if stride != 1 || input.channels != width {
+                conv_norm(&format!("{name}.sc"), input, width, 1, stride)
+            } else {
+                Vec::new()
+            };
+            let block = Block::residual(&name, input, main, shortcut)
+                .unwrap_or_else(|e| panic!("fig6_resnet block {name}: {e}"));
+            b = b.block(block);
+        }
+    }
+    if let Some(kind) = norm {
+        b = b.norm("final.norm", kind);
+    }
+    b.relu("final.relu")
+        .global_avg_pool("gap")
+        .fully_connected("fc", classes)
+        .build()
 }
 
 /// The runtime-lowering showcase: a network that exercises every IR
@@ -237,6 +305,26 @@ mod tests {
         let net = tiny_resnet(2, 8);
         assert_eq!(net.nodes().iter().filter(|n| n.is_block()).count(), 4);
         assert_eq!(net.output().channels, 10);
+    }
+
+    #[test]
+    fn fig6_resnet_has_two_stages_and_optional_norms() {
+        let norms = |net: &Network| {
+            net.layers()
+                .filter(|l| matches!(l.kind, crate::LayerKind::Norm { .. }))
+                .count()
+        };
+        let gn = fig6_resnet(8, 4, 2, Some(NormKind::Group { groups: 4 }), 8);
+        assert_eq!(gn.nodes().iter().filter(|n| n.is_block()).count(), 4);
+        // Stride-2 second stage, 32 channels into the classifier.
+        let last_block = gn.nodes().iter().rfind(|n| n.is_block()).unwrap();
+        assert_eq!(last_block.output(), FeatureShape::new(32, 4, 4));
+        assert_eq!(gn.output().channels, 4);
+        // Stem + 2 per block + 1 projection shortcut + the final norm.
+        assert_eq!(norms(&gn), 1 + 2 * 4 + 1 + 1);
+        let plain = fig6_resnet(8, 4, 2, None, 8);
+        assert_eq!(norms(&plain), 0);
+        assert_eq!(plain.nodes().len(), gn.nodes().len() - 2);
     }
 
     #[test]

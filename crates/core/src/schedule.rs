@@ -102,6 +102,39 @@ impl Schedule {
         }
     }
 
+    /// The uniform schedule of paper Tab. 3's MBS-FS: one
+    /// [`ExecConfig::MbsFs`] group over every node of `net`, propagating
+    /// `sub` samples at a time (clamped to `1..=batch`, as
+    /// [`Group::new`] does). `sub = batch` is the conventional full-batch
+    /// step. Nothing about the hardware is known here, so the schedule
+    /// reports that it [`fits`](Schedule::fits).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mbs_core::Schedule;
+    ///
+    /// let net = mbs_cnn::networks::toy::runtime_mix(8, 8);
+    /// let s = Schedule::uniform(&net, 8, 3);
+    /// assert_eq!(s.groups().len(), 1);
+    /// assert_eq!(s.node_count(), net.nodes().len());
+    /// assert_eq!(s.groups()[0].iterations, 3);
+    /// ```
+    pub fn uniform(net: &Network, batch: usize, sub: usize) -> Self {
+        let len = net.nodes().len();
+        let groups = (len > 0)
+            .then(|| Group::new(0, len, sub, batch))
+            .into_iter()
+            .collect();
+        Self::new(ExecConfig::MbsFs, batch, groups, true)
+    }
+
+    /// This schedule with its [`fits`](Schedule::fits) flag replaced.
+    pub(crate) fn with_fits(mut self, fits: bool) -> Self {
+        self.fits = fits;
+        self
+    }
+
     /// The execution configuration this schedule was built for.
     pub fn config(&self) -> ExecConfig {
         self.config

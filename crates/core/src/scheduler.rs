@@ -144,13 +144,8 @@ impl<'a> MbsScheduler<'a> {
 
     fn full_serial(&self) -> Schedule {
         let (subs, fits) = self.node_subs();
-        let len = self.net.nodes().len();
-        if len == 0 {
-            return Schedule::new(self.config, self.batch, Vec::new(), true);
-        }
         let sub = subs.iter().copied().min().unwrap_or(self.batch);
-        let groups = vec![Group::new(0, len, sub, self.batch)];
-        Schedule::new(self.config, self.batch, groups, fits)
+        Schedule::uniform(self.net, self.batch, sub).with_fits(fits)
     }
 
     /// Initial groups (equal iteration counts) followed by greedy merging.

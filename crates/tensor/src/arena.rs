@@ -13,9 +13,9 @@
 //! allocator**: `Tensor` stores its data as a [`Scratch`], so every layer
 //! output, gradient, and cache produced inside the serialized training loop
 //! recycles a pooled buffer instead of hitting the system allocator. After
-//! a warm-up step the steady-state `train_step_mbs` loop runs with zero
-//! arena misses (pinned by `crates/train/tests/steady_state_alloc.rs`; the
-//! repository benchmark reports `tensor.arena_misses_per_step`).
+//! a warm-up step the steady-state grouped training step runs with zero
+//! arena misses (pinned by `crates/train/tests/grouped_steady_state.rs`;
+//! the repository benchmark reports `tensor.arena_misses_per_step`).
 //!
 //! The pool is process-global and thread-safe; GEMM worker threads check
 //! buffers in and out independently. [`stats`] exposes hit/miss counters so
@@ -39,9 +39,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Buffers kept in the pool at once; excess buffers are simply freed.
-/// Sized for the training hot loop: a MiniResNet sub-batch step cycles
-/// layer outputs, backward gradients, and per-layer caches through the
-/// pool, and evicting any of them re-introduces a steady-state miss.
+/// Sized for the training hot loop: a sub-batch step cycles layer
+/// outputs, backward gradients, and per-layer caches through the pool,
+/// and evicting any of them re-introduces a steady-state miss.
 const MAX_POOLED: usize = 256;
 
 /// Largest single buffer worth pooling (elements). Anything bigger is

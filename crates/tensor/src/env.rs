@@ -12,7 +12,7 @@
 //!
 //! | knob | grammar | parser |
 //! |---|---|---|
-//! | `MBS_FUSE`, `MBS_STASH` | on/off flag | [`parse_flag`] |
+//! | `MBS_STASH` | on/off flag | [`parse_flag`] |
 //! | `MBS_THREADS`, `MBS_CKPT_EVERY` | non-negative integer | [`parse_usize`] |
 //! | `MBS_SERVE_DEADLINE_US`, `MBS_SERVE_MAX_RESPAWNS` | non-negative integer | [`parse_usize`] |
 //! | `MBS_CACHE_BUDGET` | byte size with K/M/G suffix | [`parse_byte_size`] |
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn flag_knobs_accept_both_spellings() {
-        // MBS_FUSE / MBS_STASH grammar.
+        // MBS_STASH grammar.
         for on in ["1", "true", "TRUE", "on", "yes", " On "] {
             assert_eq!(parse_flag(on), Some(true), "{on:?}");
         }

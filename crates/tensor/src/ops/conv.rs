@@ -16,7 +16,6 @@
 use crate::ops::activation::{relu_inplace, BitMask};
 use crate::ops::direct::{self, Exec};
 use crate::ops::im2col::Conv2dCfg;
-use crate::ops::pack::fuse_enabled;
 use crate::tensor::Tensor;
 
 /// Loop-nest convolution forward; the reference for the direct path.
@@ -88,8 +87,7 @@ pub fn conv2d(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
 
 /// [`conv2d`] with a per-channel bias and optional ReLU fused in: both
 /// ride the register tile's store into the NCHW output — zero extra passes
-/// over it. Honors the process-wide `MBS_FUSE` knob; the mask (when
-/// `relu`) is in NCHW element order, ready for
+/// over it. The mask (when `relu`) is in NCHW element order, ready for
 /// [`crate::ops::relu_backward`].
 ///
 /// # Panics
@@ -103,12 +101,13 @@ pub fn conv2d_fused(
     relu: bool,
     cfg: Conv2dCfg,
 ) -> (Tensor, Option<BitMask>) {
-    conv2d_fused_with(x, w, bias, relu, cfg, fuse_enabled())
+    conv2d_fused_with(x, w, bias, relu, cfg, true)
 }
 
-/// [`conv2d_fused`] with the fused/unfused decision made explicitly
-/// (`fused = false` runs plain [`conv2d`], then a bias pass, then
-/// [`relu_inplace`]; the parity tests pin both paths bitwise-equal).
+/// [`conv2d_fused`] with the fused/unfused decision made explicitly.
+/// `fused = false` is the test oracle: plain [`conv2d`], then a bias
+/// pass, then [`relu_inplace`]; the parity tests pin it bitwise-equal to
+/// the fused store.
 pub fn conv2d_fused_with(
     x: &Tensor,
     w: &Tensor,

@@ -463,8 +463,8 @@ impl Correlation<'_> {
             let chan = (item / blocks) * self.out_chans + (item % blocks * cb).min(self.out_chans);
             chan * self.out_chan_len
         };
-        let work = |_, items: Range<usize>, chunk: &mut [f32]| {
-            let mut buf = arena::take(self.chans * self.chan_stride);
+        let planes = |_| arena::take(self.chans * self.chan_stride);
+        let work = |_, items: Range<usize>, chunk: &mut [f32], mut buf: Scratch| {
             let first = bound(items.start);
             let mut staged = usize::MAX;
             for item in items {
@@ -479,7 +479,7 @@ impl Correlation<'_> {
                 }
             }
         };
-        scoped_chunks(out, n * blocks, self.threads, bound, work);
+        scoped_chunks(out, n * blocks, self.threads, planes, bound, work);
     }
 
     /// One pass for one `(sample, channel block)`: `dst` is the block's
@@ -843,12 +843,12 @@ pub fn backward_weights_into(
     let planes = InputPlanes::new(ci, h, wd, cfg, t);
     let x_sample = ci * planes.chan_stride();
     let mut xs = arena::take(n * x_sample);
-    let stage = |_, samples: Range<usize>, chunk: &mut [f32]| {
+    let stage = |_, samples: Range<usize>, chunk: &mut [f32], ()| {
         for (s, buf) in samples.zip(chunk.chunks_exact_mut(x_sample)) {
             planes.stage(x.data(), s, buf, round);
         }
     };
-    scoped_chunks(&mut xs, n, exec.threads, |s| s * x_sample, stage);
+    scoped_chunks(&mut xs, n, exec.threads, |_| (), |s| s * x_sample, stage);
     // dy pixel-major: [n][ho·wo][cop], channels zero-padded to whole
     // vectors. Rows are written in order, 64 channels (source streams) at
     // a time: more alias in L1 when the plane size is near a power of two.
@@ -877,7 +877,7 @@ pub fn backward_weights_into(
     );
     // Work items: tiles of output channels (whole rows of `grad`).
     let max_px = t.max_px();
-    let work = |_, tiles: Range<usize>, chunk: &mut [f32]| {
+    let work = |_, tiles: Range<usize>, chunk: &mut [f32], ()| {
         let mut acc = [0.0f32; MAX_ACC];
         for (tile, rows) in tiles.zip(chunk.chunks_mut(max_px * k)) {
             let co0 = tile * max_px;
@@ -916,6 +916,7 @@ pub fn backward_weights_into(
         grad.data_mut(),
         co.div_ceil(max_px),
         exec.threads,
+        |_| (),
         bound,
         work,
     );

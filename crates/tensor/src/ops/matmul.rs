@@ -11,7 +11,7 @@
 //! compare against.
 
 use crate::ops::activation::{relu_inplace, BitMask, MaskSink};
-use crate::ops::pack::{fuse_enabled, gemm, gemm_fused, Epilogue, MatSrc};
+use crate::ops::pack::{gemm, gemm_fused, Epilogue, MatSrc};
 use crate::tensor::Tensor;
 
 /// `C = A · B` for 2-D tensors `A: [m, k]`, `B: [k, n]`.
@@ -103,8 +103,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `C = A·Bᵀ + bias` row-broadcast, with an optional fused ReLU — the
 /// Linear layer's forward (`A: [n, in]`, `B: [out, in]`, `bias: [out]`).
-/// Honors the process-wide `MBS_FUSE` knob; returns the ReLU sign mask
-/// (row-major over C) when `relu` is set.
+/// Returns the ReLU sign mask (row-major over C) when `relu` is set.
 ///
 /// # Panics
 ///
@@ -116,13 +115,13 @@ pub fn matmul_a_bt_fused(
     bias: &[f32],
     relu: bool,
 ) -> (Tensor, Option<BitMask>) {
-    matmul_a_bt_fused_with(a, b, bias, relu, fuse_enabled())
+    matmul_a_bt_fused_with(a, b, bias, relu, true)
 }
 
-/// [`matmul_a_bt_fused`] with the fused/unfused decision made explicitly
-/// (`fused = false` reproduces GEMM, then a bias pass, then
-/// [`relu_inplace`] — the parity tests pin that both paths agree
-/// bitwise, output and mask).
+/// [`matmul_a_bt_fused`] with the fused/unfused decision made explicitly.
+/// `fused = false` is the test oracle: GEMM, then a bias pass, then
+/// [`relu_inplace`]; the parity tests pin that both paths agree bitwise,
+/// output and mask.
 pub fn matmul_a_bt_fused_with(
     a: &Tensor,
     b: &Tensor,

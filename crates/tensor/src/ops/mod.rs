@@ -25,8 +25,8 @@ pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_fused, matmul_a_bt_fused_with, matmul_at_b, matmul_naive,
 };
 pub use pack::{
-    configured_threads, fuse_enabled, gemm, gemm_fused, gemm_fused_prec, gemm_fused_with,
-    gemm_with_kernel, gemm_with_threads, Epilogue, MatSrc,
+    configured_threads, gemm, gemm_fused, gemm_fused_prec, gemm_fused_with, gemm_with_kernel,
+    gemm_with_threads, Epilogue, MatSrc,
 };
 pub use pool::{
     avgpool2d, avgpool2d_backward, global_avg_pool, global_avg_pool_backward, maxpool2d,

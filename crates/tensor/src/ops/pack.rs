@@ -96,16 +96,6 @@ pub enum Epilogue<'a> {
     BiasRelu(&'a [f32], &'a MaskSink),
 }
 
-/// Whether fused epilogues are enabled: the `MBS_FUSE` environment knob,
-/// read once per process. Unset (or malformed, after a warning) means
-/// fused; `MBS_FUSE=0` keeps the separate bias/ReLU passes for A/B
-/// comparisons and parity tests (results are bitwise identical either
-/// way).
-pub fn fuse_enabled() -> bool {
-    static FUSE: OnceLock<bool> = OnceLock::new();
-    *FUSE.get_or_init(|| crate::env::flag_knob("MBS_FUSE", true))
-}
-
 /// Number of GEMM worker threads: `MBS_THREADS` if set and positive, else
 /// the machine's available parallelism (malformed values warn and fall
 /// back). Read once per process.
@@ -503,7 +493,8 @@ fn run_shared<E: PackElem>(
     };
     let barrier = Barrier::new(workers);
     let bound = |block: usize| (block * MC).min(m) * n;
-    scoped_chunks(c, blocks, workers, bound, |t, run, chunk| {
+    let a_panel = |_| ElemBuf::<E>::take(MC * KC);
+    let work = |t, run: Range<usize>, chunk: &mut [f32], a_buf| {
         shared_worker(
             a,
             b,
@@ -517,8 +508,10 @@ fn run_shared<E: PackElem>(
             epi,
             &shared,
             &barrier,
+            a_buf,
         );
-    });
+    };
+    scoped_chunks(c, blocks, workers, a_panel, bound, work);
     // `b_buf` outlives every worker's panel view (the scope inside
     // `scoped_chunks` joins them) before the buffer returns to the arena.
     drop(b_buf);
@@ -526,8 +519,9 @@ fn run_shared<E: PackElem>(
 
 /// One worker of the shared-panel schedule: packs its strip share of B,
 /// waits for the panel to be complete, then computes its own C rows
-/// (packing its own A strips). Every worker executes the same `(jc, pc)`
-/// loop so the two barriers per panel always pair up across threads.
+/// (packing its own A strips into `a_buf`). Every worker executes the same
+/// `(jc, pc)` loop so the two barriers per panel always pair up across
+/// threads.
 #[allow(clippy::too_many_arguments)]
 fn shared_worker<E: PackElem>(
     a: &MatSrc<'_>,
@@ -542,10 +536,10 @@ fn shared_worker<E: PackElem>(
     epi: &Epilogue<'_>,
     shared: &SharedPanel<E>,
     barrier: &Barrier,
+    mut a_buf: ElemBuf<E>,
 ) {
     let nr = kern.nr;
     let rows = c_rows.len() / n;
-    let mut a_buf = ElemBuf::<E>::take(MC * KC);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let strips = nc.div_ceil(nr);
@@ -722,37 +716,56 @@ pub(crate) fn chunk_workers(items: usize, threads: usize) -> usize {
 
 /// Splits `buf` at `bound(item)` offsets into one contiguous run of items
 /// per worker (`bound` is monotone, `bound(0) = 0`, `bound(items) =
-/// buf.len()`) and runs `f(worker, items, chunk)` for each run on a scoped
-/// thread. The partition is a pure function of `(items, threads)`, so any
-/// work whose per-item order is fixed stays bitwise-deterministic for
-/// every thread count. Shared by the GEMM row split ([`run_shared`]) and
-/// the direct convolutions' `(sample, channel block)` split.
-pub(crate) fn scoped_chunks<B, F>(buf: &mut [f32], items: usize, threads: usize, bound: B, f: F)
-where
+/// buf.len()`) and runs `f(worker, items, chunk, state(worker))` for each
+/// run on a scoped thread. The partition is a pure function of `(items,
+/// threads)`, so any work whose per-item order is fixed stays
+/// bitwise-deterministic for every thread count. Shared by the GEMM row
+/// split ([`run_shared`]) and the direct convolutions' `(sample, channel
+/// block)` split.
+///
+/// A worker's `state` is its arena scratch, and every state is built on
+/// the calling thread, in worker order, before any worker starts. A worker
+/// that checked its scratch out itself could finish (and recycle it)
+/// before the next one starts, so how many buffers the pool needs at once
+/// would depend on thread timing, and a steady-state step could miss where
+/// the warm-up happened to run the workers one after the other.
+pub(crate) fn scoped_chunks<S, I, B, F>(
+    buf: &mut [f32],
+    items: usize,
+    threads: usize,
+    state: I,
+    bound: B,
+    f: F,
+) where
+    S: Send,
+    I: FnMut(usize) -> S,
     B: Fn(usize) -> usize,
-    F: Fn(usize, Range<usize>, &mut [f32]) + Sync,
+    F: Fn(usize, Range<usize>, &mut [f32], S) + Sync,
 {
     if buf.is_empty() || items == 0 {
         return;
     }
     let threads = chunk_workers(items, threads);
+    let mut states = (0..threads).map(state);
     if threads == 1 {
-        f(0, 0..items, buf);
+        let only = states.next().expect("one worker state");
+        f(0, 0..items, buf, only);
         return;
     }
+    let states: Vec<S> = states.collect();
     let per = items / threads;
     let extra = items % threads;
     std::thread::scope(|scope| {
         let mut rest = buf;
         let mut item = 0usize;
-        for t in 0..threads {
+        for (t, st) in states.into_iter().enumerate() {
             let count = per + usize::from(t < extra);
             let (chunk, tail) = rest.split_at_mut(bound(item + count) - bound(item));
             rest = tail;
             let run = item..item + count;
             item += count;
             let f = &f;
-            scope.spawn(move || f(t, run, chunk));
+            scope.spawn(move || f(t, run, chunk, st));
         }
     });
 }

@@ -6,8 +6,8 @@
 //! fused path — bias and ReLU folded into the C write-back, sign mask
 //! emitted by the store — is **bitwise identical** to the unfused
 //! sequence: GEMM, then a bias pass, then ReLU. Same for the layer-level
-//! entry points (`matmul_a_bt_fused_with`, `conv2d_fused_with`) that the
-//! `MBS_FUSE` knob toggles between.
+//! entry points (`matmul_a_bt_fused_with`, `conv2d_fused_with`), whose
+//! `fused = false` arm is that unfused oracle.
 
 use proptest::prelude::*;
 

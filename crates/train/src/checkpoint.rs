@@ -36,9 +36,10 @@
 //! file is rejected with a descriptive error, never a panic, an
 //! oversized allocation or a silently wrong resume.
 //!
-//! Version 1 (the same header over a JSON payload, ~5× the bytes and
-//! ~30× the encode time) is still **read**, so directories written by
-//! older builds resume unchanged, but never written.
+//! Any other version — including version 1, the same header over a JSON
+//! payload that builds before the binary format wrote — is refused with
+//! [`CheckpointError::Version`], so [`load_latest`] skips such files and
+//! a run resuming from an old directory starts from scratch.
 //!
 //! # Durability
 //!
@@ -75,15 +76,13 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-use serde::{Deserialize, Serialize};
-
 use mbs_core::fnv1a64;
 
 use crate::module::StateEntry;
 use crate::training::EpochStats;
 
-/// Checkpoint format version [`encode`] writes (the second header field).
-/// [`decode`] also reads version 1.
+/// Checkpoint format version [`encode`] writes and [`decode`] reads (the
+/// second header field).
 pub const CKPT_VERSION: u64 = 2;
 
 /// Header magic (the first header field).
@@ -101,7 +100,7 @@ pub const CKPT_EXT: &str = "mbsckpt";
 /// batches of that epoch are already complete with `loss_sum` the sum of
 /// their losses over `steps` steps. An end-of-epoch checkpoint stores
 /// the *next* epoch with `step_in_epoch == 0`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainCheckpoint {
     /// [`Schedule::fingerprint`](mbs_core::Schedule::fingerprint) of the
     /// (network, schedule) pair this state belongs to.
@@ -139,7 +138,7 @@ pub enum CheckpointError {
     /// The file exists but is not a valid checkpoint (bad magic, torn
     /// write, checksum mismatch, unparseable payload, ...).
     Format(String),
-    /// The file has a newer format version than this build understands.
+    /// The file has a format version other than [`CKPT_VERSION`].
     Version(u64),
     /// The checkpoint belongs to a different (network, schedule) pair.
     FingerprintMismatch {
@@ -160,7 +159,8 @@ impl fmt::Display for CheckpointError {
             Self::Format(msg) => write!(f, "invalid checkpoint: {msg}"),
             Self::Version(v) => write!(
                 f,
-                "checkpoint format version {v} is newer than this build (max {CKPT_VERSION})"
+                "checkpoint format version {v} is not readable by this build \
+                 (it reads version {CKPT_VERSION})"
             ),
             Self::FingerprintMismatch {
                 expected,
@@ -261,15 +261,15 @@ pub fn encode(ckpt: &TrainCheckpoint) -> Vec<u8> {
     bytes
 }
 
-/// Decodes and fully validates on-disk checkpoint bytes (format version 2,
-/// or the JSON payload of version 1).
+/// Decodes and fully validates on-disk checkpoint bytes (format version
+/// [`CKPT_VERSION`]).
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Format`] on bad magic, malformed header, length
 /// mismatch (truncation), checksum mismatch (corruption), or an
 /// unparseable payload; [`CheckpointError::Version`] when the header
-/// declares a version newer than [`CKPT_VERSION`].
+/// declares any version other than [`CKPT_VERSION`].
 pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
     let nl = bytes
         .iter()
@@ -288,7 +288,7 @@ pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("header version field is not an integer".into()))?;
-    if version > CKPT_VERSION {
+    if version != CKPT_VERSION {
         return Err(CheckpointError::Version(version));
     }
     let declared_len: usize = fields
@@ -312,24 +312,11 @@ pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
             "payload checksum {actual} does not match header {checksum:?} (corrupt file?)"
         )));
     }
-    match version {
-        2 => Reader(payload).checkpoint(),
-        1 => decode_v1(payload),
-        v => Err(bad(format!("format version {v} was never written"))),
-    }
+    Reader(payload).checkpoint()
 }
 
 fn bad(msg: String) -> CheckpointError {
     CheckpointError::Format(msg)
-}
-
-/// The version-1 payload: the checkpoint as one JSON object. Read-only —
-/// it exists for `tests/data/golden-v1.mbsckpt` and for directories
-/// written before version 2, and can be deleted once neither matters.
-fn decode_v1(payload: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
-    let payload =
-        std::str::from_utf8(payload).map_err(|_| bad("payload is not valid UTF-8".into()))?;
-    serde_json::from_str(payload).map_err(|e| bad(format!("payload does not parse: {e}")))
 }
 
 /// Cursor over a version-2 payload. Every read is checked against the
@@ -1045,15 +1032,15 @@ mod tests {
         assert!(
             matches!(decode(&magic), Err(CheckpointError::Format(msg)) if msg.contains("magic"))
         );
-        // Future version (checked before length and checksum).
+        // Any other version, newer or older, is refused before the length
+        // and checksum are even looked at.
         let mut bumped = good.clone();
-        bumped[CKPT_MAGIC.len() + 1] = b'9';
-        assert!(matches!(decode(&bumped), Err(CheckpointError::Version(9))));
-        // Version 0 is older than anything ever written.
-        bumped[CKPT_MAGIC.len() + 1] = b'0';
-        assert!(
-            matches!(decode(&bumped), Err(CheckpointError::Format(msg)) if msg.contains("never"))
-        );
+        for v in [9, 1, 0] {
+            bumped[CKPT_MAGIC.len() + 1] = b'0' + v;
+            assert!(
+                matches!(decode(&bumped), Err(CheckpointError::Version(found)) if found == v as u64)
+            );
+        }
     }
 
     #[test]

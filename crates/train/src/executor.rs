@@ -1,19 +1,19 @@
-//! Training-step executors: conventional full-mini-batch propagation and
-//! the MBS sub-batch-serialized flow.
+//! The conventional full-mini-batch training step and evaluation.
 //!
-//! The serialized executor is the algorithmic core of the paper's
-//! correctness claim (§3): if the synchronization points are maintained —
-//! loss gradients scaled by the *total* mini-batch size and parameter
-//! gradients accumulated across sub-batches before the optimizer step —
-//! serialization does not alter the training result for per-sample
-//! normalizations like GN. [`train_step_mbs`] and [`train_step_full`]
-//! produce identical parameter updates (up to f32 rounding) for GN models,
-//! and the test suite pins that equivalence.
+//! [`train_step_full`] is the naive oracle the paper's correctness claim
+//! (§3) is measured against: every serialized step — a
+//! [`crate::grouped::GroupedExecutor`] running a multi-group schedule, or
+//! the uniform one-group [`mbs_core::Schedule::uniform`] — keeps the
+//! synchronization points (loss gradients scaled by the *total* mini-batch
+//! size, parameter gradients accumulated across sub-batches before the one
+//! optimizer step), so for per-sample normalizations like GN it produces
+//! the same parameter updates as this step up to f32 rounding, while
+//! batch normalization's do not match. The test suites pin both.
 
 use mbs_tensor::ops::{cross_entropy, softmax, softmax_xent_backward};
 use mbs_tensor::Tensor;
 
-use crate::module::{slice_batch_into, slice_batch_owned, Module};
+use crate::module::{slice_batch_owned, Module};
 use crate::optim::Sgd;
 
 /// One conventional training step over the full mini-batch. Returns the
@@ -33,50 +33,6 @@ pub fn train_step_full(model: &mut dyn Module, x: &Tensor, labels: &[usize], opt
     let _ = model.backward(&dlogits);
     opt.step(model);
     loss
-}
-
-/// One MBS-serialized training step: the mini-batch is propagated
-/// `sub_batch` samples at a time, loss gradients are scaled by the *total*
-/// batch size, and parameter gradients accumulate across sub-batches; the
-/// optimizer runs once at the end (the paper's synchronization point).
-/// Returns the mean loss over the whole mini-batch.
-///
-/// # Panics
-///
-/// Panics if `sub_batch` is zero or `labels` length differs from the batch
-/// size.
-pub fn train_step_mbs(
-    model: &mut dyn Module,
-    x: &Tensor,
-    labels: &[usize],
-    sub_batch: usize,
-    opt: &mut Sgd,
-) -> f32 {
-    let n = x.shape()[0];
-    assert!(sub_batch > 0, "sub_batch must be positive");
-    assert_eq!(labels.len(), n, "one label per sample");
-    model.zero_grad();
-    let mut loss_sum = 0.0f32;
-    let mut start = 0;
-    // One reusable sub-batch buffer for the whole serialized loop; the
-    // kernels' scratch (packing panels, column gradients) is pooled in
-    // `mbs_tensor::arena`, so steady-state sub-batches allocate nothing new.
-    let mut xs = Tensor::zeros(&[0]);
-    while start < n {
-        let end = (start + sub_batch).min(n);
-        slice_batch_into(x, start, end, &mut xs);
-        let ls = &labels[start..end];
-        let logits = model.forward(&xs, true);
-        let probs = softmax(&logits);
-        loss_sum += cross_entropy(&probs, ls) * (end - start) as f32;
-        // Scale by the full mini-batch so accumulated gradients equal the
-        // full-batch gradient exactly.
-        let dlogits = softmax_xent_backward(&probs, ls, n);
-        let _ = model.backward(&dlogits);
-        start = end;
-    }
-    opt.step(model);
-    loss_sum / n as f32
 }
 
 /// Mean loss and classification error (%) of `model` on a labeled set,
@@ -117,19 +73,28 @@ pub fn evaluate(
 mod tests {
     use super::*;
     use crate::data::generate;
-    use crate::model::MiniResNet;
-    use crate::norm::NormChoice;
+    use crate::grouped::GroupedExecutor;
+    use crate::lower::{lower, LoweredNet};
+    use mbs_cnn::networks::toy;
+    use mbs_cnn::NormKind;
+    use mbs_core::Schedule;
+    use mbs_tensor::prec::{precision, Precision};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn models(choice: NormChoice) -> (MiniResNet, MiniResNet) {
-        // Same seed => identical initial weights.
-        let a = MiniResNet::new(3, 4, 1, choice, &mut StdRng::seed_from_u64(11));
-        let b = MiniResNet::new(3, 4, 1, choice, &mut StdRng::seed_from_u64(11));
-        (a, b)
+    const BATCH: usize = 8;
+    const GN: Option<NormKind> = Some(NormKind::Group { groups: 4 });
+
+    /// The f32 pin, widened to the bf16 rounding budget under
+    /// `MBS_PREC=bf16`.
+    fn tol(f32_tol: f32) -> f32 {
+        match precision() {
+            Precision::F32 => f32_tol,
+            Precision::Bf16 => f32_tol.max(2e-2),
+        }
     }
 
-    fn max_param_diff(a: &mut MiniResNet, b: &mut MiniResNet) -> f32 {
+    fn max_param_diff(a: &mut LoweredNet, b: &mut LoweredNet) -> f32 {
         let mut pa = Vec::new();
         a.visit_params(&mut |p| pa.push(p.value.clone()));
         let mut i = 0;
@@ -141,73 +106,72 @@ mod tests {
         worst
     }
 
-    /// The paper's central correctness claim: GN + MBS == GN unserialized.
-    #[test]
-    fn gn_mbs_step_equals_full_batch_step() {
-        let d = generate(8, 8, 0.3, 21);
-        let (mut full, mut mbs) = models(NormChoice::Group(4));
+    /// Two steps of `train_step_full` against the uniform one-group
+    /// schedule (MBS-FS) at `sub` on lowered twins of the Fig. 6 model
+    /// (same seed, so identical initial weights). Returns the max param
+    /// diff and whether every step's losses agreed bit for bit.
+    fn uniform_vs_full(norm: Option<NormKind>, sub: usize) -> (f32, bool) {
+        let d = generate(BATCH, 8, 0.3, 93);
+        let net = toy::fig6_resnet(8, 4, 1, norm, BATCH);
+        let mut full = lower(&net, &mut StdRng::seed_from_u64(11)).unwrap();
+        let mut mbs = lower(&net, &mut StdRng::seed_from_u64(11)).unwrap();
         let mut opt_a = Sgd::new(0.05, 0.9, 1e-4);
         let mut opt_b = Sgd::new(0.05, 0.9, 1e-4);
-        for _ in 0..3 {
+        let mut exec = GroupedExecutor::new(&Schedule::uniform(&net, BATCH, sub), mbs.len());
+        let mut bitwise = true;
+        for _ in 0..2 {
             let l_full = train_step_full(&mut full, &d.images, &d.labels, &mut opt_a);
-            let l_mbs = train_step_mbs(&mut mbs, &d.images, &d.labels, 3, &mut opt_b);
-            assert!((l_full - l_mbs).abs() < 1e-4, "losses {l_full} vs {l_mbs}");
+            let l_mbs = exec.train_step(&mut mbs, &d.images, &d.labels, &mut opt_b);
+            bitwise &= l_full.to_bits() == l_mbs.to_bits();
         }
-        let diff = max_param_diff(&mut full, &mut mbs);
-        assert!(diff < 5e-4, "GN+MBS diverged from full-batch GN: {diff}");
+        (max_param_diff(&mut full, &mut mbs), bitwise)
+    }
+
+    /// The paper's central correctness claim: GN + MBS == GN unserialized,
+    /// and so is a model without normalization — at a sub-batch that does
+    /// not divide the batch. At `sub = batch` the one-group schedule *is*
+    /// the full-batch step, bit for bit.
+    #[test]
+    fn gn_mbs_step_equals_full_batch_step() {
+        for (label, norm) in [("GN", GN), ("none", None)] {
+            let (diff, _) = uniform_vs_full(norm, 3);
+            assert!(diff < tol(5e-4), "{label} sub 3 diverged: {diff}");
+            let (diff, bitwise) = uniform_vs_full(norm, BATCH);
+            assert!(bitwise && diff == 0.0, "{label} sub = batch: {diff}");
+        }
     }
 
     /// And the reason BN is incompatible: serialized BN sees different
-    /// statistics, so the updates differ.
+    /// statistics, so the updates differ — unless nothing is serialized.
     #[test]
     fn bn_mbs_step_differs_from_full_batch_step() {
-        let d = generate(8, 8, 0.3, 22);
-        let (mut full, mut mbs) = models(NormChoice::Batch);
-        let mut opt_a = Sgd::new(0.05, 0.9, 0.0);
-        let mut opt_b = Sgd::new(0.05, 0.9, 0.0);
-        let _ = train_step_full(&mut full, &d.images, &d.labels, &mut opt_a);
-        let _ = train_step_mbs(&mut mbs, &d.images, &d.labels, 2, &mut opt_b);
-        let diff = max_param_diff(&mut full, &mut mbs);
-        assert!(diff > 1e-5, "BN should NOT be sub-batch invariant: {diff}");
+        let bn = Some(NormKind::Batch);
+        for sub in [1, 3] {
+            let (diff, _) = uniform_vs_full(bn, sub);
+            assert!(diff > 1e-5, "BN sub {sub} should NOT be invariant: {diff}");
+        }
+        let (diff, bitwise) = uniform_vs_full(bn, BATCH);
+        assert!(bitwise && diff == 0.0, "BN sub = batch: {diff}");
     }
 
     #[test]
     fn sub_batch_size_one_also_matches() {
         // Full serialization (one sample at a time) — the extreme case the
         // paper discusses in §3.
-        let d = generate(6, 8, 0.3, 23);
-        let (mut full, mut mbs) = models(NormChoice::Group(4));
-        let mut opt_a = Sgd::new(0.05, 0.9, 0.0);
-        let mut opt_b = Sgd::new(0.05, 0.9, 0.0);
-        let _ = train_step_full(&mut full, &d.images, &d.labels, &mut opt_a);
-        let _ = train_step_mbs(&mut mbs, &d.images, &d.labels, 1, &mut opt_b);
-        let diff = max_param_diff(&mut full, &mut mbs);
-        assert!(diff < 5e-4, "full serialization diverged: {diff}");
-    }
-
-    #[test]
-    fn training_reduces_loss() {
-        let d = generate(32, 8, 0.25, 24);
-        let mut m = MiniResNet::new(3, 4, 1, NormChoice::Group(4), &mut StdRng::seed_from_u64(9));
-        let mut opt = Sgd::new(0.05, 0.9, 1e-4);
-        let first = train_step_mbs(&mut m, &d.images, &d.labels, 8, &mut opt);
-        let mut last = first;
-        for _ in 0..15 {
-            last = train_step_mbs(&mut m, &d.images, &d.labels, 8, &mut opt);
+        for (label, norm) in [("GN", GN), ("none", None)] {
+            let (diff, _) = uniform_vs_full(norm, 1);
+            assert!(
+                diff < tol(5e-4),
+                "{label} full serialization diverged: {diff}"
+            );
         }
-        assert!(last < first, "loss should fall: {first} -> {last}");
     }
 
     #[test]
     fn evaluate_reports_loss_and_error() {
         let d = generate(16, 8, 0.3, 25);
-        let mut m = MiniResNet::new(
-            3,
-            4,
-            1,
-            NormChoice::Group(4),
-            &mut StdRng::seed_from_u64(10),
-        );
+        let net = toy::fig6_resnet(8, 4, 1, GN, 4);
+        let mut m = lower(&net, &mut StdRng::seed_from_u64(10)).unwrap();
         let (loss, err) = evaluate(&mut m, &d.images, &d.labels, 4);
         assert!(loss > 0.0);
         assert!((0.0..=100.0).contains(&err));

@@ -1,15 +1,15 @@
 //! Schedule-driven grouped execution: run the serialized training step the
 //! way the MBS scheduler planned it (paper §3, Fig. 5).
 //!
-//! [`crate::executor::train_step_mbs`] serializes the *whole* network at
-//! one sub-batch size. The paper's actual mechanism is finer: the
-//! scheduler partitions layers into groups, each with its own sub-batch
-//! size (deeper groups carry more samples because down-sampling shrinks
-//! their footprints). [`GroupedExecutor`] executes exactly that plan over
-//! a [`crate::lower::LoweredNet`]:
+//! The scheduler partitions layers into groups, each with its own
+//! sub-batch size (deeper groups carry more samples because down-sampling
+//! shrinks their footprints). [`GroupedExecutor`] executes exactly that
+//! plan over a [`crate::lower::LoweredNet`]; serializing the *whole*
+//! network at one sub-batch size (MBS-FS) is the one-group
+//! [`Schedule::uniform`], and the conventional step is that group with
+//! `sub = batch`.
 //!
-//! - **Within a group** activations stream sub-batch-at-a-time, exactly as
-//!   the uniform executor does.
+//! - **Within a group** activations stream sub-batch-at-a-time.
 //! - **At group boundaries** each chunk's output is staged into a pooled
 //!   full-mini-batch boundary buffer; the next group re-slices that buffer
 //!   at its own (typically larger) sub-batch size.
@@ -39,7 +39,7 @@
 //!   replay backward — which quantize at different points — are
 //!   tolerance-equal rather than bitwise-equal.
 //!
-//! The synchronization points are the same as the uniform executor's: loss
+//! The synchronization points are the paper's (§3): loss
 //! gradients are scaled by the *total* mini-batch size, parameter
 //! gradients accumulate across every chunk of every group, and the
 //! optimizer steps once at the end — so for per-sample normalizations (GN,

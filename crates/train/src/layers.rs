@@ -7,9 +7,9 @@ use rand::rngs::StdRng;
 use mbs_tensor::init::kaiming_normal;
 use mbs_tensor::ops::{
     avgpool2d, avgpool2d_backward, conv2d_backward_data, conv2d_backward_weights_into,
-    conv2d_fused_with, fuse_enabled, global_avg_pool, global_avg_pool_backward, matmul,
-    matmul_a_bt_fused_with, matmul_at_b, maxpool2d_backward, maxpool2d_padded, relu_backward,
-    relu_clamp, relu_inplace, BitMask, Conv2dCfg,
+    conv2d_fused, global_avg_pool, global_avg_pool_backward, matmul, matmul_a_bt_fused,
+    matmul_at_b, maxpool2d_backward, maxpool2d_padded, relu_backward, relu_clamp, relu_inplace,
+    BitMask, Conv2dCfg,
 };
 use mbs_tensor::Tensor;
 
@@ -22,15 +22,13 @@ use crate::module::{stash_mismatch, CacheEntry, CacheStash, Module, Param};
 /// conv built with [`Conv2d::with_bias_relu`] runs conv + bias + ReLU as
 /// one op: the bias and the clamp (plus its 1-bit backward mask) ride the
 /// direct kernel's store into the NCHW output, so neither costs a pass
-/// over it. The `MBS_FUSE=0` knob (or [`Conv2d::set_fused`])
-/// switches to the separate-pass path, which is bitwise identical.
+/// over it.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param,
     bias: Option<Param>,
     cfg: Conv2dCfg,
     fuse_relu: bool,
-    fused: bool,
     cache_x: Option<Tensor>,
     mask: Option<BitMask>,
 }
@@ -81,7 +79,6 @@ impl Conv2d {
             bias: bias.then(|| Param::new(Tensor::zeros(&[out_channels]))),
             cfg: Conv2dCfg::square(kernel, stride, pad),
             fuse_relu: relu,
-            fused: fuse_enabled(),
             cache_x: None,
             mask: None,
         }
@@ -109,7 +106,6 @@ impl Conv2d {
             bias: None,
             cfg,
             fuse_relu: false,
-            fused: fuse_enabled(),
             cache_x: None,
             mask: None,
         }
@@ -123,13 +119,6 @@ impl Conv2d {
     /// Immutable access to the weights (tests, inspection).
     pub fn weight(&self) -> &Param {
         &self.weight
-    }
-
-    /// Overrides the process-wide `MBS_FUSE` decision for this layer (the
-    /// fused≡unfused parity test sweeps both in one process; results are
-    /// bitwise identical either way).
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
     }
 
     /// Folds a per-output-channel affine transform into the layer so that
@@ -178,13 +167,12 @@ impl Conv2d {
     /// training forward records the backward sign mask; inference applies
     /// a mask-free clamp instead of building bits nobody will read.
     fn run_forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (mut y, mask) = conv2d_fused_with(
+        let (mut y, mask) = conv2d_fused(
             x,
             &self.weight.value,
             self.bias.as_ref().map(|b| b.value.data()),
             self.fuse_relu && train,
             self.cfg,
-            self.fused,
         );
         if train {
             self.mask = mask;
@@ -284,15 +272,12 @@ impl Module for Conv2d {
 /// The bias is always folded into the GEMM's C write-back
 /// ([`mbs_tensor::ops::Epilogue`]) — the seed's separate `y += b` pass over
 /// the output is gone. [`Linear::with_relu`] additionally fuses the
-/// activation (and its 1-bit backward mask) into the same store. The
-/// `MBS_FUSE=0` knob (or [`Linear::set_fused`]) selects the bitwise
-/// identical separate-pass path.
+/// activation (and its 1-bit backward mask) into the same store.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Param, // [out, in]
     bias: Param,   // [out]
     fuse_relu: bool,
-    fused: bool,
     cache_x: Option<Tensor>,
     mask: Option<BitMask>,
 }
@@ -315,26 +300,19 @@ impl Linear {
             )),
             bias: Param::new(Tensor::zeros(&[out_features])),
             fuse_relu: true,
-            fused: fuse_enabled(),
             cache_x: None,
             mask: None,
         }
     }
 
-    /// Overrides the process-wide `MBS_FUSE` decision for this layer.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
-    }
-
     /// Forward body shared by the borrowed and owned entry points. As for
     /// [`Conv2d`], inference skips the mask machinery and clamps instead.
     fn run_forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (mut y, mask) = matmul_a_bt_fused_with(
+        let (mut y, mask) = matmul_a_bt_fused(
             x,
             &self.weight.value,
             self.bias.value.data(),
             self.fuse_relu && train,
-            self.fused,
         );
         if train {
             self.mask = mask;
@@ -781,29 +759,6 @@ mod tests {
         let dx_p = plain.backward(&act.backward(&dy));
         assert_eq!(dx_f, dx_p, "fused backward must equal conv-then-ReLU");
         assert_eq!(fused.weight().grad, plain.weight().grad);
-    }
-
-    /// `set_fused(false)` (the per-layer `MBS_FUSE=0` path) is bitwise
-    /// identical to the fused path, gradients included.
-    #[test]
-    fn conv_fused_and_unfused_layers_agree_bitwise() {
-        let x = seeded(&[1, 2, 5, 5], 10);
-        let mut a = Conv2d::with_bias_relu(2, 4, 3, 1, 1, true, true, &mut rng());
-        let mut b = a.clone();
-        a.set_fused(true);
-        b.set_fused(false);
-        let ya = a.forward(&x, true);
-        let yb = b.forward(&x, true);
-        assert_eq!(ya, yb);
-        let dy = seeded(ya.shape(), 11);
-        assert_eq!(a.backward(&dy), b.backward(&dy));
-        let mut ga = Vec::new();
-        a.visit_params(&mut |p| ga.push(p.grad.clone()));
-        let mut i = 0;
-        b.visit_params(&mut |p| {
-            assert_eq!(ga[i], p.grad, "param {i} gradient");
-            i += 1;
-        });
     }
 
     #[test]

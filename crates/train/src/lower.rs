@@ -270,8 +270,8 @@ impl Module for LoweredBlock {
     }
 
     fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
-        // As in `model::ResidualBlock`: the first main layer borrows `x`
-        // (the shortcut still needs it), everything after runs owned.
+        // The first main layer borrows `x` (the shortcut still needs it);
+        // everything after runs owned.
         let mut h = match self.main.first_mut() {
             Some(first) => first.forward(&x, train),
             None => x.clone(),
@@ -486,9 +486,9 @@ impl NodeModule {
         &self.name
     }
 
-    /// Whether this node is a single normalization layer.
-    fn is_norm(&self) -> bool {
-        matches!(&self.body, NodeBody::Single(m) if matches!(**m, LayerModule::Norm(_)))
+    /// Whether this node is a single ReLU layer.
+    fn is_relu(&self) -> bool {
+        matches!(&self.body, NodeBody::Single(m) if matches!(**m, LayerModule::Relu(_)))
     }
 }
 
@@ -665,39 +665,37 @@ impl LoweredNet {
         }
     }
 
-    /// Mean output of the first and last **top-level** normalization nodes
-    /// on `probe`, evaluated in inference mode — the lowered-net analogue
-    /// of `MiniResNet::preactivation_means` (the Fig. 6 diagnostic).
-    /// Returns `(0.0, 0.0)` if the network has no top-level norm node
-    /// (norms inside blocks are not probed).
+    /// Mean **input** of the first and last **top-level** ReLU nodes on
+    /// `probe`, evaluated in inference mode: literally the network's first
+    /// and last pre-activations (the Fig. 6 diagnostic). Returns
+    /// `(0.0, 0.0)` if the network has no top-level ReLU node (ReLUs
+    /// inside blocks are not probed). Where a ReLU directly follows a norm
+    /// node, as in every zoo and toy network with norms, this is that
+    /// norm's output; a net without norms still has pre-activations.
     ///
-    /// The probe runs `chunk` samples at a time and stops at the last
-    /// top-level norm node, so its activations are no larger than a
-    /// training step's at batch `chunk` and the arena buffers they leave
-    /// behind are ones training reuses. Every node is per-sample and each
-    /// mean's f32 sum continues across chunks in element order, so the
-    /// result is bitwise the same for every `chunk`.
+    /// The probe runs `chunk` samples at a time and stops before the last
+    /// top-level ReLU, so its activations are no larger than a training
+    /// step's at batch `chunk` and the arena buffers they leave behind are
+    /// ones training reuses. Every node is per-sample and each mean's f32
+    /// sum continues across chunks in element order, so the result is
+    /// bitwise the same for every `chunk`.
     ///
     /// # Panics
     ///
     /// Panics if `chunk` is zero.
     pub fn preactivation_means(&mut self, probe: &Tensor, chunk: usize) -> (f32, f32) {
         assert!(chunk > 0, "probe chunk must be positive");
-        let (Some(first), Some(last)) = (
-            self.nodes.iter().position(NodeModule::is_norm),
-            self.nodes.iter().rposition(NodeModule::is_norm),
-        ) else {
+        let Some((first, last)) = self.probed_relus() else {
             return (0.0, 0.0);
         };
-        // (running sum, elements) of the first and last norm's outputs.
+        // (running sum, elements) of the first and last ReLU's inputs.
         let mut sums: [(Option<f32>, usize); 2] = [(None, 0); 2];
         let n = probe.shape()[0];
         let mut start = 0;
         while start < n {
             let end = (start + chunk).min(n);
             let mut x = slice_batch_owned(probe, start, end);
-            for (i, node) in self.nodes[..=last].iter_mut().enumerate() {
-                x = node.forward_owned(x, false);
+            for i in 0..=last {
                 for (at, (sum, elems)) in [first, last].into_iter().zip(&mut sums) {
                     if i == at {
                         // `Tensor::sum` is a left fold: continuing it from
@@ -709,11 +707,24 @@ impl LoweredNet {
                         *elems += x.len();
                     }
                 }
+                if i < last {
+                    x = self.nodes[i].forward_owned(x, false);
+                }
             }
             start = end;
         }
         let [first, last] = sums.map(|(sum, elems)| sum.map_or(0.0, |s| s / elems as f32));
         (first, last)
+    }
+
+    /// Indices of the first and last top-level ReLU nodes: the nodes whose
+    /// inputs [`LoweredNet::preactivation_means`] probes.
+    fn probed_relus(&self) -> Option<(usize, usize)> {
+        let nodes = &self.nodes;
+        Some((
+            nodes.iter().position(NodeModule::is_relu)?,
+            nodes.iter().rposition(NodeModule::is_relu)?,
+        ))
     }
 
     /// Folds every batch norm that directly follows a convolution into
@@ -1290,6 +1301,100 @@ mod tests {
                     net.name()
                 );
             }
+        }
+    }
+
+    /// The probe reads the input of the first and last top-level ReLU. On
+    /// the networks the benchmark and the tests train, each of those ReLUs
+    /// directly follows a top-level norm, so the probed tensors are exactly
+    /// the first and last top-level norm outputs (checked on structure
+    /// alone, no forward). A net without norms still probes a live,
+    /// non-zero pre-activation.
+    #[test]
+    fn preactivation_probe_reads_the_first_and_last_norm_outputs() {
+        for net in [
+            toy::tiny_resnet(1, 8),
+            toy::tiny_inception(16, 16),
+            toy::runtime_mix(8, 8),
+            mbs_cnn::networks::resnet_custom("ResNet14", [1, 1, 1, 1], 16, 2),
+        ] {
+            let norms: Vec<usize> = (0..net.nodes().len())
+                .filter(|&i| {
+                    matches!(&net.nodes()[i], Node::Single(l)
+                        if matches!(l.kind, LayerKind::Norm { .. }))
+                })
+                .collect();
+            let m = lower(&net, &mut rng()).unwrap();
+            let (first, last) = m.probed_relus().expect("a top-level ReLU");
+            assert_eq!(
+                (first - 1, last - 1),
+                (norms[0], norms[norms.len() - 1]),
+                "{}",
+                net.name()
+            );
+        }
+        let net = toy::fig6_resnet(8, 4, 1, None, 4);
+        let mut m = lower(&net, &mut rng()).unwrap();
+        let (first, last) = m.preactivation_means(&probe(&[4, 3, 8, 8]), 2);
+        assert!(first != 0.0 && last != 0.0, "{first} / {last}");
+        assert!(first.is_finite() && last.is_finite());
+    }
+
+    /// End-to-end gradient check through stem, residual block (projection
+    /// shortcut included) and classifier: the analytic gradient of the
+    /// first convolution's weights matches central finite differences.
+    #[test]
+    fn fig6_resnet_gradient_matches_finite_difference() {
+        // Finite differences through a bf16-quantized GEMM are noise, not
+        // gradients — f32 only (see `layers::tests::grad_check`).
+        if mbs_tensor::prec::precision() != mbs_tensor::prec::Precision::F32 {
+            return;
+        }
+        let gn = NormKind::Group { groups: 4 };
+        let mut m = lower(&toy::fig6_resnet(8, 3, 1, Some(gn), 2), &mut rng()).unwrap();
+        let x = Tensor::from_vec(
+            &[2, 3, 8, 8],
+            (0..2 * 3 * 64)
+                .map(|v| ((v % 17) as f32 - 8.0) / 5.0)
+                .collect(),
+        );
+        let y = m.forward(&x, true);
+        let dy = Tensor::from_vec(
+            y.shape(),
+            (0..y.len()).map(|v| (v as f32 - 2.5) / 4.0).collect(),
+        );
+        m.zero_grad();
+        let _ = m.backward(&dy);
+        let mut grad = None;
+        m.visit_params(&mut |p| {
+            grad.get_or_insert_with(|| p.grad.clone());
+        });
+        let grad = grad.expect("the stem conv has weights");
+        let eps = 1e-2;
+        let loss = |m: &mut LoweredNet| -> f32 {
+            let y = m.forward(&x, false);
+            y.data().iter().zip(dy.data()).map(|(a, b)| a * b).sum()
+        };
+        for idx in [0usize, 5] {
+            let nudge = |m: &mut LoweredNet, delta: f32| {
+                let mut first = true;
+                m.visit_params(&mut |p| {
+                    if std::mem::take(&mut first) {
+                        p.value.data_mut()[idx] += delta;
+                    }
+                });
+            };
+            nudge(&mut m, eps);
+            let lp = loss(&mut m);
+            nudge(&mut m, -2.0 * eps);
+            let lm = loss(&mut m);
+            nudge(&mut m, eps);
+            let fd = (lp - lm) / (2.0 * eps);
+            assert!(
+                (fd - grad.data()[idx]).abs() < 0.05,
+                "idx {idx}: fd {fd} analytic {}",
+                grad.data()[idx]
+            );
         }
     }
 

@@ -3,8 +3,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mbs_tensor::ops::BitMask;
 use mbs_tensor::prec::{Bf16Tensor, Precision};
 use mbs_tensor::Tensor;
@@ -192,7 +190,7 @@ pub(crate) fn stash_mismatch(wanted: &str, got: &CacheEntry) -> ! {
 /// statistics). Checkpoints store `data` as raw little-endian bit
 /// patterns, so every value — NaN payloads and `-0.0` included — round
 /// trips bitwise.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StateEntry {
     /// Tensor shape (auxiliary vectors use a rank-1 shape).
     pub shape: Vec<usize>,

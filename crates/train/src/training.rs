@@ -1,10 +1,9 @@
-//! The real training loops: the Fig. 6 experiment (train the residual CNN
-//! with BN, GN+MBS, or no normalization, recording validation error and
-//! pre-activation statistics per epoch), and the **schedule-driven**
-//! variant [`train_grouped`] — the same epoch loop (shuffling, per-epoch
-//! evaluation, stepped learning rate) with every training step executed by
-//! a [`GroupedExecutor`] running an `mbs_core` [`Schedule`] over a lowered
-//! IR network.
+//! The training loop: [`train_grouped`] runs epochs (shuffling, per-epoch
+//! evaluation and pre-activation probes, stepped learning rate) with every
+//! training step executed by a [`GroupedExecutor`] running an `mbs_core`
+//! [`Schedule`] over a lowered IR network. The Fig. 6 experiment's legs —
+//! BN full-batch, GN at a uniform sub-batch, no normalization — are this
+//! loop under a one-group [`Schedule::uniform`].
 
 use std::fmt;
 use std::path::PathBuf;
@@ -12,7 +11,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use mbs_cnn::Network;
 use mbs_core::Schedule;
@@ -21,13 +20,11 @@ use crate::checkpoint::{
     self, CheckpointConfig, CheckpointError, CheckpointWriter, FaultPlan, TrainCheckpoint,
 };
 use crate::data::Dataset;
-use crate::executor::{evaluate, train_step_full, train_step_mbs};
+use crate::executor::evaluate;
 use crate::grouped::GroupedExecutor;
 use crate::loader::{self, DiskDataset, LoaderError, LoaderStats, StreamLoader};
 use crate::lower::{lower, LowerError, LoweredNet};
-use crate::model::MiniResNet;
 use crate::module::{slice_batch, Module, StateDict, StateError};
-use crate::norm::NormChoice;
 use crate::optim::{step_lr, Sgd};
 
 /// Experiment configuration (a scaled-down Fig. 6: the paper trains
@@ -38,8 +35,6 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch: usize,
-    /// MBS sub-batch size (`None` = conventional full-batch propagation).
-    pub sub_batch: Option<usize>,
     /// Base learning rate (paper Fig. 6 uses 0.05).
     pub base_lr: f32,
     /// Epochs at which the learning rate decays by 10x.
@@ -48,8 +43,6 @@ pub struct TrainConfig {
     pub momentum: f32,
     /// Weight decay.
     pub weight_decay: f32,
-    /// Residual blocks per stage.
-    pub blocks_per_stage: usize,
     /// RNG seed for init and shuffling.
     pub seed: u64,
     /// Crash-safe checkpointing for [`train_grouped`] (`None` = no
@@ -59,7 +52,7 @@ pub struct TrainConfig {
     pub checkpoint: Option<CheckpointConfig>,
     /// Per-run override of the grouped backward strategy: `Some(true)`
     /// forces cache stashing, `Some(false)` forces replay, `None` uses
-    /// the process-wide `MBS_STASH` knob. Ignored by [`train`].
+    /// the process-wide `MBS_STASH` knob.
     pub stashing: Option<bool>,
     /// Test-only fault-injection plan for checkpoint saves (`None` in
     /// real runs). See [`FaultPlan`].
@@ -77,12 +70,10 @@ impl Default for TrainConfig {
         Self {
             epochs: 30,
             batch: 16,
-            sub_batch: None,
             base_lr: 0.05,
             lr_milestones: vec![15, 25],
             momentum: 0.9,
             weight_decay: 1e-4,
-            blocks_per_stage: 1,
             seed: 1234,
             checkpoint: None,
             stashing: None,
@@ -119,7 +110,7 @@ impl From<PathBuf> for DataSource {
 }
 
 /// Per-epoch statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EpochStats {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -127,9 +118,11 @@ pub struct EpochStats {
     pub train_loss: f32,
     /// Validation top-1 error in percent.
     pub val_error_pct: f64,
-    /// Mean output of the first normalization layer (pre-activation).
+    /// Mean input of the first top-level ReLU: the first pre-activation
+    /// (`0.0` if the network has no top-level ReLU). See
+    /// [`LoweredNet::preactivation_means`].
     pub preact_first: f32,
-    /// Mean output of the last normalization layer.
+    /// Mean input of the last top-level ReLU.
     pub preact_last: f32,
 }
 
@@ -268,65 +261,19 @@ impl From<LoaderError> for TrainError {
     }
 }
 
-/// Trains a [`MiniResNet`] with the given normalization and returns the
-/// per-epoch curve (the series plotted in Fig. 6).
-pub fn train(
-    norm: NormChoice,
-    train_set: &Dataset,
-    val_set: &Dataset,
-    cfg: &TrainConfig,
-) -> Vec<EpochStats> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut model = MiniResNet::new(3, 4, cfg.blocks_per_stage, norm, &mut rng);
-    let mut opt = Sgd::new(cfg.base_lr, cfg.momentum, cfg.weight_decay);
-    let n = train_set.len();
-    let probe = slice_batch(&train_set.images, 0, train_set.len().min(8));
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut curve = Vec::with_capacity(cfg.epochs);
-
-    for epoch in 0..cfg.epochs {
-        opt.lr = step_lr(cfg.base_lr, 0.1, &cfg.lr_milestones, epoch);
-        reshuffle(&mut order, &mut rng);
-        let mut loss_sum = 0.0f32;
-        let mut steps = 0usize;
-        let mut start = 0;
-        while start < n {
-            let end = (start + cfg.batch).min(n);
-            let (xs, ls) = gather(train_set, &order[start..end]);
-            let loss = match cfg.sub_batch {
-                Some(sub) => train_step_mbs(&mut model, &xs, &ls, sub, &mut opt),
-                None => train_step_full(&mut model, &xs, &ls, &mut opt),
-            };
-            loss_sum += loss;
-            steps += 1;
-            start = end;
-        }
-        let (_, err) = evaluate(&mut model, &val_set.images, &val_set.labels, cfg.batch);
-        let (first, last) = model.preactivation_means(&probe);
-        curve.push(EpochStats {
-            epoch,
-            train_loss: loss_sum / steps.max(1) as f32,
-            val_error_pct: err,
-            preact_first: first,
-            preact_last: last,
-        });
-    }
-    curve
-}
-
 /// Trains a network **as the scheduler planned it**: `net` is lowered to a
 /// runnable model and every training step runs through a
 /// [`GroupedExecutor`] executing `schedule` — per-group sub-batch sizes,
 /// boundary staging, cache-stashing backward (or replay under
-/// `MBS_STASH=0`). The epoch loop is the same as [`train`]'s: per-epoch
-/// shuffling (seeded by `cfg.seed`), stepped learning rate
-/// (`cfg.lr_milestones`), and per-epoch validation; `cfg.sub_batch` is
-/// ignored because the schedule carries the serialization plan.
+/// `MBS_STASH=0`). The epoch loop shuffles per epoch (seeded by
+/// `cfg.seed`), steps the learning rate at `cfg.lr_milestones`, and
+/// validates after every epoch; the schedule carries the serialization
+/// plan — [`Schedule::uniform`] for one sub-batch size over the whole
+/// network, `sub = batch` for the conventional step.
 ///
 /// The pre-activation probes of the returned [`EpochStats`] report the
-/// mean output of the first and last *top-level* normalization nodes
-/// (`0.0` if the network has none) — the lowered-net analogue of the
-/// Fig. 6 diagnostic.
+/// mean input of the first and last *top-level* ReLU nodes (`0.0` if the
+/// network has none) — the Fig. 6 diagnostic.
 ///
 /// # Crash safety
 ///
@@ -807,29 +754,6 @@ mod tests {
     use crate::data::generate;
 
     #[test]
-    fn short_training_learns_the_synthetic_task() {
-        let train_set = generate(96, 8, 0.25, 31);
-        let val_set = generate(48, 8, 0.25, 32);
-        let cfg = TrainConfig {
-            epochs: 8,
-            batch: 16,
-            sub_batch: Some(4),
-            lr_milestones: vec![6],
-            ..TrainConfig::default()
-        };
-        let curve = train(NormChoice::Group(4), &train_set, &val_set, &cfg);
-        assert_eq!(curve.len(), 8);
-        let first = curve.first().unwrap().val_error_pct;
-        let last = curve.last().unwrap().val_error_pct;
-        assert!(
-            last < first.max(50.0),
-            "validation error should improve: {first} -> {last}"
-        );
-        // Chance level is 75% error; the model must beat it clearly.
-        assert!(last < 55.0, "final error {last}");
-    }
-
-    #[test]
     fn grouped_training_learns_the_synthetic_task() {
         use mbs_cnn::networks::toy;
         use mbs_core::{ExecConfig, HardwareConfig, MbsScheduler};
@@ -879,19 +803,6 @@ mod tests {
         };
         let a = train_grouped(&net, &schedule, &train_set, &val_set, &cfg).unwrap();
         let b = train_grouped(&net, &schedule, &train_set, &val_set, &cfg).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn curves_are_deterministic_given_seed() {
-        let train_set = generate(32, 8, 0.25, 33);
-        let val_set = generate(16, 8, 0.25, 34);
-        let cfg = TrainConfig {
-            epochs: 2,
-            ..TrainConfig::default()
-        };
-        let a = train(NormChoice::Group(4), &train_set, &val_set, &cfg);
-        let b = train(NormChoice::Group(4), &train_set, &val_set, &cfg);
         assert_eq!(a, b);
     }
 }

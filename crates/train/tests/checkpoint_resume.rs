@@ -13,7 +13,7 @@ use mbs_core::{ExecConfig, HardwareConfig, MbsScheduler, Schedule};
 use mbs_train::checkpoint::{self, CheckpointWriter};
 use mbs_train::data::{generate, Dataset};
 use mbs_train::training::{train_grouped, TrainConfig, TrainError};
-use mbs_train::{CheckpointConfig, CheckpointError, Fault, FaultPlan, TrainCheckpoint};
+use mbs_train::{CheckpointConfig, CheckpointError, Fault, FaultPlan};
 
 struct Case {
     name: &'static str,
@@ -411,16 +411,12 @@ fn a_panicking_save_is_a_structured_error() {
 }
 
 /// A directory written by a build that still encoded version 1 (JSON
-/// payload) resumes to the same curve: the interrupted run's files are
-/// rewritten here as v1 images of the same checkpoints.
+/// payload) is not resumed from: version 1 is refused, so every one of
+/// its files lands in the `LoadReport`'s skipped list and the run trains
+/// from scratch to the baseline curve. The interrupted run's files are
+/// overwritten here with the committed v1 golden checkpoint.
 #[test]
-fn a_version_1_directory_resumes_to_the_same_curve() {
-    fn encode_v1(ckpt: &TrainCheckpoint) -> Vec<u8> {
-        let payload = serde_json::to_string(ckpt).unwrap();
-        let sum = mbs_core::fnv1a64(payload.as_bytes());
-        format!("MBSCKPT 1 {} {sum:016x}\n{payload}", payload.len()).into_bytes()
-    }
-
+fn a_version_1_directory_is_skipped_and_trains_from_scratch() {
     let case = &cases()[1];
     let mut cfg = base_cfg();
     let baseline = train_grouped(
@@ -443,13 +439,21 @@ fn a_version_1_directory_resumes_to_the_same_curve() {
         &cfg,
     )
     .is_err());
+    let v1 =
+        std::fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden-v1.mbsckpt"))
+            .unwrap();
     let files = checkpoint::list(&dir).unwrap();
     assert_eq!(files.len(), 3);
     for (_, path) in &files {
-        let ckpt = checkpoint::load_file(path).unwrap();
-        std::fs::write(path, encode_v1(&ckpt)).unwrap();
-        assert_eq!(checkpoint::load_file(path).unwrap(), ckpt, "v1 reads back");
+        std::fs::write(path, &v1).unwrap();
     }
+    let fingerprint = case.schedule.fingerprint(&case.net);
+    let (found, report) = checkpoint::load_latest(&dir, fingerprint).unwrap();
+    assert!(found.is_none(), "no v1 file may load");
+    let skipped: Vec<&PathBuf> = report.skipped.iter().map(|(p, _)| p).collect();
+    let mut named: Vec<&PathBuf> = files.iter().map(|(_, p)| p).collect();
+    named.reverse(); // the report lists newest first
+    assert_eq!(skipped, named);
 
     cfg.fault_plan = None;
     let resumed = train_grouped(
@@ -459,7 +463,7 @@ fn a_version_1_directory_resumes_to_the_same_curve() {
         &case.val_set,
         &cfg,
     )
-    .expect("resume from v1 files");
+    .expect("a v1 directory trains from scratch");
     assert_eq!(resumed, baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }

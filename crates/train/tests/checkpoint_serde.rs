@@ -107,8 +107,8 @@ proptest! {
     }
 }
 
-/// The fixed checkpoint pinned in `tests/data/golden-v1.mbsckpt` and
-/// `tests/data/golden-v2.mbsckpt`.
+/// The fixed checkpoint pinned in `tests/data/golden-v2.mbsckpt` (and,
+/// in the refused version-1 encoding, `tests/data/golden-v1.mbsckpt`).
 fn golden_checkpoint() -> TrainCheckpoint {
     TrainCheckpoint {
         fingerprint: 0x0123_4567_89ab_cdef,
@@ -173,8 +173,8 @@ fn golden_bytes(version: u64) -> Vec<u8> {
 /// Format-drift tripwire: the committed golden file must still decode to
 /// the known checkpoint, and re-encoding that checkpoint must reproduce
 /// the committed bytes exactly. Either direction failing means the
-/// on-disk format changed — bump `CKPT_VERSION` and keep a reader for
-/// the old one instead of editing the golden file in place.
+/// on-disk format changed — bump `CKPT_VERSION` and commit a new golden
+/// file instead of editing this one in place.
 #[test]
 fn golden_file_pins_the_format() {
     let bytes = golden_bytes(CKPT_VERSION);
@@ -187,12 +187,14 @@ fn golden_file_pins_the_format() {
     );
 }
 
-/// Version 1 (JSON payload) is decode-only: files written before the
-/// binary payload must keep loading, to the same checkpoint.
+/// Version 1 (JSON payload, written before the binary format) is no
+/// longer read: its committed golden file is refused by version.
 #[test]
-fn golden_v1_file_still_decodes() {
-    let decoded = decode(&golden_bytes(1)).expect("v1 golden file must decode");
-    assert_bitwise_eq(&decoded, &golden_checkpoint());
+fn golden_v1_file_is_refused_by_version() {
+    assert!(matches!(
+        decode(&golden_bytes(1)),
+        Err(CheckpointError::Version(1))
+    ));
 }
 
 /// The corners random sampling rarely hits, each checked by bit pattern:

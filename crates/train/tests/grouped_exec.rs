@@ -1,12 +1,14 @@
 //! Pins the schedule-driven execution acceptance claims: for a
 //! per-sample-normalized model lowered from the IR, a [`GroupedExecutor`]
 //! running a multi-group schedule with *distinct* per-group sub-batch
-//! sizes produces parameter updates matching `train_step_full` within the
-//! same tolerance the uniform `train_step_mbs` already meets — whatever
+//! sizes produces parameter updates matching `train_step_full` within
+//! 5e-4 — whatever
 //! schedule the MBS scheduler (or a hand-built grouping) picks, whether
 //! backward consumes **cache stashes** (the default) or **replays** chunk
 //! forwards (`MBS_STASH=0`), and across the lowering's whole structural
-//! range (residual, Inception-concat, and LRN+FC AlexNet-style toys).
+//! range (residual, Inception-concat, and LRN+FC AlexNet-style toys). The
+//! uniform one-group schedule (MBS-FS) is pinned by the `executor` unit
+//! tests.
 //! Under `MBS_PREC=bf16` the same claims hold with the tolerance widened
 //! to the bf16 storage rounding budget (see [`tol`]).
 
@@ -15,7 +17,7 @@ use rand::SeedableRng;
 
 use mbs_cnn::networks::toy;
 use mbs_core::{ExecConfig, Group, HardwareConfig, MbsScheduler, Schedule};
-use mbs_train::executor::{train_step_full, train_step_mbs};
+use mbs_train::executor::train_step_full;
 use mbs_train::grouped::GroupedExecutor;
 use mbs_train::lower::{lower, LoweredNet};
 use mbs_train::Module;
@@ -27,7 +29,7 @@ fn lowered_pair(net: &mbs_cnn::Network, seed: u64) -> (LoweredNet, LoweredNet) {
     (a, b)
 }
 
-/// Loss/parameter tolerance: the uniform executor's f32 pin, widened to
+/// Loss/parameter tolerance: the f32 pin, widened to
 /// the bf16 rounding budget when `MBS_PREC=bf16` stores group boundaries
 /// and cache stashes at half precision (one round-to-nearest-even per
 /// element, relative error ≤ 2⁻⁸; observed diffs sit well under 2e-2).
@@ -90,8 +92,6 @@ fn grouped_multi_group_step_matches_full_batch_step() {
         );
     }
     let diff = max_param_diff(&mut full, &mut grouped);
-    // Same tolerance `gn_mbs_step_equals_full_batch_step` pins for the
-    // uniform executor.
     assert!(
         diff < tol(5e-4),
         "grouped GN training diverged from full-batch: {diff}"
@@ -129,35 +129,10 @@ fn scheduler_chosen_schedule_is_faithful() {
     );
 }
 
-/// Grouped execution also agrees with the *uniform* serialized executor
-/// (both accumulate the same gradients), and a single-group schedule
-/// degenerates to it exactly.
-#[test]
-fn single_group_schedule_degenerates_to_uniform_mbs() {
-    let net = toy::runtime_mix(8, 8);
-    let nodes = net.nodes().len();
-    let schedule = Schedule::new(ExecConfig::MbsFs, 8, vec![Group::new(0, nodes, 3, 8)], true);
-    let d = generate(8, 8, 0.3, 93);
-    let (mut uniform, mut grouped) = lowered_pair(&net, 23);
-    let mut opt_a = Sgd::new(0.05, 0.9, 1e-4);
-    let mut opt_b = Sgd::new(0.05, 0.9, 1e-4);
-    let mut exec = GroupedExecutor::new(&schedule, grouped.len());
-    for _ in 0..2 {
-        let l_u = train_step_mbs(&mut uniform, &d.images, &d.labels, 3, &mut opt_a);
-        let l_g = exec.train_step(&mut grouped, &d.images, &d.labels, &mut opt_b);
-        assert!((l_u - l_g).abs() < tol(1e-4), "losses {l_u} vs {l_g}");
-    }
-    let diff = max_param_diff(&mut uniform, &mut grouped);
-    assert!(
-        diff < tol(5e-4),
-        "single-group grouped != uniform MBS: {diff}"
-    );
-}
-
 /// The full equivalence matrix over the newly lowerable network shapes:
 /// {InceptionV3 toy, AlexNet toy} × {hand-built, scheduler-chosen}
 /// schedules × {stash, replay} backward. Every cell must match
-/// `train_step_full` within the uniform executor's tolerance, and the two
+/// `train_step_full` within 5e-4, and the two
 /// backward strategies must agree with *each other* bitwise.
 #[test]
 fn equivalence_matrix_inception_and_alexnet_toys() {
@@ -308,8 +283,8 @@ fn train_step_matches_forward_backward_from_logits_bitwise() {
 
 /// Full-network acceptance: a scheduler-chosen grouped train step on the
 /// real `inception_v3()` (299×299, concat blocks, avg pools) and
-/// `alexnet()` (227×227, LRN, big FCs) matches the uniform serialized
-/// executor within tolerance. Full-size single-core compute — minutes in
+/// `alexnet()` (227×227, LRN, big FCs) matches the full-batch step within
+/// tolerance. Full-size single-core compute — minutes in
 /// release, far longer in the debug profile `cargo test` uses — so it is
 /// opt-in:
 ///
@@ -328,27 +303,21 @@ fn full_networks_complete_scheduler_chosen_grouped_steps() {
             .with_batch(2)
             .schedule();
         let d = generate(2, size, 0.3, 99);
-        let (mut uniform, mut grouped) = lowered_pair(&net, 41);
+        let (mut full, mut grouped) = lowered_pair(&net, 41);
         let mut oa = Sgd::new(0.01, 0.9, 0.0);
         let mut ob = Sgd::new(0.01, 0.9, 0.0);
         let mut exec = GroupedExecutor::new(&schedule, grouped.len());
-        let lu = train_step_mbs(
-            &mut uniform,
-            &d.images,
-            &d.labels,
-            schedule.min_sub_batch(),
-            &mut oa,
-        );
+        let lf = train_step_full(&mut full, &d.images, &d.labels, &mut oa);
         let lg = exec.train_step(&mut grouped, &d.images, &d.labels, &mut ob);
         assert!(
-            (lu - lg).abs() < 1e-3,
-            "{}: losses {lu} vs {lg}",
+            (lf - lg).abs() < 1e-3,
+            "{}: losses {lf} vs {lg}",
             net.name()
         );
-        let diff = max_param_diff(&mut uniform, &mut grouped);
+        let diff = max_param_diff(&mut full, &mut grouped);
         assert!(
             diff < 5e-4,
-            "{}: grouped step diverged from uniform by {diff}",
+            "{}: grouped step diverged from full batch by {diff}",
             net.name()
         );
     }

@@ -6,18 +6,27 @@
 //! ```sh
 //! cargo run --release --example train_equivalence
 //! ```
+//!
+//! Exits non-zero unless GN+MBS stays faithful (max parameter difference
+//! below 1e-3) and BN diverges.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use mbs::cnn::networks::toy;
+use mbs::cnn::NormKind;
+use mbs::core::Schedule;
 use mbs::train::data::generate;
-use mbs::train::executor::{evaluate, train_step_full, train_step_mbs};
-use mbs::train::model::MiniResNet;
-use mbs::train::norm::NormChoice;
+use mbs::train::executor::{evaluate, train_step_full};
+use mbs::train::grouped::GroupedExecutor;
+use mbs::train::lower::{lower, LoweredNet};
 use mbs::train::optim::Sgd;
 use mbs::train::Module;
 
-fn max_param_diff(a: &mut MiniResNet, b: &mut MiniResNet) -> f32 {
+/// Largest parameter difference that still counts as "the same training".
+const FAITHFUL: f32 = 1e-3;
+
+fn max_param_diff(a: &mut LoweredNet, b: &mut LoweredNet) -> f32 {
     let mut pa = Vec::new();
     a.visit_params(&mut |p| pa.push(p.value.clone()));
     let mut i = 0;
@@ -32,20 +41,25 @@ fn max_param_diff(a: &mut MiniResNet, b: &mut MiniResNet) -> f32 {
 fn main() {
     let train_set = generate(64, 8, 0.25, 404);
     let val_set = generate(32, 8, 0.25, 405);
+    let batch = train_set.len();
+    let mut as_claimed = true;
 
-    for (label, choice) in [
-        ("GroupNorm", NormChoice::Group(4)),
-        ("BatchNorm", NormChoice::Batch),
+    for (label, norm) in [
+        ("GroupNorm", NormKind::Group { groups: 4 }),
+        ("BatchNorm", NormKind::Batch),
     ] {
-        // Identically seeded twins: one trains conventionally, one with MBS.
-        let mut full = MiniResNet::new(3, 4, 1, choice, &mut StdRng::seed_from_u64(42));
-        let mut mbs = MiniResNet::new(3, 4, 1, choice, &mut StdRng::seed_from_u64(42));
+        // Identically seeded twins: one trains conventionally, one with MBS
+        // (the whole network propagating 4 samples at a time).
+        let net = toy::fig6_resnet(8, 4, 1, Some(norm), batch);
+        let mut full = lower(&net, &mut StdRng::seed_from_u64(42)).expect("fig6_resnet lowers");
+        let mut mbs = lower(&net, &mut StdRng::seed_from_u64(42)).expect("fig6_resnet lowers");
+        let mut exec = GroupedExecutor::new(&Schedule::uniform(&net, batch, 4), mbs.len());
         let mut oa = Sgd::new(0.05, 0.9, 1e-4);
         let mut ob = Sgd::new(0.05, 0.9, 1e-4);
 
         for step in 0..10 {
             let lf = train_step_full(&mut full, &train_set.images, &train_set.labels, &mut oa);
-            let lm = train_step_mbs(&mut mbs, &train_set.images, &train_set.labels, 4, &mut ob);
+            let lm = exec.train_step(&mut mbs, &train_set.images, &train_set.labels, &mut ob);
             if step % 3 == 0 {
                 println!(
                     "{label} step {step}: loss full={lf:.4} mbs={lm:.4}, max param diff {:.2e}",
@@ -60,7 +74,8 @@ fn main() {
             "{label}: after 10 steps, max param diff {:.2e}; val error full {:.1}% vs mbs {:.1}%",
             diff, err_full, err_mbs
         );
-        if diff < 1e-3 {
+        let faithful = diff < FAITHFUL;
+        if faithful {
             println!("=> {label} + MBS is numerically faithful to full-batch training\n");
         } else {
             println!(
@@ -68,5 +83,11 @@ fn main() {
                       statistics need the whole mini-batch)\n"
             );
         }
+        // GN must stay faithful; BN must not.
+        as_claimed &= faithful == matches!(norm, NormKind::Group { .. });
+    }
+    if !as_claimed {
+        eprintln!("error: GN+MBS must match full-batch training and BN must diverge");
+        std::process::exit(1);
     }
 }
