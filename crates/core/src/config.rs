@@ -231,11 +231,11 @@ impl HardwareConfig {
     /// bytes, or with a `K`/`M`/`G` suffix, e.g. `MBS_CACHE_BUDGET=16M`),
     /// else from sysfs cache topology on Linux, else an 8 MiB fallback.
     /// The runtime precision comes from the `MBS_PREC` knob
-    /// ([`mbs_tensor::prec::precision`]); see
+    /// ([`mbs_tensor::ops::Exec::process`]); see
     /// [`HardwareConfig::cpu_with_precision`] for how it scales the
     /// modeled buffer.
     pub fn cpu() -> Self {
-        Self::cpu_with_precision(mbs_tensor::prec::precision())
+        Self::cpu_with_precision(mbs_tensor::ops::Exec::process().precision)
     }
 
     /// [`HardwareConfig::cpu`] with an explicit runtime precision instead
@@ -404,7 +404,8 @@ mod tests {
         let hw = HardwareConfig::cpu();
         assert_eq!(
             hw.global_buffer_bytes,
-            HardwareConfig::cpu_with_precision(mbs_tensor::prec::precision()).global_buffer_bytes
+            HardwareConfig::cpu_with_precision(mbs_tensor::ops::Exec::process().precision)
+                .global_buffer_bytes
         );
     }
 

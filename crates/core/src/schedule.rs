@@ -192,11 +192,12 @@ impl Schedule {
     /// These bytes live in DRAM, not the on-chip buffer (stashes are only
     /// read back chunk-by-chunk during backward), so they do **not**
     /// constrain sub-batch sizing — but they are exactly the memory the
-    /// `MBS_STASH=0` replay mode trades back for recompute, so the
+    /// executor's replay strategy (`set_stashing(false)`) trades back for
+    /// recompute, so the
     /// schedule reports them next to its DRAM-traffic model.
     ///
     /// Reported at the **active runtime precision** (`MBS_PREC`,
-    /// [`mbs_tensor::prec::precision`]): stashes are stored as f32 or
+    /// [`mbs_tensor::ops::Exec::process`]): stashes are stored as f32 or
     /// bf16 words, so bf16 mode reports half the f32 bytes. Use
     /// [`Schedule::stash_bytes_at`] for an explicit precision.
     ///
@@ -204,7 +205,7 @@ impl Schedule {
     ///
     /// Panics if the schedule covers more nodes than `net` has.
     pub fn stash_bytes(&self, net: &Network) -> usize {
-        self.stash_bytes_at(net, mbs_tensor::prec::precision())
+        self.stash_bytes_at(net, mbs_tensor::ops::Exec::process().precision)
     }
 
     /// [`Schedule::stash_bytes`] at an explicit runtime precision.
@@ -430,7 +431,7 @@ mod tests {
         // The knob-driven accessor follows the active precision.
         assert_eq!(
             serialized.stash_bytes(&net),
-            serialized.stash_bytes_at(&net, mbs_tensor::prec::precision())
+            serialized.stash_bytes_at(&net, mbs_tensor::ops::Exec::process().precision)
         );
     }
 }

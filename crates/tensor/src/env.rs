@@ -12,39 +12,14 @@
 //!
 //! | knob | grammar | parser |
 //! |---|---|---|
-//! | `MBS_STASH` | on/off flag | [`parse_flag`] |
-//! | `MBS_THREADS`, `MBS_CKPT_EVERY` | non-negative integer | [`parse_usize`] |
-//! | `MBS_SERVE_DEADLINE_US`, `MBS_SERVE_MAX_RESPAWNS` | non-negative integer | [`parse_usize`] |
+//! | `MBS_CKPT_EVERY`, `MBS_SERVE_DEADLINE_US`, `MBS_SERVE_MAX_RESPAWNS` | non-negative integer | [`parse_usize`] |
 //! | `MBS_CACHE_BUDGET` | byte size with K/M/G suffix | [`parse_byte_size`] |
 //! | `MBS_PREC` | `f32` or `bf16` | [`crate::prec::parse_precision`] |
-//! | `MBS_SERVE_WORKERS`, `MBS_SERVE_MAX_BATCH`, `MBS_SERVE_QUEUE`, `MBS_SERVE_PRIORITY_LEVELS` | positive integer | [`positive_usize_knob`] |
-//! | `MBS_LOADER_PREFETCH`, `MBS_LOADER_CHUNK` | positive integer | [`positive_usize_knob`] |
+//! | `MBS_THREADS`, `MBS_SERVE_WORKERS`, `MBS_SERVE_MAX_BATCH`, `MBS_SERVE_QUEUE`, `MBS_SERVE_PRIORITY_LEVELS` | positive integer | [`positive_usize_knob`] |
 //!
 //! (`MBS_KERNEL` is a name resolved against the detected kernel set and
 //! keeps its own warn-and-fall-back resolution in `ops::kernel`;
 //! `MBS_CKPT_DIR` is a path and needs no parsing.)
-
-/// Parses an on/off flag: `1`/`true`/`on`/`yes` → `true`,
-/// `0`/`false`/`off`/`no` → `false` (case-insensitive, surrounding
-/// whitespace ignored). Anything else is malformed.
-pub fn parse_flag(s: &str) -> Option<bool> {
-    let t = s.trim();
-    if t == "1"
-        || t.eq_ignore_ascii_case("true")
-        || t.eq_ignore_ascii_case("on")
-        || t.eq_ignore_ascii_case("yes")
-    {
-        Some(true)
-    } else if t == "0"
-        || t.eq_ignore_ascii_case("false")
-        || t.eq_ignore_ascii_case("off")
-        || t.eq_ignore_ascii_case("no")
-    {
-        Some(false)
-    } else {
-        None
-    }
-}
 
 /// Parses a non-negative decimal integer (surrounding whitespace ignored).
 pub fn parse_usize(s: &str) -> Option<usize> {
@@ -83,18 +58,8 @@ pub fn knob<T>(name: &str, grammar: &str, parse: impl Fn(&str) -> Option<T>) -> 
     }
 }
 
-/// [`knob`] for on/off flags: `default` when unset or malformed.
-pub fn flag_knob(name: &str, default: bool) -> bool {
-    knob(
-        name,
-        "an on/off flag (1/true/on/yes or 0/false/off/no)",
-        parse_flag,
-    )
-    .unwrap_or(default)
-}
-
 /// [`knob`] for positive integers: `None` when unset, malformed, or zero
-/// with `reject_zero` (zero is warned about like any malformed value).
+/// (zero is warned about like any malformed value).
 pub fn positive_usize_knob(name: &str) -> Option<usize> {
     knob(name, "a positive integer", |s| {
         parse_usize(s).filter(|&n| n > 0)
@@ -107,20 +72,6 @@ mod tests {
 
     // One test per knob grammar, against the pure parsers (the env-var
     // wrappers are exercised by each knob's own crate).
-
-    #[test]
-    fn flag_knobs_accept_both_spellings() {
-        // MBS_STASH grammar.
-        for on in ["1", "true", "TRUE", "on", "yes", " On "] {
-            assert_eq!(parse_flag(on), Some(true), "{on:?}");
-        }
-        for off in ["0", "false", "off", "OFF", "no", " No "] {
-            assert_eq!(parse_flag(off), Some(false), "{off:?}");
-        }
-        for bad in ["", "2", "enabled", "truee", "o n"] {
-            assert_eq!(parse_flag(bad), None, "{bad:?}");
-        }
-    }
 
     #[test]
     fn threads_knob_grammar() {
@@ -157,8 +108,6 @@ mod tests {
 
     #[test]
     fn unset_knobs_fall_back_silently() {
-        assert!(flag_knob("MBS_TEST_KNOB_THAT_IS_NEVER_SET", true));
-        assert!(!flag_knob("MBS_TEST_KNOB_THAT_IS_NEVER_SET", false));
         assert_eq!(positive_usize_knob("MBS_TEST_KNOB_THAT_IS_NEVER_SET"), None);
     }
 }

@@ -14,8 +14,9 @@
 //! implementation the equivalence tests pin everything against.
 
 use crate::ops::activation::{relu_inplace, BitMask};
-use crate::ops::direct::{self, Exec};
+use crate::ops::direct;
 use crate::ops::im2col::Conv2dCfg;
+use crate::ops::kernel::Exec;
 use crate::tensor::Tensor;
 
 /// Loop-nest convolution forward; the reference for the direct path.

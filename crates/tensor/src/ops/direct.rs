@@ -47,34 +47,10 @@ use std::ops::Range;
 use crate::arena::{self, Scratch};
 use crate::ops::activation::{BitMask, MaskSink};
 use crate::ops::im2col::Conv2dCfg;
-use crate::ops::kernel::{self, MicroKernel};
-use crate::ops::pack::{configured_threads, scoped_chunks};
-use crate::prec::{self, bf16_to_f32, f32_to_bf16, Precision};
+use crate::ops::kernel::{self, Exec, MicroKernel};
+use crate::ops::pack::scoped_chunks;
+use crate::prec::{bf16_to_f32, f32_to_bf16, Precision};
 use crate::tensor::Tensor;
-
-/// How a direct convolution runs: ISA tier, worker threads and operand
-/// precision. The `conv2d*` entry points use [`Exec::process`]; the
-/// parity and thread-invariance tests sweep the fields explicitly.
-#[derive(Debug, Clone, Copy)]
-pub struct Exec {
-    /// Selects the register tiles (same tier as the GEMM micro-kernel).
-    pub kernel: &'static MicroKernel,
-    /// Worker threads; any value ≥ 1 gives bitwise-identical results.
-    pub threads: usize,
-    /// Operand precision applied while staging.
-    pub precision: Precision,
-}
-
-impl Exec {
-    /// The process-wide one (`MBS_KERNEL`, `MBS_THREADS`, `MBS_PREC`).
-    pub fn process() -> Self {
-        Self {
-            kernel: kernel::selected(),
-            threads: configured_threads(),
-            precision: prec::precision(),
-        }
-    }
-}
 
 /// The register tile. For `i < cb` and `lane < nv·lanes`:
 /// `acc[i·nv·lanes + lane] = Σ_{c < chans} Σ_{(xo, wo) ∈ taps} w[w_rows[i] +

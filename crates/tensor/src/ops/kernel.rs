@@ -21,13 +21,17 @@
 //! conversion rule keeps packed bytes identical across kernels, so the
 //! per-kernel parity tests can compare encodings bitwise).
 //!
-//! The widest supported kernel is chosen **once per process** via
-//! [`selected`], using `is_x86_feature_detected!` so a binary built for a
-//! generic target still uses AVX-512 on capable hosts. The `MBS_KERNEL`
-//! environment variable (`auto` | `avx512` | `avx2` | `scalar`) overrides
-//! the choice for A/B testing and for forcing the portable path in parity
-//! tests; requesting an ISA the CPU lacks falls back to the best available
-//! kernel with a warning rather than faulting.
+//! A kernel call learns how to run from an [`Exec`] value: micro-kernel,
+//! worker threads and operand precision. [`Exec::process`] is the
+//! process-wide one, resolved **once** from the environment: the widest
+//! supported kernel, found with `is_x86_feature_detected!` so a binary
+//! built for a generic target still uses AVX-512 on capable hosts, unless
+//! `MBS_KERNEL` (`auto` | `avx512` | `avx2` | `scalar`) asks for another
+//! (requesting an ISA the CPU lacks falls back to the best available
+//! kernel with a warning rather than faulting); `MBS_THREADS` workers
+//! (default: available parallelism); `MBS_PREC` precision (default f32).
+//! Tests pass other `Exec` values to sweep kernels, threads and precisions
+//! inside one process.
 //!
 //! # Contract
 //!
@@ -36,8 +40,8 @@
 //! with `Σ_p a[p·mr+i] · b[p·nr+j]`. Accumulation over `p` is strictly
 //! in-order within one kernel, so for a fixed kernel the blocked GEMM stays
 //! bitwise thread-count-invariant; *different* kernels may round
-//! differently (FMA fuses the multiply-add), which is why the dispatch is
-//! per-process, never per-call.
+//! differently (FMA fuses the multiply-add), which is why every production
+//! call runs on the one process-wide [`Exec::process`] kernel.
 //!
 //! # Examples
 //!
@@ -54,7 +58,7 @@
 //! assert_eq!(acc[k.nr], 2.0); // row 1 · col 0
 //! ```
 
-use std::sync::OnceLock;
+use crate::prec::{parse_precision, Precision};
 
 /// Largest `mr` any registered kernel uses (sizes the caller's packing
 /// strips and accumulator scratch).
@@ -260,17 +264,55 @@ pub fn available() -> Vec<&'static MicroKernel> {
     kernels
 }
 
-/// The kernel every GEMM in this process uses: the `MBS_KERNEL` override
-/// if set and satisfiable, else the widest detected kernel. Resolved once;
-/// subsequent calls are a static load.
+/// How a GEMM or a direct convolution runs: micro-kernel (and the
+/// matching direct-conv tile tier), worker threads and operand precision.
+/// Production entry points (`matmul*`, `conv2d*`) pass
+/// [`Exec::process`]; the parity and thread-invariance tests pass other
+/// values.
+#[derive(Debug, Clone, Copy)]
+pub struct Exec {
+    /// The register micro-kernel (and the direct-conv tile tier).
+    pub kernel: &'static MicroKernel,
+    /// Worker threads; any value ≥ 1 gives bitwise-identical results for
+    /// a fixed kernel and precision.
+    pub threads: usize,
+    /// Operand precision applied while packing or staging; accumulation is
+    /// always f32.
+    pub precision: Precision,
+}
+
+impl Exec {
+    /// The process-wide settings, resolved together on first use:
+    /// `MBS_KERNEL` (else the widest detected kernel), `MBS_THREADS` (else
+    /// the available parallelism) and `MBS_PREC` (else f32). Malformed
+    /// values warn and fall back. Fixed per process because different
+    /// kernels and precisions round differently, so a run stays
+    /// reproducible; later calls are a static load.
+    pub fn process() -> Self {
+        static PROCESS: std::sync::OnceLock<Exec> = std::sync::OnceLock::new();
+        *PROCESS.get_or_init(|| Exec {
+            kernel: select(std::env::var("MBS_KERNEL").ok().as_deref()),
+            threads: crate::env::positive_usize_knob("MBS_THREADS")
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+            precision: crate::env::knob("MBS_PREC", "a precision (f32 or bf16)", parse_precision)
+                .unwrap_or(Precision::F32),
+        })
+    }
+}
+
+/// The process-wide micro-kernel, [`Exec::process`]`.kernel`.
 pub fn selected() -> &'static MicroKernel {
-    static SELECTED: OnceLock<&'static MicroKernel> = OnceLock::new();
-    SELECTED.get_or_init(|| select(std::env::var("MBS_KERNEL").ok().as_deref()))
+    Exec::process().kernel
+}
+
+/// The process-wide worker count, [`Exec::process`]`.threads`.
+pub fn configured_threads() -> usize {
+    Exec::process().threads
 }
 
 /// Resolves an `MBS_KERNEL` value against the detected kernel set
-/// (separated from [`selected`] so tests can exercise the parsing without
-/// touching process-global state).
+/// (separated from [`Exec::process`] so tests can exercise the parsing
+/// without touching process-global state).
 pub(crate) fn select(request: Option<&str>) -> &'static MicroKernel {
     let kernels = available();
     let fallback = kernels[0];

@@ -11,7 +11,8 @@
 //! compare against.
 
 use crate::ops::activation::{relu_inplace, BitMask, MaskSink};
-use crate::ops::pack::{gemm, gemm_fused, Epilogue, MatSrc};
+use crate::ops::kernel::Exec;
+use crate::ops::pack::{gemm, Epilogue, MatSrc};
 use crate::tensor::Tensor;
 
 /// `C = A · B` for 2-D tensors `A: [m, k]`, `B: [k, n]`.
@@ -46,6 +47,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         m,
         n,
         k,
+        &Epilogue::None,
+        Exec::process(),
     );
     out
 }
@@ -72,6 +75,8 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
         m,
         n,
         k,
+        &Epilogue::None,
+        Exec::process(),
     );
     out
 }
@@ -97,6 +102,8 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
         m,
         n,
         k,
+        &Epilogue::None,
+        Exec::process(),
     );
     out
 }
@@ -140,10 +147,11 @@ pub fn matmul_a_bt_fused_with(
         stride: k,
     };
     let mut out = out_buffer(m, n, k);
+    let exec = Exec::process();
     if fused && k > 0 {
         if relu {
             let sink = MaskSink::new(m * n);
-            gemm_fused(
+            gemm(
                 &asrc,
                 &bsrc,
                 out.data_mut(),
@@ -151,13 +159,23 @@ pub fn matmul_a_bt_fused_with(
                 n,
                 k,
                 &Epilogue::BiasRelu(bias, &sink),
+                exec,
             );
             return (out, Some(sink.into_mask()));
         }
-        gemm_fused(&asrc, &bsrc, out.data_mut(), m, n, k, &Epilogue::Bias(bias));
+        gemm(
+            &asrc,
+            &bsrc,
+            out.data_mut(),
+            m,
+            n,
+            k,
+            &Epilogue::Bias(bias),
+            exec,
+        );
         return (out, None);
     }
-    gemm(&asrc, &bsrc, out.data_mut(), m, n, k);
+    gemm(&asrc, &bsrc, out.data_mut(), m, n, k, &Epilogue::None, exec);
     let od = out.data_mut();
     for row in od.chunks_exact_mut(n.max(1)) {
         for (v, &bv) in row.iter_mut().zip(bias) {

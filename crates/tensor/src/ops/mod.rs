@@ -20,14 +20,11 @@ pub use conv::{
     conv2d_fused, conv2d_fused_with, conv2d_naive,
 };
 pub use im2col::{col2im, im2col, Conv2dCfg};
-pub use kernel::MicroKernel;
+pub use kernel::{configured_threads, Exec, MicroKernel};
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_fused, matmul_a_bt_fused_with, matmul_at_b, matmul_naive,
 };
-pub use pack::{
-    configured_threads, gemm, gemm_fused, gemm_fused_prec, gemm_fused_with, gemm_with_kernel,
-    gemm_with_threads, Epilogue, MatSrc,
-};
+pub use pack::{gemm, Epilogue, MatSrc};
 pub use pool::{
     avgpool2d, avgpool2d_backward, global_avg_pool, global_avg_pool_backward, maxpool2d,
     maxpool2d_backward, maxpool2d_padded,

@@ -19,10 +19,11 @@
 //! deterministic function of the source values on every CPU, which keeps
 //! the blocked GEMM's bitwise thread-count invariance intact per precision.
 //!
-//! The process-wide mode comes from the `MBS_PREC` environment knob
-//! ([`precision`], default [`Precision::F32`]); explicit-precision entry
-//! points (`gemm_fused_prec`, executor setters) let tests sweep both modes
-//! inside one process.
+//! The process-wide mode is the `MBS_PREC` environment knob, resolved with
+//! the other execution settings into [`crate::ops::Exec::process`] (default
+//! [`Precision::F32`]). Kernels take their precision from the `Exec` they
+//! are passed, and the training executor has a setter, so tests sweep both
+//! modes inside one process.
 //!
 //! # Examples
 //!
@@ -34,8 +35,6 @@
 //! // 1 + 2^-9 is not: it rounds to nearest-even (here: down to 1.0).
 //! assert_eq!(bf16_to_f32(f32_to_bf16(1.0 + 1.0 / 512.0)), 1.0);
 //! ```
-
-use std::sync::OnceLock;
 
 use crate::arena;
 use crate::Tensor;
@@ -83,19 +82,6 @@ pub fn parse_precision(s: &str) -> Option<Precision> {
     } else {
         None
     }
-}
-
-/// The process-wide precision: the `MBS_PREC` environment knob, read once
-/// per process (default `f32`; malformed values warn and fall back). Fixed
-/// per process for the same reason the micro-kernel is: the two modes
-/// round differently, so a per-call choice would break run-to-run
-/// reproducibility.
-pub fn precision() -> Precision {
-    static PREC: OnceLock<Precision> = OnceLock::new();
-    *PREC.get_or_init(|| {
-        crate::env::knob("MBS_PREC", "a precision (f32 or bf16)", parse_precision)
-            .unwrap_or(Precision::F32)
-    })
 }
 
 /// Encodes an f32 as bfloat16 with round-to-nearest-even.

@@ -6,13 +6,12 @@
 
 use proptest::prelude::*;
 
-use mbs_tensor::ops::direct::{self, Exec};
-use mbs_tensor::ops::kernel;
-use mbs_tensor::ops::pack::{gemm_with_kernel, gemm_with_threads, MatSrc};
 use mbs_tensor::ops::{
-    col2im, conv2d, conv2d_backward_data, conv2d_backward_weights, conv2d_naive, im2col, matmul,
-    matmul_a_bt, matmul_at_b, matmul_naive, Conv2dCfg,
+    col2im, conv2d, conv2d_backward_data, conv2d_backward_weights, conv2d_naive, direct, gemm,
+    im2col, kernel, matmul, matmul_a_bt, matmul_at_b, matmul_naive, Conv2dCfg, Epilogue, Exec,
+    MatSrc,
 };
+use mbs_tensor::prec::Precision;
 use mbs_tensor::Tensor;
 
 fn tensor_strategy(shape: Vec<usize>) -> impl Strategy<Value = Tensor> {
@@ -168,26 +167,6 @@ proptest! {
         assert_close(&fast, &reference, co, "conv2d_backward_data");
     }
 
-    /// Bitwise determinism: the blocked GEMM produces *identical* bits for
-    /// 1 thread and any other thread count, for every operand source kind.
-    #[test]
-    fn gemm_is_bitwise_deterministic_across_threads(
-        m in 1usize..200,
-        n in 1usize..50,
-        k in 1usize..100,
-        threads in 2usize..6,
-    ) {
-        let a: Vec<f32> = (0..m * k).map(|v| (v % 23) as f32 / 7.0 - 1.5).collect();
-        let b: Vec<f32> = (0..k * n).map(|v| (v % 19) as f32 / 5.0 - 1.8).collect();
-        let asrc = MatSrc::RowMajor { data: &a, stride: k };
-        let bsrc = MatSrc::RowMajor { data: &b, stride: n };
-        let mut c1 = vec![0.0f32; m * n];
-        let mut cn = vec![0.0f32; m * n];
-        gemm_with_threads(&asrc, &bsrc, &mut c1, m, n, k, 1);
-        gemm_with_threads(&asrc, &bsrc, &mut cn, m, n, k, threads);
-        prop_assert_eq!(c1, cn);
-    }
-
     /// The same bitwise guarantee where convolution threads: the forward
     /// pass and the data gradient split `(sample, channel block)` items,
     /// the weight gradient channel blocks.
@@ -216,14 +195,16 @@ proptest! {
         prop_assert_eq!(dw1.data(), dwn.data());
     }
 
-    /// Every micro-kernel available on this CPU (AVX-512, AVX2, scalar)
-    /// matches the naive triple loop on arbitrary shapes, and for each
-    /// kernel the shared-B-panel multi-thread schedule reproduces the
-    /// single-thread result bit-for-bit. `m` ranges past 6·MC so
-    /// `threads in 2..7` actually spawns up to 6 workers (the GEMM clamps
-    /// threads to `m.div_ceil(MC)` row blocks) — exercising the
-    /// multi-worker strip partition, remainder distribution, and
-    /// empty-share barrier participation.
+    /// Every micro-kernel available on this CPU (AVX-512, AVX2, scalar), at
+    /// both precisions, matches the naive triple loop on arbitrary shapes,
+    /// and for each kernel and precision the shared-B-panel multi-thread
+    /// schedule reproduces the single-thread result bit-for-bit. The data
+    /// are multiples of 1/4 in [-2, 2], exact in bf16, so both precisions
+    /// meet the same reference. `m` ranges past 6·MC so `threads in 2..7`
+    /// actually spawns up to 6 workers (the GEMM clamps threads to
+    /// `m.div_ceil(MC)` row blocks) — exercising the multi-worker strip
+    /// partition, remainder distribution, and empty-share barrier
+    /// participation.
     #[test]
     fn every_kernel_matches_naive_and_is_thread_invariant(
         m in 1usize..400,
@@ -236,19 +217,19 @@ proptest! {
             (0..m * k).map(|v| ((v * 31 + seed) % 17) as f32 / 4.0 - 2.0).collect();
         let b: Vec<f32> =
             (0..k * n).map(|v| ((v * 13 + seed * 7) % 19) as f32 / 4.0 - 2.0).collect();
-        let asrc = MatSrc::RowMajor { data: &a, stride: k };
-        let bsrc = MatSrc::RowMajor { data: &b, stride: n };
-        let at = Tensor::from_vec(&[m, k], a.clone());
-        let bt = Tensor::from_vec(&[k, n], b.clone());
-        let reference = matmul_naive(&at, &bt);
-        for kern in kernel::available() {
-            let mut c1 = vec![0.0f32; m * n];
-            gemm_with_kernel(&asrc, &bsrc, &mut c1, m, n, k, 1, kern);
-            let got = Tensor::from_vec(&[m, n], c1.clone());
-            assert_close(&got, &reference, k, kern.name);
-            let mut cn = vec![0.0f32; m * n];
-            gemm_with_kernel(&asrc, &bsrc, &mut cn, m, n, k, threads, kern);
-            prop_assert_eq!(&c1, &cn, "{} must be thread-invariant", kern.name);
+        let reference = matmul_naive(
+            &Tensor::from_vec(&[m, k], a.clone()),
+            &Tensor::from_vec(&[k, n], b.clone()),
+        );
+        for kernel in kernel::available() {
+            for precision in [Precision::F32, Precision::Bf16] {
+                let exec = Exec { kernel, threads: 1, precision };
+                let c1 = row_major_gemm(&a, &b, m, n, k, exec);
+                let what = format!("{} {}", kernel.name, precision.name());
+                assert_close(&Tensor::from_vec(&[m, n], c1.clone()), &reference, k, &what);
+                let cn = row_major_gemm(&a, &b, m, n, k, Exec { threads, ..exec });
+                prop_assert_eq!(&c1, &cn, "{} must be thread-invariant", what);
+            }
         }
     }
 
@@ -277,6 +258,22 @@ proptest! {
     }
 }
 
+/// Plain `gemm` of row-major `a: [m, k]` and `b: [k, n]` into a fresh C.
+fn row_major_gemm(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, exec: Exec) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    gemm(
+        &MatSrc::RowMajor { data: a, stride: k },
+        &MatSrc::RowMajor { data: b, stride: n },
+        &mut c,
+        m,
+        n,
+        k,
+        &Epilogue::None,
+        exec,
+    );
+    c
+}
+
 /// Edge tiles: shapes straddling every registered tile boundary (8 and 16
 /// wide/tall, ±1) stay correct for every kernel — the packed zero-padding
 /// lanes must never leak into C.
@@ -303,23 +300,12 @@ fn edge_tiles_around_every_tile_boundary() {
                 &[k, n],
                 (0..k * n).map(|v| (v % 19) as f32 / 4.0 - 2.0).collect(),
             );
-            let mut c = vec![0.0f32; m * n];
-            gemm_with_kernel(
-                &MatSrc::RowMajor {
-                    data: a.data(),
-                    stride: k,
-                },
-                &MatSrc::RowMajor {
-                    data: b.data(),
-                    stride: n,
-                },
-                &mut c,
-                m,
-                n,
-                k,
-                1,
-                kern,
-            );
+            let exec = Exec {
+                kernel: kern,
+                threads: 1,
+                ..Exec::process()
+            };
+            let c = row_major_gemm(a.data(), b.data(), m, n, k, exec);
             let got = Tensor::from_vec(&[m, n], c);
             assert_close(
                 &got,

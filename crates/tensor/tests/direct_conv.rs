@@ -7,9 +7,9 @@
 
 use proptest::prelude::*;
 
-use mbs_tensor::ops::direct::{self, Exec};
 use mbs_tensor::ops::{
-    col2im, conv2d_naive, im2col, kernel, matmul_naive, relu_inplace, Conv2dCfg, MicroKernel,
+    col2im, conv2d_naive, direct, im2col, kernel, matmul_naive, relu_inplace, Conv2dCfg, Exec,
+    MicroKernel,
 };
 use mbs_tensor::prec::{bf16_to_f32, f32_to_bf16, Precision};
 use mbs_tensor::Tensor;

@@ -11,10 +11,9 @@
 
 use proptest::prelude::*;
 
-use mbs_tensor::ops::kernel;
-use mbs_tensor::ops::pack::{gemm_fused_with, gemm_with_kernel, Epilogue, MatSrc};
 use mbs_tensor::ops::{
-    conv2d_fused_with, matmul_a_bt_fused_with, relu_inplace, Conv2dCfg, MaskSink,
+    conv2d_fused_with, gemm, kernel, matmul_a_bt_fused_with, relu_inplace, Conv2dCfg, Epilogue,
+    Exec, MaskSink, MatSrc,
 };
 use mbs_tensor::Tensor;
 
@@ -37,8 +36,8 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (33, 48, 129),
 ];
 
-/// Unfused reference: GEMM with the same kernel/threads, then a bias row
-/// pass, then a scalar ReLU recording its own mask.
+/// Unfused reference: GEMM with the same `exec`, then a bias row pass,
+/// then a scalar ReLU recording its own mask.
 #[allow(clippy::too_many_arguments)]
 fn reference(
     a: &MatSrc<'_>,
@@ -46,13 +45,12 @@ fn reference(
     m: usize,
     n: usize,
     k: usize,
-    threads: usize,
-    kern: &'static kernel::MicroKernel,
+    exec: Exec,
     bias: &[f32],
     relu: bool,
 ) -> (Vec<f32>, Vec<bool>) {
     let mut c = vec![0.0f32; m * n];
-    gemm_with_kernel(a, b, &mut c, m, n, k, threads, kern);
+    gemm(a, b, &mut c, m, n, k, &Epilogue::None, exec);
     for row in c.chunks_exact_mut(n) {
         for (v, &bv) in row.iter_mut().zip(bias) {
             *v += bv;
@@ -87,19 +85,23 @@ fn fused_bias_and_relu_match_unfused_bitwise_for_every_kernel() {
                 stride: n,
             };
             for threads in [1usize, 2, 5] {
+                let exec = Exec {
+                    kernel: kern,
+                    threads,
+                    ..Exec::process()
+                };
                 // Bias only.
-                let (want, _) = reference(&asrc, &bsrc, m, n, k, threads, kern, &bias, false);
+                let (want, _) = reference(&asrc, &bsrc, m, n, k, exec, &bias, false);
                 let mut got = vec![f32::NAN; m * n];
-                gemm_fused_with(
+                gemm(
                     &asrc,
                     &bsrc,
                     &mut got,
                     m,
                     n,
                     k,
-                    threads,
-                    kern,
                     &Epilogue::Bias(&bias),
+                    exec,
                 );
                 assert_eq!(
                     bits(&got),
@@ -109,20 +111,18 @@ fn fused_bias_and_relu_match_unfused_bitwise_for_every_kernel() {
                 );
 
                 // Bias + ReLU, with the mask emitted by the store.
-                let (want, want_mask) =
-                    reference(&asrc, &bsrc, m, n, k, threads, kern, &bias, true);
+                let (want, want_mask) = reference(&asrc, &bsrc, m, n, k, exec, &bias, true);
                 let mut got = vec![f32::NAN; m * n];
                 let sink = MaskSink::new(m * n);
-                gemm_fused_with(
+                gemm(
                     &asrc,
                     &bsrc,
                     &mut got,
                     m,
                     n,
                     k,
-                    threads,
-                    kern,
                     &Epilogue::BiasRelu(&bias, &sink),
+                    exec,
                 );
                 assert_eq!(
                     bits(&got),
@@ -161,33 +161,36 @@ fn fused_epilogue_is_thread_count_invariant() {
         stride: n,
     };
     for kern in kernel::available() {
+        let exec = Exec {
+            kernel: kern,
+            threads: 1,
+            ..Exec::process()
+        };
         let mut c1 = vec![0.0f32; m * n];
         let sink1 = MaskSink::new(m * n);
-        gemm_fused_with(
+        gemm(
             &asrc,
             &bsrc,
             &mut c1,
             m,
             n,
             k,
-            1,
-            kern,
             &Epilogue::BiasRelu(&bias, &sink1),
+            exec,
         );
         let mask1 = sink1.into_mask();
         for threads in [2usize, 3, 8] {
             let mut cn = vec![0.0f32; m * n];
             let sinkn = MaskSink::new(m * n);
-            gemm_fused_with(
+            gemm(
                 &asrc,
                 &bsrc,
                 &mut cn,
                 m,
                 n,
                 k,
-                threads,
-                kern,
                 &Epilogue::BiasRelu(&bias, &sinkn),
+                Exec { threads, ..exec },
             );
             assert_eq!(bits(&c1), bits(&cn), "{} t={threads}", kern.name);
             assert_eq!(mask1, sinkn.into_mask(), "{} mask t={threads}", kern.name);
@@ -233,16 +236,20 @@ fn nan_sums_clamp_to_zero_with_a_false_mask_bit() {
     for kern in kernel::available() {
         let mut c = vec![7.0f32; 2];
         let sink = MaskSink::new(2);
-        gemm_fused_with(
+        let exec = Exec {
+            kernel: kern,
+            threads: 1,
+            ..Exec::process()
+        };
+        gemm(
             &asrc,
             &bsrc,
             &mut c,
             2,
             1,
             1,
-            1,
-            kern,
             &Epilogue::BiasRelu(&bias, &sink),
+            exec,
         );
         let mask = sink.into_mask();
         assert_eq!(c, vec![0.0, 1.5], "{}", kern.name);

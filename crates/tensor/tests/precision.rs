@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 
-use mbs_tensor::ops::kernel;
-use mbs_tensor::ops::{gemm_fused_prec, Epilogue, MatSrc};
+use mbs_tensor::ops::{gemm, kernel, Epilogue, Exec, MatSrc};
 use mbs_tensor::prec::{bf16_to_f32, f32_to_bf16, Bf16Tensor, Precision};
 use mbs_tensor::Tensor;
 
@@ -117,33 +116,21 @@ fn bf16_gemm_agrees_across_kernels_on_representable_data() {
         data: &b,
         stride: n,
     };
-    for kern in kernel::available() {
+    for kernel in kernel::available() {
         let mut c32 = vec![0.0f32; m * n];
         let mut c16 = vec![0.0f32; m * n];
-        gemm_fused_prec(
-            &asrc,
-            &bsrc,
-            &mut c32,
-            m,
-            n,
-            k,
-            1,
-            kern,
-            &Epilogue::None,
-            Precision::F32,
-        );
-        gemm_fused_prec(
-            &asrc,
-            &bsrc,
-            &mut c16,
-            m,
-            n,
-            k,
-            2,
-            kern,
-            &Epilogue::None,
-            Precision::Bf16,
-        );
-        assert_eq!(c32, c16, "{}", kern.name);
+        let f32e = Exec {
+            kernel,
+            threads: 1,
+            precision: Precision::F32,
+        };
+        let bf16 = Exec {
+            kernel,
+            threads: 2,
+            precision: Precision::Bf16,
+        };
+        gemm(&asrc, &bsrc, &mut c32, m, n, k, &Epilogue::None, f32e);
+        gemm(&asrc, &bsrc, &mut c16, m, n, k, &Epilogue::None, bf16);
+        assert_eq!(c32, c16, "{}", kernel.name);
     }
 }

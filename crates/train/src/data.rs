@@ -56,8 +56,8 @@ impl Dataset {
         self.labels.is_empty()
     }
 
-    /// Saves this set as an atomic, checksummed `*.mbsds` file (chunk
-    /// size from the `MBS_LOADER_CHUNK` knob). A later
+    /// Saves this set as an atomic, checksummed `*.mbsds` file (chunks of
+    /// [`loader::DEFAULT_CHUNK_SAMPLES`]). A later
     /// [`Dataset::open`] or [`DiskDataset::load`] reproduces it bitwise.
     ///
     /// # Errors

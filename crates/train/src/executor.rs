@@ -78,7 +78,8 @@ mod tests {
     use mbs_cnn::networks::toy;
     use mbs_cnn::NormKind;
     use mbs_core::Schedule;
-    use mbs_tensor::prec::{precision, Precision};
+    use mbs_tensor::ops::Exec;
+    use mbs_tensor::prec::Precision;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -88,7 +89,7 @@ mod tests {
     /// The f32 pin, widened to the bf16 rounding budget under
     /// `MBS_PREC=bf16`.
     fn tol(f32_tol: f32) -> f32 {
-        match precision() {
+        match Exec::process().precision {
             Precision::F32 => f32_tol,
             Precision::Bf16 => f32_tol.max(2e-2),
         }
@@ -108,9 +109,10 @@ mod tests {
 
     /// Two steps of `train_step_full` against the uniform one-group
     /// schedule (MBS-FS) at `sub` on lowered twins of the Fig. 6 model
-    /// (same seed, so identical initial weights). Returns the max param
-    /// diff and whether every step's losses agreed bit for bit.
-    fn uniform_vs_full(norm: Option<NormKind>, sub: usize) -> (f32, bool) {
+    /// (same seed, so identical initial weights), the executor stashing
+    /// caches or replaying forwards. Returns the max param diff and
+    /// whether every step's losses agreed bit for bit.
+    fn uniform_vs_full(norm: Option<NormKind>, sub: usize, stashing: bool) -> (f32, bool) {
         let d = generate(BATCH, 8, 0.3, 93);
         let net = toy::fig6_resnet(8, 4, 1, norm, BATCH);
         let mut full = lower(&net, &mut StdRng::seed_from_u64(11)).unwrap();
@@ -118,6 +120,7 @@ mod tests {
         let mut opt_a = Sgd::new(0.05, 0.9, 1e-4);
         let mut opt_b = Sgd::new(0.05, 0.9, 1e-4);
         let mut exec = GroupedExecutor::new(&Schedule::uniform(&net, BATCH, sub), mbs.len());
+        exec.set_stashing(stashing);
         let mut bitwise = true;
         for _ in 0..2 {
             let l_full = train_step_full(&mut full, &d.images, &d.labels, &mut opt_a);
@@ -134,9 +137,14 @@ mod tests {
     #[test]
     fn gn_mbs_step_equals_full_batch_step() {
         for (label, norm) in [("GN", GN), ("none", None)] {
-            let (diff, _) = uniform_vs_full(norm, 3);
-            assert!(diff < tol(5e-4), "{label} sub 3 diverged: {diff}");
-            let (diff, bitwise) = uniform_vs_full(norm, BATCH);
+            for stashing in [true, false] {
+                let (diff, _) = uniform_vs_full(norm, 3, stashing);
+                assert!(
+                    diff < tol(5e-4),
+                    "{label} sub 3 stash={stashing} diverged: {diff}"
+                );
+            }
+            let (diff, bitwise) = uniform_vs_full(norm, BATCH, true);
             assert!(bitwise && diff == 0.0, "{label} sub = batch: {diff}");
         }
     }
@@ -147,10 +155,15 @@ mod tests {
     fn bn_mbs_step_differs_from_full_batch_step() {
         let bn = Some(NormKind::Batch);
         for sub in [1, 3] {
-            let (diff, _) = uniform_vs_full(bn, sub);
-            assert!(diff > 1e-5, "BN sub {sub} should NOT be invariant: {diff}");
+            for stashing in [true, false] {
+                let (diff, _) = uniform_vs_full(bn, sub, stashing);
+                assert!(
+                    diff > 1e-5,
+                    "BN sub {sub} stash={stashing} should NOT be invariant: {diff}"
+                );
+            }
         }
-        let (diff, bitwise) = uniform_vs_full(bn, BATCH);
+        let (diff, bitwise) = uniform_vs_full(bn, BATCH, true);
         assert!(bitwise && diff == 0.0, "BN sub = batch: {diff}");
     }
 
@@ -159,11 +172,13 @@ mod tests {
         // Full serialization (one sample at a time) — the extreme case the
         // paper discusses in §3.
         for (label, norm) in [("GN", GN), ("none", None)] {
-            let (diff, _) = uniform_vs_full(norm, 1);
-            assert!(
-                diff < tol(5e-4),
-                "{label} full serialization diverged: {diff}"
-            );
+            for stashing in [true, false] {
+                let (diff, _) = uniform_vs_full(norm, 1, stashing);
+                assert!(
+                    diff < tol(5e-4),
+                    "{label} stash={stashing} full serialization diverged: {diff}"
+                );
+            }
         }
     }
 

@@ -18,18 +18,21 @@
 //!   pass *stashes* each chunk's caches — moving them out of the layers
 //!   into per-(group, chunk) [`CacheStash`]es, ownership only, no copies —
 //!   and backward restores each stash just before propagating that chunk's
-//!   gradient. No second forward runs. The `MBS_STASH=0` knob (or
-//!   [`GroupedExecutor::set_stashing`]) selects the older
-//!   boundary-checkpointing strategy instead: backward *replays* each
-//!   chunk's forward from the group's input boundary to rebuild the caches
-//!   it needs — less live memory, one extra forward per replayed chunk.
+//!   gradient. No second forward runs. [`GroupedExecutor::set_stashing`]
+//!   with `false` (or `TrainConfig::stashing = Some(false)`) selects the
+//!   older boundary-checkpointing strategy instead: backward *replays*
+//!   each chunk's forward from the group's input boundary to rebuild the
+//!   caches it needs. No stash is held, so live memory drops to the
+//!   boundaries plus one chunk's caches, at one extra forward per
+//!   replayed chunk: the choice for a run whose stash would not fit.
 //!   At f32 (the default) both paths produce bitwise-identical training
 //!   (replay recomputes exactly the values stashing saved), pinned by the
 //!   equivalence tests. Either way, single-iteration groups and the most
 //!   recently forwarded chunk of each group use the live caches directly.
 //!   Gradients cross each boundary through a staged full-batch gradient
 //!   buffer, re-sliced at the upstream group's sub-batch size.
-//! - **Reduced precision** (`MBS_PREC=bf16`, or
+//! - **Reduced precision** (`MBS_PREC=bf16`, read through
+//!   [`mbs_tensor::ops::Exec::process`], or
 //!   [`GroupedExecutor::set_precision`]): interior boundary buffers and
 //!   stashed cache tensors are stored as bf16, halving both footprints;
 //!   gradients, live layer caches, the final logits stage, and all
@@ -49,27 +52,14 @@
 //! their arena-backed storage as they move, so steady-state grouped steps
 //! run with zero arena misses.
 
-use std::sync::OnceLock;
-
 use mbs_core::{Group, Schedule};
-use mbs_tensor::ops::{cross_entropy, softmax, softmax_xent_backward};
-use mbs_tensor::prec::{self, Bf16Tensor, Precision};
+use mbs_tensor::ops::{cross_entropy, softmax, softmax_xent_backward, Exec};
+use mbs_tensor::prec::{Bf16Tensor, Precision};
 use mbs_tensor::Tensor;
 
 use crate::lower::LoweredNet;
 use crate::module::{slice_batch_into, slice_batch_owned, CacheStash, Module};
 use crate::optim::Sgd;
-
-/// Whether grouped backward uses cache stashing: the `MBS_STASH`
-/// environment knob, read once per process. Unset (or malformed, with a
-/// warning) means stashing; `MBS_STASH=0` restores the backward **replay**
-/// strategy (boundary checkpointing) for A/B comparisons and
-/// memory-constrained runs. Training results are bitwise identical either
-/// way; only the time/memory trade-off moves.
-pub fn stash_enabled() -> bool {
-    static STASH: OnceLock<bool> = OnceLock::new();
-    *STASH.get_or_init(|| mbs_tensor::env::flag_knob("MBS_STASH", true))
-}
 
 /// Executes training steps group-wise according to an MBS [`Schedule`].
 ///
@@ -81,7 +71,7 @@ pub fn stash_enabled() -> bool {
 /// Use it with **per-sample normalizations** (GN, LRN, or none) — the
 /// models MBS targets. Batch normalization is already incompatible with
 /// any serialized execution (paper §3.1: sub-batch statistics differ);
-/// under the `MBS_STASH=0` replay strategy a lowered `BatchNorm2d`'s
+/// under the replay strategy a lowered `BatchNorm2d`'s
 /// running statistics would additionally be momentum-updated once more per
 /// replayed chunk (the stashing default does not re-run forwards, so it
 /// has no such skew).
@@ -126,7 +116,7 @@ pub struct GroupedExecutor {
     /// chunk forwards (false).
     stashing: bool,
     /// Storage precision for interior boundary buffers and stashed cache
-    /// tensors (the `MBS_PREC` knob by default). bf16 halves both
+    /// tensors (`MBS_PREC` by default). bf16 halves both
     /// footprints at the cost of one round-to-nearest-even per stored
     /// element; accumulation and live layer caches stay f32.
     precision: Precision,
@@ -140,8 +130,8 @@ pub struct GroupedExecutor {
 
 impl GroupedExecutor {
     /// Builds an executor for `schedule` over a lowered network with
-    /// `node_count` scheduling units. Backward strategy (cache stashing
-    /// vs replay) defaults to the process-wide [`stash_enabled`] knob.
+    /// `node_count` scheduling units. Backward stashes caches; see
+    /// [`GroupedExecutor::set_stashing`] for the replay strategy.
     ///
     /// # Panics
     ///
@@ -160,8 +150,8 @@ impl GroupedExecutor {
             grads: (0..n).map(|_| empty()).collect(),
             dy_chunk: empty(),
             last_fwd_start: vec![0; n],
-            stashing: stash_enabled(),
-            precision: prec::precision(),
+            stashing: true,
+            precision: Exec::process().precision,
             stashes: (0..n).map(|_| Vec::new()).collect(),
         }
     }
@@ -171,13 +161,13 @@ impl GroupedExecutor {
         &self.groups
     }
 
-    /// Overrides the process-wide `MBS_STASH` decision for this executor
-    /// (the equivalence tests sweep stash vs replay in one process;
-    /// training results are bitwise identical either way). Takes effect
-    /// from the next forward — do not flip it between a forward and its
-    /// backward.
-    /// Turning stashing off drops any held stashes (their tensors return
-    /// to the arena).
+    /// Chooses the backward strategy: stashing (the default) or replay
+    /// (`false`), which holds no stash and re-runs each chunk's forward
+    /// instead — the memory-lean choice when the stash would not fit. At
+    /// f32 storage training results are bitwise identical either way.
+    /// Takes effect from the next forward — do not flip it between a
+    /// forward and its backward. Turning stashing off drops any held
+    /// stashes (their tensors return to the arena).
     pub fn set_stashing(&mut self, stashing: bool) {
         self.stashing = stashing;
         if !stashing {
@@ -194,7 +184,7 @@ impl GroupedExecutor {
         self.stashing
     }
 
-    /// Overrides the process-wide `MBS_PREC` decision for this executor's
+    /// Overrides the process-wide precision (`MBS_PREC`) for this executor's
     /// boundary buffers and cache stashes (the precision tests compare the
     /// two in one process; the GEMM packing precision stays
     /// process-wide). Takes effect from the next forward — held stashes
@@ -306,8 +296,8 @@ impl GroupedExecutor {
     }
 
     /// Grouped backward pass from a full-batch logits gradient, restoring
-    /// each chunk's stashed caches (or replaying its forward under
-    /// `MBS_STASH=0`) and re-slicing gradients at each boundary.
+    /// each chunk's stashed caches (or replaying its forward when stashing
+    /// is off) and re-slicing gradients at each boundary.
     /// Parameter gradients accumulate into the model; the returned value
     /// is the gradient with respect to the network input.
     ///
@@ -374,7 +364,7 @@ impl GroupedExecutor {
                             model.unstash_range(group.start..group.end, stash);
                         }
                         None => {
-                            // Boundary checkpointing (`MBS_STASH=0`):
+                            // Boundary checkpointing (replay):
                             // replay this chunk's forward from the group's
                             // input boundary to repopulate the caches.
                             let chunk = match &src_owned {
@@ -547,7 +537,7 @@ mod tests {
     /// bf16 boundary/stash storage: zero-extra at f32, a 2⁻⁸-per-element
     /// rounding budget at bf16 (observed diffs sit well under this).
     fn mode_tol(f32_tol: f32) -> f32 {
-        match prec::precision() {
+        match Exec::process().precision {
             Precision::F32 => f32_tol,
             Precision::Bf16 => f32_tol.max(2e-2),
         }

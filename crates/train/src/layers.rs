@@ -649,7 +649,7 @@ mod tests {
     /// analytic gradient code being checked is precision-independent, and
     /// bf16 numerics are pinned by the precision equivalence tests.
     fn grad_check(m: &mut dyn Module, x: &Tensor, tol: f32) {
-        if mbs_tensor::prec::precision() != mbs_tensor::prec::Precision::F32 {
+        if mbs_tensor::ops::Exec::process().precision != mbs_tensor::prec::Precision::F32 {
             return;
         }
         let y = m.forward(x, true);

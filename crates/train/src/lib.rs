@@ -20,7 +20,7 @@
 //! [`mbs_core::Schedule`] prescribes — per-group sub-batch sizes,
 //! boundary staging, and a **cache-stashing** backward that keeps every
 //! chunk's layer caches alive instead of re-running forwards
-//! (`MBS_STASH=0` restores the replay strategy) — and
+//! (`set_stashing(false)` restores the memory-lean replay strategy) — and
 //! [`training::train_grouped`] drives the full epoch loop (shuffling,
 //! evaluation, stepped LR) through that executor. A uniform sub-batch
 //! step (paper Tab. 3's MBS-FS), and with `sub = batch` the conventional
@@ -86,7 +86,7 @@ pub use checkpoint::{
     TrainCheckpoint,
 };
 pub use executor::{evaluate, train_step_full};
-pub use grouped::{stash_enabled, GroupedExecutor};
+pub use grouped::GroupedExecutor;
 pub use loader::{generate_to, save_dataset, DiskDataset, LoaderError, LoaderStats, StreamLoader};
 pub use lower::{lower, lower_inference, InferenceLowerError, LowerError, LoweredNet};
 pub use module::{CacheStash, Module, Param, StateDict, StateEntry, StateError};

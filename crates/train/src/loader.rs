@@ -81,28 +81,18 @@ pub const MBSDS_MAGIC: &str = "MBSDS";
 /// File extension of finished datasets.
 pub const MBSDS_EXT: &str = "mbsds";
 
-/// Default samples per chunk when the `MBS_LOADER_CHUNK` knob is unset.
+/// Samples per chunk written by [`save_dataset`] and [`generate_to`]
+/// (the `*_chunked` writers take any other size).
 pub const DEFAULT_CHUNK_SAMPLES: usize = 64;
 
-/// Default prefetch depth when the `MBS_LOADER_PREFETCH` knob is unset.
+/// Prefetch depth of a streamed run whose `TrainConfig::prefetch` is
+/// `None`.
 pub const DEFAULT_PREFETCH: usize = 2;
 
 /// Chunks the background thread keeps decoded at once. Shuffled access
 /// hops between chunks, so a single-slot cache would thrash; a handful
 /// bounds both re-reads and resident bytes.
 const CACHE_CHUNKS: usize = 8;
-
-/// Samples per chunk for writers: the `MBS_LOADER_CHUNK` knob (positive
-/// integer, warn + fall back) or [`DEFAULT_CHUNK_SAMPLES`].
-pub fn chunk_samples_from_env() -> usize {
-    mbs_tensor::env::positive_usize_knob("MBS_LOADER_CHUNK").unwrap_or(DEFAULT_CHUNK_SAMPLES)
-}
-
-/// Prefetch depth for [`StreamLoader`]s: the `MBS_LOADER_PREFETCH` knob
-/// (positive integer, warn + fall back) or [`DEFAULT_PREFETCH`].
-pub fn prefetch_from_env() -> usize {
-    mbs_tensor::env::positive_usize_knob("MBS_LOADER_PREFETCH").unwrap_or(DEFAULT_PREFETCH)
-}
 
 /// Why a dataset file could not be written, opened, or streamed.
 #[derive(Debug)]
@@ -576,15 +566,14 @@ impl ChunkWriter {
     }
 }
 
-/// Saves an in-memory [`Dataset`] as `path` with the chunk size from the
-/// `MBS_LOADER_CHUNK` knob (default [`DEFAULT_CHUNK_SAMPLES`]). See
-/// [`save_dataset_chunked`].
+/// Saves an in-memory [`Dataset`] as `path` in chunks of
+/// [`DEFAULT_CHUNK_SAMPLES`]. See [`save_dataset_chunked`].
 ///
 /// # Errors
 ///
 /// Same as [`save_dataset_chunked`].
 pub fn save_dataset(set: &Dataset, path: impl AsRef<Path>) -> Result<(), LoaderError> {
-    save_dataset_chunked(set, path, chunk_samples_from_env())
+    save_dataset_chunked(set, path, DEFAULT_CHUNK_SAMPLES)
 }
 
 /// Saves an in-memory [`Dataset`] as an atomic `*.mbsds` file with
@@ -637,8 +626,8 @@ pub fn save_dataset_chunked(
 }
 
 /// Generates `n` synthetic-ImageNet samples of `size × size` straight to
-/// disk, one chunk at a time, with the chunk size from `MBS_LOADER_CHUNK`
-/// (default [`DEFAULT_CHUNK_SAMPLES`]). See [`generate_to_chunked`].
+/// disk, one chunk of [`DEFAULT_CHUNK_SAMPLES`] at a time. See
+/// [`generate_to_chunked`].
 ///
 /// # Errors
 ///
@@ -650,7 +639,7 @@ pub fn generate_to(
     noise: f32,
     seed: u64,
 ) -> Result<DiskDataset, LoaderError> {
-    generate_to_chunked(path, n, size, noise, seed, chunk_samples_from_env())
+    generate_to_chunked(path, n, size, noise, seed, DEFAULT_CHUNK_SAMPLES)
 }
 
 /// Streaming synthetic-ImageNet generator: the texture classes of
@@ -757,8 +746,7 @@ pub struct LoaderStats {
 /// recycled, arena-pooled buffers: `prefetch` finished batches queue in a
 /// bounded channel, one more is being filled, one is at the trainer —
 /// `prefetch + 2` buffers total, cycling forever. `prefetch = 1` is the
-/// degenerate near-synchronous mode CI pins
-/// (`MBS_LOADER_PREFETCH=1`).
+/// degenerate near-synchronous mode, which the equivalence tests sweep.
 ///
 /// Dropping the loader closes every channel (unblocking the thread
 /// wherever it sleeps) and joins it — mid-epoch drops, e.g. when the

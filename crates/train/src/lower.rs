@@ -1347,7 +1347,7 @@ mod tests {
     fn fig6_resnet_gradient_matches_finite_difference() {
         // Finite differences through a bf16-quantized GEMM are noise, not
         // gradients — f32 only (see `layers::tests::grad_check`).
-        if mbs_tensor::prec::precision() != mbs_tensor::prec::Precision::F32 {
+        if mbs_tensor::ops::Exec::process().precision != mbs_tensor::prec::Precision::F32 {
             return;
         }
         let gn = NormKind::Group { groups: 4 };
@@ -1417,7 +1417,7 @@ mod tests {
     /// (1e-4); under `MBS_PREC=bf16` each side also quantizes its
     /// (different) packed weights, widening agreement to the 2⁻⁸ budget.
     fn fold_tol() -> f32 {
-        match mbs_tensor::prec::precision() {
+        match mbs_tensor::ops::Exec::process().precision {
             mbs_tensor::prec::Precision::F32 => 1e-4,
             mbs_tensor::prec::Precision::Bf16 => 2e-2,
         }

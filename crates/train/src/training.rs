@@ -50,16 +50,16 @@ pub struct TrainConfig {
     /// `MBS_CKPT_EVERY` environment knobs via
     /// [`CheckpointConfig::from_env`] — pass `Some` to override.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Per-run override of the grouped backward strategy: `Some(true)`
-    /// forces cache stashing, `Some(false)` forces replay, `None` uses
-    /// the process-wide `MBS_STASH` knob.
+    /// Grouped backward strategy: `None` or `Some(true)` stashes caches,
+    /// `Some(false)` replays chunk forwards instead, holding no stash (see
+    /// [`GroupedExecutor::set_stashing`]).
     pub stashing: Option<bool>,
     /// Test-only fault-injection plan for checkpoint saves (`None` in
     /// real runs). See [`FaultPlan`].
     pub fault_plan: Option<FaultPlan>,
-    /// Prefetch depth for streamed sources (`None` = the
-    /// `MBS_LOADER_PREFETCH` knob, default 2; `1` is the degenerate
-    /// near-synchronous mode CI pins). Ignored for in-memory sources —
+    /// Prefetch depth for streamed sources (`None` = depth 2,
+    /// [`loader::DEFAULT_PREFETCH`]; `1` is the degenerate near-synchronous
+    /// mode). Ignored for in-memory sources —
     /// the prefetch depth never changes *what* is trained, only whether
     /// the step loop waits on disk.
     pub prefetch: Option<usize>,
@@ -264,8 +264,8 @@ impl From<LoaderError> for TrainError {
 /// Trains a network **as the scheduler planned it**: `net` is lowered to a
 /// runnable model and every training step runs through a
 /// [`GroupedExecutor`] executing `schedule` — per-group sub-batch sizes,
-/// boundary staging, cache-stashing backward (or replay under
-/// `MBS_STASH=0`). The epoch loop shuffles per epoch (seeded by
+/// boundary staging, cache-stashing backward (or replay with
+/// `cfg.stashing = Some(false)`). The epoch loop shuffles per epoch (seeded by
 /// `cfg.seed`), steps the learning rate at `cfg.lr_milestones`, and
 /// validates after every epoch; the schedule carries the serialization
 /// plan — [`Schedule::uniform`] for one sub-batch size over the whole
@@ -396,7 +396,7 @@ pub fn train_grouped_source_with_stats(
         DataSource::Memory(set) => Feed::Memory(set),
         DataSource::Stream(path) => {
             let disk = DiskDataset::open(path)?;
-            let prefetch = cfg.prefetch.unwrap_or_else(loader::prefetch_from_env);
+            let prefetch = cfg.prefetch.unwrap_or(loader::DEFAULT_PREFETCH);
             let loader = StreamLoader::new(&disk, prefetch)?;
             Feed::Stream { disk, loader }
         }

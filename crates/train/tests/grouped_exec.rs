@@ -5,7 +5,7 @@
 //! 5e-4 — whatever
 //! schedule the MBS scheduler (or a hand-built grouping) picks, whether
 //! backward consumes **cache stashes** (the default) or **replays** chunk
-//! forwards (`MBS_STASH=0`), and across the lowering's whole structural
+//! forwards (`set_stashing(false)`), and across the lowering's whole structural
 //! range (residual, Inception-concat, and LRN+FC AlexNet-style toys). The
 //! uniform one-group schedule (MBS-FS) is pinned by the `executor` unit
 //! tests.
@@ -34,7 +34,7 @@ fn lowered_pair(net: &mbs_cnn::Network, seed: u64) -> (LoweredNet, LoweredNet) {
 /// and cache stashes at half precision (one round-to-nearest-even per
 /// element, relative error ≤ 2⁻⁸; observed diffs sit well under 2e-2).
 fn tol(f32_tol: f32) -> f32 {
-    match mbs_tensor::prec::precision() {
+    match mbs_tensor::ops::Exec::process().precision {
         mbs_tensor::prec::Precision::F32 => f32_tol,
         mbs_tensor::prec::Precision::Bf16 => f32_tol.max(2e-2),
     }
@@ -55,7 +55,7 @@ fn max_param_diff(a: &mut LoweredNet, b: &mut LoweredNet) -> f32 {
 /// The headline equivalence: grouped execution over a hand-built
 /// three-group schedule (sub-batches 2 / 4 / 8 over a batch of 8 — all
 /// distinct, so every boundary genuinely re-slices) matches full-batch
-/// training on a GN model.
+/// training on a GN model, under both backward strategies.
 #[test]
 fn grouped_multi_group_step_matches_full_batch_step() {
     let net = toy::runtime_mix(8, 8);
@@ -79,27 +79,31 @@ fn grouped_multi_group_step_matches_full_batch_step() {
     );
 
     let d = generate(8, 8, 0.3, 91);
-    let (mut full, mut grouped) = lowered_pair(&net, 21);
-    let mut opt_a = Sgd::new(0.05, 0.9, 1e-4);
-    let mut opt_b = Sgd::new(0.05, 0.9, 1e-4);
-    let mut exec = GroupedExecutor::new(&schedule, grouped.len());
-    for _ in 0..3 {
-        let l_full = train_step_full(&mut full, &d.images, &d.labels, &mut opt_a);
-        let l_grp = exec.train_step(&mut grouped, &d.images, &d.labels, &mut opt_b);
+    for stashing in [true, false] {
+        let (mut full, mut grouped) = lowered_pair(&net, 21);
+        let mut opt_a = Sgd::new(0.05, 0.9, 1e-4);
+        let mut opt_b = Sgd::new(0.05, 0.9, 1e-4);
+        let mut exec = GroupedExecutor::new(&schedule, grouped.len());
+        exec.set_stashing(stashing);
+        for _ in 0..3 {
+            let l_full = train_step_full(&mut full, &d.images, &d.labels, &mut opt_a);
+            let l_grp = exec.train_step(&mut grouped, &d.images, &d.labels, &mut opt_b);
+            assert!(
+                (l_full - l_grp).abs() < tol(1e-4),
+                "stash={stashing}: losses {l_full} vs {l_grp}"
+            );
+        }
+        let diff = max_param_diff(&mut full, &mut grouped);
         assert!(
-            (l_full - l_grp).abs() < tol(1e-4),
-            "losses {l_full} vs {l_grp}"
+            diff < tol(5e-4),
+            "stash={stashing}: grouped GN training diverged from full-batch: {diff}"
         );
     }
-    let diff = max_param_diff(&mut full, &mut grouped);
-    assert!(
-        diff < tol(5e-4),
-        "grouped GN training diverged from full-batch: {diff}"
-    );
 }
 
 /// The same equivalence with the schedule chosen by the real scheduler
-/// against a CPU cache budget — the full IR → schedule → runtime pipeline.
+/// against a CPU cache budget — the full IR → schedule → runtime pipeline,
+/// under both backward strategies.
 #[test]
 fn scheduler_chosen_schedule_is_faithful() {
     let net = toy::runtime_mix(8, 8);
@@ -114,19 +118,22 @@ fn scheduler_chosen_schedule_is_faithful() {
     );
 
     let d = generate(8, 8, 0.3, 92);
-    let (mut full, mut grouped) = lowered_pair(&net, 22);
-    let mut opt_a = Sgd::new(0.05, 0.9, 1e-4);
-    let mut opt_b = Sgd::new(0.05, 0.9, 1e-4);
-    let mut exec = GroupedExecutor::new(&schedule, grouped.len());
-    for _ in 0..2 {
-        let _ = train_step_full(&mut full, &d.images, &d.labels, &mut opt_a);
-        let _ = exec.train_step(&mut grouped, &d.images, &d.labels, &mut opt_b);
+    for stashing in [true, false] {
+        let (mut full, mut grouped) = lowered_pair(&net, 22);
+        let mut opt_a = Sgd::new(0.05, 0.9, 1e-4);
+        let mut opt_b = Sgd::new(0.05, 0.9, 1e-4);
+        let mut exec = GroupedExecutor::new(&schedule, grouped.len());
+        exec.set_stashing(stashing);
+        for _ in 0..2 {
+            let _ = train_step_full(&mut full, &d.images, &d.labels, &mut opt_a);
+            let _ = exec.train_step(&mut grouped, &d.images, &d.labels, &mut opt_b);
+        }
+        let diff = max_param_diff(&mut full, &mut grouped);
+        assert!(
+            diff < tol(5e-4),
+            "stash={stashing}: scheduler-driven training diverged: {diff}"
+        );
     }
-    let diff = max_param_diff(&mut full, &mut grouped);
-    assert!(
-        diff < tol(5e-4),
-        "scheduler-driven training diverged: {diff}"
-    );
 }
 
 /// The full equivalence matrix over the newly lowerable network shapes:
@@ -196,7 +203,9 @@ fn equivalence_matrix_inception_and_alexnet_toys() {
                     None => stash_params = Some(params),
                     Some(reference) => {
                         for (i, (a, b)) in reference.iter().zip(&params).enumerate() {
-                            if mbs_tensor::prec::precision() == mbs_tensor::prec::Precision::F32 {
+                            if mbs_tensor::ops::Exec::process().precision
+                                == mbs_tensor::prec::Precision::F32
+                            {
                                 assert_eq!(
                                     a,
                                     b,
@@ -325,20 +334,26 @@ fn full_networks_complete_scheduler_chosen_grouped_steps() {
 
 /// Grouped training actually learns (loss falls over steps) on a network
 /// built from `mbs_cnn::networks` — the lowered-IR path exercised
-/// end-to-end.
+/// end-to-end, under both backward strategies.
 #[test]
 fn grouped_training_reduces_loss() {
     let net = toy::runtime_mix(8, 8);
     let hw = HardwareConfig::cpu().with_global_buffer(3 * 1024);
     let schedule = MbsScheduler::new(&net, &hw, ExecConfig::Mbs1).schedule();
     let d = generate(32, 8, 0.25, 94);
-    let mut model = lower(&net, &mut StdRng::seed_from_u64(7)).unwrap();
-    let mut opt = Sgd::new(0.05, 0.9, 1e-4);
-    let mut exec = GroupedExecutor::new(&schedule, model.len());
-    let first = exec.train_step(&mut model, &d.images, &d.labels, &mut opt);
-    let mut last = first;
-    for _ in 0..12 {
-        last = exec.train_step(&mut model, &d.images, &d.labels, &mut opt);
+    for stashing in [true, false] {
+        let mut model = lower(&net, &mut StdRng::seed_from_u64(7)).unwrap();
+        let mut opt = Sgd::new(0.05, 0.9, 1e-4);
+        let mut exec = GroupedExecutor::new(&schedule, model.len());
+        exec.set_stashing(stashing);
+        let first = exec.train_step(&mut model, &d.images, &d.labels, &mut opt);
+        let mut last = first;
+        for _ in 0..12 {
+            last = exec.train_step(&mut model, &d.images, &d.labels, &mut opt);
+        }
+        assert!(
+            last < first,
+            "stash={stashing}: loss should fall: {first} -> {last}"
+        );
     }
-    assert!(last < first, "loss should fall: {first} -> {last}");
 }

@@ -6,7 +6,7 @@
 //! arena or from the executor's persistent staging buffers. Stashing
 //! moves cache tensors by ownership (their arena storage travels with
 //! them), so the stash path must be exactly as allocation-free as the
-//! `MBS_STASH=0` replay path — the test pins both.
+//! replay path (`set_stashing(false)`) — the test pins both.
 //!
 //! The streamed data path must not weaken the claim: a training step fed
 //! by the background-prefetch [`StreamLoader`] — batch decode, cross-

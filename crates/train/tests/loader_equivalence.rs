@@ -176,7 +176,8 @@ fn streamed_training_is_bitwise_equal_to_in_memory() {
 /// Kill/resume over a streamed source: a run killed after its first
 /// mid-epoch checkpoint save, resumed from the directory, must reproduce
 /// the *uninterrupted in-memory* curve bitwise — the two contracts
-/// (crash safety and streamed equivalence) compose.
+/// (crash safety and streamed equivalence) compose — at prefetch depth 1
+/// (every trainer/loader handoff serializes) and at the default depth 2.
 #[test]
 fn streamed_kill_resume_reproduces_the_uninterrupted_curve() {
     let case = &cases()[1]; // inception is the cheaper of the two
@@ -185,46 +186,49 @@ fn streamed_kill_resume_reproduces_the_uninterrupted_curve() {
     save_dataset_chunked(&case.train_set, &path, 5).unwrap();
     let source = DataSource::Stream(path);
 
-    let mut cfg = base_cfg();
     let baseline = train_grouped(
         &case.net,
         &case.schedule,
         &case.train_set,
         &case.val_set,
-        &cfg,
+        &base_cfg(),
     )
     .expect("uninterrupted in-memory baseline");
 
-    let ck_dir = dir.join("ckpts");
-    // 16 samples / batch 8 = 2 steps per epoch: every_steps = 1 puts the
-    // first save mid-epoch, where the resume cursor meets the prefetch
-    // plan's `skip`.
-    cfg.checkpoint = Some(CheckpointConfig {
-        dir: ck_dir.clone(),
-        every_steps: 1,
-        keep: 3,
-        resume: true,
-    });
-    cfg.fault_plan = Some(FaultPlan::kill_after(1));
-    let killed = train_grouped_source(&case.net, &case.schedule, &source, &case.val_set, &cfg);
-    assert!(
-        matches!(killed, Err(TrainError::Killed { saves: 1 })),
-        "first streamed run should die after one save: {killed:?}"
-    );
+    for prefetch in [1usize, 2] {
+        let mut cfg = base_cfg();
+        cfg.prefetch = Some(prefetch);
+        // 16 samples / batch 8 = 2 steps per epoch: every_steps = 1 puts
+        // the first save mid-epoch, where the resume cursor meets the
+        // prefetch plan's `skip`.
+        cfg.checkpoint = Some(CheckpointConfig {
+            dir: dir.join(format!("ckpts-prefetch{prefetch}")),
+            every_steps: 1,
+            keep: 3,
+            resume: true,
+        });
+        cfg.fault_plan = Some(FaultPlan::kill_after(1));
+        let killed = train_grouped_source(&case.net, &case.schedule, &source, &case.val_set, &cfg);
+        assert!(
+            matches!(killed, Err(TrainError::Killed { saves: 1 })),
+            "prefetch {prefetch}: first streamed run should die after one save: {killed:?}"
+        );
 
-    // Kill the first resume too — recovery of a recovery, streamed.
-    cfg.fault_plan = Some(FaultPlan::kill_after(1));
-    let killed_again =
-        train_grouped_source(&case.net, &case.schedule, &source, &case.val_set, &cfg);
-    assert!(
-        matches!(killed_again, Err(TrainError::Killed { .. })),
-        "second streamed run should also die: {killed_again:?}"
-    );
+        // Kill the first resume too — recovery of a recovery, streamed.
+        cfg.fault_plan = Some(FaultPlan::kill_after(1));
+        let killed_again =
+            train_grouped_source(&case.net, &case.schedule, &source, &case.val_set, &cfg);
+        assert!(
+            matches!(killed_again, Err(TrainError::Killed { .. })),
+            "prefetch {prefetch}: second streamed run should also die: {killed_again:?}"
+        );
 
-    cfg.fault_plan = None;
-    let resumed = train_grouped_source(&case.net, &case.schedule, &source, &case.val_set, &cfg)
-        .expect("streamed resume");
-    assert_curves_bitwise("streamed-kill-resume", &resumed, &baseline);
+        cfg.fault_plan = None;
+        let resumed = train_grouped_source(&case.net, &case.schedule, &source, &case.val_set, &cfg)
+            .expect("streamed resume");
+        let label = format!("streamed-kill-resume-prefetch{prefetch}");
+        assert_curves_bitwise(&label, &resumed, &baseline);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,7 +2,8 @@
 //! serialization with GN is numerically equivalent to full-mini-batch
 //! training for *any* sub-batch size, seed, and data. The serialized step
 //! is the uniform one-group schedule (MBS-FS) over the lowered Fig. 6
-//! model; boundaries and stashes are kept at f32 so the properties hold
+//! model, whose backward either restores stashed caches or replays chunk
+//! forwards; boundaries and stashes are kept at f32 so the properties hold
 //! under every `MBS_PREC` (the bf16 storage budget is pinned in
 //! `grouped_exec.rs`).
 
@@ -24,17 +25,20 @@ use mbs_train::Module;
 const BATCH: usize = 8;
 
 /// Identically seeded twins of the Fig. 6 model, and an executor that
-/// steps the second one `sub_batch` samples at a time.
+/// steps the second one `sub_batch` samples at a time, stashing caches or
+/// replaying forwards.
 fn twins(
     norm: Option<NormKind>,
     seed: u64,
     sub_batch: usize,
+    stashing: bool,
 ) -> (LoweredNet, LoweredNet, GroupedExecutor) {
     let net = toy::fig6_resnet(8, 4, 1, norm, BATCH);
     let full = lower(&net, &mut StdRng::seed_from_u64(seed)).unwrap();
     let mbs = lower(&net, &mut StdRng::seed_from_u64(seed)).unwrap();
     let mut exec = GroupedExecutor::new(&Schedule::uniform(&net, BATCH, sub_batch), mbs.len());
     exec.set_precision(Precision::F32);
+    exec.set_stashing(stashing);
     (full, mbs, exec)
 }
 
@@ -54,7 +58,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// GN + MBS == GN full-batch, for arbitrary sub-batch sizes (including
-    /// ones that do not divide the batch) and arbitrary seeds.
+    /// ones that do not divide the batch), arbitrary seeds and both
+    /// backward strategies.
     #[test]
     fn gn_serialization_is_faithful(
         sub_batch in 1usize..9,
@@ -63,46 +68,54 @@ proptest! {
     ) {
         let d = generate(BATCH, 8, 0.3, data_seed);
         let gn = Some(NormKind::Group { groups: 4 });
-        let (mut full, mut mbs, mut exec) = twins(gn, model_seed, sub_batch);
-        let mut oa = Sgd::new(0.05, 0.9, 1e-4);
-        let mut ob = Sgd::new(0.05, 0.9, 1e-4);
-        for _ in 0..2 {
-            let lf = train_step_full(&mut full, &d.images, &d.labels, &mut oa);
-            let lm = exec.train_step(&mut mbs, &d.images, &d.labels, &mut ob);
-            prop_assert!((lf - lm).abs() < 1e-3, "loss {lf} vs {lm}");
+        for stashing in [true, false] {
+            let (mut full, mut mbs, mut exec) = twins(gn, model_seed, sub_batch, stashing);
+            let mut oa = Sgd::new(0.05, 0.9, 1e-4);
+            let mut ob = Sgd::new(0.05, 0.9, 1e-4);
+            for _ in 0..2 {
+                let lf = train_step_full(&mut full, &d.images, &d.labels, &mut oa);
+                let lm = exec.train_step(&mut mbs, &d.images, &d.labels, &mut ob);
+                prop_assert!((lf - lm).abs() < 1e-3, "stash={stashing}: loss {lf} vs {lm}");
+            }
+            let diff = max_param_diff(&mut full, &mut mbs);
+            prop_assert!(diff < 1e-3, "sub {sub_batch} stash={stashing}: diff {diff}");
         }
-        let diff = max_param_diff(&mut full, &mut mbs);
-        prop_assert!(diff < 1e-3, "sub {sub_batch}: diff {diff}");
     }
 
     /// Without normalization the equivalence also holds (it is a property
-    /// of gradient accumulation, not of GN specifically).
+    /// of gradient accumulation, not of GN specifically), under both
+    /// backward strategies.
     #[test]
     fn no_norm_serialization_is_faithful(
         sub_batch in 1usize..9,
         model_seed in 0u64..500,
     ) {
         let d = generate(BATCH, 8, 0.3, 777);
-        let (mut full, mut mbs, mut exec) = twins(None, model_seed, sub_batch);
-        let mut oa = Sgd::new(0.02, 0.9, 0.0);
-        let mut ob = Sgd::new(0.02, 0.9, 0.0);
-        let _ = train_step_full(&mut full, &d.images, &d.labels, &mut oa);
-        let _ = exec.train_step(&mut mbs, &d.images, &d.labels, &mut ob);
-        let diff = max_param_diff(&mut full, &mut mbs);
-        prop_assert!(diff < 1e-3, "sub {sub_batch}: diff {diff}");
+        for stashing in [true, false] {
+            let (mut full, mut mbs, mut exec) = twins(None, model_seed, sub_batch, stashing);
+            let mut oa = Sgd::new(0.02, 0.9, 0.0);
+            let mut ob = Sgd::new(0.02, 0.9, 0.0);
+            let _ = train_step_full(&mut full, &d.images, &d.labels, &mut oa);
+            let _ = exec.train_step(&mut mbs, &d.images, &d.labels, &mut ob);
+            let diff = max_param_diff(&mut full, &mut mbs);
+            prop_assert!(diff < 1e-3, "sub {sub_batch} stash={stashing}: diff {diff}");
+        }
     }
 
     /// BN breaks the equivalence whenever serialization actually splits the
-    /// batch (the statistics differ).
+    /// batch (the statistics differ), under both backward strategies.
     #[test]
     fn bn_serialization_differs(sub_batch in 2usize..5) {
         let d = generate(BATCH, 8, 0.3, 888);
-        let (mut full, mut mbs, mut exec) = twins(Some(NormKind::Batch), 3, sub_batch);
-        let mut oa = Sgd::new(0.05, 0.9, 0.0);
-        let mut ob = Sgd::new(0.05, 0.9, 0.0);
-        let _ = train_step_full(&mut full, &d.images, &d.labels, &mut oa);
-        let _ = exec.train_step(&mut mbs, &d.images, &d.labels, &mut ob);
-        let diff = max_param_diff(&mut full, &mut mbs);
-        prop_assert!(diff > 1e-6, "BN should diverge, diff {diff}");
+        for stashing in [true, false] {
+            let (mut full, mut mbs, mut exec) =
+                twins(Some(NormKind::Batch), 3, sub_batch, stashing);
+            let mut oa = Sgd::new(0.05, 0.9, 0.0);
+            let mut ob = Sgd::new(0.05, 0.9, 0.0);
+            let _ = train_step_full(&mut full, &d.images, &d.labels, &mut oa);
+            let _ = exec.train_step(&mut mbs, &d.images, &d.labels, &mut ob);
+            let diff = max_param_diff(&mut full, &mut mbs);
+            prop_assert!(diff > 1e-6, "stash={stashing}: BN should diverge, diff {diff}");
+        }
     }
 }

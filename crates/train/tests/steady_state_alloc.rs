@@ -5,8 +5,8 @@
 //! iterations perform no fresh f32-storage allocations.
 //!
 //! The loop here is MBS-FS: the Fig. 6 GN model under the uniform
-//! one-group schedule at several sub-batch sizes, then chunked
-//! evaluation. Multi-group schedules, the streamed data path and
+//! one-group schedule at several sub-batch sizes, stashing and replaying,
+//! then chunked evaluation. Multi-group schedules, the streamed data path and
 //! checkpointing are pinned by `grouped_steady_state.rs`.
 //!
 //! This lives in its own integration-test binary because the arena's
@@ -35,21 +35,26 @@ fn steady_state_mbs_training_is_arena_miss_free() {
     let mut resnet = lower(&net, &mut StdRng::seed_from_u64(2)).expect("fig6_resnet lowers");
     let mut opt = Sgd::new(0.05, 0.9, 1e-4);
 
-    for sub in [2usize, 4] {
-        let mut exec = GroupedExecutor::new(&Schedule::uniform(&net, 16, sub), resnet.len());
-        // Warm the pool: the first step at each sub-batch size populates
-        // it with every buffer shape the loop cycles through.
-        for _ in 0..2 {
+    // Both backward strategies: stashed caches move by ownership, and
+    // replayed forwards draw from the same pool.
+    for stashing in [true, false] {
+        for sub in [2usize, 4] {
+            let mut exec = GroupedExecutor::new(&Schedule::uniform(&net, 16, sub), resnet.len());
+            exec.set_stashing(stashing);
+            // Warm the pool: the first step at each sub-batch size
+            // populates it with every buffer shape the loop cycles through.
+            for _ in 0..2 {
+                let _ = exec.train_step(&mut resnet, &d.images, &d.labels, &mut opt);
+            }
+            arena::reset_stats();
             let _ = exec.train_step(&mut resnet, &d.images, &d.labels, &mut opt);
+            let (hits, misses) = arena::stats();
+            assert!(hits > 0, "the training step must route through the arena");
+            assert_eq!(
+                misses, 0,
+                "steady-state sub-batch loop (sub={sub}, stash={stashing}) allocated fresh buffers"
+            );
         }
-        arena::reset_stats();
-        let _ = exec.train_step(&mut resnet, &d.images, &d.labels, &mut opt);
-        let (hits, misses) = arena::stats();
-        assert!(hits > 0, "the training step must route through the arena");
-        assert_eq!(
-            misses, 0,
-            "steady-state sub-batch loop (sub={sub}) allocated fresh buffers"
-        );
     }
 
     // Inference chunks reuse the same pools.
