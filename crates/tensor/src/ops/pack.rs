@@ -829,6 +829,20 @@ mod tests {
     }
 
     #[test]
+    fn thread_counts_are_bitwise_identical() {
+        let (m, n, k) = (133, 37, 97);
+        let a = seq(m * k, 3);
+        let b = seq(k * n, 4);
+        let one = Exec {
+            threads: 1,
+            ..Exec::process()
+        };
+        let c1 = run(&a, &b, m, n, k, one);
+        let c4 = run(&a, &b, m, n, k, Exec { threads: 4, ..one });
+        assert_eq!(c1, c4, "thread count must not change results bitwise");
+    }
+
+    #[test]
     fn every_kernel_and_thread_count_agrees_bitwise_per_kernel() {
         // For every kernel and precision, N threads reproduce 1 thread
         // bit-for-bit: the shared B panel's packed bytes (bf16 encodings
@@ -1016,6 +1030,26 @@ mod tests {
                 (x - y).abs() <= budget,
                 "idx {i}: bf16 {x} vs f32 {y} (budget {budget})"
             );
+        }
+    }
+
+    #[test]
+    fn bf16_thread_counts_are_bitwise_identical() {
+        // The shared-B-panel protocol must preserve per-precision bitwise
+        // thread invariance: packed bf16 bytes are a pure function of
+        // (B, jc, pc), regardless of which worker encodes them.
+        let (m, n, k) = (200, 300, 150);
+        let a = seq(m * k, 31);
+        let b = seq(k * n, 32);
+        let one = Exec {
+            threads: 1,
+            precision: Precision::Bf16,
+            ..Exec::process()
+        };
+        let c1 = run(&a, &b, m, n, k, one);
+        for threads in [2usize, 3, 5, 8] {
+            let cn = run(&a, &b, m, n, k, Exec { threads, ..one });
+            assert_eq!(c1, cn, "bf16 with {threads} threads");
         }
     }
 }

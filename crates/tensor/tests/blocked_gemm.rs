@@ -167,6 +167,23 @@ proptest! {
         assert_close(&fast, &reference, co, "conv2d_backward_data");
     }
 
+    /// Bitwise determinism: the blocked GEMM produces *identical* bits for
+    /// 1 thread and any other thread count.
+    #[test]
+    fn gemm_is_bitwise_deterministic_across_threads(
+        m in 1usize..200,
+        n in 1usize..50,
+        k in 1usize..100,
+        threads in 2usize..6,
+    ) {
+        let a: Vec<f32> = (0..m * k).map(|v| (v % 23) as f32 / 7.0 - 1.5).collect();
+        let b: Vec<f32> = (0..k * n).map(|v| (v % 19) as f32 / 5.0 - 1.8).collect();
+        let one = Exec { threads: 1, ..Exec::process() };
+        let c1 = row_major_gemm(&a, &b, m, n, k, one);
+        let cn = row_major_gemm(&a, &b, m, n, k, Exec { threads, ..one });
+        prop_assert_eq!(c1, cn);
+    }
+
     /// The same bitwise guarantee where convolution threads: the forward
     /// pass and the data gradient split `(sample, channel block)` items,
     /// the weight gradient channel blocks.
