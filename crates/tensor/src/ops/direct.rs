@@ -2,8 +2,10 @@
 //! weight gradient as register-tiled 1-D correlations over staged input
 //! planes. No lowering exists: the largest temporary is a zero-padded copy
 //! of one operand (one sample's, for the forward pass and the data
-//! gradient). `docs/ARCHITECTURE.md` ("Direct convolution") has the
-//! diagrams and the measurements behind the choices.
+//! gradient; the whole call's `x` and `dy`, for the weight gradient, whose
+//! running sums when its reduction is split in blocks are smaller still).
+//! `docs/ARCHITECTURE.md` ("Direct convolution") has the diagrams and the
+//! measurements behind the choices.
 //!
 //! A sample's input is **staged** once: every channel becomes one
 //! zero-padded plane per *stride phase* `(ky mod s, kx mod s)`, all of row
@@ -28,10 +30,21 @@
 //!   flipped sub-kernel `w[s·q + ρ]` — `s²` passes, no wasted taps, every
 //!   `dx` element written once. Its weights are the one operand packed per
 //!   call (`pack_swapped`).
-//! - **weight gradient**: the roles turn. Lanes are output channels (`dy`
-//!   transposed to pixel-major rows), the broadcast streams are the staged
-//!   input streams of `cb` weights, and the reduction walks the valid
-//!   output pixels of every sample in order.
+//! - **weight gradient**: the roles turn. Lanes are output channels, the
+//!   broadcast streams are the staged input streams of `cb` weights, and
+//!   the reduction walks the valid output pixels of every sample in order.
+//!   `dy` is transposed **panel-major**, `[n][co/pw][ho·wo][pw]` with `pw`
+//!   the widest tile, so one tile's lanes over the whole reduction are a
+//!   single contiguous panel. A panel larger than `CACHE.panel` is
+//!   reduced over blocks of samples or pixels that fit it, each block
+//!   running every step of `cb` weights before the next, with the
+//!   accumulators carried exactly between blocks (the tile's accumulating
+//!   variant starts from the stored running sums).
+//!
+//! The forward pass and the data gradient walk a staged sample larger
+//! than `CACHE.staged` chunk by chunk of its output domain, running every
+//! channel block on a chunk before the next (when the weights, re-read per
+//! chunk, fit `CACHE.weights`). Neither blocking changes a sum.
 //!
 //! Every output element is reduced in a fixed order by one accumulator
 //! lane, independent of what shares its tile, and threads split `sample ×
@@ -54,9 +67,12 @@ use crate::tensor::Tensor;
 
 /// The register tile. For `i < cb` and `lane < nv·lanes`:
 /// `acc[i·nv·lanes + lane] = Σ_{c < chans} Σ_{(xo, wo) ∈ taps} w[w_rows[i] +
-/// c·w_chan + wo] · x[c·x_chan + xo + lane]`, reduced in `(c, tap)` order.
-/// The `cb` scalars of a step are broadcast from wherever `w_rows` says
-/// they live, so neither operand needs a tile-specific layout.
+/// c·w_chan + wo] · x[c·x_chan + xo + lane]`, reduced in `(c, tap)` order,
+/// starting from zero — or, in the accumulating variant, from the value
+/// `acc` already holds, so a reduction split into consecutive calls rounds
+/// exactly as one call over the whole of it. The `cb` scalars of a step
+/// are broadcast from wherever `w_rows` says they live, so neither operand
+/// needs a tile-specific layout.
 type Tile = unsafe fn(
     chans: usize,
     x: *const f32,
@@ -74,8 +90,9 @@ struct Tiles {
     cb: usize,
     /// f32 lanes per vector.
     lanes: usize,
-    /// Tiles for 1, 2, … vectors of lanes.
-    by_vectors: &'static [Tile],
+    /// Tiles for 1, 2, … vectors of lanes: `[starting from zero,
+    /// accumulating onto acc]`.
+    by_vectors: &'static [[Tile; 2]],
 }
 
 impl Tiles {
@@ -89,8 +106,81 @@ impl Tiles {
 const MAX_CB: usize = 8;
 const MAX_ACC: usize = MAX_CB * 48;
 
-/// Defines `$name<NV>`: the tile of `$cb` rows × `NV` vectors of `$lanes`
-/// lanes over the given vector primitives.
+/// Cache budgets of the loop orders, in bytes. Blocking reorders which
+/// tile runs when, never the reduction of an accumulator lane, so any
+/// budget gives the same bits; these only decide what stays in cache.
+#[derive(Clone, Copy, Debug)]
+struct Budget {
+    /// Most bytes of one weight-gradient `dy` panel reduced in one pass:
+    /// a larger panel is reduced over blocks of whole samples, or of
+    /// pixels within a sample, of at most this size.
+    panel: usize,
+    /// Most bytes of a staged sample the forward pass and the data
+    /// gradient may re-stream per channel block: past it, they walk the
+    /// output domain in chunks of this many staged bytes …
+    staged: usize,
+    /// … provided every channel block's weights, which each chunk re-reads,
+    /// fit this.
+    weights: usize,
+}
+
+/// The budgets every public entry point uses, for a 2 MiB L2: a quarter
+/// of it for the operand every step re-reads (the `dy` panel block, the
+/// staged chunk), half for the weights a chunk re-reads, the rest for the
+/// streamed operand and the output. Blocking pays only past them, where
+/// the re-read operand would otherwise come from L3 (see
+/// `docs/ARCHITECTURE.md`, "Direct convolution", for the measurements).
+const CACHE: Budget = Budget {
+    panel: 512 << 10,
+    staged: 512 << 10,
+    weights: 1 << 20,
+};
+
+impl Budget {
+    /// Domain lanes per chunk of a correlation whose staged sample is
+    /// `staged` bytes, `lane` bytes per domain lane, and whose chunks each
+    /// re-read `weights` bytes; `usize::MAX` (one chunk) when the sample
+    /// fits or the weights do not.
+    fn chunk(&self, staged: usize, lane: usize, weights: usize) -> usize {
+        if staged > self.staged && weights <= self.weights && lane > 0 {
+            (self.staged / lane).max(1)
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// The weight gradient's reduction over `n` samples of `hw` pixels, in
+    /// order, as `(samples, pixels)` blocks whose `dy` panel (`row` bytes
+    /// a pixel) fits the panel budget: all samples at once when they fit,
+    /// else whole samples at a time, else pixel blocks of one sample.
+    fn reduction_blocks(
+        &self,
+        n: usize,
+        hw: usize,
+        row: usize,
+    ) -> Vec<(Range<usize>, Range<usize>)> {
+        let sample = hw * row;
+        if sample <= self.panel {
+            let per = self.panel / sample.max(1);
+            return (0..n)
+                .step_by(per)
+                .map(|s| (s..n.min(s + per), 0..hw))
+                .collect();
+        }
+        let per = (self.panel / row).max(1);
+        (0..n)
+            .flat_map(|s| {
+                (0..hw)
+                    .step_by(per)
+                    .map(move |p| (s..s + 1, p..hw.min(p + per)))
+            })
+            .collect()
+    }
+}
+
+/// Defines `$name<NV, ACC>`: the tile of `$cb` rows × `NV` vectors of
+/// `$lanes` lanes over the given vector primitives, starting from `acc`
+/// when `ACC`.
 macro_rules! tile {
     ($(#[$feat:meta])? $name:ident, $cb:literal, $lanes:literal,
      $zero:expr, $load:expr, $splat:expr, $fma:expr, $store:expr) => {
@@ -98,10 +188,11 @@ macro_rules! tile {
         ///
         /// Needs the tier's ISA; `w_rows` holds `cb` offsets, every `w`
         /// and `x` element named by [`Tile`] (`lane < NV·lanes`) is
-        /// readable, and `acc` holds `cb·NV·lanes` floats.
+        /// readable, and `acc` holds `cb·NV·lanes` floats (initialised
+        /// when `ACC`).
         $(#[$feat])?
         #[allow(clippy::too_many_arguments, clippy::redundant_closure_call)]
-        unsafe fn $name<const NV: usize>(
+        unsafe fn $name<const NV: usize, const ACC: bool>(
             chans: usize,
             x: *const f32,
             x_chan: usize,
@@ -113,6 +204,13 @@ macro_rules! tile {
         ) {
             let rows = w_rows.cast::<[usize; $cb]>().read();
             let mut c = [[($zero)(); NV]; $cb];
+            if ACC {
+                for (i, row) in c.iter_mut().enumerate() {
+                    for (k, ck) in row.iter_mut().enumerate() {
+                        *ck = ($load)(acc.add((i * NV + k) * $lanes).cast_const());
+                    }
+                }
+            }
             for ch in 0..chans {
                 let (xc, wc) = (x.add(ch * x_chan), w.add(ch * w_chan));
                 for &(xo, wo) in taps {
@@ -155,7 +253,10 @@ tile!(
 static PORTABLE: Tiles = Tiles {
     cb: 4,
     lanes: 8,
-    by_vectors: &[portable_tile::<1> as Tile, portable_tile::<2>],
+    by_vectors: &[
+        [portable_tile::<1, false> as Tile, portable_tile::<1, true>],
+        [portable_tile::<2, false>, portable_tile::<2, true>],
+    ],
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -192,14 +293,22 @@ mod x86 {
     pub(super) static AVX2: Tiles = Tiles {
         cb: 4,
         lanes: 8,
-        by_vectors: &[avx2_tile::<1> as Tile, avx2_tile::<2>, avx2_tile::<3>],
+        by_vectors: &[
+            [avx2_tile::<1, false> as Tile, avx2_tile::<1, true>],
+            [avx2_tile::<2, false>, avx2_tile::<2, true>],
+            [avx2_tile::<3, false>, avx2_tile::<3, true>],
+        ],
     };
 
     /// 8 rows × 3 zmm = 24 accumulators; scalars are embedded broadcasts.
     pub(super) static AVX512: Tiles = Tiles {
         cb: 8,
         lanes: 16,
-        by_vectors: &[avx512_tile::<1> as Tile, avx512_tile::<2>, avx512_tile::<3>],
+        by_vectors: &[
+            [avx512_tile::<1, false> as Tile, avx512_tile::<1, true>],
+            [avx512_tile::<2, false>, avx512_tile::<2, true>],
+            [avx512_tile::<3, false>, avx512_tile::<3, true>],
+        ],
     };
 }
 
@@ -422,16 +531,32 @@ struct Correlation<'a> {
     passes: &'a [Pass<'a>],
     out_chans: usize,
     out_chan_len: usize,
+    /// Domain lanes per chunk (see [`Budget::chunk`]).
+    chunk: usize,
     /// Post-ops of the store (forward only).
     bias: Option<&'a [f32]>,
     mask: Option<&'a MaskSink>,
+}
+
+impl Pass<'_> {
+    /// Lanes of the flattened output domain at row pitch `wp`.
+    fn domain(&self, wp: usize) -> usize {
+        if self.rows == 0 || self.cols == 0 {
+            return 0;
+        }
+        (self.rows - 1) * wp + self.cols
+    }
 }
 
 impl Correlation<'_> {
     /// Runs every pass for `n` samples; `stage(s, buf)` fills `buf`
     /// (`chans·chan_stride`) with sample `s`. Work items are `(sample,
     /// channel block)` pairs; a worker stages a sample when it first meets
-    /// it, so staged data never crosses threads.
+    /// it, so staged data never crosses threads. Over one staged sample it
+    /// walks the output domain chunk by chunk and runs all of its channel
+    /// blocks of that sample on a chunk before the next, so a chunk's
+    /// slice of the sample is read from cache by every block after the
+    /// first. Which tile computes a lane changes nothing in its sum.
     fn run(&self, n: usize, stage: impl Fn(usize, &mut [f32]) + Sync, out: &mut [f32]) {
         let cb = self.tiles.cb;
         let blocks = self.out_chans.div_ceil(cb);
@@ -439,27 +564,40 @@ impl Correlation<'_> {
             let chan = (item / blocks) * self.out_chans + (item % blocks * cb).min(self.out_chans);
             chan * self.out_chan_len
         };
+        let domain = self
+            .passes
+            .iter()
+            .map(|p| p.domain(self.wp))
+            .max()
+            .unwrap_or(0);
+        let chunk = self.chunk.clamp(1, domain.max(1));
         let planes = |_| arena::take(self.chans * self.chan_stride);
-        let work = |_, items: Range<usize>, chunk: &mut [f32], mut buf: Scratch| {
+        let work = |_, items: Range<usize>, out: &mut [f32], mut buf: Scratch| {
             let first = bound(items.start);
-            let mut staged = usize::MAX;
-            for item in items {
-                let (s, b) = (item / blocks, item % blocks);
-                if s != staged {
-                    stage(s, &mut buf);
-                    staged = s;
+            let mut start = items.start;
+            while start < items.end {
+                let s = start / blocks;
+                let end = items.end.min((s + 1) * blocks);
+                stage(s, &mut buf);
+                for j0 in (0..domain).step_by(chunk) {
+                    let lanes = j0..domain.min(j0 + chunk);
+                    for item in start..end {
+                        let (b, elem0) = (item % blocks, bound(item));
+                        let dst = &mut out[elem0 - first..bound(item + 1) - first];
+                        for pass in self.passes {
+                            self.run_pass(pass, &buf, b, elem0, dst, lanes.clone());
+                        }
+                    }
                 }
-                let dst = &mut chunk[bound(item) - first..bound(item + 1) - first];
-                for pass in self.passes {
-                    self.run_pass(pass, &buf, b, bound(item), dst);
-                }
+                start = end;
             }
         };
         scoped_chunks(out, n * blocks, self.threads, planes, bound, work);
     }
 
-    /// One pass for one `(sample, channel block)`: `dst` is the block's
-    /// output channels, `elem0` their element index in the whole output.
+    /// One pass for one `(sample, channel block)` over the domain lanes
+    /// `lanes` (clipped to the pass's domain): `dst` is the block's output
+    /// channels, `elem0` their element index in the whole output.
     fn run_pass(
         &self,
         pass: &Pass<'_>,
@@ -467,8 +605,10 @@ impl Correlation<'_> {
         block: usize,
         elem0: usize,
         dst: &mut [f32],
+        lanes: Range<usize>,
     ) {
-        if pass.rows == 0 || pass.cols == 0 {
+        let domain = pass.domain(self.wp).min(lanes.end);
+        if lanes.start >= domain {
             return;
         }
         let t = self.tiles;
@@ -476,32 +616,40 @@ impl Correlation<'_> {
         let last_row = dst.len() / self.out_chan_len - 1;
         let w_rows: [usize; MAX_CB] =
             std::array::from_fn(|i| block * pass.w_block + i.min(last_row) * pass.w_row);
-        let domain = (pass.rows - 1) * self.wp + pass.cols;
         let (max_x, max_w) = pass
             .taps
             .iter()
             .fold((0, 0), |(x, w), tap| (x.max(tap.0), w.max(tap.1)));
         let last = self.chans.saturating_sub(1);
-        let reach = last * self.chan_stride + max_x + domain.next_multiple_of(t.lanes);
+        // A tile starting at j0 < domain ends before j0 + whole vectors
+        // covering domain - j0, so no tile reads past lane domain + lanes - 1.
+        let reach = last * self.chan_stride + max_x + pass.domain(self.wp) + t.lanes - 1;
+        let w_reach = w_rows[last_row] + last * pass.w_chan + max_w;
         assert!(
-            self.chans == 0
-                || (reach <= planes.len()
-                    && w_rows[last_row] + last * pass.w_chan + max_w < pass.w.len()),
+            self.chans == 0 || (reach <= planes.len() && w_reach < pass.w.len()),
             "operands too short for the tile reads"
         );
         let mut acc = [0.0f32; MAX_ACC];
-        let mut j0 = 0;
+        let mut j0 = lanes.start;
         while j0 < domain {
             let nv = (domain - j0).div_ceil(t.lanes).min(t.by_vectors.len());
             let px = nv * t.lanes;
+            debug_assert!(
+                self.chans == 0 || last * self.chan_stride + max_x + j0 + px <= planes.len(),
+                "tile reads past the staged planes"
+            );
+            debug_assert!(t.cb * px <= acc.len(), "tile writes past acc");
             // SAFETY: the tier's ISA is present (see `tiles`); `w_rows`
-            // holds MAX_CB ≥ cb offsets; by the assert above every
-            // channel's reads at [tap + j0, tap + j0 + px) stay inside
-            // `planes` and every weight read inside `w` (with no channels
-            // nothing is read, hence the wrapping add); `acc` holds
-            // MAX_ACC ≥ cb·px.
+            // holds MAX_CB ≥ cb offsets; the farthest plane read, lane
+            // `px - 1` of the last channel's last tap at j0, is
+            // `last·chan_stride + max_x + j0 + px - 1 < reach ≤
+            // planes.len()` because j0 + px < pass domain + lanes (chunks
+            // end inside the pass domain); the farthest weight read is
+            // `w_reach < w.len()` (with no channels nothing is read, hence
+            // the wrapping add); the farthest `acc` write is `cb·px - 1 <
+            // MAX_ACC`. Both checked above.
             unsafe {
-                (t.by_vectors[nv - 1])(
+                (t.by_vectors[nv - 1][0])(
                     self.chans,
                     planes.as_ptr().wrapping_add(j0),
                     self.chan_stride,
@@ -598,6 +746,19 @@ pub fn forward(
     cfg: Conv2dCfg,
     exec: Exec,
 ) -> (Tensor, Option<BitMask>) {
+    forward_within(x, w, bias, relu, cfg, exec, CACHE)
+}
+
+/// [`forward`] under the cache budget `budget`.
+fn forward_within(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&[f32]>,
+    relu: bool,
+    cfg: Conv2dCfg,
+    exec: Exec,
+    budget: Budget,
+) -> (Tensor, Option<BitMask>) {
     let [n, ci, h, wd] = dims4(x.shape(), "input");
     let (kh, kw, taps) = (cfg.kernel_h, cfg.kernel_w, cfg.kernel_h * cfg.kernel_w);
     let co = w.shape().first().copied().unwrap_or(0);
@@ -634,6 +795,10 @@ pub fn forward(
     };
     let mut y = Tensor::uninit(&[n, co, ho, wo]);
     let sink = relu.then(|| MaskSink::new(y.len()));
+    // A domain lane reads one element of every phase plane of a channel.
+    let f = size_of::<f32>();
+    let staged = ci * planes.chan_stride() * f;
+    let lane = ci * planes.npy * planes.npx * f;
     let job = Correlation {
         tiles: t,
         threads: exec.threads,
@@ -643,6 +808,7 @@ pub fn forward(
         passes: &[pass],
         out_chans: co,
         out_chan_len: ho * wo,
+        chunk: budget.chunk(staged, lane, weights.len() * f),
         bias,
         mask: sink.as_ref(),
     };
@@ -682,6 +848,21 @@ fn phases(ext: usize, k: usize, s: usize, p: usize) -> Vec<Phase> {
     (0..s).map(phase).filter(|f| f.count > 0).collect()
 }
 
+/// The data gradient's output phases per axis and the `hp × wp` extent of
+/// its staged `dy` planes for an `h × w` input: zero rows/columns ahead of
+/// `dy` so no tap reads before the plane, out to where the furthest phase
+/// reads.
+fn dy_planes(h: usize, w: usize, cfg: Conv2dCfg) -> (Vec<Phase>, Vec<Phase>, usize, usize) {
+    let s = cfg.stride;
+    let (py, px) = (
+        phases(h, cfg.kernel_h, s, cfg.pad_h),
+        phases(w, cfg.kernel_w, s, cfg.pad_w),
+    );
+    let extent = |ph: &[Phase], k: usize| ph.iter().map(|f| f.m_lo + (k - 1) / s + f.count).max();
+    let (hp, wp) = (extent(&py, cfg.kernel_h), extent(&px, cfg.kernel_w));
+    (py, px, hp.unwrap_or(1), wp.unwrap_or(1))
+}
+
 /// Gradient of the loss with respect to the convolution input, by direct
 /// correlation of the staged `dy` with the flipped, channel-swapped
 /// kernel — one pass per output stride phase.
@@ -697,6 +878,18 @@ pub fn backward_data(
     cfg: Conv2dCfg,
     exec: Exec,
 ) -> Tensor {
+    backward_data_within(dy, w, x_shape, cfg, exec, CACHE)
+}
+
+/// [`backward_data`] under the cache budget `budget`.
+fn backward_data_within(
+    dy: &Tensor,
+    w: &Tensor,
+    x_shape: &[usize],
+    cfg: Conv2dCfg,
+    exec: Exec,
+    budget: Budget,
+) -> Tensor {
     let [n, ci, h, wd] = dims4(x_shape, "input shape");
     let (co, ho, wo) = dy_dims(dy, n, h, wd, cfg);
     let (kh, kw, s) = (cfg.kernel_h, cfg.kernel_w, cfg.stride);
@@ -711,12 +904,8 @@ pub fn backward_data(
     }
     let t = tiles(exec.kernel);
     let round = exec.precision == Precision::Bf16;
-    let (py, px) = (phases(h, kh, s, cfg.pad_h), phases(wd, kw, s, cfg.pad_w));
-    // Zero rows/columns ahead of `dy` so no tap reads before the plane,
-    // and the extent the furthest phase reads to.
+    let (py, px, hp, wp) = dy_planes(h, wd, cfg);
     let (ty, tx) = ((kh - 1) / s, (kw - 1) / s);
-    let extent = |ph: &[Phase], lead| ph.iter().map(|f| f.m_lo + lead + f.count).max();
-    let (hp, wp) = (extent(&py, ty).unwrap_or(1), extent(&px, tx).unwrap_or(1));
     let plane_len = hp * wp + t.max_px();
     // Per phase with taps: its cells (plane offset, kernel tap of the
     // flipped sub-kernel) and their packed weights.
@@ -756,6 +945,8 @@ pub fn backward_data(
     } else {
         Tensor::uninit(x_shape)
     };
+    let f = size_of::<f32>();
+    let weights: usize = passes.iter().map(|p| p.w.len()).sum();
     let job = Correlation {
         tiles: t,
         threads: exec.threads,
@@ -765,6 +956,7 @@ pub fn backward_data(
         passes: &passes,
         out_chans: ci,
         out_chan_len: h * wd,
+        chunk: budget.chunk(co * plane_len * f, co * f, weights * f),
         bias: None,
         mask: None,
     };
@@ -799,6 +991,18 @@ pub fn backward_weights_into(
     grad: &mut Tensor,
     exec: Exec,
 ) {
+    backward_weights_within(x, dy, cfg, grad, exec, CACHE);
+}
+
+/// [`backward_weights_into`] under the cache budget `budget`.
+fn backward_weights_within(
+    x: &Tensor,
+    dy: &Tensor,
+    cfg: Conv2dCfg,
+    grad: &mut Tensor,
+    exec: Exec,
+    budget: Budget,
+) {
     let [n, ci, h, wd] = dims4(x.shape(), "input");
     let (co, ho, wo) = dy_dims(dy, n, h, wd, cfg);
     let taps = cfg.kernel_h * cfg.kernel_w;
@@ -825,74 +1029,113 @@ pub fn backward_weights_into(
         }
     };
     scoped_chunks(&mut xs, n, exec.threads, |_| (), |s| s * x_sample, stage);
-    // dy pixel-major: [n][ho·wo][cop], channels zero-padded to whole
-    // vectors. Rows are written in order, 64 channels (source streams) at
-    // a time: more alias in L1 when the plane size is near a power of two.
+    // dy panel-major: [n][cop/pw][ho·wo][width], channels zero-padded to
+    // whole vectors and cut into panels of the widest tile, so a tile's
+    // lanes for consecutive pixels are one contiguous stream. Panel `b`
+    // holds channels [b·pw, b·pw + width) and starts at b·pw·hw in its
+    // sample; only the last panel may be narrower than `pw`.
     let (hw, cop) = (ho * wo, co.next_multiple_of(t.lanes));
+    let pw = t.max_px().min(cop);
     let mut dyt = arena::take(n * hw * cop);
-    for c0 in (0..co).step_by(64) {
-        for (i, row) in dyt.chunks_exact_mut(cop).enumerate() {
-            let src = &dy.data()[(i / hw * co + c0) * hw + i % hw..];
-            for (c, slot) in row[c0..co.min(c0 + 64)].iter_mut().enumerate() {
-                let v = src[c * hw];
-                *slot = if round { round_bf16(v) } else { v };
+    for (s, sample) in dyt.chunks_exact_mut(hw * cop).enumerate() {
+        for (b, panel) in sample.chunks_mut(pw * hw).enumerate() {
+            let (c0, width) = (b * pw, panel.len() / hw);
+            let live = co.min(c0 + width) - c0;
+            let src = &dy.data()[(s * co + c0) * hw..][..live * hw];
+            for (p, row) in panel.chunks_exact_mut(width).enumerate() {
+                for (slot, chan) in row.iter_mut().zip(src.chunks_exact(hw)) {
+                    *slot = if round { round_bf16(chan[p]) } else { chan[p] };
+                }
+                row[live..].fill(0.0);
             }
-            row[co..].fill(0.0);
         }
     }
-    // The reduction: every valid output pixel as (offset in a dyt sample,
-    // offset in a staged stream); weight `i`'s stream starts at `stream(i)`.
-    let pixels: Vec<(usize, usize)> = (0..hw)
-        .map(|p| (p * cop, p / wo * planes.wp + p % wo))
-        .collect();
+    // Weight `i`'s stream starts at `stream(i)` of a staged sample.
     let stream = |i: usize| i / taps * planes.chan_stride() + planes.tap_offset(i % taps);
     let max_tap = (0..taps).map(&stream).max().unwrap_or(0);
+    let last_px = (ho - 1) * planes.wp + wo - 1;
     assert!(
-        stream(k - taps) + max_tap + (ho - 1) * planes.wp + wo <= x_sample,
+        stream(k - taps) + max_tap + last_px < x_sample,
         "staged planes too short for the stream reads"
     );
-    // Work items: tiles of output channels (whole rows of `grad`).
-    let max_px = t.max_px();
-    let work = |_, tiles: Range<usize>, chunk: &mut [f32], ()| {
-        let mut acc = [0.0f32; MAX_ACC];
-        for (tile, rows) in tiles.zip(chunk.chunks_mut(max_px * k)) {
-            let co0 = tile * max_px;
-            let nv = (co - co0).div_ceil(t.lanes).min(t.by_vectors.len());
-            let px = nv * t.lanes;
-            for k0 in (0..k).step_by(t.cb) {
-                let streams: [usize; MAX_CB] = std::array::from_fn(|i| stream((k0 + i).min(k - 1)));
-                // SAFETY: the tier's ISA is present (see `tiles`);
-                // `streams` holds MAX_CB ≥ cb offsets; lanes [co0, co0 +
-                // px) of every dyt row exist (co0 + px ≤ cop); each stream
-                // reads at most offset (ho-1)·wp + wo - 1 of every sample
-                // of `xs`, in bounds by the assert above; `acc` holds
-                // MAX_ACC ≥ cb·px floats.
-                unsafe {
-                    (t.by_vectors[nv - 1])(
-                        n,
-                        dyt.as_ptr().add(co0),
-                        hw * cop,
-                        xs.as_ptr(),
-                        x_sample,
-                        streams.as_ptr(),
-                        &pixels,
-                        acc.as_mut_ptr(),
+    // Per worker, the running sums of one tile: one cb·pw slot per step of
+    // cb weights when the reduction is split into blocks, else one slot.
+    let blocked = budget.reduction_blocks(n, hw, pw * size_of::<f32>()).len() > 1;
+    let slots = if blocked { k.div_ceil(t.cb) } else { 1 };
+    // Work items: tiles of output channels (whole rows of `grad`), one per
+    // dy panel.
+    let work = |_, tiles: Range<usize>, chunk: &mut [f32], mut sums: Scratch| {
+        for (tile, rows) in tiles.zip(chunk.chunks_mut(pw * k)) {
+            let co0 = tile * pw;
+            let width = pw.min(cop - co0);
+            let nv = width / t.lanes;
+            // The reduction in order: every valid output pixel of every
+            // sample as (offset in the panel, offset in a staged stream),
+            // in blocks whose panel slice fits the budget.
+            let pixels: Vec<(usize, usize)> = (0..hw)
+                .map(|p| (p * width, p / wo * planes.wp + p % wo))
+                .collect();
+            let blocks = budget.reduction_blocks(n, hw, width * size_of::<f32>());
+            let stride = if blocks.len() > 1 { t.cb * width } else { 0 };
+            for (bi, (samples, span)) in blocks.iter().enumerate() {
+                let x0 = samples.start * hw * cop + co0 * hw;
+                let w0 = samples.start * x_sample;
+                let last_sample = samples.len() - 1;
+                for k0 in (0..k).step_by(t.cb) {
+                    let streams: [usize; MAX_CB] =
+                        std::array::from_fn(|i| stream((k0 + i).min(k - 1)));
+                    let acc = &mut sums[k0 / t.cb * stride..][..t.cb * width];
+                    debug_assert!(
+                        x0 + last_sample * hw * cop + span.end * width <= dyt.len(),
+                        "tile reads past the dy panels"
                     );
-                }
-                for (lane, row) in rows.chunks_exact_mut(k).enumerate() {
-                    for (i, g) in row[k0..].iter_mut().take(t.cb).enumerate() {
-                        *g += acc[i * px + lane];
+                    debug_assert!(
+                        w0 + last_sample * x_sample
+                            + streams.iter().max().unwrap_or(&0)
+                            + pixels[span.end - 1].1
+                            < xs.len(),
+                        "tile reads past the staged input"
+                    );
+                    // SAFETY: the tier's ISA is present (see `tiles`);
+                    // `streams` holds MAX_CB ≥ cb offsets. The farthest dy
+                    // read, lane width - 1 of pixel span.end - 1 of the
+                    // block's last sample, is x0 + last·hw·cop +
+                    // span.end·width - 1 < dyt.len(); the farthest input
+                    // read, the largest stream at the last pixel of the
+                    // last sample, is below w0 + (last + 1)·x_sample ≤
+                    // xs.len() by the assert above; `acc` is a cb·width
+                    // slice, initialised by the previous block when
+                    // accumulating (bi > 0). All three checked above.
+                    unsafe {
+                        (t.by_vectors[nv - 1][usize::from(bi > 0)])(
+                            samples.len(),
+                            dyt.as_ptr().add(x0),
+                            hw * cop,
+                            xs.as_ptr().add(w0),
+                            x_sample,
+                            streams.as_ptr(),
+                            &pixels[span.clone()],
+                            acc.as_mut_ptr(),
+                        );
+                    }
+                    if bi + 1 < blocks.len() {
+                        continue;
+                    }
+                    for (lane, row) in rows.chunks_exact_mut(k).enumerate() {
+                        for (i, g) in row[k0..].iter_mut().take(t.cb).enumerate() {
+                            *g += acc[i * width + lane];
+                        }
                     }
                 }
             }
         }
     };
-    let bound = |tile: usize| (tile * max_px).min(co) * k;
+    let bound = |tile: usize| (tile * pw).min(co) * k;
     scoped_chunks(
         grad.data_mut(),
-        co.div_ceil(max_px),
+        co.div_ceil(pw),
         exec.threads,
-        |_| (),
+        |_| arena::take(slots * t.cb * pw),
         bound,
         work,
     );
@@ -946,5 +1189,141 @@ mod tests {
         let want = [0.0, 0.0, 0.0, 0.0, 6.0, 8.0, 0.0, 0.0, 0.0];
         assert_eq!(&plane[..9], &want);
         assert!(plane[9..].iter().all(|&v| v == 0.0));
+    }
+
+    /// No blocking anywhere: one chunk, one reduction block.
+    const UNBOUNDED: Budget = Budget {
+        panel: usize::MAX,
+        staged: usize::MAX,
+        weights: usize::MAX,
+    };
+
+    #[test]
+    fn reduction_blocks_cover_the_reduction_in_order() {
+        // Blocks concatenate to every (sample, pixel) once, in order; each
+        // fits the budget unless it is one pixel, and spans whole samples
+        // or lies inside one.
+        for (n, hw, row, panel) in [
+            (3, 10, 4, 1000),
+            (3, 10, 4, 120),
+            (3, 10, 4, 80),
+            (3, 10, 4, 39),
+            (3, 10, 4, 12),
+            (1, 7, 8, 1),
+            (2, 5, 4, usize::MAX),
+        ] {
+            let budget = Budget { panel, ..UNBOUNDED };
+            let blocks = budget.reduction_blocks(n, hw, row);
+            let walk: Vec<(usize, usize)> = blocks
+                .iter()
+                .flat_map(|(s, p)| s.clone().flat_map(move |s| p.clone().map(move |p| (s, p))))
+                .collect();
+            let want: Vec<_> = (0..n).flat_map(|s| (0..hw).map(move |p| (s, p))).collect();
+            assert_eq!(walk, want, "{n} {hw} {row} {panel}");
+            for (s, p) in &blocks {
+                assert!(s.len() * p.len() * row <= panel || s.len() * p.len() == 1);
+                assert!(s.len() == 1 || p.len() == hw);
+            }
+            assert_eq!(blocks.len() == 1, n * hw * row <= panel);
+        }
+    }
+
+    fn seeded(shape: &[usize], salt: usize) -> Tensor {
+        let len: usize = shape.iter().product();
+        let data = (0..len).map(|v| ((v * 31 + salt * 17) % 29) as f32 / 7.0 - 2.0);
+        Tensor::from_vec(shape, data.collect())
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Blocking only reorders which tile runs when, never a lane's sum:
+    /// all three ops give the same bits as unblocked under budgets whose
+    /// blocks straddle the shape's edges — per op, chunks of 7 lanes and
+    /// of `domain - 1`, `domain + 1` and `domain` lanes; weight-gradient
+    /// blocks of 5 pixels, `ho·wo ∓ 1` pixels and `n - 1` samples — on
+    /// every tier, the tiny blocks at 1, 2 and 3 threads.
+    #[test]
+    fn blocking_is_bitwise_invisible() {
+        let mut shapes = Vec::new();
+        for co in [16, 47, 48, 49, 256] {
+            for n in [1, 3] {
+                shapes.push((n, 2, co, (1, 1), (4, 5)));
+            }
+        }
+        for geometry in [(1, 1), (1, 2), (3, 1), (3, 2)] {
+            for co in [16, 49] {
+                shapes.push((3, 3, co, geometry, (7, 9)));
+            }
+        }
+        let f = size_of::<f32>();
+        for (n, ci, co, (k, s), (h, w)) in shapes {
+            let cfg = Conv2dCfg::square(k, s, k / 2);
+            let (ho, wo) = cfg.out_extent(h, w);
+            let hw = ho * wo;
+            let (x, wt, dy) = (
+                seeded(&[n, ci, h, w], 1),
+                seeded(&[co, ci, k, k], 2),
+                seeded(&[n, co, ho, wo], 3),
+            );
+            let bias: Vec<f32> = (0..co).map(|o| o as f32 / 8.0 - 1.0).collect();
+            for kern in kernel::available() {
+                let t = tiles(kern);
+                // Each op's domain and staged bytes per domain lane.
+                let planes = InputPlanes::new(ci, h, w, cfg, t);
+                let fwd = ((ho - 1) * planes.wp + wo, ci * planes.npy * planes.npx * f);
+                let (py, px, _, wp) = dy_planes(h, w, cfg);
+                let counts = |ph: &[Phase]| -> Vec<usize> {
+                    ph.iter().filter(|p| p.taps > 0).map(|p| p.count).collect()
+                };
+                let (ys, xs) = (counts(&py), counts(&px));
+                let bwd_domain = ys
+                    .iter()
+                    .flat_map(|y| xs.iter().map(move |x| (y - 1) * wp + x))
+                    .max()
+                    .unwrap_or(1);
+                let bwd = (bwd_domain, co * f);
+                let row = t.max_px().min(co.next_multiple_of(t.lanes)) * f;
+                let run = |threads: usize, edge: Option<usize>| {
+                    let e = Exec {
+                        kernel: kern,
+                        threads,
+                        precision: Precision::F32,
+                    };
+                    let chunked = |(domain, lane): (usize, usize)| match edge {
+                        None => UNBOUNDED,
+                        Some(i) => Budget {
+                            staged: [7, domain - 1, domain + 1, domain][i] * lane,
+                            ..UNBOUNDED
+                        },
+                    };
+                    let blocked = match edge {
+                        None => UNBOUNDED,
+                        Some(i) => Budget {
+                            panel: [5, hw - 1, hw + 1, n * hw][i] * row - usize::from(i == 3),
+                            ..UNBOUNDED
+                        },
+                    };
+                    let (y, mask) =
+                        forward_within(&x, &wt, Some(&bias), true, cfg, e, chunked(fwd));
+                    let dx = backward_data_within(&dy, &wt, x.shape(), cfg, e, chunked(bwd));
+                    let mut dw = seeded(wt.shape(), 4);
+                    backward_weights_within(&x, &dy, cfg, &mut dw, e, blocked);
+                    (bits(&y), mask, bits(&dx), bits(&dw))
+                };
+                let want = run(1, None);
+                for edge in 0..4 {
+                    let threads: &[usize] = if edge == 0 { &[1, 2, 3] } else { &[1] };
+                    for &th in threads {
+                        assert!(
+                            run(th, Some(edge)) == want,
+                            "{} n{n} ci{ci} co{co} {k}x{k}/{s} {h}x{w}: edge {edge}, {th} threads",
+                            kern.name
+                        );
+                    }
+                }
+            }
+        }
     }
 }

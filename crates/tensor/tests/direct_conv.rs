@@ -325,6 +325,109 @@ proptest! {
     }
 }
 
+/// Values in [-1, 1) from a 64-bit LCG: unstructured signs, so a long sum
+/// cancels the way real gradients do.
+fn noise(shape: &[usize], seed: u64) -> Tensor {
+    let len: usize = shape.iter().product();
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let data = (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        })
+        .collect();
+    Tensor::from_vec(shape, data)
+}
+
+/// Adds samples `samples` of the weight gradient, in f64, into `out`: per
+/// weight, `(Σ x·dy, Σ |x·dy|)` over those samples' output pixels.
+fn add_weight_gradient_f64(
+    x: &Tensor,
+    dy: &Tensor,
+    cfg: Conv2dCfg,
+    samples: std::ops::Range<usize>,
+    out: &mut [(f64, f64)],
+) {
+    let [_, ci, h, w]: [usize; 4] = x.shape().try_into().unwrap();
+    let [_, co, ho, wo]: [usize; 4] = dy.shape().try_into().unwrap();
+    let (kh, kw, s) = (cfg.kernel_h, cfg.kernel_w, cfg.stride);
+    let taps = ci * kh * kw;
+    for smp in samples {
+        for (oy, ox) in (0..ho).flat_map(|oy| (0..wo).map(move |ox| (oy, ox))) {
+            let grads: Vec<f64> = (0..co)
+                .map(|o| f64::from(dy.data()[((smp * co + o) * ho + oy) * wo + ox]))
+                .collect();
+            for tap in 0..taps {
+                let (c, ky, kx) = (tap / (kh * kw), tap / kw % kh, tap % kw);
+                let (iy, ix) = (
+                    (oy * s + ky).wrapping_sub(cfg.pad_h),
+                    (ox * s + kx).wrapping_sub(cfg.pad_w),
+                );
+                if iy >= h || ix >= w {
+                    continue;
+                }
+                let a = f64::from(x.data()[((smp * ci + c) * h + iy) * w + ix]);
+                for (o, b) in grads.iter().enumerate() {
+                    let slot = &mut out[o * taps + tap];
+                    slot.0 += a * b;
+                    slot.1 += (a * b).abs();
+                }
+            }
+        }
+    }
+}
+
+/// The weight gradient's error against an f64 reference stays inside the
+/// classical bound of a length-`L` dot product, `γ_L·Σ|x·dy|` with `γ_L =
+/// L·u / (1 - L·u)`, `u = 2⁻²⁴`, for reduction lengths `L = n·ho·wo` up to
+/// ~10⁴ — the long reductions pixel blocking splits, here the 3→16 7×7/2
+/// stem at 64². Under bf16 each operand is first rounded to 8 significant
+/// bits (relative error ≤ 2⁻⁸), which adds `(1 + 2⁻⁸)² - 1` to the factor.
+/// Runs on the process's tier only (the `MBS_KERNEL` CI legs reach the
+/// others): the portable tile alone would take seconds in a debug build.
+#[test]
+fn weight_gradient_error_is_bounded_by_reduction_length() {
+    let cfg = Conv2dCfg::square(7, 2, 3);
+    let (ci, co, h) = (3, 16, 64);
+    let u = 2f64.powi(-24);
+    let operand = (1.0 + 2f64.powi(-8)).powi(2);
+    let (ho, wo) = cfg.out_extent(h, h);
+    let (all_x, all_dy) = (noise(&[10, ci, h, h], 1), noise(&[10, co, ho, wo], 2));
+    let mut want = vec![(0.0, 0.0); co * ci * 49];
+    let mut done = 0;
+    for n in [1, 3, 10] {
+        // The first n samples; the reference grows by the new ones.
+        let x = Tensor::from_vec(&[n, ci, h, h], all_x.data()[..n * ci * h * h].to_vec());
+        let dy = Tensor::from_vec(&[n, co, ho, wo], all_dy.data()[..n * co * ho * wo].to_vec());
+        add_weight_gradient_f64(&x, &dy, cfg, done..n, &mut want);
+        done = n;
+        let len = (n * ho * wo) as f64;
+        let gamma = len * u / (1.0 - len * u);
+        for (precision, factor) in [
+            (Precision::F32, gamma),
+            (Precision::Bf16, operand * (1.0 + gamma) - 1.0),
+        ] {
+            let e = Exec {
+                precision,
+                ..exec(kernel::selected(), 1)
+            };
+            let mut dw = Tensor::zeros(&[co, ci, 7, 7]);
+            direct::backward_weights_into(&x, &dy, cfg, &mut dw, e);
+            for (i, (&got, &(exact, mag))) in dw.data().iter().zip(&want).enumerate() {
+                let err = (f64::from(got) - exact).abs();
+                assert!(
+                    err <= factor * mag,
+                    "{} {precision:?} L={len}: weight {i} off by {err:e} > {:e}",
+                    e.kernel.name,
+                    factor * mag
+                );
+            }
+        }
+    }
+}
+
 /// Shapes the grid cannot reach: empty batches and channel counts, and a
 /// stride past the kernel (whole input rows/columns no tap touches).
 #[test]
