@@ -68,7 +68,7 @@ use std::time::{Duration, Instant};
 
 use mbs_cnn::{FeatureShape, Network};
 use mbs_core::{HardwareConfig, Schedule};
-use mbs_tensor::{arena, env, Tensor};
+use mbs_tensor::{arena, Tensor};
 use mbs_train::checkpoint::LoadReport;
 
 use crate::batcher::{BatchPolicy, Offer, ShedQueue};
@@ -298,44 +298,18 @@ impl ServeConfig {
     /// every worker to have a full batch in flight, no default deadline,
     /// 4 priority levels, and a breaker at 3 respawns (the ignored
     /// `max_wait_us` is left at 0).
-    ///
-    /// Environment knobs override each of those (see
-    /// [`mbs_tensor::env`] for the grammar): `MBS_SERVE_WORKERS`,
-    /// `MBS_SERVE_MAX_BATCH` (still clamped to the budget cap),
-    /// `MBS_SERVE_QUEUE`, `MBS_SERVE_DEADLINE_US`,
-    /// `MBS_SERVE_PRIORITY_LEVELS`, `MBS_SERVE_MAX_RESPAWNS`.
     pub fn for_model(model: &ModelHandle, hw: &HardwareConfig) -> Self {
-        let budget_cap =
+        let workers = hw.cores.max(1);
+        let max_batch =
             BatchPolicy::budget_batch_cap(model.per_sample_bytes(), hw.global_buffer_bytes);
-        let workers = env::positive_usize_knob("MBS_SERVE_WORKERS").unwrap_or(hw.cores.max(1));
-        let max_batch = env::positive_usize_knob("MBS_SERVE_MAX_BATCH")
-            .unwrap_or(budget_cap)
-            .min(budget_cap);
-        let queue_depth =
-            env::positive_usize_knob("MBS_SERVE_QUEUE").unwrap_or((workers * max_batch * 2).max(8));
-        let deadline_us = env::knob(
-            "MBS_SERVE_DEADLINE_US",
-            "a non-negative microsecond count (0 = no default deadline)",
-            env::parse_usize,
-        )
-        .unwrap_or(0) as u64;
-        let priority_levels = env::positive_usize_knob("MBS_SERVE_PRIORITY_LEVELS")
-            .unwrap_or(4)
-            .min(u8::MAX as usize) as u8;
-        let max_respawns = env::knob(
-            "MBS_SERVE_MAX_RESPAWNS",
-            "a non-negative respawn count (0 = degrade on the first repeat panic)",
-            env::parse_usize,
-        )
-        .unwrap_or(3) as u32;
         Self {
             workers,
             max_batch,
             max_wait_us: 0,
-            queue_depth,
-            deadline_us,
-            priority_levels,
-            max_respawns,
+            queue_depth: (workers * max_batch * 2).max(8),
+            deadline_us: 0,
+            priority_levels: 4,
+            max_respawns: 3,
         }
     }
 }

@@ -73,15 +73,8 @@ fn sample(shape: FeatureShape, salt: usize) -> Tensor {
     )
 }
 
-/// Serving-worker count for the chaos run: the `MBS_SERVE_WORKERS` knob
-/// when set (the CI chaos leg pins 2), else 2.
-fn chaos_workers() -> usize {
-    std::env::var("MBS_SERVE_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(2)
-}
+/// Serving-worker count for the chaos run.
+const CHAOS_WORKERS: usize = 2;
 
 /// The headline chaos run: jittered producers at well over queue
 /// capacity, two injected worker panics, one slow-worker stall, one
@@ -102,7 +95,7 @@ fn overload_panics_and_swaps_keep_exact_accounting() {
         let server = Server::start_with_faults(
             &handle,
             ServeConfig {
-                workers: chaos_workers(),
+                workers: CHAOS_WORKERS,
                 max_batch: 4,
                 queue_depth: 8,
                 ..ServeConfig::default()

@@ -12,14 +12,12 @@
 //!
 //! | knob | grammar | parser |
 //! |---|---|---|
-//! | `MBS_CKPT_EVERY`, `MBS_SERVE_DEADLINE_US`, `MBS_SERVE_MAX_RESPAWNS` | non-negative integer | [`parse_usize`] |
 //! | `MBS_CACHE_BUDGET` | byte size with K/M/G suffix | [`parse_byte_size`] |
 //! | `MBS_PREC` | `f32` or `bf16` | [`crate::prec::parse_precision`] |
-//! | `MBS_THREADS`, `MBS_SERVE_WORKERS`, `MBS_SERVE_MAX_BATCH`, `MBS_SERVE_QUEUE`, `MBS_SERVE_PRIORITY_LEVELS` | positive integer | [`positive_usize_knob`] |
+//! | `MBS_THREADS` | positive integer | [`positive_usize_knob`] |
 //!
 //! (`MBS_KERNEL` is a name resolved against the detected kernel set and
-//! keeps its own warn-and-fall-back resolution in `ops::kernel`;
-//! `MBS_CKPT_DIR` is a path and needs no parsing.)
+//! keeps its own warn-and-fall-back resolution in `ops::kernel`.)
 
 /// Parses a non-negative decimal integer (surrounding whitespace ignored).
 pub fn parse_usize(s: &str) -> Option<usize> {
@@ -86,7 +84,7 @@ mod tests {
 
     #[test]
     fn ckpt_every_knob_grammar() {
-        // MBS_CKPT_EVERY: non-negative integer (0 = epoch-end only).
+        // parse_usize alone: non-negative integers, zero included.
         assert_eq!(parse_usize("0"), Some(0));
         assert_eq!(parse_usize("10"), Some(10));
         assert_eq!(parse_usize("every-step"), None);

@@ -668,24 +668,6 @@ impl CheckpointConfig {
             resume: true,
         }
     }
-
-    /// Builds a config from the `MBS_CKPT_DIR` / `MBS_CKPT_EVERY`
-    /// environment knobs, or `None` when `MBS_CKPT_DIR` is unset.
-    /// Malformed values warn and fall back (an unparseable `MBS_CKPT_DIR`
-    /// cannot exist — any string is a path; a malformed `MBS_CKPT_EVERY`
-    /// falls back to epoch-boundary saves).
-    pub fn from_env() -> Option<Self> {
-        let dir = std::env::var_os("MBS_CKPT_DIR")?;
-        let mut cfg = Self::new(PathBuf::from(dir));
-        if let Some(every) = mbs_tensor::env::knob(
-            "MBS_CKPT_EVERY",
-            "a non-negative step count (0 = epoch boundaries only)",
-            |s| s.parse::<usize>().ok(),
-        ) {
-            cfg.every_steps = every;
-        }
-        Some(cfg)
-    }
 }
 
 /// One way a [`FaultPlan`] damages a save (test-only harness; the

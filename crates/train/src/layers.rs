@@ -1,5 +1,4 @@
-//! Basic trainable layers: convolution (with optional fused bias +
-//! activation), linear (fused bias, optional fused activation), ReLU,
+//! Basic trainable layers: convolution, linear (fused bias), ReLU,
 //! pooling.
 
 use rand::rngs::StdRng;
@@ -8,87 +7,27 @@ use mbs_tensor::init::kaiming_normal;
 use mbs_tensor::ops::{
     avgpool2d, avgpool2d_backward, conv2d_backward_data, conv2d_backward_weights_into,
     conv2d_fused, global_avg_pool, global_avg_pool_backward, matmul, matmul_a_bt_fused,
-    matmul_at_b, maxpool2d_backward, maxpool2d_padded, relu_backward, relu_clamp, relu_inplace,
-    BitMask, Conv2dCfg,
+    matmul_at_b, maxpool2d_backward, maxpool2d_padded, relu_backward, relu_inplace, BitMask,
+    Conv2dCfg,
 };
 use mbs_tensor::Tensor;
 
 use crate::module::{stash_mismatch, CacheEntry, CacheStash, Module, Param};
 
-/// 2-D convolution, optionally with a per-channel bias and a fused ReLU.
-///
-/// The model zoo's default ([`Conv2d::new`]) is bias-free and
-/// activation-free because convs there pair with normalization layers. A
-/// conv built with [`Conv2d::with_bias_relu`] runs conv + bias + ReLU as
-/// one op: the bias and the clamp (plus its 1-bit backward mask) ride the
-/// direct kernel's store into the NCHW output, so neither costs a pass
-/// over it.
+/// 2-D convolution, bias-free: convs pair with normalization layers. Only
+/// the inference-only [`Conv2d::fold_affine`] installs a bias, which the
+/// direct kernel adds in its store.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param,
     bias: Option<Param>,
     cfg: Conv2dCfg,
-    fuse_relu: bool,
     cache_x: Option<Tensor>,
-    mask: Option<BitMask>,
 }
 
 impl Conv2d {
-    /// Kaiming-initialized convolution, bias-free, no activation.
-    pub fn new(
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        rng: &mut StdRng,
-    ) -> Self {
-        Self::with_bias_relu(
-            in_channels,
-            out_channels,
-            kernel,
-            stride,
-            pad,
-            false,
-            false,
-            rng,
-        )
-    }
-
-    /// Kaiming-initialized convolution with an optional zero-initialized
-    /// bias and an optional fused ReLU.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_bias_relu(
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        bias: bool,
-        relu: bool,
-        rng: &mut StdRng,
-    ) -> Self {
-        let fan_in = in_channels * kernel * kernel;
-        let weight = Param::new(kaiming_normal(
-            &[out_channels, in_channels, kernel, kernel],
-            fan_in,
-            rng,
-        ));
-        Self {
-            weight,
-            bias: bias.then(|| Param::new(Tensor::zeros(&[out_channels]))),
-            cfg: Conv2dCfg::square(kernel, stride, pad),
-            fuse_relu: relu,
-            cache_x: None,
-            mask: None,
-        }
-    }
-
     /// Kaiming-initialized convolution over an arbitrary (possibly
-    /// rectangular-kernel, asymmetrically padded) geometry, bias-free and
-    /// activation-free. The IR lowering path uses this: `mbs_cnn` conv
-    /// layers carry a full [`Conv2dCfg`]-shaped geometry rather than the
-    /// square kernels [`Conv2d::new`] assumes.
+    /// rectangular-kernel, asymmetrically padded) geometry.
     pub fn from_cfg(
         in_channels: usize,
         out_channels: usize,
@@ -105,9 +44,7 @@ impl Conv2d {
             weight,
             bias: None,
             cfg,
-            fuse_relu: false,
             cache_x: None,
-            mask: None,
         }
     }
 
@@ -163,51 +100,19 @@ impl Conv2d {
         }
     }
 
-    /// Forward body shared by the borrowed and owned entry points. Only a
-    /// training forward records the backward sign mask; inference applies
-    /// a mask-free clamp instead of building bits nobody will read.
-    fn run_forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (mut y, mask) = conv2d_fused(
-            x,
-            &self.weight.value,
-            self.bias.as_ref().map(|b| b.value.data()),
-            self.fuse_relu && train,
-            self.cfg,
-        );
-        if train {
-            self.mask = mask;
-        } else if self.fuse_relu {
-            relu_clamp(&mut y);
-        }
-        y
+    fn run_forward(&self, x: &Tensor) -> Tensor {
+        let bias = self.bias.as_ref().map(|b| b.value.data());
+        conv2d_fused(x, &self.weight.value, bias, false, self.cfg).0
     }
 
-    /// Backward body: accumulates the parameter gradients and, only when
+    /// Backward body: accumulates the weight gradient and, only when
     /// `want_dx`, computes the input gradient.
     fn run_backward(&mut self, dy: &Tensor, want_dx: bool) -> Option<Tensor> {
+        assert!(self.bias.is_none(), "a folded conv is inference-only");
         let x = self
             .cache_x
             .as_ref()
             .expect("backward requires a training forward");
-        // Undo the fused activation first: dL/d(pre-activation) is dy
-        // masked by the stored sign bits.
-        let masked;
-        let dy = if self.fuse_relu {
-            let mask = self.mask.as_ref().expect("fused ReLU stores a mask");
-            masked = relu_backward(dy, mask);
-            &masked
-        } else {
-            dy
-        };
-        if let Some(bias) = &mut self.bias {
-            // dL/db[c] = Σ_{n,h,w} dy[n,c,h,w].
-            let [_, co, ho, wo]: [usize; 4] = dy.shape().try_into().expect("conv dy must be 4-D");
-            let hw = ho * wo;
-            let gb = bias.grad.data_mut();
-            for (chunk_idx, chunk) in dy.data().chunks_exact(hw).enumerate() {
-                gb[chunk_idx % co] += chunk.iter().sum::<f32>();
-            }
-        }
         conv2d_backward_weights_into(x, dy, self.cfg, &mut self.weight.grad);
         want_dx.then(|| conv2d_backward_data(dy, &self.weight.value, x.shape(), self.cfg))
     }
@@ -215,7 +120,7 @@ impl Conv2d {
 
 impl Module for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.run_forward(x, train);
+        let y = self.run_forward(x);
         if train {
             self.cache_x = Some(x.clone());
         }
@@ -223,7 +128,7 @@ impl Module for Conv2d {
     }
 
     fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
-        let y = self.run_forward(&x, train);
+        let y = self.run_forward(&x);
         if train {
             // Move the input into the cache — the clone `forward` pays is
             // the only difference between the two entry points.
@@ -252,7 +157,6 @@ impl Module for Conv2d {
 
     fn stash_caches(&mut self, stash: &mut CacheStash) {
         stash.push(CacheEntry::Tensor(self.cache_x.take()));
-        stash.push(CacheEntry::Mask(self.mask.take()));
     }
 
     fn unstash_caches(&mut self, stash: &mut CacheStash) {
@@ -260,38 +164,27 @@ impl Module for Conv2d {
             CacheEntry::Tensor(t) => self.cache_x = t,
             other => stash_mismatch("conv input", &other),
         }
-        match stash.pop() {
-            CacheEntry::Mask(m) => self.mask = m,
-            other => stash_mismatch("conv mask", &other),
-        }
     }
 }
 
-/// Fully-connected layer with bias and an optional fused ReLU.
+/// Fully-connected layer with bias, flattening a 4-D input to
+/// `[n, c·h·w]` (and restoring that shape on the input gradient).
 ///
-/// The bias is always folded into the GEMM's C write-back
-/// ([`mbs_tensor::ops::Epilogue`]) — the seed's separate `y += b` pass over
-/// the output is gone. [`Linear::with_relu`] additionally fuses the
-/// activation (and its 1-bit backward mask) into the same store.
+/// The bias is folded into the GEMM's C write-back
+/// ([`mbs_tensor::ops::Epilogue`]), not added in a separate pass.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Param, // [out, in]
     bias: Param,   // [out]
-    fuse_relu: bool,
     cache_x: Option<Tensor>,
-    mask: Option<BitMask>,
+    /// The un-flattened input shape of the last training forward, if it
+    /// was not already 2-D.
+    in_shape: Option<Vec<usize>>,
 }
 
 impl Linear {
-    /// Kaiming-initialized linear layer (no activation).
+    /// Kaiming-initialized linear layer.
     pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
-        let mut layer = Self::with_relu(in_features, out_features, rng);
-        layer.fuse_relu = false;
-        layer
-    }
-
-    /// Kaiming-initialized linear layer with a fused ReLU activation.
-    pub fn with_relu(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
         Self {
             weight: Param::new(kaiming_normal(
                 &[out_features, in_features],
@@ -299,43 +192,29 @@ impl Linear {
                 rng,
             )),
             bias: Param::new(Tensor::zeros(&[out_features])),
-            fuse_relu: true,
             cache_x: None,
-            mask: None,
+            in_shape: None,
         }
-    }
-
-    /// Forward body shared by the borrowed and owned entry points. As for
-    /// [`Conv2d`], inference skips the mask machinery and clamps instead.
-    fn run_forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (mut y, mask) = matmul_a_bt_fused(
-            x,
-            &self.weight.value,
-            self.bias.value.data(),
-            self.fuse_relu && train,
-        );
-        if train {
-            self.mask = mask;
-        } else if self.fuse_relu {
-            relu_clamp(&mut y);
-        }
-        y
     }
 }
 
 impl Module for Linear {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.run_forward(x, train);
-        if train {
-            self.cache_x = Some(x.clone());
-        }
-        y
+        self.forward_owned(x.clone(), train)
     }
 
     fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
-        let y = self.run_forward(&x, train);
+        let (x, in_shape) = if x.shape().len() > 2 {
+            let shape = x.shape().to_vec();
+            let flat = x.len() / shape[0].max(1);
+            (x.into_reshaped(&[shape[0], flat]), Some(shape))
+        } else {
+            (x, None)
+        };
+        let (y, _) = matmul_a_bt_fused(&x, &self.weight.value, self.bias.value.data(), false);
         if train {
             self.cache_x = Some(x);
+            self.in_shape = in_shape;
         }
         y
     }
@@ -345,14 +224,6 @@ impl Module for Linear {
             .cache_x
             .as_ref()
             .expect("backward requires a training forward");
-        let masked;
-        let dy = if self.fuse_relu {
-            let mask = self.mask.as_ref().expect("fused ReLU stores a mask");
-            masked = relu_backward(dy, mask);
-            &masked
-        } else {
-            dy
-        };
         let dw = matmul_at_b(dy, x); // [out, in]
         self.weight.grad.add_assign(&dw);
         let (n, o) = (dy.shape()[0], dy.shape()[1]);
@@ -363,7 +234,11 @@ impl Module for Linear {
                 gb[j] += dyd[i * o + j];
             }
         }
-        matmul(dy, &self.weight.value) // [n, in]
+        let dx = matmul(dy, &self.weight.value); // [n, in]
+        match &self.in_shape {
+            Some(shape) => dx.into_reshaped(shape),
+            None => dx,
+        }
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -373,7 +248,7 @@ impl Module for Linear {
 
     fn stash_caches(&mut self, stash: &mut CacheStash) {
         stash.push(CacheEntry::Tensor(self.cache_x.take()));
-        stash.push(CacheEntry::Mask(self.mask.take()));
+        stash.push(CacheEntry::Shape(self.in_shape.take()));
     }
 
     fn unstash_caches(&mut self, stash: &mut CacheStash) {
@@ -382,8 +257,8 @@ impl Module for Linear {
             other => stash_mismatch("linear input", &other),
         }
         match stash.pop() {
-            CacheEntry::Mask(m) => self.mask = m,
-            other => stash_mismatch("linear mask", &other),
+            CacheEntry::Shape(s) => self.in_shape = s,
+            other => stash_mismatch("linear input shape", &other),
         }
     }
 }
@@ -682,7 +557,7 @@ mod tests {
 
     #[test]
     fn conv_module_gradient() {
-        let mut m = Conv2d::new(2, 3, 3, 1, 1, &mut rng());
+        let mut m = Conv2d::from_cfg(2, 3, Conv2dCfg::square(3, 1, 1), &mut rng());
         grad_check(&mut m, &seeded(&[2, 2, 5, 5], 1), 1e-2);
     }
 
@@ -708,87 +583,16 @@ mod tests {
     }
 
     #[test]
-    fn conv_with_bias_gradient() {
-        // Bias but no ReLU: the layer is smooth, so the generic
-        // finite-difference check covers the bias-gradient path too.
-        let mut m = Conv2d::with_bias_relu(2, 3, 3, 1, 1, true, false, &mut rng());
-        m.visit_params(&mut |p| {
-            // Perturb the zero-init bias so the check exercises it.
-            if p.value.shape().len() == 1 {
-                for (i, v) in p.value.data_mut().iter_mut().enumerate() {
-                    *v = (i as f32 - 1.0) / 4.0;
-                }
-            }
-        });
-        grad_check(&mut m, &seeded(&[2, 2, 5, 5], 4), 1e-2);
-    }
-
-    #[test]
-    fn conv_bias_gradient_sums_output_gradient() {
-        let mut m = Conv2d::with_bias_relu(1, 2, 3, 1, 1, true, false, &mut rng());
-        let x = seeded(&[2, 1, 4, 4], 7);
-        let y = m.forward(&x, true);
-        let _ = m.backward(&Tensor::full(y.shape(), 1.0));
-        // db[c] = Σ dy over (n, h, w) = 2·4·4 = 32 per channel.
-        let mut biases = Vec::new();
-        m.visit_params(&mut |p| {
-            if p.value.shape().len() == 1 {
-                biases.push(p.grad.clone());
-            }
-        });
-        assert_eq!(biases.len(), 1);
-        assert!(biases[0].max_abs_diff(&Tensor::full(&[2], 32.0)) < 1e-4);
-    }
-
-    /// A fused conv+bias+ReLU layer must match the composition the zoo
-    /// previously ran (conv, separate bias, Relu module) bitwise — forward
-    /// output, input gradient, and weight gradient.
-    #[test]
-    fn fused_conv_relu_layer_matches_composition() {
-        let x = seeded(&[2, 2, 6, 6], 8);
-        let dy = seeded(&[2, 3, 6, 6], 9);
-        let mut fused = Conv2d::with_bias_relu(2, 3, 3, 1, 1, false, true, &mut rng());
-        let mut plain = Conv2d::new(2, 3, 3, 1, 1, &mut rng());
-        let mut act = Relu::new();
-
-        let y_f = fused.forward(&x, true);
-        let y_p = act.forward_owned(plain.forward(&x, true), true);
-        assert_eq!(y_f, y_p, "fused forward must equal conv-then-ReLU");
-
-        let dx_f = fused.backward(&dy);
-        let dx_p = plain.backward(&act.backward(&dy));
-        assert_eq!(dx_f, dx_p, "fused backward must equal conv-then-ReLU");
-        assert_eq!(fused.weight().grad, plain.weight().grad);
-    }
-
-    #[test]
-    fn fused_linear_relu_matches_composition() {
-        let x = seeded(&[3, 6], 12);
-        let dy = seeded(&[3, 4], 13);
-        let mut fused = Linear::with_relu(6, 4, &mut rng());
-        let mut plain = Linear::new(6, 4, &mut rng());
-        let mut act = Relu::new();
-
-        let y_f = fused.forward(&x, true);
-        let y_p = act.forward_owned(plain.forward(&x, true), true);
-        assert_eq!(y_f, y_p);
-
-        let dx_f = fused.backward(&dy);
-        let dx_p = plain.backward(&act.backward(&dy));
-        assert_eq!(dx_f, dx_p);
-    }
-
-    #[test]
     fn inference_forward_matches_training_forward_values() {
-        // train=false skips the mask machinery (relu_clamp path) but must
-        // produce the same activations as a training forward.
+        // train=false caches nothing but must produce the same
+        // activations as a training forward.
         let x = seeded(&[2, 2, 5, 5], 16);
-        let mut m = Conv2d::with_bias_relu(2, 3, 3, 1, 1, true, true, &mut rng());
+        let mut m = Conv2d::from_cfg(2, 3, Conv2dCfg::square(3, 1, 1), &mut rng());
         let y_train = m.forward(&x, true);
         let y_eval = m.forward(&x, false);
         assert_eq!(y_train, y_eval);
 
-        let mut l = Linear::with_relu(6, 4, &mut rng());
+        let mut l = Linear::new(6, 4, &mut rng());
         let x = seeded(&[3, 6], 17);
         assert_eq!(l.forward(&x, true), l.forward(&x, false));
     }
@@ -797,7 +601,7 @@ mod tests {
     fn forward_owned_matches_forward_and_caches_for_backward() {
         let x = seeded(&[2, 2, 5, 5], 14);
         let dy = seeded(&[2, 3, 5, 5], 15);
-        let mut a = Conv2d::new(2, 3, 3, 1, 1, &mut rng());
+        let mut a = Conv2d::from_cfg(2, 3, Conv2dCfg::square(3, 1, 1), &mut rng());
         let mut b = a.clone();
         let ya = a.forward(&x, true);
         let yb = b.forward_owned(x.clone(), true);
@@ -807,7 +611,7 @@ mod tests {
 
     #[test]
     fn conv_accumulates_gradients_across_backwards() {
-        let mut m = Conv2d::new(1, 1, 3, 1, 1, &mut rng());
+        let mut m = Conv2d::from_cfg(1, 1, Conv2dCfg::square(3, 1, 1), &mut rng());
         let x = seeded(&[1, 1, 4, 4], 5);
         let y = m.forward(&x, true);
         let dy = Tensor::full(y.shape(), 1.0);

@@ -90,7 +90,6 @@ pub use grouped::GroupedExecutor;
 pub use loader::{generate_to, save_dataset, DiskDataset, LoaderError, LoaderStats, StreamLoader};
 pub use lower::{lower, lower_inference, InferenceLowerError, LowerError, LoweredNet};
 pub use module::{CacheStash, Module, Param, StateDict, StateEntry, StateError};
-pub use norm::{Norm, NormChoice};
 pub use optim::Sgd;
 pub use training::{
     train_grouped, train_grouped_source, train_grouped_source_with_stats, DataSource, EpochStats,

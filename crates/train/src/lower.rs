@@ -27,15 +27,13 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 
-use mbs_cnn::{Block, Layer, LayerKind, Network, Node, NormKind, PoolKind};
+use mbs_cnn::{Layer, LayerKind, Network, Node, NormKind, PoolKind};
 use mbs_tensor::ops::{concat_channels, slice_channels, Conv2dCfg};
 use mbs_tensor::Tensor;
 
 use crate::layers::{AvgPool2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d, Relu};
-use crate::module::{
-    slice_batch_owned, stash_mismatch, CacheEntry, CacheStash, Module, Param, StateDict, StateError,
-};
-use crate::norm::{LocalResponseNorm, Norm, NormChoice};
+use crate::module::{slice_batch_owned, CacheStash, Module, Param, StateDict, StateError};
+use crate::norm::{BatchNorm2d, GroupNorm, LocalResponseNorm};
 
 /// Error raised when a network uses an IR construct the training runtime
 /// does not implement.
@@ -108,376 +106,62 @@ impl From<StateError> for InferenceLowerError {
     }
 }
 
-/// One lowered IR layer: a thin dispatch wrapper so a whole branch or node
-/// can be stored as `Vec<LayerModule>` without boxing.
+/// One lowered IR layer. [`LayerModule::module`] is the one place a layer
+/// kind is dispatched.
 #[derive(Debug, Clone)]
 enum LayerModule {
     Conv(Conv2d),
-    Norm(Norm),
+    BatchNorm(BatchNorm2d),
+    GroupNorm(GroupNorm),
+    LocalNorm(LocalResponseNorm),
     Relu(Relu),
     MaxPool(MaxPool2d),
     AvgPool(AvgPool2d),
     GlobalAvgPool(GlobalAvgPool),
-    /// Fully-connected with flatten plumbing: remembers the (possibly 4-D)
-    /// input shape of the last forward so backward can restore it on the
-    /// gradient it hands upstream.
-    Fc {
-        linear: Linear,
-        in_shape: Option<Vec<usize>>,
-    },
+    Fc(Linear),
 }
 
-impl Module for LayerModule {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_owned(x.clone(), train)
-    }
-
-    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
+impl LayerModule {
+    fn module(&mut self) -> &mut dyn Module {
         match self {
-            LayerModule::Conv(m) => m.forward_owned(x, train),
-            LayerModule::Norm(m) => m.forward_owned(x, train),
-            LayerModule::Relu(m) => m.forward_owned(x, train),
-            LayerModule::MaxPool(m) => m.forward(&x, train),
-            LayerModule::AvgPool(m) => m.forward(&x, train),
-            LayerModule::GlobalAvgPool(m) => m.forward_owned(x, train),
-            LayerModule::Fc { linear, in_shape } => {
-                let x = if x.shape().len() > 2 {
-                    *in_shape = Some(x.shape().to_vec());
-                    let n = x.shape()[0];
-                    let flat = x.len() / n.max(1);
-                    x.into_reshaped(&[n, flat])
-                } else {
-                    *in_shape = None;
-                    x
-                };
-                linear.forward_owned(x, train)
-            }
-        }
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        match self {
-            LayerModule::Conv(m) => m.backward(dy),
-            LayerModule::Norm(m) => m.backward(dy),
-            LayerModule::Relu(m) => m.backward(dy),
-            LayerModule::MaxPool(m) => m.backward(dy),
-            LayerModule::AvgPool(m) => m.backward(dy),
-            LayerModule::GlobalAvgPool(m) => m.backward(dy),
-            LayerModule::Fc { linear, in_shape } => {
-                let d = linear.backward(dy);
-                match in_shape {
-                    Some(shape) => d.into_reshaped(shape),
-                    None => d,
-                }
-            }
-        }
-    }
-
-    fn backward_params(&mut self, dy: &Tensor) {
-        match self {
-            LayerModule::Conv(m) => m.backward_params(dy),
-            _ => {
-                let _ = self.backward(dy);
-            }
-        }
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        match self {
-            LayerModule::Conv(m) => m.visit_params(f),
-            LayerModule::Norm(m) => m.visit_params(f),
-            LayerModule::Relu(m) => m.visit_params(f),
-            LayerModule::MaxPool(m) => m.visit_params(f),
-            LayerModule::AvgPool(m) => m.visit_params(f),
-            LayerModule::GlobalAvgPool(m) => m.visit_params(f),
-            LayerModule::Fc { linear, .. } => linear.visit_params(f),
-        }
-    }
-
-    fn stash_caches(&mut self, stash: &mut CacheStash) {
-        match self {
-            LayerModule::Conv(m) => m.stash_caches(stash),
-            LayerModule::Norm(m) => m.stash_caches(stash),
-            LayerModule::Relu(m) => m.stash_caches(stash),
-            LayerModule::MaxPool(m) => m.stash_caches(stash),
-            LayerModule::AvgPool(m) => m.stash_caches(stash),
-            LayerModule::GlobalAvgPool(m) => m.stash_caches(stash),
-            LayerModule::Fc { linear, in_shape } => {
-                stash.push(CacheEntry::Shape(in_shape.take()));
-                linear.stash_caches(stash);
-            }
-        }
-    }
-
-    fn unstash_caches(&mut self, stash: &mut CacheStash) {
-        match self {
-            LayerModule::Conv(m) => m.unstash_caches(stash),
-            LayerModule::Norm(m) => m.unstash_caches(stash),
-            LayerModule::Relu(m) => m.unstash_caches(stash),
-            LayerModule::MaxPool(m) => m.unstash_caches(stash),
-            LayerModule::AvgPool(m) => m.unstash_caches(stash),
-            LayerModule::GlobalAvgPool(m) => m.unstash_caches(stash),
-            LayerModule::Fc { linear, in_shape } => {
-                match stash.pop() {
-                    CacheEntry::Shape(s) => *in_shape = s,
-                    other => stash_mismatch("fc flatten shape", &other),
-                }
-                linear.unstash_caches(stash);
-            }
-        }
-    }
-
-    fn export_state(&mut self, dict: &mut StateDict) {
-        // Dispatch (rather than the visit_params default) so norm layers
-        // carrying non-parameter state export it.
-        match self {
-            LayerModule::Conv(m) => m.export_state(dict),
-            LayerModule::Norm(m) => m.export_state(dict),
-            LayerModule::Relu(m) => m.export_state(dict),
-            LayerModule::MaxPool(m) => m.export_state(dict),
-            LayerModule::AvgPool(m) => m.export_state(dict),
-            LayerModule::GlobalAvgPool(m) => m.export_state(dict),
-            LayerModule::Fc { linear, .. } => linear.export_state(dict),
-        }
-    }
-
-    fn import_state(&mut self, dict: &mut StateDict) -> Result<(), StateError> {
-        match self {
-            LayerModule::Conv(m) => m.import_state(dict),
-            LayerModule::Norm(m) => m.import_state(dict),
-            LayerModule::Relu(m) => m.import_state(dict),
-            LayerModule::MaxPool(m) => m.import_state(dict),
-            LayerModule::AvgPool(m) => m.import_state(dict),
-            LayerModule::GlobalAvgPool(m) => m.import_state(dict),
-            LayerModule::Fc { linear, .. } => linear.import_state(dict),
+            LayerModule::Conv(m) => m,
+            LayerModule::BatchNorm(m) => m,
+            LayerModule::GroupNorm(m) => m,
+            LayerModule::LocalNorm(m) => m,
+            LayerModule::Relu(m) => m,
+            LayerModule::MaxPool(m) => m,
+            LayerModule::AvgPool(m) => m,
+            LayerModule::GlobalAvgPool(m) => m,
+            LayerModule::Fc(m) => m,
         }
     }
 }
 
-/// A lowered two-branch residual block: main chain, shortcut chain (empty
-/// = identity), element-wise add, then the post-merge layers (the IR puts
-/// the block's output ReLU there).
+/// How a node's branch outputs combine.
 #[derive(Debug, Clone)]
-struct LoweredBlock {
-    main: Vec<LayerModule>,
-    shortcut: Vec<LayerModule>,
-    post: Vec<LayerModule>,
-}
-
-impl Module for LoweredBlock {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_owned(x.clone(), train)
-    }
-
-    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
-        // The first main layer borrows `x` (the shortcut still needs it);
-        // everything after runs owned.
-        let mut h = match self.main.first_mut() {
-            Some(first) => first.forward(&x, train),
-            None => x.clone(),
-        };
-        for m in self.main.iter_mut().skip(1) {
-            h = m.forward_owned(h, train);
-        }
-        let mut s = x;
-        for m in &mut self.shortcut {
-            s = m.forward_owned(s, train);
-        }
-        h.add_assign(&s);
-        drop(s);
-        for m in &mut self.post {
-            h = m.forward_owned(h, train);
-        }
-        h
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut g = dy.clone();
-        for m in self.post.iter_mut().rev() {
-            g = m.backward(&g);
-        }
-        // Both add operands receive `g`.
-        let mut d = g.clone();
-        for m in self.main.iter_mut().rev() {
-            d = m.backward(&d);
-        }
-        let mut ds = g;
-        for m in self.shortcut.iter_mut().rev() {
-            ds = m.backward(&ds);
-        }
-        d.add_assign(&ds);
-        d
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for m in &mut self.main {
-            m.visit_params(f);
-        }
-        for m in &mut self.shortcut {
-            m.visit_params(f);
-        }
-        for m in &mut self.post {
-            m.visit_params(f);
-        }
-    }
-
-    fn stash_caches(&mut self, stash: &mut CacheStash) {
-        for m in self
-            .main
-            .iter_mut()
-            .chain(&mut self.shortcut)
-            .chain(&mut self.post)
-        {
-            m.stash_caches(stash);
-        }
-    }
-
-    fn unstash_caches(&mut self, stash: &mut CacheStash) {
-        for m in self
-            .main
-            .iter_mut()
-            .chain(&mut self.shortcut)
-            .chain(&mut self.post)
-        {
-            m.unstash_caches(stash);
-        }
-    }
-
-    fn export_state(&mut self, dict: &mut StateDict) {
-        for m in self
-            .main
-            .iter_mut()
-            .chain(&mut self.shortcut)
-            .chain(&mut self.post)
-        {
-            m.export_state(dict);
-        }
-    }
-
-    fn import_state(&mut self, dict: &mut StateDict) -> Result<(), StateError> {
-        for m in self
-            .main
-            .iter_mut()
-            .chain(&mut self.shortcut)
-            .chain(&mut self.post)
-        {
-            m.import_state(dict)?;
-        }
-        Ok(())
-    }
-}
-
-/// A lowered N-branch Inception-style block: every branch runs from the
-/// shared block input, branch outputs are concatenated channel-wise, then
-/// any post-merge layers run. Backward splits the output gradient back
-/// into per-branch channel ranges and sums the branch input gradients.
-#[derive(Debug, Clone)]
-struct LoweredConcat {
-    branches: Vec<Vec<LayerModule>>,
-    /// Output channels per branch — the concat/split ranges.
-    branch_channels: Vec<usize>,
-    post: Vec<LayerModule>,
-}
-
-impl Module for LoweredConcat {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_owned(x.clone(), train)
-    }
-
-    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
-        let last = self.branches.len() - 1;
-        let mut outs: Vec<Tensor> = Vec::with_capacity(self.branches.len());
-        // Every branch but the last borrows the shared input...
-        for branch in self.branches.iter_mut().take(last) {
-            let mut h = branch[0].forward(&x, train);
-            for m in branch.iter_mut().skip(1) {
-                h = m.forward_owned(h, train);
-            }
-            outs.push(h);
-        }
-        // ...and the last consumes it, so the buffer recycles in place.
-        let mut h = x;
-        for m in &mut self.branches[last] {
-            h = m.forward_owned(h, train);
-        }
-        outs.push(h);
-        let refs: Vec<&Tensor> = outs.iter().collect();
-        let mut y = concat_channels(&refs);
-        drop(outs);
-        for m in &mut self.post {
-            y = m.forward_owned(y, train);
-        }
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        // Inception-style blocks have no post-merge layers, so the common
-        // path slices straight from `dy` without copying it.
-        let mut g_owned: Option<Tensor> = None;
-        for m in self.post.iter_mut().rev() {
-            g_owned = Some(m.backward(g_owned.as_ref().unwrap_or(dy)));
-        }
-        let g: &Tensor = g_owned.as_ref().unwrap_or(dy);
-        let mut dx: Option<Tensor> = None;
-        let mut c_off = 0usize;
-        for (branch, &cb) in self.branches.iter_mut().zip(&self.branch_channels) {
-            let mut d = slice_channels(g, c_off, cb);
-            c_off += cb;
-            for m in branch.iter_mut().rev() {
-                d = m.backward(&d);
-            }
-            match &mut dx {
-                Some(acc) => acc.add_assign(&d),
-                None => dx = Some(d),
-            }
-        }
-        dx.expect("concat block has at least one branch")
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for m in self.branches.iter_mut().flatten().chain(&mut self.post) {
-            m.visit_params(f);
-        }
-    }
-
-    fn stash_caches(&mut self, stash: &mut CacheStash) {
-        for m in self.branches.iter_mut().flatten().chain(&mut self.post) {
-            m.stash_caches(stash);
-        }
-    }
-
-    fn unstash_caches(&mut self, stash: &mut CacheStash) {
-        for m in self.branches.iter_mut().flatten().chain(&mut self.post) {
-            m.unstash_caches(stash);
-        }
-    }
-
-    fn export_state(&mut self, dict: &mut StateDict) {
-        for m in self.branches.iter_mut().flatten().chain(&mut self.post) {
-            m.export_state(dict);
-        }
-    }
-
-    fn import_state(&mut self, dict: &mut StateDict) -> Result<(), StateError> {
-        for m in self.branches.iter_mut().flatten().chain(&mut self.post) {
-            m.import_state(dict)?;
-        }
-        Ok(())
-    }
+enum Merge {
+    /// A single IR layer: one branch, nothing to combine.
+    Single,
+    /// A residual block: the branch outputs add element-wise.
+    Add,
+    /// An Inception-style block: the branch outputs concatenate
+    /// channel-wise; the output channels of each branch.
+    Concat(Vec<usize>),
 }
 
 /// One lowered scheduling unit: the runtime mirror of [`mbs_cnn::Node`].
 #[derive(Debug, Clone)]
 pub struct NodeModule {
     name: String,
-    body: NodeBody,
-}
-
-#[derive(Debug, Clone)]
-enum NodeBody {
-    Single(Box<LayerModule>),
-    Block(LoweredBlock),
-    Concat(LoweredConcat),
+    /// Layer chains that each start from the node input: a single node's
+    /// one chain (empty once a batch norm folded away), a residual block's
+    /// main then shortcut (empty = identity), an Inception block's
+    /// branches in order.
+    branches: Vec<Vec<LayerModule>>,
+    merge: Merge,
+    /// Layers after the merge (the IR puts a residual block's output ReLU
+    /// here).
+    post: Vec<LayerModule>,
 }
 
 impl NodeModule {
@@ -486,80 +170,127 @@ impl NodeModule {
         &self.name
     }
 
+    /// The node's layers in walk order: each branch in order, then post.
+    /// Cache stashing, checkpoint state and the optimizer all follow this
+    /// order (the checkpoint format depends on it); it is written only
+    /// here.
+    fn layers(&mut self) -> impl Iterator<Item = &mut dyn Module> + '_ {
+        self.branches
+            .iter_mut()
+            .flatten()
+            .chain(&mut self.post)
+            .map(LayerModule::module)
+    }
+
+    /// The node's one chain, if it is a single IR layer.
+    fn single_chain(&mut self) -> Option<&mut Vec<LayerModule>> {
+        match self.merge {
+            Merge::Single => Some(&mut self.branches[0]),
+            _ => None,
+        }
+    }
+
     /// Whether this node is a single ReLU layer.
     fn is_relu(&self) -> bool {
-        matches!(&self.body, NodeBody::Single(m) if matches!(**m, LayerModule::Relu(_)))
+        matches!(self.merge, Merge::Single)
+            && matches!(self.branches[0][..], [LayerModule::Relu(_)])
+    }
+
+    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+        let (last, rest) = self
+            .branches
+            .split_last_mut()
+            .expect("a node has at least one branch");
+        // Every branch but the last borrows the shared input...
+        let mut outs: Vec<Tensor> = rest
+            .iter_mut()
+            .map(|chain| match chain.split_first_mut() {
+                Some((first, tail)) => {
+                    forward_chain(tail, first.module().forward(&x, train), train)
+                }
+                None => x.clone(),
+            })
+            .collect();
+        // ...and the last consumes it, so the buffer recycles in place.
+        let h = forward_chain(last, x, train);
+        let y = match &self.merge {
+            Merge::Single => h,
+            Merge::Add => {
+                let mut y = outs.pop().expect("a residual block has a main branch");
+                y.add_assign(&h);
+                drop(h);
+                y
+            }
+            Merge::Concat(_) => {
+                outs.push(h);
+                let refs: Vec<&Tensor> = outs.iter().collect();
+                concat_channels(&refs)
+            }
+        };
+        drop(outs);
+        forward_chain(&mut self.post, y, train)
+    }
+
+    /// Backward through the node, accumulating parameter gradients. With
+    /// `want_dx` returns the gradient with respect to the node input;
+    /// without, each branch's first layer runs [`Module::backward_params`]
+    /// and nothing is returned.
+    fn backward(&mut self, dy: &Tensor, want_dx: bool) -> Option<Tensor> {
+        // With no post-merge layers (every node but a residual block), `g`
+        // is `dy` itself, uncopied.
+        let post = backward_chain(&mut self.post, dy);
+        let g = post.as_ref().unwrap_or(dy);
+        let mut dx: Option<Tensor> = None;
+        let mut c_off = 0;
+        for (b, chain) in self.branches.iter_mut().enumerate() {
+            let sliced;
+            let gb = match &self.merge {
+                Merge::Concat(channels) => {
+                    sliced = slice_channels(g, c_off, channels[b]);
+                    c_off += channels[b];
+                    &sliced
+                }
+                // Every add operand receives `g`.
+                Merge::Single | Merge::Add => g,
+            };
+            if !want_dx {
+                if let Some((first, tail)) = chain.split_first_mut() {
+                    let d = backward_chain(tail, gb);
+                    first.module().backward_params(d.as_ref().unwrap_or(gb));
+                }
+                continue;
+            }
+            // An empty branch (identity shortcut) passes `gb` through.
+            match (&mut dx, backward_chain(chain, gb)) {
+                (Some(acc), d) => acc.add_assign(d.as_ref().unwrap_or(gb)),
+                (None, d) => dx = Some(d.unwrap_or_else(|| gb.clone())),
+            }
+        }
+        dx
     }
 }
 
-impl Module for NodeModule {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_owned(x.clone(), train)
+/// Forward through `chain`, consuming the input.
+fn forward_chain(chain: &mut [LayerModule], mut x: Tensor, train: bool) -> Tensor {
+    for m in chain {
+        x = m.module().forward_owned(x, train);
     }
+    x
+}
 
-    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
-        match &mut self.body {
-            NodeBody::Single(m) => m.forward_owned(x, train),
-            NodeBody::Block(b) => b.forward_owned(x, train),
-            NodeBody::Concat(b) => b.forward_owned(x, train),
-        }
+/// Backward through `chain` in reverse; `None` for an empty chain, whose
+/// input gradient is `dy` itself.
+fn backward_chain(chain: &mut [LayerModule], dy: &Tensor) -> Option<Tensor> {
+    let mut d: Option<Tensor> = None;
+    for m in chain.iter_mut().rev() {
+        d = Some(m.module().backward(d.as_ref().unwrap_or(dy)));
     }
+    d
+}
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        match &mut self.body {
-            NodeBody::Single(m) => m.backward(dy),
-            NodeBody::Block(b) => b.backward(dy),
-            NodeBody::Concat(b) => b.backward(dy),
-        }
-    }
-
-    fn backward_params(&mut self, dy: &Tensor) {
-        match &mut self.body {
-            NodeBody::Single(m) => m.backward_params(dy),
-            NodeBody::Block(b) => b.backward_params(dy),
-            NodeBody::Concat(b) => b.backward_params(dy),
-        }
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        match &mut self.body {
-            NodeBody::Single(m) => m.visit_params(f),
-            NodeBody::Block(b) => b.visit_params(f),
-            NodeBody::Concat(b) => b.visit_params(f),
-        }
-    }
-
-    fn stash_caches(&mut self, stash: &mut CacheStash) {
-        match &mut self.body {
-            NodeBody::Single(m) => m.stash_caches(stash),
-            NodeBody::Block(b) => b.stash_caches(stash),
-            NodeBody::Concat(b) => b.stash_caches(stash),
-        }
-    }
-
-    fn unstash_caches(&mut self, stash: &mut CacheStash) {
-        match &mut self.body {
-            NodeBody::Single(m) => m.unstash_caches(stash),
-            NodeBody::Block(b) => b.unstash_caches(stash),
-            NodeBody::Concat(b) => b.unstash_caches(stash),
-        }
-    }
-
-    fn export_state(&mut self, dict: &mut StateDict) {
-        match &mut self.body {
-            NodeBody::Single(m) => m.export_state(dict),
-            NodeBody::Block(b) => b.export_state(dict),
-            NodeBody::Concat(b) => b.export_state(dict),
-        }
-    }
-
-    fn import_state(&mut self, dict: &mut StateDict) -> Result<(), StateError> {
-        match &mut self.body {
-            NodeBody::Single(m) => m.import_state(dict),
-            NodeBody::Block(b) => b.import_state(dict),
-            NodeBody::Concat(b) => b.import_state(dict),
-        }
-    }
+/// Every layer of `nodes`, in walk order ([`NodeModule::layers`]).
+fn walk(nodes: &mut [NodeModule]) -> impl Iterator<Item = &mut dyn Module> + '_ {
+    nodes.iter_mut().flat_map(NodeModule::layers)
 }
 
 /// A network lowered from the IR: one [`NodeModule`] per IR node, runnable
@@ -601,7 +332,7 @@ impl LoweredNet {
     /// Panics if the range is out of bounds.
     pub fn forward_range(&mut self, range: Range<usize>, mut x: Tensor, train: bool) -> Tensor {
         for node in &mut self.nodes[range] {
-            x = node.forward_owned(x, train);
+            x = node.forward(x, train);
         }
         x
     }
@@ -619,9 +350,10 @@ impl LoweredNet {
 
     /// [`LoweredNet::backward_range`] for a caller that discards the
     /// range's input gradient: the same parameter gradients accumulate,
-    /// but the range's first node runs [`Module::backward_params`] and so
-    /// skips computing a gradient nobody reads. The grouped training step
-    /// runs the network's first group through this.
+    /// but the first layer of each branch of the range's first node runs
+    /// [`Module::backward_params`] and so skips computing a gradient
+    /// nobody reads. The grouped training step runs the network's first
+    /// group through this.
     ///
     /// # Panics
     ///
@@ -630,16 +362,13 @@ impl LoweredNet {
         let Some((first, rest)) = self.nodes[range].split_first_mut() else {
             return;
         };
-        if rest.is_empty() {
-            first.backward_params(dy);
-        } else {
-            first.backward_params(&backward_nodes(rest, dy));
-        }
+        let d = (!rest.is_empty()).then(|| backward_nodes(rest, dy));
+        first.backward(d.as_ref().unwrap_or(dy), false);
     }
 
     /// Moves the backward caches of nodes `range` (the state the last
     /// training forward through that range left behind) into `stash`, in
-    /// node order. The grouped executor calls this after each chunk of a
+    /// walk order. The grouped executor calls this after each chunk of a
     /// multi-iteration group so the next chunk's forward cannot overwrite
     /// the caches — see [`crate::grouped::GroupedExecutor`].
     ///
@@ -647,8 +376,8 @@ impl LoweredNet {
     ///
     /// Panics if the range is out of bounds.
     pub fn stash_range(&mut self, range: Range<usize>, stash: &mut CacheStash) {
-        for node in &mut self.nodes[range] {
-            node.stash_caches(stash);
+        for m in walk(&mut self.nodes[range]) {
+            m.stash_caches(stash);
         }
     }
 
@@ -660,8 +389,8 @@ impl LoweredNet {
     /// Panics if the stash was produced by a different range (entry
     /// sequence mismatch).
     pub fn unstash_range(&mut self, range: Range<usize>, stash: &mut CacheStash) {
-        for node in &mut self.nodes[range] {
-            node.unstash_caches(stash);
+        for m in walk(&mut self.nodes[range]) {
+            m.unstash_caches(stash);
         }
     }
 
@@ -708,7 +437,7 @@ impl LoweredNet {
                     }
                 }
                 if i < last {
-                    x = self.nodes[i].forward_owned(x, false);
+                    x = self.nodes[i].forward(x, false);
                 }
             }
             start = end;
@@ -728,8 +457,8 @@ impl LoweredNet {
     }
 
     /// Folds every batch norm that directly follows a convolution into
-    /// that convolution's weights and bias, replacing the norm with an
-    /// identity. Returns the number of norms folded.
+    /// that convolution's weights and bias, removing the norm from its
+    /// chain. Returns the number of norms folded.
     ///
     /// This is an **inference-only** transform: eval-mode batch norm is
     /// the affine `y = scale · x + shift` per channel (see
@@ -740,34 +469,29 @@ impl LoweredNet {
     /// trained state — folding bakes the *current* running statistics
     /// into the weights — and never export state from a folded net.
     ///
-    /// Covers conv→norm pairs inside block main/shortcut/post chains,
-    /// inside concat branches and post chains, and across adjacent
-    /// top-level single-layer nodes (the builders emit conv and norm as
-    /// separate nodes).
+    /// Covers conv→norm pairs inside every branch and post chain, and
+    /// across adjacent top-level single-layer nodes (the builders emit
+    /// conv and norm as separate nodes; the norm's node is left empty).
     pub fn fold_batch_norms(&mut self) -> usize {
         let mut folded = 0;
         for node in &mut self.nodes {
-            match &mut node.body {
-                NodeBody::Single(_) => {}
-                NodeBody::Block(b) => {
-                    folded += fold_chain(&mut b.main);
-                    folded += fold_chain(&mut b.shortcut);
-                    folded += fold_chain(&mut b.post);
-                }
-                NodeBody::Concat(b) => {
-                    for branch in &mut b.branches {
-                        folded += fold_chain(branch);
+            for chain in node.branches.iter_mut().chain([&mut node.post]) {
+                let mut i = 1;
+                while i < chain.len() {
+                    let (head, tail) = chain.split_at_mut(i);
+                    if fold_into(head.last_mut(), &tail[0]) {
+                        chain.remove(i);
+                        folded += 1;
                     }
-                    folded += fold_chain(&mut b.post);
+                    i += 1;
                 }
             }
         }
         for i in 1..self.nodes.len() {
             let (head, tail) = self.nodes.split_at_mut(i);
-            if let (NodeBody::Single(a), NodeBody::Single(b)) =
-                (&mut head[i - 1].body, &mut tail[0].body)
-            {
-                if fold_pair(a, b) {
+            if let (Some(a), Some(b)) = (head[i - 1].single_chain(), tail[0].single_chain()) {
+                if b.first().is_some_and(|norm| fold_into(a.last_mut(), norm)) {
+                    b.remove(0);
                     folded += 1;
                 }
             }
@@ -779,45 +503,23 @@ impl LoweredNet {
 /// Backward through `nodes` in reverse, returning the gradient with
 /// respect to the first node's input (`dy` itself for an empty slice).
 fn backward_nodes(nodes: &mut [NodeModule], dy: &Tensor) -> Tensor {
-    let mut iter = nodes.iter_mut().rev();
-    let mut d = match iter.next() {
-        Some(node) => node.backward(dy),
-        None => dy.clone(),
-    };
-    for node in iter {
-        d = node.backward(&d);
+    let mut d: Option<Tensor> = None;
+    for node in nodes.iter_mut().rev() {
+        d = node.backward(d.as_ref().unwrap_or(dy), true);
     }
-    d
+    d.unwrap_or_else(|| dy.clone())
 }
 
-/// If `a` is a conv and `b` a batch norm, folds the norm into the conv
-/// and replaces it with [`Norm::None`]. Returns whether a fold happened.
-fn fold_pair(a: &mut LayerModule, b: &mut LayerModule) -> bool {
-    let LayerModule::Conv(conv) = a else {
-        return false;
-    };
-    let LayerModule::Norm(norm) = b else {
-        return false;
-    };
-    let Norm::Batch(bn) = &*norm else {
+/// If `conv` is a convolution and `norm` a batch norm, folds the norm's
+/// eval affine into the conv; the caller then removes the norm. Returns
+/// whether a fold happened.
+fn fold_into(conv: Option<&mut LayerModule>, norm: &LayerModule) -> bool {
+    let (Some(LayerModule::Conv(conv)), LayerModule::BatchNorm(bn)) = (conv, norm) else {
         return false;
     };
     let (scale, shift) = bn.eval_affine();
     conv.fold_affine(&scale, &shift);
-    *norm = Norm::None;
     true
-}
-
-/// Folds every adjacent conv→batch-norm pair in a layer chain.
-fn fold_chain(layers: &mut [LayerModule]) -> usize {
-    let mut folded = 0;
-    for i in 1..layers.len() {
-        let (head, tail) = layers.split_at_mut(i);
-        if fold_pair(&mut head[i - 1], &mut tail[0]) {
-            folded += 1;
-        }
-    }
-    folded
 }
 
 impl Module for LoweredNet {
@@ -836,8 +538,8 @@ impl Module for LoweredNet {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for node in &mut self.nodes {
-            node.visit_params(f);
+        for m in walk(&mut self.nodes) {
+            m.visit_params(f);
         }
     }
 
@@ -852,14 +554,14 @@ impl Module for LoweredNet {
     }
 
     fn export_state(&mut self, dict: &mut StateDict) {
-        for node in &mut self.nodes {
-            node.export_state(dict);
+        for m in walk(&mut self.nodes) {
+            m.export_state(dict);
         }
     }
 
     fn import_state(&mut self, dict: &mut StateDict) -> Result<(), StateError> {
-        for node in &mut self.nodes {
-            node.import_state(dict)?;
+        for m in walk(&mut self.nodes) {
+            m.import_state(dict)?;
         }
         Ok(())
     }
@@ -867,7 +569,7 @@ impl Module for LoweredNet {
 
 /// Compiles `net` into a [`LoweredNet`], initializing parameters from
 /// `rng` (Kaiming for convolutions and the classifier, ones/zeros for norm
-/// scale/shift — the same scheme the hand-built models use).
+/// scale/shift).
 ///
 /// Every IR construct the zoo uses lowers: conv, GN/BN/LRN, ReLU, max and
 /// average pooling (padded or not), GAP, FC, residual (`Add`) blocks, and
@@ -900,16 +602,7 @@ pub fn lower(net: &Network, rng: &mut StdRng) -> Result<LoweredNet, LowerError> 
     let nodes = net
         .nodes()
         .iter()
-        .map(|node| {
-            let body = match node {
-                Node::Single(layer) => NodeBody::Single(Box::new(lower_layer(layer, rng)?)),
-                Node::Block(block) => lower_block(block, rng)?,
-            };
-            Ok(NodeModule {
-                name: node.name().to_owned(),
-                body,
-            })
-        })
+        .map(|node| lower_node(node, rng))
         .collect::<Result<Vec<_>, LowerError>>()?;
     Ok(LoweredNet {
         name: net.name().to_owned(),
@@ -940,15 +633,13 @@ fn lower_layer(layer: &Layer, rng: &mut StdRng) -> Result<LayerModule, LowerErro
                 rng,
             )))
         }
-        LayerKind::Norm { kind } => {
-            let channels = layer.input.channels;
-            let norm = match kind {
-                NormKind::Group { groups } => Norm::new(NormChoice::Group(groups), channels),
-                NormKind::Batch => Norm::new(NormChoice::Batch, channels),
-                NormKind::Local => Norm::Local(LocalResponseNorm::alexnet()),
-            };
-            Ok(LayerModule::Norm(norm))
-        }
+        LayerKind::Norm { kind } => Ok(match kind {
+            NormKind::Group { groups } => {
+                LayerModule::GroupNorm(GroupNorm::new(layer.input.channels, groups))
+            }
+            NormKind::Batch => LayerModule::BatchNorm(BatchNorm2d::new(layer.input.channels)),
+            NormKind::Local => LayerModule::LocalNorm(LocalResponseNorm::alexnet()),
+        }),
         LayerKind::Relu => Ok(LayerModule::Relu(Relu::new())),
         LayerKind::Pool {
             kind,
@@ -973,10 +664,11 @@ fn lower_layer(layer: &Layer, rng: &mut StdRng) -> Result<LayerModule, LowerErro
             })
         }
         LayerKind::GlobalAvgPool => Ok(LayerModule::GlobalAvgPool(GlobalAvgPool::new())),
-        LayerKind::FullyConnected => Ok(LayerModule::Fc {
-            linear: Linear::new(layer.input.elems(), layer.output.channels, rng),
-            in_shape: None,
-        }),
+        LayerKind::FullyConnected => Ok(LayerModule::Fc(Linear::new(
+            layer.input.elems(),
+            layer.output.channels,
+            rng,
+        ))),
         LayerKind::Add | LayerKind::Concat => Err(LowerError::new(
             &layer.name,
             "merge layers only occur inside blocks; a top-level merge has no second operand",
@@ -1038,56 +730,64 @@ fn lower_chain(layers: &[Layer], rng: &mut StdRng) -> Result<Vec<LayerModule>, L
         .collect::<Result<Vec<_>, _>>()
 }
 
-fn lower_block(block: &Block, rng: &mut StdRng) -> Result<NodeBody, LowerError> {
-    match block.merge.kind {
-        LayerKind::Add => {
-            if block.branches.len() != 2 {
-                return Err(LowerError::new(
-                    &block.name,
-                    format!(
-                        "residual lowering expects 2 branches, found {}",
-                        block.branches.len()
-                    ),
-                ));
-            }
-            Ok(NodeBody::Block(LoweredBlock {
-                main: lower_chain(&block.branches[0], rng)?,
-                shortcut: lower_chain(&block.branches[1], rng)?,
-                post: lower_chain(&block.post, rng)?,
-            }))
+fn lower_node(node: &Node, rng: &mut StdRng) -> Result<NodeModule, LowerError> {
+    let (branches, merge, post) = match node {
+        Node::Single(layer) => (
+            vec![vec![lower_layer(layer, rng)?]],
+            Merge::Single,
+            Vec::new(),
+        ),
+        Node::Block(block) => {
+            let merge = match block.merge.kind {
+                LayerKind::Add if block.branches.len() != 2 => {
+                    return Err(LowerError::new(
+                        &block.name,
+                        format!(
+                            "residual lowering expects 2 branches, found {}",
+                            block.branches.len()
+                        ),
+                    ));
+                }
+                LayerKind::Add => Merge::Add,
+                LayerKind::Concat if block.branches.iter().any(Vec::is_empty) => {
+                    return Err(LowerError::new(
+                        &block.name,
+                        "concat lowering requires non-empty branches",
+                    ));
+                }
+                LayerKind::Concat => Merge::Concat(
+                    (0..block.branches.len())
+                        .map(|b| block.branch_output(b).channels)
+                        .collect(),
+                ),
+                _ => {
+                    return Err(LowerError::new(
+                        &block.merge.name,
+                        "block merge must be Add (residual) or Concat (inception)",
+                    ))
+                }
+            };
+            let branches = block
+                .branches
+                .iter()
+                .map(|b| lower_chain(b, rng))
+                .collect::<Result<Vec<_>, _>>()?;
+            (branches, merge, lower_chain(&block.post, rng)?)
         }
-        LayerKind::Concat => {
-            if block.branches.iter().any(Vec::is_empty) {
-                return Err(LowerError::new(
-                    &block.name,
-                    "concat lowering requires non-empty branches",
-                ));
-            }
-            let branch_channels = (0..block.branches.len())
-                .map(|b| block.branch_output(b).channels)
-                .collect();
-            Ok(NodeBody::Concat(LoweredConcat {
-                branches: block
-                    .branches
-                    .iter()
-                    .map(|b| lower_chain(b, rng))
-                    .collect::<Result<Vec<_>, _>>()?,
-                branch_channels,
-                post: lower_chain(&block.post, rng)?,
-            }))
-        }
-        _ => Err(LowerError::new(
-            &block.merge.name,
-            "block merge must be Add (residual) or Concat (inception)",
-        )),
-    }
+    };
+    Ok(NodeModule {
+        name: node.name().to_owned(),
+        branches,
+        merge,
+        post,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mbs_cnn::networks::toy;
-    use mbs_cnn::{FeatureShape, NetworkBuilder};
+    use mbs_cnn::{Block, FeatureShape, NetworkBuilder};
     use rand::SeedableRng;
 
     fn rng() -> StdRng {

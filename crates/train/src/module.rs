@@ -381,9 +381,9 @@ pub trait Module {
 
     /// Forward pass **consuming** an owned input. Semantically identical to
     /// [`Module::forward`]; layers override it to exploit ownership — ReLU
-    /// clamps in place instead of allocating an output, Conv2d/Linear move
-    /// the input into their backward cache instead of cloning it, identity
-    /// norms return the input untouched. Chains that own their
+    /// clamps in place instead of allocating an output, Conv2d/Linear/LRN
+    /// move the input into their backward cache instead of cloning it.
+    /// Chains that own their
     /// intermediates (every layer-to-layer hop inside a model) should call
     /// this so the serialized sub-batch loop recycles activations instead
     /// of copying them.
@@ -443,12 +443,9 @@ pub trait Module {
     /// checkpoints are taken at step boundaries where both are dead.
     ///
     /// The default exports every parameter in [`Module::visit_params`]
-    /// order, which is complete for leaf modules whose only state is
-    /// their parameters. **Composite modules must override this to
-    /// recurse into children** (not rely on the default), so children
-    /// carrying auxiliary state get their own hook called; leaves with
-    /// extra state (e.g. `BatchNorm2d`) override it to append that state
-    /// after their parameters.
+    /// order, which is complete for a layer whose only state is its
+    /// parameters; a layer with extra state (e.g. `BatchNorm2d`)
+    /// overrides it to append that state after its parameters.
     fn export_state(&mut self, dict: &mut StateDict) {
         self.visit_params(&mut |p| dict.push_tensor(&p.value));
     }

@@ -615,120 +615,6 @@ impl Module for LocalResponseNorm {
     }
 }
 
-/// The normalization choice for a model (paper Fig. 6 compares all three).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NormChoice {
-    /// Batch normalization (incompatible with MBS).
-    Batch,
-    /// Group normalization with the given group count (MBS-compatible).
-    Group(usize),
-    /// No normalization (Fig. 6a's divergent pre-activations).
-    None,
-}
-
-/// A pluggable normalization module.
-#[derive(Debug, Clone)]
-pub enum Norm {
-    /// Batch normalization.
-    Batch(BatchNorm2d),
-    /// Group normalization.
-    Group(GroupNorm),
-    /// Local response normalization (the IR's `NormKind::Local`).
-    Local(LocalResponseNorm),
-    /// Identity.
-    None,
-}
-
-impl Norm {
-    /// Builds the chosen normalization for `channels`.
-    pub fn new(choice: NormChoice, channels: usize) -> Self {
-        match choice {
-            NormChoice::Batch => Norm::Batch(BatchNorm2d::new(channels)),
-            NormChoice::Group(g) => Norm::Group(GroupNorm::new(channels, g)),
-            NormChoice::None => Norm::None,
-        }
-    }
-}
-
-impl Module for Norm {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        match self {
-            Norm::Batch(b) => b.forward(x, train),
-            Norm::Group(g) => g.forward(x, train),
-            Norm::Local(l) => l.forward(x, train),
-            Norm::None => x.clone(),
-        }
-    }
-
-    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
-        match self {
-            Norm::Batch(b) => b.forward(&x, train),
-            Norm::Group(g) => g.forward(&x, train),
-            Norm::Local(l) => l.forward_owned(x, train),
-            // The identity norm passes the owned activation straight
-            // through — no clone, no allocation.
-            Norm::None => x,
-        }
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        match self {
-            Norm::Batch(b) => b.backward(dy),
-            Norm::Group(g) => g.backward(dy),
-            Norm::Local(l) => l.backward(dy),
-            Norm::None => dy.clone(),
-        }
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        match self {
-            Norm::Batch(b) => b.visit_params(f),
-            Norm::Group(g) => g.visit_params(f),
-            Norm::Local(l) => l.visit_params(f),
-            Norm::None => {}
-        }
-    }
-
-    fn stash_caches(&mut self, stash: &mut CacheStash) {
-        match self {
-            Norm::Batch(b) => b.stash_caches(stash),
-            Norm::Group(g) => g.stash_caches(stash),
-            Norm::Local(l) => l.stash_caches(stash),
-            Norm::None => {}
-        }
-    }
-
-    fn unstash_caches(&mut self, stash: &mut CacheStash) {
-        match self {
-            Norm::Batch(b) => b.unstash_caches(stash),
-            Norm::Group(g) => g.unstash_caches(stash),
-            Norm::Local(l) => l.unstash_caches(stash),
-            Norm::None => {}
-        }
-    }
-
-    fn export_state(&mut self, dict: &mut StateDict) {
-        // Dispatch so `BatchNorm2d`'s running-statistics override is
-        // reached (the trait default would walk `visit_params` and skip
-        // them).
-        match self {
-            Norm::Batch(b) => b.export_state(dict),
-            Norm::Group(g) => g.export_state(dict),
-            Norm::Local(l) => l.export_state(dict),
-            Norm::None => {}
-        }
-    }
-
-    fn import_state(&mut self, dict: &mut StateDict) -> Result<(), StateError> {
-        match self {
-            Norm::Batch(b) => b.import_state(dict),
-            Norm::Group(g) => g.import_state(dict),
-            Norm::Local(l) => l.import_state(dict),
-            Norm::None => Ok(()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

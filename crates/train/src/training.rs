@@ -46,9 +46,7 @@ pub struct TrainConfig {
     /// RNG seed for init and shuffling.
     pub seed: u64,
     /// Crash-safe checkpointing for [`train_grouped`] (`None` = no
-    /// checkpoints). Unset callers inherit the `MBS_CKPT_DIR` /
-    /// `MBS_CKPT_EVERY` environment knobs via
-    /// [`CheckpointConfig::from_env`] — pass `Some` to override.
+    /// checkpoints; [`CheckpointConfig::new`] turns it on).
     pub checkpoint: Option<CheckpointConfig>,
     /// Grouped backward strategy: `None` or `Some(true)` stashes caches,
     /// `Some(false)` replays chunk forwards instead, holding no stash (see
@@ -277,10 +275,9 @@ impl From<LoaderError> for TrainError {
 ///
 /// # Crash safety
 ///
-/// With `cfg.checkpoint` set (or `MBS_CKPT_DIR` in the environment), the
-/// run saves durable checkpoints — always at epoch boundaries, plus
-/// every [`CheckpointConfig::every_steps`] steps — and resumes from the
-/// newest valid one on restart. A save costs the step loop one copy of
+/// With `cfg.checkpoint` set, the run saves durable checkpoints — always
+/// at epoch boundaries, plus every [`CheckpointConfig::every_steps`]
+/// steps — and resumes from the newest valid one on restart. A save costs the step loop one copy of
 /// the state: a [`CheckpointWriter`] thread makes it durable behind the
 /// next steps and is joined before this function returns, `Ok` or `Err`,
 /// so a returned call means the newest checkpoint is on disk (mid-run it
@@ -471,7 +468,6 @@ fn run_grouped(
     cfg: &TrainConfig,
 ) -> Result<(Vec<EpochStats>, Option<LoaderStats>), TrainError> {
     validate_inputs(net, schedule, &feed, val_set)?;
-    let ckpt_cfg = cfg.checkpoint.clone().or_else(CheckpointConfig::from_env);
     let fingerprint = schedule.fingerprint(net);
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -494,7 +490,7 @@ fn run_grouped(
     let mut resumed_steps = 0usize;
     let mut resumed_loss_sum = 0.0f32;
     let mut writer = None;
-    if let Some(ck) = &ckpt_cfg {
+    if let Some(ck) = &cfg.checkpoint {
         writer = Some(CheckpointWriter::new(ck, cfg.fault_plan.clone())?);
         if ck.resume {
             let (found, report) = checkpoint::load_latest(&ck.dir, fingerprint)?;
@@ -548,7 +544,7 @@ fn run_grouped(
             };
             steps += 1;
             start = end;
-            if let (Some(ck), Some(writer)) = (&ckpt_cfg, &mut writer) {
+            if let (Some(ck), Some(writer)) = (&cfg.checkpoint, &mut writer) {
                 if ck.every_steps > 0 && steps % ck.every_steps == 0 && start < n {
                     let cursor = (epoch, steps, loss_sum, epoch_rng);
                     persist(writer, plan, |buf| {
