@@ -105,11 +105,11 @@ fn block_space(block: &Block) -> usize {
 /// - conv / FC / GN / BN: the input (or input-sized `xhat`) tensor;
 /// - LRN: **two** input-sized tensors (the input and the scale
 ///   denominator);
-/// - max pooling: nothing input-sized — the runtime keeps per-*output*
-///   argmax indices, not the input;
+/// - max pooling: nothing input-sized — the runtime keeps a one-byte
+///   window-tap index per *output*, not the input;
 /// - ReLU: nothing (a 1-bit sign mask).
 ///
-/// Small residue (ReLU masks, argmax indices, per-group statistics
+/// Small residue (ReLU masks, max-pool tap indices, per-group statistics
 /// vectors) is ignored.
 pub fn node_stash_bytes(node: &Node) -> usize {
     node.layers()

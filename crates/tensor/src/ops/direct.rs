@@ -15,7 +15,8 @@
 //! `(ky mod s, kx mod s)`: over the flattened output domain `j = oy·wp +
 //! ox` every tap of any kernel/stride/padding is a **constant offset into
 //! a contiguous stream**. The `wp - wo` lanes at the end of each row are
-//! computed and never stored.
+//! computed and never stored. Pooling (`ops::pool`) stages its planes with
+//! the same routine, padded with its op's identity instead of zero.
 //!
 //! One register tile per ISA tier serves all three ops:
 //!
@@ -352,16 +353,19 @@ fn round_bf16(v: f32) -> f32 {
     bf16_to_f32(f32_to_bf16(v))
 }
 
-/// `plane[r·wp + c] = src[(s·r + oy)·sw + s·c + ox]` where that lies in
-/// the `sh × sw` source, else zero, for `r < hp`, `c < wp`; everything
-/// past `hp·wp` (the tile read slack) is zeroed too.
-fn stage_plane(
-    plane: &mut [f32],
+/// For each `(plane, src)` of `planes`: `plane[r·wp + c] = src[(s·r +
+/// oy)·sw + s·c + ox]` where that lies in the `sh × sw` source, else
+/// `fill`, for `r < hp`, `c < wp`; everything past `hp·wp` (the tile read
+/// slack) is `fill` too. The convolutions pad with zeros, pooling with its
+/// op's identity (`ops::pool`). One call stages every plane that shares a
+/// geometry and phase, so the valid region is worked out once.
+pub(super) fn stage_planes<'a>(
+    planes: impl Iterator<Item = (&'a mut [f32], &'a [f32])>,
     (hp, wp): (usize, usize),
-    src: &[f32],
     (sh, sw): (usize, usize),
     s: usize,
     (oy, ox): (isize, isize),
+    fill: f32,
     round: bool,
 ) {
     // Plane indices whose source coordinate s·i + o falls in [0, ext).
@@ -372,25 +376,37 @@ fn stage_plane(
         lo..hi.min(cap)
     };
     let (rows, cols) = (valid(oy, sh, hp), valid(ox, sw, wp));
-    if rows.is_empty() || cols.is_empty() {
-        plane.fill(0.0);
-        return;
-    }
-    plane[..rows.start * wp].fill(0.0);
-    plane[rows.end * wp..].fill(0.0);
     let x0 = ((s * cols.start) as isize + ox) as usize;
-    for r in rows {
-        let src_row = &src[((s * r) as isize + oy) as usize * sw..][..sw];
-        let row = &mut plane[r * wp..(r + 1) * wp];
-        row[..cols.start].fill(0.0);
-        row[cols.end..].fill(0.0);
-        let dst = &mut row[cols.clone()];
-        if s == 1 && !round {
-            dst.copy_from_slice(&src_row[x0..x0 + dst.len()]);
+    for (plane, src) in planes {
+        if rows.is_empty() || cols.is_empty() {
+            plane.fill(fill);
             continue;
         }
-        for (d, &v) in dst.iter_mut().zip(src_row[x0..].iter().step_by(s)) {
-            *d = if round { round_bf16(v) } else { v };
+        plane[..rows.start * wp].fill(fill);
+        plane[rows.end * wp..].fill(fill);
+        for r in rows.clone() {
+            let src_row = &src[((s * r) as isize + oy) as usize * sw..][..sw];
+            let row = &mut plane[r * wp..(r + 1) * wp];
+            row[..cols.start].fill(fill);
+            row[cols.end..].fill(fill);
+            let dst = &mut row[cols.clone()];
+            if s == 1 && !round {
+                dst.copy_from_slice(&src_row[x0..x0 + dst.len()]);
+                continue;
+            }
+            // Whole `s`-chunks, then the last cell: at a run-time stride
+            // about half of `step_by(s)`'s cost per element.
+            let n = dst.len();
+            let src = &src_row[x0..][..(n - 1) * s + 1];
+            let (head, last) = dst.split_at_mut(n - 1);
+            for (d, v) in head.iter_mut().zip(src.chunks_exact(s)) {
+                *d = if round { round_bf16(v[0]) } else { v[0] };
+            }
+            last[0] = if round {
+                round_bf16(src[(n - 1) * s])
+            } else {
+                src[(n - 1) * s]
+            };
         }
     }
 }
@@ -446,19 +462,19 @@ impl InputPlanes {
     fn stage(&self, x: &[f32], s: usize, buf: &mut [f32], round: bool) {
         let hw = self.h * self.w;
         let sample = &x[s * self.ci * hw..(s + 1) * self.ci * hw];
-        for (i, plane) in buf.chunks_exact_mut(self.plane_len).enumerate() {
-            let (c, py, px) = (
-                i / (self.npy * self.npx),
-                i / self.npx % self.npy,
-                i % self.npx,
-            );
+        let phases = self.npy * self.npx;
+        for phase in 0..phases {
             let origin = (
-                py as isize - self.cfg.pad_h as isize,
-                px as isize - self.cfg.pad_w as isize,
+                (phase / self.npx) as isize - self.cfg.pad_h as isize,
+                (phase % self.npx) as isize - self.cfg.pad_w as isize,
             );
-            let (dims, src) = ((self.h, self.w), &sample[c * hw..(c + 1) * hw]);
-            let s = self.cfg.stride;
-            stage_plane(plane, (self.hp, self.wp), src, dims, s, origin, round);
+            let planes = buf
+                .chunks_exact_mut(self.plane_len)
+                .skip(phase)
+                .step_by(phases);
+            let (dims, s) = ((self.h, self.w), self.cfg.stride);
+            let planes = planes.zip(sample.chunks_exact(hw));
+            stage_planes(planes, (self.hp, self.wp), dims, s, origin, 0.0, round);
         }
     }
 }
@@ -823,12 +839,12 @@ fn forward_within(
 /// One axis of one output phase of the data gradient: input positions
 /// `i = first + s·u` (`u < count`) receive `Σ_{q < taps} dy[m_lo + u - q] ·
 /// w[s·q + ρ]`.
-struct Phase {
+pub(super) struct Phase {
     rho: usize,
-    taps: usize,
-    m_lo: usize,
-    count: usize,
-    first: usize,
+    pub(super) taps: usize,
+    pub(super) m_lo: usize,
+    pub(super) count: usize,
+    pub(super) first: usize,
 }
 
 /// The non-empty phases of an axis of extent `ext` (kernel `k`, stride
@@ -852,7 +868,11 @@ fn phases(ext: usize, k: usize, s: usize, p: usize) -> Vec<Phase> {
 /// its staged `dy` planes for an `h × w` input: zero rows/columns ahead of
 /// `dy` so no tap reads before the plane, out to where the furthest phase
 /// reads.
-fn dy_planes(h: usize, w: usize, cfg: Conv2dCfg) -> (Vec<Phase>, Vec<Phase>, usize, usize) {
+pub(super) fn dy_planes(
+    h: usize,
+    w: usize,
+    cfg: Conv2dCfg,
+) -> (Vec<Phase>, Vec<Phase>, usize, usize) {
     let s = cfg.stride;
     let (py, px) = (
         phases(h, cfg.kernel_h, s, cfg.pad_h),
@@ -963,12 +983,10 @@ fn backward_data_within(
     let stage = |i: usize, buf: &mut [f32]| {
         let src = &dy.data()[i * co * ho * wo..(i + 1) * co * ho * wo];
         let origin = (-(ty as isize), -(tx as isize));
-        for (plane, chan) in buf
+        let planes = buf
             .chunks_exact_mut(plane_len)
-            .zip(src.chunks_exact(ho * wo))
-        {
-            stage_plane(plane, (hp, wp), chan, (ho, wo), 1, origin, round);
-        }
+            .zip(src.chunks_exact(ho * wo));
+        stage_planes(planes, (hp, wp), (ho, wo), 1, origin, 0.0, round);
     };
     job.run(n, stage, dx.data_mut());
     dx
@@ -1183,9 +1201,10 @@ mod tests {
     #[test]
     fn stage_plane_pads_subsamples_and_clears_the_slack() {
         let src: Vec<f32> = (1..=12).map(|v| v as f32).collect(); // 3 × 4
-        let mut plane = vec![f32::NAN; 3 * 3 + 4];
+        let mut plane = [f32::NAN; 3 * 3 + 4];
         // Rows 2r - 1, columns 2c - 1 of the source.
-        stage_plane(&mut plane, (3, 3), &src, (3, 4), 2, (-1, -1), false);
+        let planes = std::iter::once((&mut plane[..], &src[..]));
+        stage_planes(planes, (3, 3), (3, 4), 2, (-1, -1), 0.0, false);
         let want = [0.0, 0.0, 0.0, 0.0, 6.0, 8.0, 0.0, 0.0, 0.0];
         assert_eq!(&plane[..9], &want);
         assert!(plane[9..].iter().all(|&v| v == 0.0));

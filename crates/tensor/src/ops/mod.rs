@@ -26,7 +26,7 @@ pub use matmul::{
 };
 pub use pack::{gemm, Epilogue, MatSrc};
 pub use pool::{
-    avgpool2d, avgpool2d_backward, global_avg_pool, global_avg_pool_backward, maxpool2d,
-    maxpool2d_backward, maxpool2d_padded,
+    avgpool2d, avgpool2d_backward, global_avg_pool, global_avg_pool_backward, maxpool2d_backward,
+    maxpool2d_padded,
 };
 pub use softmax::{accuracy, correct, cross_entropy, softmax, softmax_xent_backward};

@@ -312,14 +312,15 @@ impl Module for Relu {
     }
 }
 
-/// Max pooling, optionally with symmetric zero padding (windows are
-/// clipped to the valid region, so padding never wins an argmax).
+/// Max pooling, optionally with symmetric padding (padding never wins an
+/// argmax). A training forward keeps each output's argmax as a one-byte
+/// window-tap index; an eval forward computes none.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
     pad: usize,
-    cache: Option<(Vec<usize>, Vec<usize>)>, // (argmax, input shape)
+    cache: Option<(Vec<u8>, Vec<usize>)>, // (window-tap indices, input shape)
 }
 
 impl MaxPool2d {
@@ -355,19 +356,21 @@ impl MaxPool2d {
 
 impl Module for MaxPool2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (y, arg) = maxpool2d_padded(x, self.kernel, self.stride, self.pad);
-        if train {
-            self.cache = Some((arg, x.shape().to_vec()));
+        if !train {
+            return maxpool2d_padded(x, self.kernel, self.stride, self.pad, None);
         }
+        let mut taps = Vec::new();
+        let y = maxpool2d_padded(x, self.kernel, self.stride, self.pad, Some(&mut taps));
+        self.cache = Some((taps, x.shape().to_vec()));
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (arg, shape) = self
+        let (taps, shape) = self
             .cache
             .as_ref()
             .expect("backward requires a training forward");
-        maxpool2d_backward(dy, arg, shape)
+        maxpool2d_backward(dy, taps, shape, self.kernel, self.stride, self.pad)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -379,7 +382,7 @@ impl Module for MaxPool2d {
     fn unstash_caches(&mut self, stash: &mut CacheStash) {
         match stash.pop() {
             CacheEntry::Pool(p) => self.cache = p,
-            other => stash_mismatch("max-pool argmax", &other),
+            other => stash_mismatch("max-pool tap indices", &other),
         }
     }
 }
@@ -500,6 +503,7 @@ impl Module for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbs_tensor::prec::Precision;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
@@ -595,6 +599,42 @@ mod tests {
         let mut l = Linear::new(6, 4, &mut rng());
         let x = seeded(&[3, 6], 17);
         assert_eq!(l.forward(&x, true), l.forward(&x, false));
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn maxpool_eval_forward_matches_training_forward_bitwise() {
+        // `seeded` repeats values, so windows hold ties; the eval forward
+        // computes no argmax but must pick the same values.
+        let x = seeded(&[2, 3, 7, 7], 21);
+        for (k, s, p) in [(3, 2, 1), (3, 1, 1), (2, 2, 0), (3, 2, 0)] {
+            let mut m = MaxPool2d::with_pad(k, s, p);
+            let y_train = m.forward(&x, true);
+            assert_eq!(bits(&y_train), bits(&m.forward(&x, false)), "{k}/{s}/{p}");
+        }
+    }
+
+    #[test]
+    fn maxpool_tap_cache_survives_a_stash_round_trip() {
+        let x = seeded(&[2, 3, 7, 7], 22);
+        let other = seeded(&[2, 3, 7, 7], 23);
+        for prec in [Precision::F32, Precision::Bf16] {
+            let mut m = MaxPool2d::with_pad(3, 2, 1);
+            let y = m.forward(&x, true);
+            let dy = seeded(y.shape(), 24);
+            let want = m.backward(&dy);
+            let _ = m.forward(&x, true);
+            let mut stash = CacheStash::with_precision(prec);
+            m.stash_caches(&mut stash);
+            // A later chunk's forward would overwrite an unstashed cache.
+            let _ = m.forward(&other, true);
+            m.unstash_caches(&mut stash);
+            assert!(stash.is_empty());
+            assert_eq!(bits(&m.backward(&dy)), bits(&want), "{prec:?}");
+        }
     }
 
     #[test]

@@ -50,8 +50,9 @@ pub enum CacheEntry {
     Packed(Option<Bf16Tensor>),
     /// A ReLU sign mask.
     Mask(Option<BitMask>),
-    /// Max-pool state: argmax indices plus the input shape.
-    Pool(Option<(Vec<usize>, Vec<usize>)>),
+    /// Max-pool state: each output's argmax as a window-tap index (one
+    /// byte, `ky·kernel + kx`) plus the input shape.
+    Pool(Option<(Vec<u8>, Vec<usize>)>),
     /// A cached shape (pooling layers, FC flatten plumbing).
     Shape(Option<Vec<usize>>),
     /// Per-sample / per-group statistics (normalization inverse stddevs,
@@ -93,8 +94,8 @@ pub enum CacheEntry {
 /// tensors untouched; a bf16 stash re-encodes them to half the bytes on
 /// push and decodes on pop — one round-to-nearest-even per element, the
 /// same rounding the bf16 GEMM applies to its packed operands. Masks,
-/// argmax indices, shapes, and statistics vectors are small residue and
-/// stay uncompressed at either precision.
+/// max-pool window-tap indices, shapes, and statistics vectors are small
+/// residue and stay uncompressed at either precision.
 #[derive(Debug, Default)]
 pub struct CacheStash {
     entries: VecDeque<CacheEntry>,

@@ -102,6 +102,50 @@ fn steady_state_grouped_training_is_arena_miss_free() {
         );
     }
 
+    // ---- Benchmark leg: `train_overhead_incep`'s net and schedule (an
+    // 8 KiB buffer: the first six nodes at sub-batch 1, sixteen times a
+    // step, then the classifier at 16), whose pooling layers each take a
+    // staging scratch per call. Stash and replay both stay miss-free.
+    {
+        let net = toy::tiny_inception(16, 16);
+        let hw = mbs_core::HardwareConfig::cpu().with_global_buffer(8 * 1024);
+        let schedule = mbs_core::MbsScheduler::new(&net, &hw, ExecConfig::Mbs1)
+            .with_batch(16)
+            .schedule();
+        let groups: Vec<_> = schedule
+            .groups()
+            .iter()
+            .map(|g| (g.start, g.end, g.sub_batch, g.iterations))
+            .collect();
+        assert_eq!(
+            groups,
+            [(0, 6, 1, 16), (6, 7, 16, 1)],
+            "the benchmark's schedule"
+        );
+        let d = generate(16, 16, 0.3, 81);
+        let mut model = lower(&net, &mut StdRng::seed_from_u64(5)).expect("tiny_inception lowers");
+        let mut exec = GroupedExecutor::new(&schedule, model.len());
+        let mut opt = Sgd::new(0.05, 0.9, 1e-4);
+        for (label, stashing) in [("inception stash", true), ("inception replay", false)] {
+            exec.set_stashing(stashing);
+            for _ in 0..2 {
+                let _ = exec.train_step(&mut model, &d.images, &d.labels, &mut opt);
+            }
+            arena::reset_stats();
+            let _ = exec.train_step(&mut model, &d.images, &d.labels, &mut opt);
+            let (hits, misses) = arena::stats();
+            assert!(
+                hits > 0,
+                "{label}: the grouped step must route through the arena"
+            );
+            assert_eq!(
+                misses, 0,
+                "{label}: steady-state step allocated fresh buffers"
+            );
+            println!("{label}: {hits} arena hits per step");
+        }
+    }
+
     // ---- Streamed leg: the same claim with batches coming off disk. ----
     // 16 samples / batch 8 keeps every batch the same shape, so after the
     // loader's buffer ring fills (prefetch + 2 buffers, all created in
