@@ -20,10 +20,9 @@ use crate::tensor::Tensor;
 
 /// Bytes of staged planes and running lanes one chunk of planes may
 /// occupy (at least one plane's). Small on purpose: the scratch goes back
-/// to the arena after each call, where a later small, long-lived tensor
-/// may settle in its buffer. At 16–256 KiB that grew
-/// `train_overhead_incep`'s pooled arena bytes and peak RSS by up to
-/// ~0.5 MiB, for no measured speed on its planes.
+/// to the arena after every call, and on `train_overhead_incep` the
+/// arena's pooled bytes grew with the chunk (by ~0.4 MB at 256 KiB) to
+/// save about a microsecond a call on its planes.
 const CHUNK_BYTES: usize = 8 << 10;
 
 /// A pooling call's geometry: a square `kernel` window at `stride` over
