@@ -21,6 +21,12 @@
 //! buffers in and out independently. [`stats`] exposes hit/miss counters so
 //! tests can pin the reuse behavior.
 //!
+//! A training step checks out over a thousand buffers, so the free list is
+//! ordered by capacity: a `take` finds its best fit — the smallest pooled
+//! capacity within the fit bound, its most recently dropped buffer — with
+//! one binary search instead of a walk over every pooled buffer, and a
+//! take + drop costs about what a `malloc`/`free` pair does.
+//!
 //! Long-lived worker threads that must not contend on the global mutex —
 //! the `mbs-serve` inference workers, which each run a private model
 //! replica — can instead install a **thread-local** pool with
@@ -59,16 +65,61 @@ const MAX_POOLED_TOTAL: usize = 1 << 26;
 /// it (256 KiB): small tensors take whatever is free, as they always did.
 const MAX_FIT_SLACK: usize = 1 << 16;
 
-/// The free list plus a running capacity total, so the byte-budget check
-/// in `Scratch::drop` is O(1) instead of a sum over the pool inside the
-/// global mutex (every `Tensor` drop takes this lock).
+/// Ends a chain of [`Slot`]s.
+const END: usize = usize::MAX;
+
+/// A pooled buffer and the slot of the next-older pooled buffer of the
+/// same capacity. An emptied slot holds no allocation and chains to the
+/// next emptied one instead.
+struct Slot {
+    buf: Vec<f32>,
+    next: usize,
+}
+
+/// The free list, ordered by capacity, plus running count and capacity
+/// totals so the cap checks in `Scratch::drop` are O(1) instead of a sum
+/// over the pool inside the global mutex (every `Tensor` drop takes this
+/// lock).
+///
+/// The best fit is a binary search over the distinct pooled capacities and
+/// a pop off that capacity's chain; a drop is a search and a push. Only a
+/// capacity that appears or leaves shifts the 16-byte entries above it, and
+/// a steady state repeats a handful of sizes, so that is rare. The unit
+/// tests pin every fit and every adopt-or-free decision against a linear
+/// walk over the pooled buffers.
+///
+/// Neither vector shrinks, and each grows only to the most capacities
+/// (`caps`) or buffers (`slots`, at most [`MAX_POOLED`]) the pool has held
+/// at once: past its warm-up a steady state allocates nothing here. (A
+/// `BTreeMap` would allocate and free nodes as the number of pooled
+/// capacities crosses a node boundary.)
 struct Pool {
-    bufs: Vec<Vec<f32>>,
-    /// Invariant: `total == bufs.iter().map(Vec::capacity).sum()`.
+    /// One entry per capacity the pool holds, ascending: the capacity and
+    /// the slot of its most recently adopted buffer (the one most likely
+    /// still in cache). An entry leaves with its last buffer, so the list
+    /// never grows with the number of distinct sizes a process has seen.
+    caps: Vec<(usize, usize)>,
+    /// The pooled buffers' slots and the emptied ones.
+    slots: Vec<Slot>,
+    /// First emptied slot, or [`END`].
+    free: usize,
+    /// Invariant: `count` is the number of pooled buffers and `total` the
+    /// sum of their capacities.
+    count: usize,
     total: usize,
 }
 
 impl Pool {
+    const fn new() -> Self {
+        Self {
+            caps: Vec::new(),
+            slots: Vec::new(),
+            free: END,
+            count: 0,
+            total: 0,
+        }
+    }
+
     /// Pops the smallest pooled buffer with capacity ≥ `len`, if any —
     /// but never one more than twice the request (plus
     /// [`MAX_FIT_SLACK`]): a long-lived tensor settled in a buffer several
@@ -77,32 +128,53 @@ impl Pool {
     /// bound took peak RSS from 683 to 431 MiB). A steady state repeats
     /// its sizes exactly, so the bound costs it no hit.
     fn pop_best_fit(&mut self, len: usize) -> Option<Vec<f32>> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, b) in self.bufs.iter().enumerate() {
-            let fits = b.capacity() >= len && b.capacity() <= 2 * len + MAX_FIT_SLACK;
-            if fits && best.is_none_or(|(_, cap)| b.capacity() < cap) {
-                best = Some((i, b.capacity()));
+        let max_cap = len.saturating_mul(2).saturating_add(MAX_FIT_SLACK);
+        let i = self.caps.partition_point(|&(cap, _)| cap < len);
+        let (cap, head) = *self.caps.get(i).filter(|&&(cap, _)| cap <= max_cap)?;
+        let slot = &mut self.slots[head];
+        let buf = std::mem::take(&mut slot.buf);
+        match std::mem::replace(&mut slot.next, self.free) {
+            END => {
+                self.caps.remove(i);
             }
+            next => self.caps[i].1 = next,
         }
-        best.map(|(i, cap)| {
-            self.total -= cap;
-            self.bufs.swap_remove(i)
-        })
+        self.free = head;
+        self.count -= 1;
+        self.total -= cap;
+        Some(buf)
     }
 
     /// Adopts `buf` if the count and byte caps allow; otherwise frees it.
     fn adopt(&mut self, buf: Vec<f32>) {
-        if self.bufs.len() < MAX_POOLED && self.total + buf.capacity() <= MAX_POOLED_TOTAL {
-            self.total += buf.capacity();
-            self.bufs.push(buf);
+        let cap = buf.capacity();
+        if self.count < MAX_POOLED && self.total + cap <= MAX_POOLED_TOTAL {
+            self.count += 1;
+            self.total += cap;
+            let i = match self.caps.binary_search_by_key(&cap, |&(cap, _)| cap) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.caps.insert(i, (cap, END));
+                    i
+                }
+            };
+            let slot = Slot {
+                buf,
+                next: self.caps[i].1,
+            };
+            self.caps[i].1 = if self.free == END {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            } else {
+                let emptied = self.free;
+                self.free = std::mem::replace(&mut self.slots[emptied], slot).next;
+                emptied
+            };
         }
     }
 }
 
-static POOL: Mutex<Pool> = Mutex::new(Pool {
-    bufs: Vec::new(),
-    total: 0,
-});
+static POOL: Mutex<Pool> = Mutex::new(Pool::new());
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
@@ -146,10 +218,7 @@ impl LocalArena {
         LOCAL.with(|l| {
             let mut slot = l.borrow_mut();
             assert!(slot.is_none(), "thread already has a LocalArena installed");
-            *slot = Some(Pool {
-                bufs: Vec::new(),
-                total: 0,
-            });
+            *slot = Some(Pool::new());
         });
         Self {
             _not_send: std::marker::PhantomData,
@@ -276,7 +345,14 @@ pub fn take_zeroed(len: usize) -> Scratch {
 /// and bumps the hit/miss counters. A thread with a [`LocalArena`] guard
 /// serves the request from its private pool only — a cold local pool is a
 /// miss (fresh allocation), never a locked steal from the global pool.
+///
+/// An empty request needs no storage, so it touches neither the pool nor
+/// the counters: the fit bound would let it hold a pooled buffer of up to
+/// [`MAX_FIT_SLACK`] elements for its whole life.
 fn reuse(len: usize) -> Option<Vec<f32>> {
+    if len == 0 {
+        return None;
+    }
     let local = LOCAL
         .try_with(|l| l.borrow_mut().as_mut().map(|pool| pool.pop_best_fit(len)))
         .unwrap_or(None);
@@ -314,31 +390,60 @@ pub fn clear() {
         Ok(pool) => pool,
         Err(poisoned) => poisoned.into_inner(),
     };
-    pool.bufs.clear();
-    pool.total = 0;
+    *pool = Pool::new();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn buffers_are_reused_and_take_zeroed_zeroes() {
-        clear();
-        reset_stats();
-        {
-            let mut a = take(1000);
-            a[0] = 7.0;
-            a[999] = 3.0;
-        } // recycled here
-        let b = take_zeroed(500);
-        assert!(
-            b.iter().all(|&v| v == 0.0),
-            "take_zeroed must clear reused contents"
-        );
-        assert_eq!(b.len(), 500);
-        let (hits, _) = stats();
-        assert!(hits >= 1, "second take should reuse the pooled buffer");
+        // A private pool: the global pool and the hit counter are shared
+        // with every test running beside this one.
+        std::thread::spawn(|| {
+            let _guard = LocalArena::install();
+            let recycled = {
+                let mut a = take(1000);
+                a[0] = 7.0;
+                a[999] = 3.0;
+                a.as_ptr()
+            }; // recycled here
+            let b = take_zeroed(500);
+            assert_eq!(
+                (b.as_ptr(), b.buf.capacity()),
+                (recycled, 1000),
+                "take_zeroed(500) must reuse the capacity-1000 buffer just dropped"
+            );
+            assert!(
+                b.iter().all(|&v| v == 0.0),
+                "take_zeroed must clear reused contents"
+            );
+            assert_eq!(b.len(), 500);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn empty_requests_do_not_borrow_a_pooled_buffer() {
+        std::thread::spawn(|| {
+            let _guard = LocalArena::install();
+            drop(take(100));
+            let empty = take(0);
+            let empty_zeroed = take_zeroed(0);
+            assert_eq!(empty.buf.capacity(), 0);
+            assert_eq!(empty_zeroed.buf.capacity(), 0);
+            let pooled = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
+            assert_eq!(
+                pooled,
+                Some(1),
+                "an empty request must leave the pool alone"
+            );
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
@@ -360,14 +465,14 @@ mod tests {
             } // recycled into the thread-local pool, not the global one
             let in_global = {
                 let pool = POOL.lock().unwrap_or_else(|p| p.into_inner());
-                pool.bufs.iter().any(|b| b.capacity() == LEN)
+                pool.slots.iter().any(|s| s.buf.capacity() == LEN)
             };
             assert!(!in_global, "local drop must not reach the global pool");
             // The local pool holds the recycled buffer until the guard dies.
-            let held = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.bufs.len()));
+            let held = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
             assert_eq!(held, Some(1));
             drop(guard);
-            let held = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.bufs.len()));
+            let held = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
             assert_eq!(held, None, "dropping the guard frees the local pool");
         })
         .join()
@@ -379,11 +484,11 @@ mod tests {
         std::thread::spawn(|| {
             let _guard = LocalArena::install();
             drop(take(4096));
-            let pooled = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.bufs.len()));
+            let pooled = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
             assert_eq!(pooled, Some(1));
             let s = take(4096); // must be served by the local free list
             assert_eq!(s.len(), 4096);
-            let pooled = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.bufs.len()));
+            let pooled = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
             assert_eq!(pooled, Some(0), "take must have consumed the local buffer");
         })
         .join()
@@ -432,7 +537,7 @@ mod tests {
         let (pooled, total) = {
             let pool = POOL.lock().unwrap_or_else(|p| p.into_inner());
             (
-                pool.bufs.iter().map(Vec::capacity).sum::<usize>(),
+                pool.slots.iter().map(|s| s.buf.capacity()).sum::<usize>(),
                 pool.total,
             )
         };
@@ -442,5 +547,237 @@ mod tests {
         );
         assert_eq!(pooled, total, "running total must track actual capacity");
         clear();
+    }
+
+    /// The free list as a linear walk for the smallest fitting capacity:
+    /// the oracle the capacity-ordered [`Pool`] must match decision for
+    /// decision.
+    struct ScanPool {
+        bufs: Vec<Vec<f32>>,
+        total: usize,
+    }
+
+    impl ScanPool {
+        fn pop_best_fit(&mut self, len: usize) -> Option<Vec<f32>> {
+            let mut best: Option<(usize, usize)> = None;
+            for (i, b) in self.bufs.iter().enumerate() {
+                let fits = b.capacity() >= len && b.capacity() <= 2 * len + MAX_FIT_SLACK;
+                if fits && best.is_none_or(|(_, cap)| b.capacity() < cap) {
+                    best = Some((i, b.capacity()));
+                }
+            }
+            best.map(|(i, cap)| {
+                self.total -= cap;
+                self.bufs.swap_remove(i)
+            })
+        }
+
+        fn adopt(&mut self, buf: Vec<f32>) {
+            if self.bufs.len() < MAX_POOLED && self.total + buf.capacity() <= MAX_POOLED_TOTAL {
+                self.total += buf.capacity();
+                self.bufs.push(buf);
+            }
+        }
+    }
+
+    /// The two pools side by side, plus the buffers checked out of them
+    /// (each pair of equal capacity).
+    struct Twin {
+        pool: Pool,
+        scan: ScanPool,
+        out: Vec<(Vec<f32>, Vec<f32>)>,
+    }
+
+    /// How often the oracle run reached each case the policy distinguishes,
+    /// summed over all sequences.
+    #[derive(Debug, Default)]
+    struct Seen {
+        empty_requests: usize,
+        exact_fits: usize,
+        fits_on_the_bound: usize,
+        misses_beside_a_bound: usize,
+        picks_among_equals: usize,
+        count_cap_frees: usize,
+        byte_cap_frees: usize,
+        byte_cap_filled: usize,
+    }
+
+    impl Twin {
+        /// Both pools' capacities, ascending; the ordered pool's read off
+        /// its chains, checking each entry holds only its own capacity.
+        fn capacities(&self) -> (Vec<usize>, Vec<usize>) {
+            let mut ordered = Vec::new();
+            for &(cap, head) in &self.pool.caps {
+                assert_ne!(head, END, "capacity {cap} outlived its last buffer");
+                let mut slot = head;
+                while slot != END {
+                    assert_eq!(self.pool.slots[slot].buf.capacity(), cap);
+                    ordered.push(cap);
+                    slot = self.pool.slots[slot].next;
+                }
+            }
+            let mut scanned: Vec<usize> = self.scan.bufs.iter().map(Vec::capacity).collect();
+            scanned.sort_unstable();
+            (ordered, scanned)
+        }
+
+        /// Both pools must hold the same capacities and the same totals,
+        /// and the ordered one must keep its own books.
+        fn assert_in_step(&self) {
+            let (ordered, scanned) = self.capacities();
+            assert_eq!(ordered, scanned, "pooled capacities diverged");
+            assert_eq!(self.pool.total, self.scan.total);
+            assert_eq!(self.pool.total, ordered.iter().sum::<usize>());
+            assert_eq!(self.pool.count, ordered.len());
+            assert!(self.pool.caps.is_sorted_by(|a, b| a.0 < b.0));
+            let mut emptied = 0;
+            let mut slot = self.pool.free;
+            while slot != END {
+                assert_eq!(self.pool.slots[slot].buf.capacity(), 0);
+                emptied += 1;
+                slot = self.pool.slots[slot].next;
+            }
+            assert_eq!(self.pool.slots.len(), self.pool.count + emptied);
+            assert!(self.pool.slots.len() <= MAX_POOLED);
+        }
+
+        fn take(&mut self, len: usize, seen: &mut Seen) {
+            let (_, held) = self.capacities();
+            let max_cap = 2 * len + MAX_FIT_SLACK;
+            let got = self.pool.pop_best_fit(len);
+            let want = self.scan.pop_best_fit(len);
+            let cap = want.as_ref().map(Vec::capacity);
+            assert_eq!(
+                got.as_ref().map(Vec::capacity),
+                cap,
+                "take({len}) from capacities {held:?}"
+            );
+            seen.empty_requests += usize::from(len == 0);
+            seen.exact_fits += usize::from(cap == Some(len));
+            seen.fits_on_the_bound += usize::from(cap == Some(max_cap));
+            let beside = held.iter().any(|&c| c + 1 == len || c == max_cap + 1);
+            seen.misses_beside_a_bound += usize::from(cap.is_none() && beside);
+            seen.picks_among_equals +=
+                usize::from(cap.is_some_and(|c| held.iter().filter(|&&h| h == c).count() > 1));
+            let pair = match (got, want) {
+                (Some(a), Some(b)) => (a, b),
+                // A miss allocates; `Scratch::drop` never offers an empty buffer.
+                _ => (
+                    Vec::with_capacity(len.max(1)),
+                    Vec::with_capacity(len.max(1)),
+                ),
+            };
+            self.out.push(pair);
+        }
+
+        /// Offers a buffer of capacity `cap` to both pools.
+        fn adopt(&mut self, pair: (Vec<f32>, Vec<f32>), seen: &mut Seen) {
+            let cap = pair.0.capacity();
+            assert_eq!(cap, pair.1.capacity());
+            let count_full = self.scan.bufs.len() >= MAX_POOLED;
+            let bytes_full = self.scan.total + cap > MAX_POOLED_TOTAL;
+            let before = (self.pool.count, self.scan.bufs.len());
+            self.pool.adopt(pair.0);
+            self.scan.adopt(pair.1);
+            let adopted = (self.pool.count > before.0, self.scan.bufs.len() > before.1);
+            assert_eq!(adopted.0, adopted.1, "adopt-or-free of capacity {cap}");
+            seen.count_cap_frees += usize::from(count_full);
+            seen.byte_cap_frees += usize::from(bytes_full && !count_full);
+            seen.byte_cap_filled += usize::from(self.scan.total == MAX_POOLED_TOTAL);
+        }
+    }
+
+    /// A length from one of the size classes the policy treats
+    /// differently: tiny (many equal capacities, and 0), either side of
+    /// [`MAX_FIT_SLACK`], medium, and large enough to reach the byte cap.
+    fn draw_len(rng: &mut TestRng) -> usize {
+        match (0u8..4).generate(rng) {
+            0 => (0..24usize).generate(rng),
+            1 => (MAX_FIT_SLACK - 24..MAX_FIT_SLACK + 24).generate(rng),
+            2 => (0..4 * MAX_FIT_SLACK).generate(rng),
+            _ => (MAX_POOLED_LEN / 8..MAX_POOLED_LEN + 1).generate(rng),
+        }
+    }
+
+    /// A request on the fit bound of the pooled capacity `cap`: `cap`
+    /// itself or one off it, or a length whose `2·len + MAX_FIT_SLACK`
+    /// lands on or next to `cap`.
+    fn edge_len(cap: usize, rng: &mut TestRng) -> usize {
+        let base = if proptest::bool::ANY.generate(rng) {
+            cap
+        } else {
+            cap.saturating_sub(MAX_FIT_SLACK) / 2
+        };
+        (base + (0..3usize).generate(rng)).saturating_sub(1)
+    }
+
+    #[test]
+    fn ordered_pool_makes_the_linear_scans_decisions() {
+        const OUT_MAX: usize = 32;
+        let mut seen = Seen::default();
+        for case in 0..48 {
+            let mut rng = TestRng::deterministic("ordered_pool_oracle", case);
+            let mut twin = Twin {
+                pool: Pool::new(),
+                scan: ScanPool {
+                    bufs: Vec::new(),
+                    total: 0,
+                },
+                out: Vec::new(),
+            };
+            // Tenths of the operations that offer a fresh buffer: from a
+            // draining pool to one that fills past both caps.
+            let fresh = (2..8u8).generate(&mut rng);
+            // Half the sequences probe the byte cap's edge; the rest leave
+            // room to reach the count cap.
+            let probe_bytes = proptest::bool::ANY.generate(&mut rng);
+            for _ in 0..(200..900usize).generate(&mut rng) {
+                let op = (0..10u8).generate(&mut rng);
+                let returning = op == fresh || (op > fresh && twin.out.len() >= OUT_MAX);
+                if op < fresh {
+                    // Now and then exactly the byte budget left, or one off it.
+                    let cap = match MAX_POOLED_TOTAL - twin.scan.total {
+                        left if probe_bytes
+                            && left <= MAX_POOLED_LEN
+                            && (0..8u8).generate(&mut rng) == 0 =>
+                        {
+                            (left + (0..3usize).generate(&mut rng)).saturating_sub(1)
+                        }
+                        _ => draw_len(&mut rng),
+                    };
+                    let a = Vec::with_capacity(cap.max(1));
+                    let b = Vec::with_capacity(a.capacity());
+                    twin.adopt((a, b), &mut seen);
+                } else if returning && !twin.out.is_empty() {
+                    let i = (0..twin.out.len()).generate(&mut rng);
+                    let pair = twin.out.swap_remove(i);
+                    twin.adopt(pair, &mut seen);
+                } else {
+                    let len = match twin.scan.bufs.len() {
+                        n if n > 0 && proptest::bool::ANY.generate(&mut rng) => edge_len(
+                            twin.scan.bufs[(0..n).generate(&mut rng)].capacity(),
+                            &mut rng,
+                        ),
+                        _ => draw_len(&mut rng),
+                    };
+                    twin.take(len, &mut seen);
+                }
+                twin.assert_in_step();
+            }
+        }
+        let reached = [
+            seen.empty_requests,
+            seen.exact_fits,
+            seen.fits_on_the_bound,
+            seen.misses_beside_a_bound,
+            seen.picks_among_equals,
+            seen.count_cap_frees,
+            seen.byte_cap_frees,
+            seen.byte_cap_filled,
+        ];
+        assert!(
+            reached.iter().all(|&n| n > 0),
+            "a policy case went untested: {seen:?}"
+        );
     }
 }
