@@ -5,13 +5,9 @@
 //! values (paper §3 "Back Propagation"). The mask type here mirrors that:
 //! one bit per element.
 //!
-//! Two producers fill masks: the plain [`relu`] / [`relu_inplace`]
-//! operators, and the fused GEMM epilogue
-//! ([`crate::ops::pack::Epilogue::BiasRelu`]), whose SIMD write-back emits
-//! sign bits straight from the compare instruction into a thread-safe
-//! [`MaskSink`].
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`relu_inplace`] is the one producer of masks: a training ReLU clamps
+//! its owned input in place and keeps the mask for [`relu_backward`]. An
+//! inference ReLU clamps with [`relu_clamp`] and builds no mask.
 
 use crate::tensor::Tensor;
 
@@ -63,83 +59,9 @@ impl BitMask {
     }
 }
 
-/// A write-only, thread-safe sign-mask accumulator for the fused GEMM
-/// epilogue.
-///
-/// GEMM workers own disjoint *element* ranges of C, but at 1 bit per
-/// element two workers' ranges can share a boundary `u64` word — so bits
-/// are published with `fetch_or`. OR is commutative and every bit is set by
-/// exactly one worker, so the finished mask is deterministic regardless of
-/// thread interleaving. A sink starts all-false and only ever sets bits;
-/// call [`MaskSink::into_mask`] after the GEMM to freeze it into a
-/// [`BitMask`].
-#[derive(Debug)]
-pub struct MaskSink {
-    len: usize,
-    words: Vec<AtomicU64>,
-}
-
-impl MaskSink {
-    /// An all-false sink covering `len` elements.
-    pub fn new(len: usize) -> Self {
-        Self {
-            len,
-            words: (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Number of elements covered.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the sink covers no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// ORs `count` bits (the low bits of `bits`, LSB first) into positions
-    /// `[start, start + count)`. `count ≤ 32`, so the run touches at most
-    /// two words — at most two atomic RMWs per micro-kernel tile row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run exceeds the sink or `count > 32`.
-    pub fn or_bits(&self, start: usize, bits: u32, count: usize) {
-        assert!(count <= 32, "bit runs are limited to one u32");
-        assert!(start + count <= self.len, "bit run out of range");
-        let bits = u64::from(bits) & ((1u64 << count) - 1);
-        if bits == 0 {
-            return;
-        }
-        let word = start / 64;
-        let off = start % 64;
-        self.words[word].fetch_or(bits << off, Ordering::Relaxed);
-        if off + count > 64 {
-            self.words[word + 1].fetch_or(bits >> (64 - off), Ordering::Relaxed);
-        }
-    }
-
-    /// Freezes the sink into an immutable [`BitMask`].
-    pub fn into_mask(self) -> BitMask {
-        BitMask {
-            len: self.len,
-            words: self.words.into_iter().map(AtomicU64::into_inner).collect(),
-        }
-    }
-}
-
-/// ReLU forward; returns the activations and the packed sign mask.
-pub fn relu(x: &Tensor) -> (Tensor, BitMask) {
-    let mut y = x.clone();
-    let mask = relu_inplace(&mut y);
-    (y, mask)
-}
-
 /// ReLU applied **in place** on an owned tensor; returns the packed sign
-/// mask. This is the path for activations the fused GEMM epilogue cannot
-/// cover (e.g. post-GroupNorm ReLUs): no output tensor is allocated and
-/// the clamp is a single pass over the data.
+/// mask. No output tensor is allocated and the clamp is a single pass over
+/// the data.
 pub fn relu_inplace(x: &mut Tensor) -> BitMask {
     let mut mask = BitMask::new(x.len());
     for (chunk, word) in x.data_mut().chunks_mut(64).zip(&mut mask.words) {
@@ -196,16 +118,16 @@ mod tests {
 
     #[test]
     fn relu_clamps_and_masks() {
-        let x = Tensor::from_vec(&[4], vec![-1.0, 0.0, 2.0, -3.0]);
-        let (y, m) = relu(&x);
+        let mut y = Tensor::from_vec(&[4], vec![-1.0, 0.0, 2.0, -3.0]);
+        let m = relu_inplace(&mut y);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
         assert!(!m.get(0) && !m.get(1) && m.get(2) && !m.get(3));
     }
 
     #[test]
     fn backward_uses_mask_only() {
-        let x = Tensor::from_vec(&[4], vec![-1.0, 0.5, 2.0, -3.0]);
-        let (_, m) = relu(&x);
+        let mut x = Tensor::from_vec(&[4], vec![-1.0, 0.5, 2.0, -3.0]);
+        let m = relu_inplace(&mut x);
         let dy = Tensor::full(&[4], 1.0);
         let dx = relu_backward(&dy, &m);
         assert_eq!(dx.data(), &[0.0, 1.0, 1.0, 0.0]);
@@ -218,35 +140,39 @@ mod tests {
     }
 
     #[test]
-    fn relu_inplace_matches_relu() {
-        let vals: Vec<f32> = (0..200).map(|v| (v as f32 - 100.5) / 7.0).collect();
-        let x = Tensor::from_vec(&[200], vals);
-        let (y, m) = relu(&x);
-        let mut z = x.clone();
-        let m2 = relu_inplace(&mut z);
-        assert_eq!(y, z);
-        assert_eq!(m, m2);
-    }
-
-    #[test]
-    fn mask_sink_sets_runs_across_word_boundaries() {
-        let sink = MaskSink::new(130);
-        sink.or_bits(0, 0b101, 3);
-        sink.or_bits(60, 0b11111, 5); // straddles words 0 and 1
-        sink.or_bits(128, 0b10, 2);
-        let mask = sink.into_mask();
-        for i in 0..130 {
-            let want = matches!(i, 0 | 2 | 60..=64 | 129);
-            assert_eq!(mask.get(i), want, "bit {i}");
+    fn relu_contract_holds_on_special_values() {
+        // Each output is bitwise `if v > 0 { v } else { +0.0 }`: NaN of
+        // either sign compares false, so it clamps to +0.0 with a clear
+        // bit, and -0.0 becomes +0.0.
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 4.0,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            1.5,
+            -2.25,
+        ];
+        // Past one 64-bit mask word, so the second word is written too.
+        let x: Vec<f32> = special.iter().cycle().take(70).copied().collect();
+        let mut y = Tensor::from_vec(&[x.len()], x.clone());
+        let mask = relu_inplace(&mut y);
+        let mut z = Tensor::from_vec(&[x.len()], x.clone());
+        relu_clamp(&mut z);
+        for (i, &v) in x.iter().enumerate() {
+            let want = if v > 0.0 { v } else { 0.0 };
+            assert_eq!(y.data()[i].to_bits(), want.to_bits(), "relu_inplace({v:?})");
+            assert_eq!(mask.get(i), v > 0.0, "mask bit of {v:?}");
+            assert_eq!(z.data()[i].to_bits(), want.to_bits(), "relu_clamp({v:?})");
         }
-    }
-
-    #[test]
-    fn mask_sink_ignores_high_garbage_bits() {
-        let sink = MaskSink::new(8);
-        sink.or_bits(0, 0xFFFF_FFF0, 4); // only the low 4 bits count
-        let mask = sink.into_mask();
-        assert!((0..8).all(|i| !mask.get(i)));
     }
 
     #[test]

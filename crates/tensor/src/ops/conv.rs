@@ -5,15 +5,13 @@
 //! Every geometry runs the same path: each sample is staged once into
 //! zero-padded planes and correlated by a register tile that writes NCHW
 //! output in place; no im2col matrix, column gradient or pixel-major
-//! staging buffer exists. [`conv2d_fused`] additionally applies a
-//! per-channel bias and a ReLU (with its 1-bit sign mask) in the tile's
-//! store — bias and activation in **zero extra passes** over the output,
-//! bitwise equal to the separate passes.
+//! staging buffer exists. [`conv2d_fused`] additionally adds a
+//! per-channel bias in the tile's store — **zero extra passes** over the
+//! output, bitwise equal to a separate bias pass.
 //!
 //! [`conv2d_naive`] keeps the plain loop nest as the reference
 //! implementation the equivalence tests pin everything against.
 
-use crate::ops::activation::{relu_inplace, BitMask};
 use crate::ops::direct;
 use crate::ops::im2col::Conv2dCfg;
 use crate::ops::kernel::Exec;
@@ -83,55 +81,19 @@ pub fn conv2d_naive(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
 /// assert_eq!(y.get(&[0, 0, 0, 0]), 4.0); // corner: 2×2 window in-bounds
 /// ```
 pub fn conv2d(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
-    direct::forward(x, w, None, false, cfg, Exec::process()).0
+    direct::forward(x, w, None, cfg, Exec::process())
 }
 
-/// [`conv2d`] with a per-channel bias and optional ReLU fused in: both
-/// ride the register tile's store into the NCHW output — zero extra passes
-/// over it. The mask (when `relu`) is in NCHW element order, ready for
-/// [`crate::ops::relu_backward`].
+/// [`conv2d`] with a per-channel bias fused in: it rides the register
+/// tile's store into the NCHW output — zero extra passes over it, and
+/// bitwise equal to [`conv2d`] followed by a bias pass.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatches or if a provided `bias` is not one value
 /// per output channel.
-pub fn conv2d_fused(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    relu: bool,
-    cfg: Conv2dCfg,
-) -> (Tensor, Option<BitMask>) {
-    conv2d_fused_with(x, w, bias, relu, cfg, true)
-}
-
-/// [`conv2d_fused`] with the fused/unfused decision made explicitly.
-/// `fused = false` is the test oracle: plain [`conv2d`], then a bias
-/// pass, then [`relu_inplace`]; the parity tests pin it bitwise-equal to
-/// the fused store.
-pub fn conv2d_fused_with(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    relu: bool,
-    cfg: Conv2dCfg,
-    fused: bool,
-) -> (Tensor, Option<BitMask>) {
-    if fused {
-        return direct::forward(x, w, bias, relu, cfg, Exec::process());
-    }
-    let mut y = conv2d(x, w, cfg);
-    if let Some(b) = bias {
-        assert_eq!(b.len(), y.shape()[1], "one bias per output channel");
-        let hw = y.shape()[2] * y.shape()[3];
-        for (chunk, &bv) in y.data_mut().chunks_exact_mut(hw).zip(b.iter().cycle()) {
-            for v in chunk {
-                *v += bv;
-            }
-        }
-    }
-    let mask = relu.then(|| relu_inplace(&mut y));
-    (y, mask)
+pub fn conv2d_fused(x: &Tensor, w: &Tensor, bias: Option<&[f32]>, cfg: Conv2dCfg) -> Tensor {
+    direct::forward(x, w, bias, cfg, Exec::process())
 }
 
 /// Gradient of the loss with respect to the convolution input: `dy`

@@ -23,9 +23,8 @@
 //! - **forward**: lanes are output pixels; the `cb` weights of a step are
 //!   broadcast straight from the weight tensor, whose rows already are the
 //!   streams the reduction walks. `Correlation::store` writes the valid
-//!   lanes of each output row into NCHW and applies bias, ReLU and the
-//!   sign mask in that write, in the unfused order (accumulate, `+= bias`,
-//!   clamp), so fused ≡ unfused bitwise.
+//!   lanes of each output row into NCHW and adds the bias in that write,
+//!   after the accumulation, so fused ≡ unfused bitwise.
 //! - **data gradient**: the channel roles swap. `dy` is staged (stride 1)
 //!   and each *output* phase `ρ = (iy + pad) mod s` is produced by the
 //!   flipped sub-kernel `w[s·q + ρ]` — `s²` passes, no wasted taps, every
@@ -59,7 +58,6 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::arena::{self, Scratch};
-use crate::ops::activation::{BitMask, MaskSink};
 use crate::ops::im2col::Conv2dCfg;
 use crate::ops::kernel::{self, Exec, MicroKernel};
 use crate::ops::pack::scoped_chunks;
@@ -549,9 +547,8 @@ struct Correlation<'a> {
     out_chan_len: usize,
     /// Domain lanes per chunk (see [`Budget::chunk`]).
     chunk: usize,
-    /// Post-ops of the store (forward only).
+    /// The store's per-channel bias (forward only).
     bias: Option<&'a [f32]>,
-    mask: Option<&'a MaskSink>,
 }
 
 impl Pass<'_> {
@@ -601,7 +598,7 @@ impl Correlation<'_> {
                         let (b, elem0) = (item % blocks, bound(item));
                         let dst = &mut out[elem0 - first..bound(item + 1) - first];
                         for pass in self.passes {
-                            self.run_pass(pass, &buf, b, elem0, dst, lanes.clone());
+                            self.run_pass(pass, &buf, b, dst, lanes.clone());
                         }
                     }
                 }
@@ -613,13 +610,12 @@ impl Correlation<'_> {
 
     /// One pass for one `(sample, channel block)` over the domain lanes
     /// `lanes` (clipped to the pass's domain): `dst` is the block's output
-    /// channels, `elem0` their element index in the whole output.
+    /// channels.
     fn run_pass(
         &self,
         pass: &Pass<'_>,
         planes: &[f32],
         block: usize,
-        elem0: usize,
         dst: &mut [f32],
         lanes: Range<usize>,
     ) {
@@ -677,15 +673,14 @@ impl Correlation<'_> {
                 );
             }
             let span = j0..domain.min(j0 + px);
-            self.store(pass, &acc, px, span, block * t.cb, elem0, dst);
+            self.store(pass, &acc, px, span, block * t.cb, dst);
             j0 += px;
         }
     }
 
     /// Writes the valid lanes of one accumulator tile (`acc[i·px + lane]`,
     /// domain pixels `span`) into the block's channels, one output-row
-    /// segment at a time, applying the post-ops in that write.
-    #[allow(clippy::too_many_arguments)]
+    /// segment at a time, adding the bias in that write.
     fn store(
         &self,
         pass: &Pass<'_>,
@@ -693,7 +688,6 @@ impl Correlation<'_> {
         px: usize,
         span: Range<usize>,
         chan0: usize,
-        elem0: usize,
         dst: &mut [f32],
     ) {
         let (wp, len) = (self.wp, self.out_chan_len);
@@ -710,8 +704,7 @@ impl Correlation<'_> {
             for (i, chan) in dst.chunks_exact_mut(len).enumerate() {
                 let src = &acc[i * px + lane..][..run];
                 if pass.col_stride == 1 {
-                    let pos = elem0 + i * len + off;
-                    self.write(&mut chan[off..off + run], src, chan0 + i, pos);
+                    self.write(&mut chan[off..off + run], src, chan0 + i);
                 } else {
                     for (q, &v) in src.iter().enumerate() {
                         chan[off + q * pass.col_stride] = v;
@@ -722,47 +715,24 @@ impl Correlation<'_> {
         }
     }
 
-    /// `dst = relu(src + bias[chan])`, each step only if configured, in
-    /// the unfused order; sign bits go to the mask at element `pos`.
+    /// `dst = src + bias[chan]`, or `dst = src` without a bias.
     #[inline]
-    fn write(&self, dst: &mut [f32], src: &[f32], chan: usize, pos: usize) {
-        let bias = self.bias.map(|b| b[chan]);
-        let Some(mask) = self.mask else {
-            match bias {
-                Some(b) => dst.iter_mut().zip(src).for_each(|(d, &a)| *d = a + b),
-                None => dst.copy_from_slice(src),
-            }
-            return;
-        };
-        for (g, (dst, src)) in dst.chunks_mut(32).zip(src.chunks(32)).enumerate() {
-            let mut bits = 0u32;
-            for (q, (d, &a)) in dst.iter_mut().zip(src).enumerate() {
-                let v = bias.map_or(a, |b| a + b);
-                // Branchless `if v > 0 { v } else { 0 }` (NaN clamps to 0).
-                let keep = u32::from(v > 0.0);
-                *d = f32::from_bits(v.to_bits() & keep.wrapping_neg());
-                bits |= keep << q;
-            }
-            mask.or_bits(pos + g * 32, bits, dst.len());
+    fn write(&self, dst: &mut [f32], src: &[f32], chan: usize) {
+        match self.bias.map(|b| b[chan]) {
+            Some(b) => dst.iter_mut().zip(src).for_each(|(d, &a)| *d = a + b),
+            None => dst.copy_from_slice(src),
         }
     }
 }
 
-/// Direct convolution forward with optional fused bias and ReLU; the mask
-/// (when `relu`) is in NCHW element order.
+/// Direct convolution forward, with an optional per-channel bias added in
+/// the store.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatches between `x`, `w`, `bias` and `cfg`.
-pub fn forward(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    relu: bool,
-    cfg: Conv2dCfg,
-    exec: Exec,
-) -> (Tensor, Option<BitMask>) {
-    forward_within(x, w, bias, relu, cfg, exec, CACHE)
+pub fn forward(x: &Tensor, w: &Tensor, bias: Option<&[f32]>, cfg: Conv2dCfg, exec: Exec) -> Tensor {
+    forward_within(x, w, bias, cfg, exec, CACHE)
 }
 
 /// [`forward`] under the cache budget `budget`.
@@ -770,11 +740,10 @@ fn forward_within(
     x: &Tensor,
     w: &Tensor,
     bias: Option<&[f32]>,
-    relu: bool,
     cfg: Conv2dCfg,
     exec: Exec,
     budget: Budget,
-) -> (Tensor, Option<BitMask>) {
+) -> Tensor {
     let [n, ci, h, wd] = dims4(x.shape(), "input");
     let (kh, kw, taps) = (cfg.kernel_h, cfg.kernel_w, cfg.kernel_h * cfg.kernel_w);
     let co = w.shape().first().copied().unwrap_or(0);
@@ -810,7 +779,6 @@ fn forward_within(
         col_stride: 1,
     };
     let mut y = Tensor::uninit(&[n, co, ho, wo]);
-    let sink = relu.then(|| MaskSink::new(y.len()));
     // A domain lane reads one element of every phase plane of a channel.
     let f = size_of::<f32>();
     let staged = ci * planes.chan_stride() * f;
@@ -826,14 +794,13 @@ fn forward_within(
         out_chan_len: ho * wo,
         chunk: budget.chunk(staged, lane, weights.len() * f),
         bias,
-        mask: sink.as_ref(),
     };
     job.run(
         n,
         |s, buf| planes.stage(x.data(), s, buf, round),
         y.data_mut(),
     );
-    (y, sink.map(MaskSink::into_mask))
+    y
 }
 
 /// One axis of one output phase of the data gradient: input positions
@@ -978,7 +945,6 @@ fn backward_data_within(
         out_chan_len: h * wd,
         chunk: budget.chunk(co * plane_len * f, co * f, weights * f),
         bias: None,
-        mask: None,
     };
     let stage = |i: usize, buf: &mut [f32]| {
         let src = &dy.data()[i * co * ho * wo..(i + 1) * co * ho * wo];
@@ -1324,12 +1290,11 @@ mod tests {
                             ..UNBOUNDED
                         },
                     };
-                    let (y, mask) =
-                        forward_within(&x, &wt, Some(&bias), true, cfg, e, chunked(fwd));
+                    let y = forward_within(&x, &wt, Some(&bias), cfg, e, chunked(fwd));
                     let dx = backward_data_within(&dy, &wt, x.shape(), cfg, e, chunked(bwd));
                     let mut dw = seeded(wt.shape(), 4);
                     backward_weights_within(&x, &dy, cfg, &mut dw, e, blocked);
-                    (bits(&y), mask, bits(&dx), bits(&dw))
+                    (bits(&y), bits(&dx), bits(&dw))
                 };
                 let want = run(1, None);
                 for edge in 0..4 {

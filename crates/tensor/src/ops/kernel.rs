@@ -41,7 +41,9 @@
 //! in-order within one kernel, so for a fixed kernel the blocked GEMM stays
 //! bitwise thread-count-invariant; *different* kernels may round
 //! differently (FMA fuses the multiply-add), which is why every production
-//! call runs on the one process-wide [`Exec::process`] kernel.
+//! call runs on the one process-wide [`Exec::process`] kernel. A kernel
+//! only fills the accumulator tile: writing it into C, with the optional
+//! per-column bias, is a plain loop in the caller ([`crate::ops::pack`]).
 //!
 //! # Examples
 //!
@@ -84,19 +86,6 @@ pub struct MicroKernel {
     /// loads (`bf16 → f32` is a 16-bit shift), f32 FMA accumulate. See
     /// [`MicroKernel::run_bf16`].
     run_bf16: unsafe fn(kc: usize, a: *const u16, b: *const u16, acc: *mut f32),
-    /// Fused C write-back for one register tile (same ISA as `run`); see
-    /// [`MicroKernel::store_tile`].
-    store: unsafe fn(
-        acc: *const f32,
-        dst: *mut f32,
-        stride: usize,
-        i_hi: usize,
-        j_hi: usize,
-        bias: *const f32,
-        add: bool,
-        relu: bool,
-        bits: *mut u32,
-    ),
 }
 
 impl MicroKernel {
@@ -138,75 +127,6 @@ impl MicroKernel {
         // SAFETY: as in `run`.
         unsafe { (self.run_bf16)(kc, a.as_ptr(), b.as_ptr(), acc.as_mut_ptr()) }
     }
-
-    /// Fused write-back of one register tile — the epilogue unit of the
-    /// blocked GEMM. For each row `i < i_hi` and column `j < j_hi`:
-    ///
-    /// ```text
-    /// v = (if add { dst[i·stride + j] + acc[i·nr + j] } else { acc[i·nr + j] }) (+ bias[j])
-    /// dst[i·stride + j] = if relu { if v > 0 { v } else { 0 } } else { v }
-    /// bits[i] bit j     = (v > 0)            // when relu; 0 otherwise
-    /// ```
-    ///
-    /// One indirect call covers the whole tile, so the bias vector and the
-    /// edge-lane mask are loaded once and held in registers across up to
-    /// `mr` rows. On AVX the sign bits come straight from the vector
-    /// compare — the 1-bit mask MBS stores for back propagation is emitted
-    /// by the store itself, not by a later pass. The arithmetic matches
-    /// the unfused sequence (accumulate, then `+= bias[j]`, then the
-    /// `v > 0` clamp) operation-for-operation, so fused results are
-    /// bitwise identical to GEMM-then-bias-then-ReLU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tile exceeds `mr × nr`, `acc` is shorter than
-    /// `i_hi·nr`, `dst` cannot hold the strided tile, or `bias` is shorter
-    /// than `j_hi`.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn store_tile(
-        &self,
-        acc: &[f32],
-        dst: &mut [f32],
-        stride: usize,
-        i_hi: usize,
-        j_hi: usize,
-        bias: Option<&[f32]>,
-        add: bool,
-        relu: bool,
-        bits: &mut [u32; MAX_MR],
-    ) {
-        if i_hi == 0 || j_hi == 0 {
-            return;
-        }
-        assert!(i_hi <= self.mr && j_hi <= self.nr, "tile exceeds mr x nr");
-        assert!(acc.len() >= i_hi * self.nr, "accumulator tile too short");
-        assert!(
-            dst.len() >= (i_hi - 1) * stride + j_hi,
-            "destination tile too short"
-        );
-        let bias = match bias {
-            Some(b) => {
-                assert!(b.len() >= j_hi, "bias row too short");
-                b.as_ptr()
-            }
-            None => std::ptr::null(),
-        };
-        // SAFETY: bounds asserted above; ISA presence as in `run`.
-        unsafe {
-            (self.store)(
-                acc.as_ptr(),
-                dst.as_mut_ptr(),
-                stride,
-                i_hi,
-                j_hi,
-                bias,
-                add,
-                relu,
-                bits.as_mut_ptr(),
-            )
-        }
-    }
 }
 
 /// The portable autovectorized 8×8 tile (the seed's micro-kernel). LLVM
@@ -218,7 +138,6 @@ pub static SCALAR_8X8: MicroKernel = MicroKernel {
     nr: 8,
     run: scalar_8x8,
     run_bf16: scalar_8x8_bf16,
-    store: store_tile_scalar,
 };
 
 /// Hand-written AVX2+FMA 8×8 tile: 8 ymm accumulators, one `vbroadcastss`
@@ -230,7 +149,6 @@ pub static AVX2_8X8: MicroKernel = MicroKernel {
     nr: 8,
     run: avx2_8x8,
     run_bf16: avx2_8x8_bf16,
-    store: store_tile_avx2,
 };
 
 /// Hand-written AVX-512F 16×16 tile: 16 zmm accumulators (4× the FLOPs of
@@ -243,7 +161,6 @@ pub static AVX512_16X16: MicroKernel = MicroKernel {
     nr: 16,
     run: avx512_16x16,
     run_bf16: avx512_16x16_bf16,
-    store: store_tile_avx512,
 };
 
 /// Every kernel usable on this CPU, widest first. The scalar kernel is
@@ -456,6 +373,12 @@ unsafe fn avx2_8x8(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
 #[target_feature(enable = "avx2,fma")]
 unsafe fn avx2_8x8_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) {
     use core::arch::x86_64::*;
+    /// Widens eight bf16 codes into the eight f32 lanes of a ymm register.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `p` must be readable for eight `u16` (16 bytes, any
+    /// alignment).
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn widen8(p: *const u16) -> __m256 {
@@ -579,243 +502,6 @@ unsafe fn avx512_16x16_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f
     rows!(store_rows);
 }
 
-/// Portable fused write-back tile (pairs with [`scalar_8x8`], usable by
-/// any tile shape).
-///
-/// # Safety
-///
-/// Extents as asserted by [`MicroKernel::store_tile`] for an 8-column
-/// tile; no ISA requirement. `nr` is fixed at 8 (the scalar kernel's
-/// width).
-#[allow(clippy::too_many_arguments)]
-unsafe fn store_tile_scalar(
-    acc: *const f32,
-    dst: *mut f32,
-    stride: usize,
-    i_hi: usize,
-    j_hi: usize,
-    bias: *const f32,
-    add: bool,
-    relu: bool,
-    bits: *mut u32,
-) {
-    store_tile_generic(acc, 8, dst, stride, i_hi, j_hi, bias, add, relu, bits)
-}
-
-/// The portable tile epilogue for an arbitrary accumulator row stride
-/// (shared by the scalar kernel and the tests' reference).
-#[allow(clippy::too_many_arguments)]
-unsafe fn store_tile_generic(
-    acc: *const f32,
-    nr: usize,
-    dst: *mut f32,
-    stride: usize,
-    i_hi: usize,
-    j_hi: usize,
-    bias: *const f32,
-    add: bool,
-    relu: bool,
-    bits: *mut u32,
-) {
-    for i in 0..i_hi {
-        let acc_row = acc.add(i * nr);
-        let dst_row = dst.add(i * stride);
-        let mut row_bits = 0u32;
-        for j in 0..j_hi {
-            let mut v = if add {
-                *dst_row.add(j) + *acc_row.add(j)
-            } else {
-                *acc_row.add(j)
-            };
-            if !bias.is_null() {
-                v += *bias.add(j);
-            }
-            if relu {
-                if v > 0.0 {
-                    row_bits |= 1 << j;
-                } else {
-                    v = 0.0;
-                }
-            }
-            *dst_row.add(j) = v;
-        }
-        *bits.add(i) = row_bits;
-    }
-}
-
-/// AVX2 fused write-back tile: the edge-lane mask and the bias vector are
-/// materialized once and held across all rows; per row the sign bits fall
-/// out of `vcmpps` + `vmovmskps` and the clamp is an AND with the compare
-/// mask (so lanes that fail `v > 0` store `+0.0`, exactly like the scalar
-/// path).
-///
-/// # Safety
-///
-/// Requires AVX2; extents as asserted by [`MicroKernel::store_tile`] for
-/// an 8×8 tile.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn store_tile_avx2(
-    acc: *const f32,
-    dst: *mut f32,
-    stride: usize,
-    i_hi: usize,
-    j_hi: usize,
-    bias: *const f32,
-    add: bool,
-    relu: bool,
-    bits: *mut u32,
-) {
-    use core::arch::x86_64::*;
-    debug_assert!(i_hi <= 8 && j_hi <= 8);
-    // `+ 0.0` is not a bitwise no-op (-0.0 + 0.0 == +0.0), so a null bias
-    // must skip the add entirely to stay bit-identical to the plain path.
-    let with_bias = !bias.is_null();
-    let zero = _mm256_setzero_ps();
-    if j_hi == 8 {
-        // Full-width tile: plain loads/stores (masked memory ops cost
-        // extra µops even with an all-ones mask).
-        let bv = if with_bias {
-            _mm256_loadu_ps(bias)
-        } else {
-            zero
-        };
-        for i in 0..i_hi {
-            let mut v = _mm256_loadu_ps(acc.add(i * 8));
-            let dst_row = dst.add(i * stride);
-            if add {
-                v = _mm256_add_ps(_mm256_loadu_ps(dst_row), v);
-            }
-            if with_bias {
-                v = _mm256_add_ps(v, bv);
-            }
-            let mut row_bits = 0u32;
-            if relu {
-                let pos = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
-                row_bits = _mm256_movemask_ps(pos) as u32;
-                v = _mm256_and_ps(v, pos);
-            }
-            _mm256_storeu_ps(dst_row, v);
-            *bits.add(i) = row_bits;
-        }
-        return;
-    }
-    let lanes = _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(j_hi as i32),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-    );
-    let bv = if with_bias {
-        _mm256_maskload_ps(bias, lanes)
-    } else {
-        zero
-    };
-    let edge = (1u32 << j_hi) - 1;
-    for i in 0..i_hi {
-        // Full-width acc load: the packed accumulator always holds the
-        // whole 8-float row; garbage lanes are masked off at the store.
-        let mut v = _mm256_loadu_ps(acc.add(i * 8));
-        let dst_row = dst.add(i * stride);
-        if add {
-            v = _mm256_add_ps(_mm256_maskload_ps(dst_row, lanes), v);
-        }
-        if with_bias {
-            v = _mm256_add_ps(v, bv);
-        }
-        let mut row_bits = 0u32;
-        if relu {
-            let pos = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
-            row_bits = _mm256_movemask_ps(pos) as u32 & edge;
-            v = _mm256_and_ps(v, pos);
-        }
-        _mm256_maskstore_ps(dst_row, lanes, v);
-        *bits.add(i) = row_bits;
-    }
-}
-
-/// AVX-512 fused write-back tile: the edge clamp is a `__mmask16` computed
-/// once, the bias vector lives in a zmm register across rows, and the ReLU
-/// sign bits *are* the `vcmpps` k-register — the 1-bit MBS mask costs one
-/// instruction per 16 outputs at the store.
-///
-/// # Safety
-///
-/// Requires AVX-512F; extents as asserted by [`MicroKernel::store_tile`]
-/// for a 16×16 tile.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn store_tile_avx512(
-    acc: *const f32,
-    dst: *mut f32,
-    stride: usize,
-    i_hi: usize,
-    j_hi: usize,
-    bias: *const f32,
-    add: bool,
-    relu: bool,
-    bits: *mut u32,
-) {
-    use core::arch::x86_64::*;
-    debug_assert!(i_hi <= 16 && j_hi <= 16);
-    // See the AVX2 tile: a null bias must skip the add to preserve -0.0.
-    let with_bias = !bias.is_null();
-    let zero = _mm512_setzero_ps();
-    if j_hi == 16 {
-        // Full-width tile (the common case on interior panels): plain
-        // loads/stores — masked memory ops cost extra µops even with an
-        // all-ones mask.
-        let bv = if with_bias {
-            _mm512_loadu_ps(bias)
-        } else {
-            zero
-        };
-        for i in 0..i_hi {
-            let mut v = _mm512_loadu_ps(acc.add(i * 16));
-            let dst_row = dst.add(i * stride);
-            if add {
-                v = _mm512_add_ps(_mm512_loadu_ps(dst_row), v);
-            }
-            if with_bias {
-                v = _mm512_add_ps(v, bv);
-            }
-            let mut row_bits = 0u32;
-            if relu {
-                let pos = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, zero);
-                row_bits = u32::from(pos);
-                v = _mm512_maskz_mov_ps(pos, v);
-            }
-            _mm512_storeu_ps(dst_row, v);
-            *bits.add(i) = row_bits;
-        }
-        return;
-    }
-    let m: __mmask16 = ((1u32 << j_hi) - 1) as __mmask16;
-    let bv = if with_bias {
-        _mm512_maskz_loadu_ps(m, bias)
-    } else {
-        zero
-    };
-    for i in 0..i_hi {
-        let mut v = _mm512_loadu_ps(acc.add(i * 16));
-        let dst_row = dst.add(i * stride);
-        if add {
-            v = _mm512_add_ps(_mm512_maskz_loadu_ps(m, dst_row), v);
-        }
-        if with_bias {
-            v = _mm512_add_ps(v, bv);
-        }
-        let mut row_bits = 0u32;
-        if relu {
-            let pos = _mm512_mask_cmp_ps_mask::<_CMP_GT_OQ>(m, v, zero);
-            row_bits = u32::from(pos);
-            v = _mm512_maskz_mov_ps(pos, v);
-        }
-        _mm512_mask_storeu_ps(dst_row, m, v);
-        *bits.add(i) = row_bits;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,88 +584,6 @@ mod tests {
         assert_eq!(select(Some("SCALAR-8X8")).name, "scalar-8x8");
         // Unknown names warn and fall back to the widest kernel.
         assert_eq!(select(Some("neon")).name, available()[0].name);
-    }
-
-    #[test]
-    fn store_tile_matches_scalar_reference_for_every_kernel() {
-        // Every (add, bias, relu, i_hi, j_hi) combination must agree
-        // bitwise with the portable epilogue — including NaN sums (v > 0
-        // is false for NaN, so fused ReLU clamps NaN to 0 exactly like
-        // `ops::relu`) and untouched elements outside the tile.
-        for kern in available() {
-            let stride = kern.nr + 3; // strided C, like a real edge panel
-            for i_hi in [0usize, 1, kern.mr - 1, kern.mr] {
-                for j_hi in [0usize, 1, 3, kern.nr - 1, kern.nr] {
-                    for add in [false, true] {
-                        for with_bias in [false, true] {
-                            for relu in [false, true] {
-                                let mut acc: Vec<f32> = (0..kern.mr * kern.nr)
-                                    .map(|j| ((j * 13) % 7) as f32 - 3.0)
-                                    .collect();
-                                if !acc.is_empty() {
-                                    let mid = acc.len() / 2;
-                                    acc[0] = f32::NAN;
-                                    acc[mid] = -0.0;
-                                }
-                                let bias: Vec<f32> =
-                                    (0..kern.nr).map(|j| ((j * 5) % 3) as f32 - 1.0).collect();
-                                let init: Vec<f32> = (0..kern.mr * stride)
-                                    .map(|j| j as f32 / 2.0 - 1.0)
-                                    .collect();
-                                let bias_ptr = if with_bias {
-                                    bias.as_ptr()
-                                } else {
-                                    std::ptr::null()
-                                };
-
-                                let mut want = init.clone();
-                                let mut want_bits = [0u32; MAX_MR];
-                                unsafe {
-                                    store_tile_generic(
-                                        acc.as_ptr(),
-                                        kern.nr,
-                                        want.as_mut_ptr(),
-                                        stride,
-                                        i_hi,
-                                        j_hi,
-                                        bias_ptr,
-                                        add,
-                                        relu,
-                                        want_bits.as_mut_ptr(),
-                                    );
-                                }
-                                let mut got = init.clone();
-                                let mut got_bits = [0u32; MAX_MR];
-                                kern.store_tile(
-                                    &acc,
-                                    &mut got,
-                                    stride,
-                                    i_hi,
-                                    j_hi,
-                                    if with_bias { Some(&bias[..]) } else { None },
-                                    add,
-                                    relu,
-                                    &mut got_bits,
-                                );
-                                let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                                let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                                assert_eq!(
-                                    gb, wb,
-                                    "{} i_hi={i_hi} j_hi={j_hi} add={add} bias={with_bias} relu={relu}",
-                                    kern.name
-                                );
-                                assert_eq!(
-                                    &got_bits[..i_hi],
-                                    &want_bits[..i_hi],
-                                    "{} mask bits",
-                                    kern.name
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //! All three variants route through the packed, blocked, multi-threaded
 //! GEMM core in [`crate::ops::pack`]; the transposed variants feed the
 //! packing stage a transposed *view* instead of materializing `Aᵀ`/`Bᵀ`.
-//! [`matmul_a_bt_fused`] is the Linear-layer forward: bias and optional
-//! ReLU fold into the GEMM's C write-back via [`Epilogue`], so the layer
-//! output is produced in zero extra passes. [`matmul_naive`] keeps the
+//! [`matmul_a_bt_fused`] is the Linear-layer forward: the bias folds into
+//! the GEMM's C write-back, so the layer output is produced in zero extra
+//! passes. [`matmul_naive`] keeps the
 //! original triple loop (minus its broken `a == 0.0` skip, which
 //! suppressed NaN/Inf propagation) as the reference the property tests
 //! compare against.
 
-use crate::ops::activation::{relu_inplace, BitMask, MaskSink};
 use crate::ops::kernel::Exec;
-use crate::ops::pack::{gemm, Epilogue, MatSrc};
+use crate::ops::pack::{gemm, MatSrc};
 use crate::tensor::Tensor;
 
 /// `C = A · B` for 2-D tensors `A: [m, k]`, `B: [k, n]`.
@@ -47,7 +46,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         m,
         n,
         k,
-        &Epilogue::None,
+        None,
         Exec::process(),
     );
     out
@@ -75,7 +74,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
         m,
         n,
         k,
-        &Epilogue::None,
+        None,
         Exec::process(),
     );
     out
@@ -102,91 +101,50 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
         m,
         n,
         k,
-        &Epilogue::None,
+        None,
         Exec::process(),
     );
     out
 }
 
-/// `C = A·Bᵀ + bias` row-broadcast, with an optional fused ReLU — the
-/// Linear layer's forward (`A: [n, in]`, `B: [out, in]`, `bias: [out]`).
-/// Returns the ReLU sign mask (row-major over C) when `relu` is set.
+/// `C = A·Bᵀ + bias` row-broadcast — the Linear layer's forward (`A:
+/// [n, in]`, `B: [out, in]`, `bias: [out]`). The bias rides the GEMM's C
+/// write-back, bitwise equal to [`matmul_a_bt`] followed by a bias pass.
 ///
 /// # Panics
 ///
 /// Panics on rank/dimension mismatch or if `bias.len()` differs from B's
 /// row count.
-pub fn matmul_a_bt_fused(
-    a: &Tensor,
-    b: &Tensor,
-    bias: &[f32],
-    relu: bool,
-) -> (Tensor, Option<BitMask>) {
-    matmul_a_bt_fused_with(a, b, bias, relu, true)
-}
-
-/// [`matmul_a_bt_fused`] with the fused/unfused decision made explicitly.
-/// `fused = false` is the test oracle: GEMM, then a bias pass, then
-/// [`relu_inplace`]; the parity tests pin that both paths agree bitwise,
-/// output and mask.
-pub fn matmul_a_bt_fused_with(
-    a: &Tensor,
-    b: &Tensor,
-    bias: &[f32],
-    relu: bool,
-    fused: bool,
-) -> (Tensor, Option<BitMask>) {
+pub fn matmul_a_bt_fused(a: &Tensor, b: &Tensor, bias: &[f32]) -> Tensor {
     let (m, k, n) = check_2d(a.shape(), b.shape(), false, true);
     assert_eq!(bias.len(), n, "one bias per output column");
-    let asrc = MatSrc::RowMajor {
-        data: a.data(),
-        stride: k,
-    };
-    let bsrc = MatSrc::ColMajor {
-        data: b.data(),
-        stride: k,
-    };
     let mut out = out_buffer(m, n, k);
-    let exec = Exec::process();
-    if fused && k > 0 {
-        if relu {
-            let sink = MaskSink::new(m * n);
-            gemm(
-                &asrc,
-                &bsrc,
-                out.data_mut(),
-                m,
-                n,
-                k,
-                &Epilogue::BiasRelu(bias, &sink),
-                exec,
-            );
-            return (out, Some(sink.into_mask()));
+    if k == 0 {
+        // An empty reduction never reaches the store: zeros, then the bias.
+        for row in out.data_mut().chunks_exact_mut(n.max(1)) {
+            for (v, &bv) in row.iter_mut().zip(bias) {
+                *v += bv;
+            }
         }
-        gemm(
-            &asrc,
-            &bsrc,
-            out.data_mut(),
-            m,
-            n,
-            k,
-            &Epilogue::Bias(bias),
-            exec,
-        );
-        return (out, None);
+        return out;
     }
-    gemm(&asrc, &bsrc, out.data_mut(), m, n, k, &Epilogue::None, exec);
-    let od = out.data_mut();
-    for row in od.chunks_exact_mut(n.max(1)) {
-        for (v, &bv) in row.iter_mut().zip(bias) {
-            *v += bv;
-        }
-    }
-    if relu {
-        let mask = relu_inplace(&mut out);
-        return (out, Some(mask));
-    }
-    (out, None)
+    gemm(
+        &MatSrc::RowMajor {
+            data: a.data(),
+            stride: k,
+        },
+        &MatSrc::ColMajor {
+            data: b.data(),
+            stride: k,
+        },
+        out.data_mut(),
+        m,
+        n,
+        k,
+        Some(bias),
+        Exec::process(),
+    );
+    out
 }
 
 /// GEMM output buffer: uninitialized pooled storage when the reduction

@@ -13,7 +13,9 @@
 //! The tile shape comes from the micro-kernel chosen at startup
 //! ([`crate::ops::kernel`]): hand-written AVX-512 (16×16) or AVX2 (8×8)
 //! FMA kernels where the CPU supports them, the portable autovectorized
-//! 8×8 tile otherwise.
+//! 8×8 tile otherwise. The store that writes the last depth panel's sums
+//! into C also adds the optional per-column bias (the Linear bias), the
+//! one post-op a GEMM carries.
 //!
 //! Operands are described by [`MatSrc`]: a row-major matrix in memory or
 //! a column-major (transposed) view of one, so `Aᵀ·B` and `A·Bᵀ` need no
@@ -61,7 +63,6 @@ use std::ops::Range;
 use std::sync::Barrier;
 
 use crate::arena;
-use crate::ops::activation::MaskSink;
 use crate::ops::kernel::{Exec, MicroKernel, MAX_MR, MAX_NR};
 use crate::prec::{self, Precision};
 
@@ -74,27 +75,6 @@ pub const KC: usize = 128;
 /// Columns per packed B panel. A multiple of every registered kernel's
 /// `nr`; sized for L2.
 pub const NC: usize = 256;
-
-/// Element-wise post-op folded into the GEMM's C write-back.
-///
-/// Applied by the micro-kernel's fused store ([`MicroKernel::store_tile`])
-/// on the **last depth panel only** — earlier panels hold partial sums.
-/// The arithmetic order matches the unfused sequence exactly (accumulate
-/// the final panel, then `+= bias[j]`, then the `v > 0` clamp), so fused
-/// results are bitwise identical to GEMM-then-bias-then-ReLU; the property
-/// tests in `tests/fused_epilogue.rs` pin that per kernel.
-#[derive(Debug, Clone, Copy)]
-pub enum Epilogue<'a> {
-    /// Plain GEMM; write-back is an unmodified store/accumulate.
-    None,
-    /// `C[i][j] += bias[j]` — one bias value per output column, folded
-    /// into the C store (the Linear/conv bias without its own pass).
-    Bias(&'a [f32]),
-    /// Bias, then ReLU. The clamp happens in the C store and the 1-bit
-    /// sign mask (paper §3 "Back Propagation") is emitted by the same
-    /// vector compare, in C's row-major element order.
-    BiasRelu(&'a [f32], &'a MaskSink),
-}
 
 /// A packed-operand element type: `f32` (identity packing) or bf16-coded
 /// `u16`. Everything a packing loop or a kernel dispatch needs is a method
@@ -198,7 +178,7 @@ impl<E: PackElem> ElemBuf<E> {
 /// A transposed view multiplies without materializing the transpose:
 ///
 /// ```
-/// use mbs_tensor::ops::{gemm, Epilogue, Exec, MatSrc};
+/// use mbs_tensor::ops::{gemm, Exec, MatSrc};
 ///
 /// // A = [[1, 2], [3, 4]] stored column-major (i.e. as [[1, 3], [2, 4]]).
 /// let a_t = [1.0f32, 3.0, 2.0, 4.0];
@@ -211,7 +191,7 @@ impl<E: PackElem> ElemBuf<E> {
 ///     2,
 ///     2,
 ///     2,
-///     &Epilogue::None,
+///     None,
 ///     Exec::process(),
 /// );
 /// assert_eq!(c, [1.0, 2.0, 3.0, 4.0]);
@@ -235,24 +215,26 @@ pub enum MatSrc<'a> {
     },
 }
 
-/// `C[m×n] = A[m×k] · B[k×n]` with `epi` applied at the C write-back, run
-/// on `exec`'s micro-kernel, worker threads and operand precision — the
-/// one GEMM entry point (`matmul*` pass [`Exec::process`]).
+/// `C[m×n] = A[m×k] · B[k×n]` (`+ bias[j]` on every row when `bias` is
+/// given), run on `exec`'s micro-kernel, worker threads and operand
+/// precision — the one GEMM entry point (`matmul*` pass
+/// [`Exec::process`]).
 ///
 /// `c` must hold exactly `m·n` elements and is overwritten (it need not be
-/// zeroed first); when `k == 0` the output is left untouched. Under
-/// [`Precision::Bf16`] the A/B panels are packed as bfloat16
-/// (round-to-nearest-even) and the micro-kernel widens on load,
-/// accumulating in f32; `c` and the epilogue stay f32. Results are bitwise
-/// invariant to `exec.threads` for a fixed kernel and precision.
+/// zeroed first); when `k == 0` the output is left untouched. The bias is
+/// added in the store that writes the last depth panel's sums, after that
+/// panel's accumulation — the order of GEMM-then-bias, so the result is
+/// bitwise that of a separate bias pass. Under [`Precision::Bf16`] the A/B
+/// panels are packed as bfloat16 (round-to-nearest-even) and the
+/// micro-kernel widens on load, accumulating in f32; `c` and the bias stay
+/// f32. Results are bitwise invariant to `exec.threads` for a fixed kernel
+/// and precision.
 ///
 /// # Panics
 ///
 /// Panics if `c.len() != m·n`, an operand is smaller than its logical
-/// extent, the epilogue's bias is shorter than `n`, its mask sink does not
-/// cover `m·n` elements, or `k == 0` with a non-`None` epilogue (an empty
-/// reduction never reaches the write-back, so the post-op could not be
-/// applied).
+/// extent, `bias` is shorter than `n`, or `k == 0` with a bias (an empty
+/// reduction never reaches the store, so the bias could not be added).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
     a: &MatSrc<'_>,
@@ -261,21 +243,13 @@ pub fn gemm(
     m: usize,
     n: usize,
     k: usize,
-    epi: &Epilogue<'_>,
+    bias: Option<&[f32]>,
     exec: Exec,
 ) {
     assert_eq!(c.len(), m * n, "output buffer must be m·n");
-    match *epi {
-        Epilogue::None => {}
-        Epilogue::Bias(bias) => {
-            assert!(bias.len() >= n, "epilogue bias shorter than n");
-            assert!(k > 0, "a fused epilogue needs a non-empty reduction");
-        }
-        Epilogue::BiasRelu(bias, mask) => {
-            assert!(bias.len() >= n, "epilogue bias shorter than n");
-            assert_eq!(mask.len(), m * n, "epilogue mask must cover C");
-            assert!(k > 0, "a fused epilogue needs a non-empty reduction");
-        }
+    if let Some(bias) = bias {
+        assert!(bias.len() >= n, "bias shorter than n");
+        assert!(k > 0, "a bias needs a non-empty reduction");
     }
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -296,8 +270,8 @@ pub fn gemm(
     assert_eq!(MC % kern.mr, 0, "MC must be a multiple of the tile mr");
     assert_eq!(NC % kern.nr, 0, "NC must be a multiple of the tile nr");
     match precision {
-        Precision::F32 => run_shared::<f32>(a, b, c, m, n, k, threads, kern, epi),
-        Precision::Bf16 => run_shared::<u16>(a, b, c, m, n, k, threads, kern, epi),
+        Precision::F32 => run_shared::<f32>(a, b, c, m, n, k, threads, kern, bias),
+        Precision::Bf16 => run_shared::<u16>(a, b, c, m, n, k, threads, kern, bias),
     }
 }
 
@@ -369,7 +343,7 @@ fn run_shared<E: PackElem>(
     k: usize,
     threads: usize,
     kern: &MicroKernel,
-    epi: &Epilogue<'_>,
+    bias: Option<&[f32]>,
 ) {
     let blocks = m.div_ceil(MC);
     // The barrier size must equal the spawned worker count: both come
@@ -395,7 +369,7 @@ fn run_shared<E: PackElem>(
             t,
             workers,
             kern,
-            epi,
+            bias,
             &shared,
             &barrier,
             a_buf,
@@ -423,7 +397,7 @@ fn shared_worker<E: PackElem>(
     t: usize,
     threads: usize,
     kern: &MicroKernel,
-    epi: &Epilogue<'_>,
+    bias: Option<&[f32]>,
     shared: &SharedPanel<E>,
     barrier: &Barrier,
     mut a_buf: ElemBuf<E>,
@@ -468,7 +442,7 @@ fn shared_worker<E: PackElem>(
                 kc,
                 last_kpanel,
                 kern,
-                epi,
+                bias,
                 a_buf.as_mut_slice(),
             );
             // The panel buffer is reused for the next (jc, pc) block; no
@@ -486,9 +460,8 @@ fn shared_worker<E: PackElem>(
 /// Computes C rows `[r0, r0 + rows)` of one `(jc, pc)` panel given its
 /// packed B, packing A strips on the fly. `c_rows` is the `rows × n` slice
 /// owned by the calling worker. On the last depth panel (`last_kpanel`)
-/// the epilogue — bias add, ReLU clamp, sign-mask emission — is folded
-/// into the same store that writes the final sums, so no later pass ever
-/// re-reads C.
+/// the bias is added in the same store that writes the final sums, so no
+/// later pass re-reads C.
 #[allow(clippy::too_many_arguments)]
 fn compute_block<E: PackElem>(
     a: &MatSrc<'_>,
@@ -503,7 +476,7 @@ fn compute_block<E: PackElem>(
     kc: usize,
     last_kpanel: bool,
     kern: &MicroKernel,
-    epi: &Epilogue<'_>,
+    bias: Option<&[f32]>,
     a_buf: &mut [E],
 ) {
     let (mr, nr) = (kern.mr, kern.nr);
@@ -511,7 +484,7 @@ fn compute_block<E: PackElem>(
     // accumulate — so callers never pre-zero C and the store pass skips
     // C's read traffic.
     let first_panel = pc == 0;
-    let fused = last_kpanel && !matches!(epi, Epilogue::None);
+    let bias = bias.filter(|_| last_kpanel);
     let nr_strips = nc.div_ceil(nr);
     let mut acc = [0.0f32; MAX_MR * MAX_NR];
     for ic in (0..rows).step_by(MC) {
@@ -527,67 +500,27 @@ fn compute_block<E: PackElem>(
                 let i_hi = mr.min(mc - is * mr);
                 E::run_tile(kern, kc, a_strip, b_strip, &mut acc);
                 let row0 = ic + is * mr;
-                if fused {
-                    match *epi {
-                        Epilogue::None => unreachable!("fused implies a post-op"),
-                        Epilogue::Bias(bias) => {
-                            // Bias-only fuses as an inline write-back loop:
-                            // an indirect SIMD store call costs more than
-                            // the one extra add this epilogue needs.
-                            let bias_row = &bias[j0..j0 + j_hi];
-                            for i in 0..i_hi {
-                                let acc_row = &acc[i * nr..i * nr + j_hi];
-                                let off = (row0 + i) * n + j0;
-                                let c_row = &mut c_rows[off..off + j_hi];
-                                if first_panel {
-                                    for ((cv, av), bv) in
-                                        c_row.iter_mut().zip(acc_row).zip(bias_row)
-                                    {
-                                        *cv = av + bv;
-                                    }
-                                } else {
-                                    for ((cv, av), bv) in
-                                        c_row.iter_mut().zip(acc_row).zip(bias_row)
-                                    {
-                                        *cv = *cv + av + bv;
-                                    }
-                                }
-                            }
-                        }
-                        Epilogue::BiasRelu(bias, mask) => {
-                            // One fused SIMD store covers the whole tile:
-                            // bias vector and edge mask stay in registers
-                            // across its rows, and the sign bits fall out
-                            // of the vector compare.
-                            let dst = &mut c_rows[row0 * n + j0..];
-                            let mut bits = [0u32; MAX_MR];
-                            kern.store_tile(
-                                &acc,
-                                dst,
-                                n,
-                                i_hi,
-                                j_hi,
-                                Some(&bias[j0..j0 + j_hi]),
-                                !first_panel,
-                                true,
-                                &mut bits,
-                            );
-                            for (i, &row_bits) in bits.iter().enumerate().take(i_hi) {
-                                mask.or_bits((r0 + row0 + i) * n + j0, row_bits, j_hi);
-                            }
-                        }
-                    }
-                    continue;
-                }
+                let bias_row = bias.map(|b| &b[j0..j0 + j_hi]);
                 for i in 0..i_hi {
                     let acc_row = &acc[i * nr..i * nr + j_hi];
                     let off = (row0 + i) * n + j0;
                     let c_row = &mut c_rows[off..off + j_hi];
-                    if first_panel {
-                        c_row.copy_from_slice(acc_row);
-                    } else {
-                        for (cv, av) in c_row.iter_mut().zip(acc_row) {
-                            *cv += av;
+                    match (bias_row, first_panel) {
+                        (None, true) => c_row.copy_from_slice(acc_row),
+                        (None, false) => {
+                            for (cv, av) in c_row.iter_mut().zip(acc_row) {
+                                *cv += av;
+                            }
+                        }
+                        (Some(bias_row), true) => {
+                            for ((cv, av), bv) in c_row.iter_mut().zip(acc_row).zip(bias_row) {
+                                *cv = av + bv;
+                            }
+                        }
+                        (Some(bias_row), false) => {
+                            for ((cv, av), bv) in c_row.iter_mut().zip(acc_row).zip(bias_row) {
+                                *cv = *cv + av + bv;
+                            }
                         }
                     }
                 }
@@ -800,7 +733,7 @@ mod tests {
             m,
             n,
             k,
-            &Epilogue::None,
+            None,
             exec,
         );
         c
@@ -901,7 +834,7 @@ mod tests {
             m,
             n,
             k,
-            &Epilogue::None,
+            None,
             Exec::process(),
         );
         let expect = naive(&a, &b, m, n, k);
@@ -933,7 +866,7 @@ mod tests {
             1,
             1,
             1,
-            &Epilogue::None,
+            None,
             Exec::process(),
         );
         assert_eq!(c[0], 2.0, "gemm overwrites stale output contents");

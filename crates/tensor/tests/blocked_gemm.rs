@@ -8,8 +8,7 @@ use proptest::prelude::*;
 
 use mbs_tensor::ops::{
     col2im, conv2d, conv2d_backward_data, conv2d_backward_weights, conv2d_naive, direct, gemm,
-    im2col, kernel, matmul, matmul_a_bt, matmul_at_b, matmul_naive, Conv2dCfg, Epilogue, Exec,
-    MatSrc,
+    im2col, kernel, matmul, matmul_a_bt, matmul_at_b, matmul_naive, Conv2dCfg, Exec, MatSrc,
 };
 use mbs_tensor::prec::Precision;
 use mbs_tensor::Tensor;
@@ -200,7 +199,7 @@ proptest! {
             let mut dw = Tensor::zeros(w.shape());
             direct::backward_weights_into(&x, &dy, cfg, &mut dw, exec);
             (
-                direct::forward(&x, &w, None, false, cfg, exec).0,
+                direct::forward(&x, &w, None, cfg, exec),
                 direct::backward_data(&dy, &w, x.shape(), cfg, exec),
                 dw,
             )
@@ -262,8 +261,8 @@ proptest! {
         let mut reference: Option<Tensor> = None;
         for kern in kernel::available() {
             let exec = Exec { kernel: kern, threads: 1, ..Exec::process() };
-            let y1 = direct::forward(&x, &w, None, false, cfg, exec).0;
-            let yn = direct::forward(&x, &w, None, false, cfg, Exec { threads, ..exec }).0;
+            let y1 = direct::forward(&x, &w, None, cfg, exec);
+            let yn = direct::forward(&x, &w, None, cfg, Exec { threads, ..exec });
             prop_assert_eq!(y1.data(), yn.data(), "{} conv thread invariance", kern.name);
             match &reference {
                 None => reference = Some(y1),
@@ -285,7 +284,7 @@ fn row_major_gemm(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, exec: Exec
         m,
         n,
         k,
-        &Epilogue::None,
+        None,
         exec,
     );
     c

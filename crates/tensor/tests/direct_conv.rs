@@ -8,8 +8,7 @@
 use proptest::prelude::*;
 
 use mbs_tensor::ops::{
-    col2im, conv2d_naive, direct, im2col, kernel, matmul_naive, relu_inplace, Conv2dCfg, Exec,
-    MicroKernel,
+    col2im, conv2d_naive, direct, im2col, kernel, matmul_naive, Conv2dCfg, Exec, MicroKernel,
 };
 use mbs_tensor::prec::{bf16_to_f32, f32_to_bf16, Precision};
 use mbs_tensor::Tensor;
@@ -185,8 +184,7 @@ proptest! {
         for kern in kernel::available() {
             let e = exec(kern, 1);
             let what = format!("{} {c:?}", kern.name);
-            let (y, mask) = direct::forward(&x, &w, None, false, c.cfg, e);
-            prop_assert!(mask.is_none());
+            let y = direct::forward(&x, &w, None, c.cfg, e);
             assert_close(&y, &want_y, c.taps(), &format!("forward {what}"));
             let dx = direct::backward_data(&dy, &w, x.shape(), c.cfg, e);
             let depth = c.co * c.cfg.kernel_h * c.cfg.kernel_w;
@@ -205,7 +203,7 @@ proptest! {
         let (x, w, dy) = (c.x(), c.weights(), c.dy());
         for kern in kernel::available() {
             let e = exec(kern, 1);
-            let lhs = dot(&direct::forward(&x, &w, None, false, c.cfg, e).0, &dy);
+            let lhs = dot(&direct::forward(&x, &w, None, c.cfg, e), &dy);
             let via_x = dot(&x, &direct::backward_data(&dy, &w, x.shape(), c.cfg, e));
             let mut dw = Tensor::zeros(w.shape());
             direct::backward_weights_into(&x, &dy, c.cfg, &mut dw, e);
@@ -223,11 +221,11 @@ proptest! {
         let (x, w, dy) = (c.x(), c.weights(), c.dy());
         for kern in kernel::available() {
             let e = exec(kern, 1);
-            let y = direct::forward(&x, &w, None, false, c.cfg, e).0;
+            let y = direct::forward(&x, &w, None, c.cfg, e);
             let dx = direct::backward_data(&dy, &w, x.shape(), c.cfg, e);
             for i in 0..c.n {
                 let (xi, dyi) = (sample(&x, i), sample(&dy, i));
-                let yi = direct::forward(&xi, &w, None, false, c.cfg, e).0;
+                let yi = direct::forward(&xi, &w, None, c.cfg, e);
                 prop_assert_eq!(bits(&sample(&y, i)), bits(&yi), "{} fwd {:?}", kern.name, c);
                 let dxi = direct::backward_data(&dyi, &w, xi.shape(), c.cfg, e);
                 prop_assert_eq!(bits(&sample(&dx, i)), bits(&dxi), "{} bwd {:?}", kern.name, c);
@@ -236,7 +234,7 @@ proptest! {
     }
 
     /// 1, 2 and 3 worker threads give identical bits for all three ops
-    /// (incl. the fused mask): threads split `sample × channel-block`
+    /// (incl. the bias store): threads split `sample × channel-block`
     /// items, never a reduction.
     #[test]
     fn thread_counts_are_bitwise_identical(c in cases()) {
@@ -245,11 +243,11 @@ proptest! {
         for kern in kernel::available() {
             let run = |threads: usize| {
                 let e = exec(kern, threads);
-                let (y, mask) = direct::forward(&x, &w, Some(&bias), true, c.cfg, e);
+                let y = direct::forward(&x, &w, Some(&bias), c.cfg, e);
                 let dx = direct::backward_data(&dy, &w, x.shape(), c.cfg, e);
                 let mut dw = seeded(w.shape(), 4);
                 direct::backward_weights_into(&x, &dy, c.cfg, &mut dw, e);
-                (bits(&y), mask, bits(&dx), bits(&dw))
+                (bits(&y), bits(&dx), bits(&dw))
             };
             let one = run(1);
             for threads in [2usize, 3] {
@@ -258,8 +256,7 @@ proptest! {
         }
     }
 
-    /// Bias and ReLU applied in the tile store equal conv, then a bias
-    /// pass, then `relu_inplace` — values and mask bits.
+    /// The bias added in the tile store equals conv, then a bias pass.
     #[test]
     fn fused_epilogue_equals_separate_passes(c in cases(), with_bias in 0usize..2) {
         let (x, w) = (c.x(), c.weights());
@@ -267,17 +264,15 @@ proptest! {
         let bias = (with_bias == 1).then_some(&bias[..]);
         for kern in kernel::available() {
             let e = exec(kern, 1);
-            let (fused, mask) = direct::forward(&x, &w, bias, true, c.cfg, e);
-            let mut plain = direct::forward(&x, &w, None, false, c.cfg, e).0;
+            let fused = direct::forward(&x, &w, bias, c.cfg, e);
+            let mut plain = direct::forward(&x, &w, None, c.cfg, e);
             if let Some(b) = bias {
                 let hw = plain.shape()[2] * plain.shape()[3];
                 for (chunk, bv) in plain.data_mut().chunks_exact_mut(hw).zip(b.iter().cycle()) {
                     chunk.iter_mut().for_each(|v| *v += bv);
                 }
             }
-            let want_mask = relu_inplace(&mut plain);
             prop_assert_eq!(bits(&fused), bits(&plain), "{} {:?}", kern.name, c);
-            prop_assert_eq!(mask, Some(want_mask), "{} mask {:?}", kern.name, c);
         }
     }
 
@@ -291,8 +286,8 @@ proptest! {
             let f32e = exec(kern, 1);
             let bf16 = Exec { precision: Precision::Bf16, ..f32e };
             prop_assert_eq!(
-                bits(&direct::forward(&x, &w, None, false, c.cfg, bf16).0),
-                bits(&direct::forward(&xr, &wr, None, false, c.cfg, f32e).0),
+                bits(&direct::forward(&x, &w, None, c.cfg, bf16)),
+                bits(&direct::forward(&xr, &wr, None, c.cfg, f32e)),
                 "{} fwd {:?}", kern.name, c
             );
             prop_assert_eq!(
@@ -437,7 +432,7 @@ fn degenerate_shapes_are_handled() {
         let e = exec(kern, 2);
         let x = seeded(&[2, 3, 7, 8], 1);
         let w = seeded(&[5, 3, 1, 1], 2);
-        let y = direct::forward(&x, &w, None, false, cfg, e).0;
+        let y = direct::forward(&x, &w, None, cfg, e);
         assert_close(&y, &conv2d_naive(&x, &w, cfg), 3, "stride past kernel");
         let dy = seeded(y.shape(), 3);
         let dx = direct::backward_data(&dy, &w, x.shape(), cfg, e);
@@ -449,16 +444,15 @@ fn degenerate_shapes_are_handled() {
         let empty = Tensor::zeros(&[0, 3, 5, 5]);
         let w = seeded(&[4, 3, 3, 3], 2);
         assert_eq!(
-            direct::forward(&empty, &w, None, false, cfg, e).0.shape(),
+            direct::forward(&empty, &w, None, cfg, e).shape(),
             &[0, 4, 5, 5]
         );
         let no_chan = Tensor::zeros(&[2, 0, 5, 5]);
         let w0 = Tensor::zeros(&[4, 0, 3, 3]);
         let bias = [1.0f32, -1.0, 0.5, 0.0];
-        let (y, mask) = direct::forward(&no_chan, &w0, Some(&bias), true, cfg, e);
+        let y = direct::forward(&no_chan, &w0, Some(&bias), cfg, e);
         assert_eq!(&y.data()[..25], &[1.0; 25]);
-        assert_eq!(&y.data()[25..50], &[0.0; 25]);
-        let mask = mask.expect("relu stores a mask");
-        assert!(mask.get(0) && !mask.get(25) && mask.get(50) && !mask.get(75));
+        assert_eq!(&y.data()[25..50], &[-1.0; 25]);
+        assert_eq!(&y.data()[50..75], &[0.5; 25]);
     }
 }

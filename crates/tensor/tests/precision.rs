@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use mbs_tensor::ops::{gemm, kernel, Epilogue, Exec, MatSrc};
+use mbs_tensor::ops::{gemm, kernel, Exec, MatSrc};
 use mbs_tensor::prec::{bf16_to_f32, f32_to_bf16, Bf16Tensor, Precision};
 use mbs_tensor::Tensor;
 
@@ -129,8 +129,8 @@ fn bf16_gemm_agrees_across_kernels_on_representable_data() {
             threads: 2,
             precision: Precision::Bf16,
         };
-        gemm(&asrc, &bsrc, &mut c32, m, n, k, &Epilogue::None, f32e);
-        gemm(&asrc, &bsrc, &mut c16, m, n, k, &Epilogue::None, bf16);
+        gemm(&asrc, &bsrc, &mut c32, m, n, k, None, f32e);
+        gemm(&asrc, &bsrc, &mut c16, m, n, k, None, bf16);
         assert_eq!(c32, c16, "{}", kernel.name);
     }
 }

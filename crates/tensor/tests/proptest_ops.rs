@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use mbs_tensor::ops::{
     col2im, conv2d, conv2d_backward_data, conv2d_backward_weights, conv2d_naive, im2col, matmul,
-    relu, relu_backward, softmax, softmax_xent_backward, Conv2dCfg,
+    relu_backward, relu_inplace, softmax, softmax_xent_backward, Conv2dCfg,
 };
 use mbs_tensor::Tensor;
 
@@ -88,8 +88,10 @@ proptest! {
     /// ReLU is idempotent and its mask routes exactly the positive slots.
     #[test]
     fn relu_properties(x in tensor_strategy(vec![32])) {
-        let (y, mask) = relu(&x);
-        let (y2, _) = relu(&y);
+        let mut y = x.clone();
+        let mask = relu_inplace(&mut y);
+        let mut y2 = y.clone();
+        let _ = relu_inplace(&mut y2);
         prop_assert_eq!(y.data(), y2.data());
         let ones = Tensor::full(&[32], 1.0);
         let dx = relu_backward(&ones, &mask);

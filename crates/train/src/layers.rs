@@ -7,8 +7,8 @@ use mbs_tensor::init::kaiming_normal;
 use mbs_tensor::ops::{
     avgpool2d, avgpool2d_backward, conv2d_backward_data, conv2d_backward_weights_into,
     conv2d_fused, global_avg_pool, global_avg_pool_backward, matmul, matmul_a_bt_fused,
-    matmul_at_b, maxpool2d_backward, maxpool2d_padded, relu_backward, relu_inplace, BitMask,
-    Conv2dCfg,
+    matmul_at_b, maxpool2d_backward, maxpool2d_padded, relu_backward, relu_clamp, relu_inplace,
+    BitMask, Conv2dCfg,
 };
 use mbs_tensor::Tensor;
 
@@ -102,7 +102,7 @@ impl Conv2d {
 
     fn run_forward(&self, x: &Tensor) -> Tensor {
         let bias = self.bias.as_ref().map(|b| b.value.data());
-        conv2d_fused(x, &self.weight.value, bias, false, self.cfg).0
+        conv2d_fused(x, &self.weight.value, bias, self.cfg)
     }
 
     /// Backward body: accumulates the weight gradient and, only when
@@ -171,7 +171,7 @@ impl Module for Conv2d {
 /// `[n, c·h·w]` (and restoring that shape on the input gradient).
 ///
 /// The bias is folded into the GEMM's C write-back
-/// ([`mbs_tensor::ops::Epilogue`]), not added in a separate pass.
+/// ([`mbs_tensor::ops::matmul_a_bt_fused`]), not added in a separate pass.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Param, // [out, in]
@@ -211,7 +211,7 @@ impl Module for Linear {
         } else {
             (x, None)
         };
-        let (y, _) = matmul_a_bt_fused(&x, &self.weight.value, self.bias.value.data(), false);
+        let y = matmul_a_bt_fused(&x, &self.weight.value, self.bias.value.data());
         if train {
             self.cache_x = Some(x);
             self.in_shape = in_shape;
@@ -282,10 +282,12 @@ impl Module for Relu {
     }
 
     fn forward_owned(&mut self, mut x: Tensor, train: bool) -> Tensor {
-        // Owned input → clamp in place; no output tensor is allocated.
-        let mask = relu_inplace(&mut x);
+        // Owned input → clamp in place; no output tensor is allocated, and
+        // an eval forward builds no mask.
         if train {
-            self.mask = Some(mask);
+            self.mask = Some(relu_inplace(&mut x));
+        } else {
+            relu_clamp(&mut x);
         }
         x
     }
@@ -584,6 +586,18 @@ mod tests {
         let _ = m.forward(&x, true);
         let dx = m.backward(&Tensor::full(&[4], 1.0));
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn relu_eval_forward_matches_training_and_keeps_no_mask() {
+        let x = seeded(&[2, 3, 5, 5], 18);
+        let mut m = Relu::new();
+        let y_eval = m.forward(&x, false);
+        let mut stash = CacheStash::with_precision(Precision::F32);
+        m.stash_caches(&mut stash);
+        assert!(matches!(stash.pop(), CacheEntry::Mask(None)));
+        let y_train = m.forward(&x, true);
+        assert_eq!(bits(&y_eval), bits(&y_train));
     }
 
     #[test]
