@@ -191,7 +191,7 @@ impl ModelHandle {
     /// [`ModelError::Checkpoint`] for unreadable/corrupt files, plus
     /// everything `from_checkpoint` reports.
     pub fn load_file(net: &Network, path: &Path) -> Result<Self, ModelError> {
-        let ckpt = checkpoint::load_file(path)?;
+        let ckpt = checkpoint::load_file(path).map_err(CheckpointError::from)?;
         Self::from_checkpoint(net, &ckpt)
     }
 

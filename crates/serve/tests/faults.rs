@@ -16,6 +16,7 @@ use mbs_core::{ExecConfig, HardwareConfig, MbsScheduler};
 use mbs_serve::{ModelError, ModelHandle, ServeConfig, ServeError, Server};
 use mbs_tensor::Tensor;
 use mbs_train::checkpoint::{self, CheckpointError, TrainCheckpoint};
+use mbs_train::container;
 use mbs_train::{lower, Module, StateDict};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -58,7 +59,7 @@ fn byte_flipped_checkpoint_is_a_format_error() {
     bytes[mid] ^= 0x40; // FaultPlan-style single-byte flip
     fs::write(&path, &bytes).expect("write");
     match ModelHandle::load_file(&net, &path) {
-        Err(ModelError::Checkpoint(CheckpointError::Format(_))) => {}
+        Err(ModelError::Checkpoint(CheckpointError::Container(container::Error::Format(_)))) => {}
         other => panic!("expected a format error, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
@@ -72,7 +73,7 @@ fn truncated_checkpoint_is_a_format_error() {
     let bytes = fs::read(&path).expect("read");
     fs::write(&path, &bytes[..bytes.len() / 3]).expect("write");
     match ModelHandle::load_file(&net, &path) {
-        Err(ModelError::Checkpoint(CheckpointError::Format(_))) => {}
+        Err(ModelError::Checkpoint(CheckpointError::Container(container::Error::Format(_)))) => {}
         other => panic!("expected a format error, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
@@ -85,7 +86,7 @@ fn garbage_file_is_a_format_error() {
     let path = dir.join("ckpt-00000001.mbsckpt");
     fs::write(&path, b"this was never a checkpoint").expect("write");
     match ModelHandle::load_file(&cheap_net(), &path) {
-        Err(ModelError::Checkpoint(CheckpointError::Format(_))) => {}
+        Err(ModelError::Checkpoint(CheckpointError::Container(container::Error::Format(_)))) => {}
         other => panic!("expected a format error, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);

@@ -10,9 +10,10 @@
 //!
 //! # On-disk format (version 2)
 //!
-//! Each checkpoint is one file named `ckpt-{seq:08}.mbsckpt`: a 47-byte
-//! ASCII header line (length in 20 decimal digits, checksum in 16 hex
-//! digits), then a raw little-endian binary payload.
+//! Each checkpoint is one file named `ckpt-{seq:08}.mbsckpt`, framed by
+//! [`crate::container`] with magic [`CKPT_MAGIC`]: a 47-byte header line,
+//! then the little-endian binary payload as the container's head, and no
+//! body.
 //!
 //! ```text
 //! MBSCKPT 2 <payload-bytes> <fnv1a64-hex>\n
@@ -27,29 +28,26 @@
 //! ```
 //!
 //! Floats are stored as their bit patterns, so NaN payloads, `-0.0`,
-//! subnormals and infinities all round trip. The header pins the format
-//! version, the exact payload length (detects truncation), and an FNV-1a
-//! 64 checksum of the payload (detects bit flips). Loading validates
-//! magic → version → length → checksum → payload → fingerprint, in that
-//! order, and the payload reader checks every count against the bytes
-//! that remain *before* allocating for it — a torn, corrupted or hostile
-//! file is rejected with a descriptive error, never a panic, an
+//! subnormals and infinities all round trip. Loading runs the container's
+//! checks (magic → version → length → checksum), then the payload through
+//! its bounded reader, then the fingerprint — a torn, corrupted or
+//! hostile file is rejected with a descriptive error, never a panic, an
 //! oversized allocation or a silently wrong resume.
 //!
 //! Any other version — including version 1, the same header over a JSON
 //! payload that builds before the binary format wrote — is refused with
-//! [`CheckpointError::Version`], so [`load_latest`] skips such files and
+//! [`container::Error::Version`], so [`load_latest`] skips such files and
 //! a run resuming from an old directory starts from scratch.
 //!
 //! # Durability
 //!
-//! [`save`] is atomic: the bytes are written to `<name>.tmp`, fsynced,
-//! renamed over the final name, and the directory is fsynced so the
-//! rename itself survives a crash. A crash mid-save therefore leaves
-//! either the previous set of checkpoints intact or the new file fully
-//! present — never a half-written `*.mbsckpt`. Rotation keeps the newest
-//! `keep` files; [`load_latest`] scans newest → oldest and falls back
-//! past corrupt files — each one recorded in the returned [`LoadReport`]
+//! [`save`] is atomic through `container::Staged`: the bytes are
+//! written to `<name>.tmp`, fsynced, renamed over the final name, and the
+//! directory is fsynced so the rename itself survives a crash. A crash
+//! mid-save therefore leaves either the previous set of checkpoints
+//! intact or the new file fully present — never a half-written
+//! `*.mbsckpt`. Rotation keeps the newest `keep` files; [`load_latest`]
+//! scans newest → oldest and falls back past corrupt files — each one recorded in the returned [`LoadReport`]
 //! so callers can count and surface the damage — so a torn latest
 //! checkpoint degrades to the previous good one rather than a panic.
 //!
@@ -70,14 +68,13 @@
 //! [`Schedule::fingerprint`]: mbs_core::Schedule::fingerprint
 
 use std::fmt;
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs;
+use std::io::{Cursor, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-use mbs_core::fnv1a64;
-
+use crate::container::{self, Reader};
 use crate::module::StateEntry;
 use crate::training::EpochStats;
 
@@ -132,14 +129,10 @@ pub struct TrainCheckpoint {
 /// Why a checkpoint could not be saved or loaded.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The underlying filesystem operation failed (or the
-    /// [`CheckpointWriter`] thread died before finishing a save).
-    Io(std::io::Error),
-    /// The file exists but is not a valid checkpoint (bad magic, torn
-    /// write, checksum mismatch, unparseable payload, ...).
-    Format(String),
-    /// The file has a format version other than [`CKPT_VERSION`].
-    Version(u64),
+    /// The file could not be written or read as a checkpoint (I/O
+    /// failure, damage, another format version), or the
+    /// [`CheckpointWriter`] thread died before finishing a save.
+    Container(container::Error),
     /// The checkpoint belongs to a different (network, schedule) pair.
     FingerprintMismatch {
         /// Fingerprint of the run trying to resume.
@@ -155,13 +148,7 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
-            Self::Format(msg) => write!(f, "invalid checkpoint: {msg}"),
-            Self::Version(v) => write!(
-                f,
-                "checkpoint format version {v} is not readable by this build \
-                 (it reads version {CKPT_VERSION})"
-            ),
+            Self::Container(e) => write!(f, "checkpoint: {e}"),
             Self::FingerprintMismatch {
                 expected,
                 found,
@@ -178,15 +165,15 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Self::Io(e) => Some(e),
-            _ => None,
+            Self::Container(e) => Some(e),
+            Self::FingerprintMismatch { .. } => None,
         }
     }
 }
 
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
+impl From<container::Error> for CheckpointError {
+    fn from(e: container::Error) -> Self {
+        Self::Container(e)
     }
 }
 
@@ -219,10 +206,7 @@ fn put_entries(out: &mut Vec<u8>, entries: &[StateEntry]) {
 /// that saves repeatedly reuses one allocation.
 fn encode_into(ckpt: &TrainCheckpoint, out: &mut Vec<u8>) {
     out.clear();
-    // Length and checksum are fixed-width so they can be patched in once
-    // the payload they describe exists.
-    writeln!(out, "{CKPT_MAGIC} {CKPT_VERSION} {:020} {:016x}", 0, 0).expect("Vec writes");
-    let body = out.len();
+    let head = container::begin(out, CKPT_MAGIC, CKPT_VERSION);
     for v in [
         ckpt.fingerprint,
         ckpt.epoch as u64,
@@ -248,9 +232,7 @@ fn encode_into(ckpt: &TrainCheckpoint, out: &mut Vec<u8>) {
     }
     put_entries(out, &ckpt.model);
     put_entries(out, &ckpt.velocities);
-    let (len, checksum) = (out.len() - body, fnv1a64(&out[body..]));
-    let mut slot = &mut out[body - 38..body - 1];
-    write!(slot, "{len:020} {checksum:016x}").expect("the placeholders' width");
+    container::seal(out, head);
 }
 
 /// Encodes a checkpoint to its on-disk bytes (header line + binary
@@ -266,158 +248,66 @@ pub fn encode(ckpt: &TrainCheckpoint) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Format`] on bad magic, malformed header, length
-/// mismatch (truncation), checksum mismatch (corruption), or an
-/// unparseable payload; [`CheckpointError::Version`] when the header
-/// declares any version other than [`CKPT_VERSION`].
-pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
-    let nl = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| bad("missing header line".into()))?;
-    let header =
-        std::str::from_utf8(&bytes[..nl]).map_err(|_| bad("header is not valid UTF-8".into()))?;
-    // Exactly one space between fields and the checksum compared as
-    // text: no damaged header may parse back to the intended values.
-    let mut fields = header.split(' ');
-    let magic = fields.next().unwrap_or("");
-    if magic != CKPT_MAGIC {
-        return Err(bad(format!("bad magic {magic:?} (want {CKPT_MAGIC:?})")));
-    }
-    let version: u64 = fields
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("header version field is not an integer".into()))?;
-    if version != CKPT_VERSION {
-        return Err(CheckpointError::Version(version));
-    }
-    let declared_len: usize = fields
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("header length field is not an integer".into()))?;
-    let checksum = fields.next().unwrap_or("");
-    if fields.next().is_some() {
-        return Err(bad("trailing header fields".into()));
-    }
-    let payload = &bytes[nl + 1..];
-    if payload.len() != declared_len {
-        return Err(bad(format!(
-            "payload is {} bytes but the header declares {declared_len} (truncated write?)",
-            payload.len()
+/// See `container::read`; [`container::Error::Format`] also for an
+/// unparseable payload or bytes after it.
+pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, container::Error> {
+    let frame = container::read(&mut Cursor::new(bytes), CKPT_MAGIC, CKPT_VERSION)?;
+    if !frame.body.is_empty() {
+        return Err(container::Error::Format(format!(
+            "{} bytes follow the payload",
+            frame.body.end - frame.body.start
         )));
     }
-    let actual = format!("{:016x}", fnv1a64(payload));
-    if actual != checksum {
-        return Err(bad(format!(
-            "payload checksum {actual} does not match header {checksum:?} (corrupt file?)"
-        )));
+    let mut r = Reader::new(&frame.head);
+    let mut ckpt = TrainCheckpoint {
+        fingerprint: r.u64()?,
+        epoch: r.usize()?,
+        step_in_epoch: r.usize()?,
+        steps: r.usize()?,
+        loss_sum: f32::from_bits(r.u32()?),
+        ..TrainCheckpoint::default()
+    };
+    let net_len = r.count(1)?;
+    ckpt.net = std::str::from_utf8(r.take(net_len)?)
+        .map_err(|_| container::Error::Format("net name is not valid UTF-8".into()))?
+        .to_string();
+    for _ in 0..r.count(8)? {
+        ckpt.rng.push(r.u64()?);
     }
-    Reader(payload).checkpoint()
+    for _ in 0..r.count(CURVE_RECORD_BYTES)? {
+        ckpt.curve.push(EpochStats {
+            epoch: r.usize()?,
+            train_loss: f32::from_bits(r.u32()?),
+            val_error_pct: f64::from_bits(r.u64()?),
+            preact_first: f32::from_bits(r.u32()?),
+            preact_last: f32::from_bits(r.u32()?),
+        });
+    }
+    ckpt.model = entries(&mut r)?;
+    ckpt.velocities = entries(&mut r)?;
+    r.finish()?;
+    Ok(ckpt)
 }
 
-fn bad(msg: String) -> CheckpointError {
-    CheckpointError::Format(msg)
-}
-
-/// Cursor over a version-2 payload. Every read is checked against the
-/// bytes that remain, and every count is checked against them *before*
-/// anything is allocated for it, so a hostile length field costs an
-/// error message, not memory.
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if n > self.0.len() {
-            let left = self.0.len();
-            return Err(bad(format!(
-                "payload ends early: {n} bytes wanted, {left} left"
-            )));
+fn entries(r: &mut Reader<'_>) -> Result<Vec<StateEntry>, container::Error> {
+    // Grown by push: an in-memory entry is larger than its smallest
+    // encoding, so even a checked count must not size the vector.
+    let mut entries = Vec::new();
+    for _ in 0..r.count(16)? {
+        let rank = r.count(8)?;
+        let mut shape = Vec::with_capacity(rank);
+        for _ in 0..rank {
+            shape.push(r.usize()?);
         }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
+        let elems = r.count(4)?;
+        let data = r.take(4 * elems)?.chunks_exact(4);
+        let data = data.map(|b| f32::from_le_bytes(b.try_into().expect("chunks of 4")));
+        entries.push(StateEntry {
+            shape,
+            data: data.collect(),
+        });
     }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("took 4"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("took 8"),
-        ))
-    }
-
-    fn usize(&mut self) -> Result<usize, CheckpointError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| bad(format!("value {v} does not fit this platform")))
-    }
-
-    /// A count of items that occupy at least `item_bytes` each: rejected
-    /// unless that many bytes remain.
-    fn count(&mut self, item_bytes: usize) -> Result<usize, CheckpointError> {
-        let (n, left) = (self.u64()?, self.0.len());
-        usize::try_from(n)
-            .ok()
-            .filter(|n| n.checked_mul(item_bytes).is_some_and(|b| b <= left))
-            .ok_or_else(|| bad(format!("count {n} exceeds the {left} payload bytes left")))
-    }
-
-    fn entries(&mut self) -> Result<Vec<StateEntry>, CheckpointError> {
-        // Grown by push: an in-memory entry is larger than its smallest
-        // encoding, so even a checked count must not size the vector.
-        let mut entries = Vec::new();
-        for _ in 0..self.count(16)? {
-            let rank = self.count(8)?;
-            let mut shape = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                shape.push(self.usize()?);
-            }
-            let elems = self.count(4)?;
-            let data = self.take(4 * elems)?.chunks_exact(4);
-            let data = data.map(|b| f32::from_le_bytes(b.try_into().expect("chunks of 4")));
-            entries.push(StateEntry {
-                shape,
-                data: data.collect(),
-            });
-        }
-        Ok(entries)
-    }
-
-    fn checkpoint(mut self) -> Result<TrainCheckpoint, CheckpointError> {
-        let mut ckpt = TrainCheckpoint {
-            fingerprint: self.u64()?,
-            epoch: self.usize()?,
-            step_in_epoch: self.usize()?,
-            steps: self.usize()?,
-            loss_sum: f32::from_bits(self.u32()?),
-            ..TrainCheckpoint::default()
-        };
-        let net_len = self.count(1)?;
-        ckpt.net = std::str::from_utf8(self.take(net_len)?)
-            .map_err(|_| bad("net name is not valid UTF-8".into()))?
-            .to_string();
-        for _ in 0..self.count(8)? {
-            ckpt.rng.push(self.u64()?);
-        }
-        for _ in 0..self.count(CURVE_RECORD_BYTES)? {
-            ckpt.curve.push(EpochStats {
-                epoch: self.usize()?,
-                train_loss: f32::from_bits(self.u32()?),
-                val_error_pct: f64::from_bits(self.u64()?),
-                preact_first: f32::from_bits(self.u32()?),
-                preact_last: f32::from_bits(self.u32()?),
-            });
-        }
-        ckpt.model = self.entries()?;
-        ckpt.velocities = self.entries()?;
-        if !self.0.is_empty() {
-            return Err(bad(format!("{} trailing payload bytes", self.0.len())));
-        }
-        Ok(ckpt)
-    }
+    Ok(entries)
 }
 
 /// File name of checkpoint number `seq` (`ckpt-00000042.mbsckpt`).
@@ -436,7 +326,7 @@ pub fn file_name(seq: usize) -> String {
 ///
 /// # Errors
 ///
-/// Propagates filesystem failures as [`CheckpointError::Io`].
+/// Propagates filesystem failures as [`container::Error::Io`].
 pub fn save(
     dir: &Path,
     seq: usize,
@@ -474,32 +364,19 @@ fn save_with(
         }
         _ => &bytes[..],
     };
-    fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!("{}.tmp", file_name(seq)));
-    let mut f = File::create(&tmp)?;
-    f.write_all(image)?;
-    f.sync_all()?;
-    drop(f);
+    let mut staged = container::Staged::create(&path)?;
+    staged.file.write_all(image).map_err(container::Error::Io)?;
     if fault == Some(Fault::KillMidWrite) {
+        staged.sync()?;
         return Ok(path);
     }
-    fs::rename(&tmp, &path)?;
-    sync_dir(dir);
+    staged.commit()?;
     rotate(dir, keep.max(1))?;
     Ok(path)
 }
 
-/// Fsyncs the directory so a just-renamed file survives a crash. Best
-/// effort: some platforms cannot fsync directories, and losing *this*
-/// sync only risks the rename, never a torn file.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-}
-
 /// Deletes all but the newest `keep` finished checkpoints in `dir`.
-fn rotate(dir: &Path, keep: usize) -> Result<(), CheckpointError> {
+fn rotate(dir: &Path, keep: usize) -> Result<(), container::Error> {
     let mut found = list(dir)?;
     if found.len() > keep {
         let cut = found.len() - keep;
@@ -513,7 +390,7 @@ fn rotate(dir: &Path, keep: usize) -> Result<(), CheckpointError> {
 /// Checkpoint files in `dir` as `(seq, path, torn)`, unsorted: finished
 /// `ckpt-*.mbsckpt` files and (`torn`) the `*.mbsckpt.tmp` leftovers of
 /// saves that died mid-write. A missing directory is an empty list.
-fn scan(dir: &Path) -> Result<Vec<(usize, PathBuf, bool)>, CheckpointError> {
+fn scan(dir: &Path) -> Result<Vec<(usize, PathBuf, bool)>, container::Error> {
     let mut found = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
@@ -541,7 +418,7 @@ fn scan(dir: &Path) -> Result<Vec<(usize, PathBuf, bool)>, CheckpointError> {
 /// Finished checkpoints in `dir` as `(seq, path)`, oldest first. In-flight
 /// `*.tmp` files and unrelated names are ignored; a missing directory is
 /// an empty list.
-pub fn list(dir: &Path) -> Result<Vec<(usize, PathBuf)>, CheckpointError> {
+pub fn list(dir: &Path) -> Result<Vec<(usize, PathBuf)>, container::Error> {
     let mut found: Vec<_> = scan(dir)?
         .into_iter()
         .filter_map(|(seq, path, torn)| (!torn).then_some((seq, path)))
@@ -554,8 +431,8 @@ pub fn list(dir: &Path) -> Result<Vec<(usize, PathBuf)>, CheckpointError> {
 ///
 /// # Errors
 ///
-/// See [`decode`]; I/O failures surface as [`CheckpointError::Io`].
-pub fn load_file(path: &Path) -> Result<TrainCheckpoint, CheckpointError> {
+/// See [`decode`]; I/O failures surface as [`container::Error::Io`].
+pub fn load_file(path: &Path) -> Result<TrainCheckpoint, container::Error> {
     decode(&fs::read(path)?)
 }
 
@@ -602,7 +479,7 @@ impl fmt::Display for LoadReport {
 /// Loads the newest checkpoint in `dir` that matches `fingerprint`.
 ///
 /// Scans newest → oldest. Corrupt or torn files are skipped — recorded in
-/// the returned [`LoadReport`] (and warned on stderr) — so a torn latest
+/// the returned [`LoadReport`], the one place they surface — so a torn latest
 /// checkpoint degrades to the previous good one rather than a panic.
 /// Returns `Ok((None, report))` when the directory holds no loadable
 /// checkpoint — the caller starts cold, with the report saying whether
@@ -629,13 +506,7 @@ pub fn load_latest(
                     net: ckpt.net,
                 })
             }
-            Err(e) => {
-                eprintln!(
-                    "warning: skipping unreadable checkpoint {}: {e}",
-                    path.display()
-                );
-                report.skipped.push((path, e.to_string()));
-            }
+            Err(e) => report.skipped.push((path, e.to_string())),
         }
     }
     Ok((None, report))
@@ -800,7 +671,7 @@ impl CheckpointWriter {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] if `cfg.dir` exists but cannot be listed
+    /// [`container::Error::Io`] if `cfg.dir` exists but cannot be listed
     /// (it is a regular file, say) or the thread cannot be spawned.
     pub fn new(cfg: &CheckpointConfig, plan: Option<FaultPlan>) -> Result<Self, CheckpointError> {
         let mut first_seq = 0;
@@ -827,7 +698,8 @@ impl CheckpointWriter {
                         break;
                     }
                 }
-            })?;
+            })
+            .map_err(container::Error::Io)?;
         Ok(Self {
             jobs: Some(jobs),
             done,
@@ -921,9 +793,9 @@ impl CheckpointWriter {
 }
 
 fn writer_died(how: &str) -> CheckpointError {
-    CheckpointError::Io(std::io::Error::other(format!(
+    CheckpointError::Container(container::Error::Io(std::io::Error::other(format!(
         "checkpoint writer thread {how}"
-    )))
+    ))))
 }
 
 impl Drop for CheckpointWriter {
@@ -999,20 +871,20 @@ mod tests {
         // Truncation: header length no longer matches.
         let torn = &good[..good.len() - 5];
         assert!(
-            matches!(decode(torn), Err(CheckpointError::Format(msg)) if msg.contains("truncated"))
+            matches!(decode(torn), Err(container::Error::Format(msg)) if msg.contains("truncated"))
         );
         // Bit flip in the payload: checksum mismatch.
         let mut flipped = good.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert!(
-            matches!(decode(&flipped), Err(CheckpointError::Format(msg)) if msg.contains("checksum"))
+            matches!(decode(&flipped), Err(container::Error::Format(msg)) if msg.contains("checksum"))
         );
         // Wrong magic.
         let mut magic = good.clone();
         magic[0] = b'X';
         assert!(
-            matches!(decode(&magic), Err(CheckpointError::Format(msg)) if msg.contains("magic"))
+            matches!(decode(&magic), Err(container::Error::Format(msg)) if msg.contains("magic"))
         );
         // Any other version, newer or older, is refused before the length
         // and checksum are even looked at.
@@ -1020,7 +892,7 @@ mod tests {
         for v in [9, 1, 0] {
             bumped[CKPT_MAGIC.len() + 1] = b'0' + v;
             assert!(
-                matches!(decode(&bumped), Err(CheckpointError::Version(found)) if found == v as u64)
+                matches!(decode(&bumped), Err(container::Error::Version(found)) if found == v as u64)
             );
         }
     }

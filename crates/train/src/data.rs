@@ -31,7 +31,8 @@ use rand::{Rng, SeedableRng};
 
 use mbs_tensor::Tensor;
 
-use crate::loader::{self, DiskDataset, LoaderError};
+use crate::container;
+use crate::loader::{self, DiskDataset};
 
 /// Number of texture classes.
 pub const CLASSES: usize = 4;
@@ -63,7 +64,7 @@ impl Dataset {
     /// # Errors
     ///
     /// See [`loader::save_dataset`].
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), LoaderError> {
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), container::Error> {
         loader::save_dataset(self, path)
     }
 
@@ -89,7 +90,7 @@ impl Dataset {
     /// assert_eq!(reloaded.labels, set.labels);
     /// # let _ = std::fs::remove_dir_all(&dir);
     /// ```
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, LoaderError> {
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, container::Error> {
         DiskDataset::open(path)?.load()
     }
 }

@@ -70,6 +70,7 @@
 //! ```
 
 pub mod checkpoint;
+pub mod container;
 pub mod data;
 pub mod executor;
 pub mod grouped;
@@ -87,7 +88,7 @@ pub use checkpoint::{
 };
 pub use executor::{evaluate, train_step_full};
 pub use grouped::GroupedExecutor;
-pub use loader::{generate_to, save_dataset, DiskDataset, LoaderError, LoaderStats, StreamLoader};
+pub use loader::{generate_to, save_dataset, DiskDataset, LoaderStats, StreamLoader};
 pub use lower::{lower, lower_inference, InferenceLowerError, LowerError, LoweredNet};
 pub use module::{CacheStash, Module, Param, StateDict, StateEntry, StateError};
 pub use optim::Sgd;

@@ -12,32 +12,33 @@
 //! recycles, so steady-state streamed training allocates nothing and
 //! (ideally) never waits.
 //!
-//! # On-disk format (`*.mbsds`, version 1)
+//! # On-disk format (`*.mbsds`, version 2)
 //!
-//! One ASCII header line, a JSON chunk index, then the raw chunk bytes —
-//! the same magic/version/length/FNV-1a discipline as the checkpoint
-//! format (see [`crate::checkpoint`]):
+//! A dataset is framed by [`crate::container`] with magic
+//! [`MBSDS_MAGIC`], like a checkpoint: the header line, a binary head
+//! that describes the geometry and checksums every chunk, then the chunks
+//! back to back as the body.
 //!
 //! ```text
-//! MBSDS <version> <n> <c> <h> <w> <chunk-samples> <index-bytes> <index-fnv1a64-hex>\n
-//! {"chunks":[{"samples":...,"bytes":...,"checksum":...},...]}
-//! <chunk 0 bytes><chunk 1 bytes>...
+//! MBSDS 2 <head-bytes> <fnv1a64(head)-hex>\n
+//! head : u64 n · u64 c · u64 h · u64 w · u64 chunk_samples
+//!        ceil(n / chunk_samples) × u64 chunk checksum (FNV-1a 64)
+//! body : chunk 0 · chunk 1 · …
 //! ```
 //!
-//! Every chunk holds `chunk-samples` records (the last may hold fewer);
-//! a record is a little-endian `u32` label followed by `c*h*w`
+//! Every chunk holds `chunk_samples` records (the last may hold fewer), so
+//! chunk `i` starts `i · chunk_samples · record` bytes into the body. A
+//! record is a little-endian `u32` label followed by `c*h*w`
 //! little-endian `f32` values — the exact bit patterns of the in-memory
-//! tensor, so a save → open round trip is bitwise. The header checksums
-//! the index and the index checksums each chunk, so validation is
-//! hierarchical: [`DiskDataset::open`] proves the header and index
-//! (magic → version → geometry → index length → index checksum → total
-//! file length, in that order), and each chunk proves itself when first
-//! read. A truncated or mid-chunk-torn file fails the total-length check
-//! at open; a bit flip inside a chunk fails that chunk's checksum at read
-//! time — either way a structured [`LoaderError`], never a garbage
-//! tensor. Files are written atomically (tmp + fsync + rename +
-//! directory fsync), so a crash mid-save never leaves a torn `*.mbsds`
-//! under the final name.
+//! tensor, so a save → open round trip is bitwise. Validation is
+//! hierarchical: [`DiskDataset::open`] runs the container's checks, then
+//! proves the geometry (every product checked for overflow), the
+//! checksum count and the body length, so a truncated or mid-chunk-torn
+//! file fails at open; each chunk proves itself against its checksum when
+//! first read, so a bit flip inside a chunk fails there — either way a
+//! structured [`container::Error`], never a garbage tensor. Files are
+//! written atomically through `container::Staged`, so a crash mid-save
+//! never leaves a torn `*.mbsds` under the final name.
 //!
 //! # The prefetch loop
 //!
@@ -54,8 +55,7 @@
 //! channel and joins the thread, even mid-epoch, so a training error
 //! never leaks the thread or its buffers.
 
-use std::fmt;
-use std::fs::{self, File};
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,15 +65,17 @@ use std::thread::JoinHandle;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use mbs_core::fnv1a64;
 use mbs_tensor::Tensor;
 
+use crate::container::{self, Error, Reader, Staged};
 use crate::data::{generate_image_into, Dataset};
 
-/// Current dataset format version (the second header field).
-pub const MBSDS_VERSION: u64 = 1;
+/// Dataset format version [`DiskDataset::open`] reads and the writers
+/// write (the second header field).
+pub const MBSDS_VERSION: u64 = 2;
 
 /// Header magic (the first header field).
 pub const MBSDS_MAGIC: &str = "MBSDS";
@@ -94,222 +96,86 @@ pub const DEFAULT_PREFETCH: usize = 2;
 /// bounds both re-reads and resident bytes.
 const CACHE_CHUNKS: usize = 8;
 
-/// Why a dataset file could not be written, opened, or streamed.
-#[derive(Debug)]
-pub enum LoaderError {
-    /// The underlying filesystem operation failed.
-    Io(std::io::Error),
-    /// The file exists but is not a valid dataset (bad magic, malformed
-    /// header, index damage, truncation, geometry that does not add up).
-    Format(String),
-    /// The file has a newer format version than this build understands.
-    Version(u64),
-    /// A chunk's bytes fail their checksum — external damage inside the
-    /// data region. Named so callers can report *which* chunk.
-    ChunkCorrupt {
-        /// Chunk index within the file.
-        chunk: usize,
-        /// What the validation found.
-        reason: String,
-    },
-}
-
-impl fmt::Display for LoaderError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "dataset I/O failed: {e}"),
-            Self::Format(msg) => write!(f, "invalid dataset: {msg}"),
-            Self::Version(v) => write!(
-                f,
-                "dataset format version {v} is newer than this build (max {MBSDS_VERSION})"
-            ),
-            Self::ChunkCorrupt { chunk, reason } => {
-                write!(f, "dataset chunk {chunk} is corrupt: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LoaderError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for LoaderError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
-/// One chunk's entry in the JSON index: how many samples it holds, how
-/// many bytes it spans, and the FNV-1a 64 checksum of those bytes.
-/// Offsets are not stored — chunks are laid out back to back, so chunk
-/// `i` starts at the sum of the previous chunks' byte counts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChunkEntry {
-    /// Records in this chunk.
-    pub samples: usize,
-    /// Bytes this chunk spans (`samples * (4 + 4 * c*h*w)`).
-    pub bytes: usize,
-    /// FNV-1a 64 of the chunk bytes.
-    pub checksum: u64,
-}
-
-/// The JSON payload between the header line and the data region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct ChunkIndex {
-    chunks: Vec<ChunkEntry>,
-}
-
-/// An opened, header-validated `*.mbsds` file: geometry, chunk index,
-/// and positioned reads. Opening proves the header and index; chunk
-/// bytes prove themselves (per-chunk checksum) when first read.
-#[derive(Debug)]
+/// An opened, validated `*.mbsds` file: geometry, chunk checksums, and
+/// positioned reads. Opening proves the header, head and body length;
+/// chunk bytes prove themselves against their checksum when read.
+#[derive(Debug, Clone)]
 pub struct DiskDataset {
     path: PathBuf,
     /// `[n, c, h, w]` of the stored image tensor.
     shape: [usize; 4],
     chunk_samples: usize,
-    data_start: u64,
-    chunks: Vec<ChunkEntry>,
+    /// Bytes per record: the `u32` label and `c*h*w` `f32`s.
+    record: usize,
+    /// File offset of chunk 0.
+    body_start: u64,
+    /// FNV-1a 64 of each chunk's bytes.
+    checksums: Vec<u64>,
+}
+
+/// `(record bytes, body bytes)` of `shape`'s samples, or a format error
+/// naming the geometry if a sample is empty or either product overflows:
+/// the one geometry check, for the writers and [`DiskDataset::open`].
+fn sizes(shape: [usize; 4]) -> Result<(usize, usize), Error> {
+    let [n, c, h, w] = shape;
+    if shape[1..].contains(&0) {
+        return Err(Error::Format(format!("degenerate geometry {shape:?}")));
+    }
+    c.checked_mul(h)
+        .and_then(|hw| hw.checked_mul(w)?.checked_mul(4)?.checked_add(4))
+        .and_then(|record| Some((record, record.checked_mul(n)?)))
+        .ok_or_else(|| Error::Format(format!("geometry {shape:?} overflows the address space")))
 }
 
 impl DiskDataset {
-    /// Opens and validates `path`: magic → version → geometry → index
-    /// length → index checksum → total file length, in that order. Chunk
-    /// contents are *not* read here — each chunk validates on first read,
-    /// so opening a terabyte dataset is O(index).
+    /// Opens and validates `path`: the container's magic → version → head
+    /// length → head checksum, then geometry → checksum count → body
+    /// length, in that order. Chunk contents are *not* read here — each
+    /// chunk validates on first read, so opening a terabyte dataset costs
+    /// its head.
     ///
     /// # Errors
     ///
-    /// [`LoaderError::Format`] for damage (named check), a structured
-    /// [`LoaderError::Version`] for future versions, [`LoaderError::Io`]
-    /// for filesystem failures.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, LoaderError> {
+    /// [`Error::Format`] for damage (named check), [`Error::Version`] for
+    /// any other format version, [`Error::Io`] for filesystem failures.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, Error> {
         let path = path.as_ref();
-        let bad = |msg: String| LoaderError::Format(msg);
-        let mut file = File::open(path)?;
-
-        // Header line: bounded read so a binary blob cannot make us scan
-        // gigabytes for a newline.
-        let mut head = [0u8; 256];
-        let got = read_up_to(&mut file, &mut head)?;
-        let nl = head[..got]
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| bad("missing header line".into()))?;
-        let header = std::str::from_utf8(&head[..nl])
-            .map_err(|_| bad("header is not valid UTF-8".into()))?;
-        let mut fields = header.split_ascii_whitespace();
-        let magic = fields.next().unwrap_or("");
-        if magic != MBSDS_MAGIC {
-            return Err(bad(format!("bad magic {magic:?} (want {MBSDS_MAGIC:?})")));
+        let frame = container::read(&mut File::open(path)?, MBSDS_MAGIC, MBSDS_VERSION)?;
+        let mut head = Reader::new(&frame.head);
+        let shape = [head.usize()?, head.usize()?, head.usize()?, head.usize()?];
+        let chunk_samples = head.usize()?;
+        if chunk_samples == 0 {
+            return Err(Error::Format("chunks of 0 samples".into()));
         }
-        let version: u64 = fields
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("header version field is not an integer".into()))?;
-        if version > MBSDS_VERSION {
-            return Err(LoaderError::Version(version));
-        }
-        let mut int = |name: &str| -> Result<usize, LoaderError> {
-            fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad(format!("header {name} field is not an integer")))
-        };
-        let (n, c, h, w) = (int("n")?, int("c")?, int("h")?, int("w")?);
-        let chunk_samples = int("chunk-samples")?;
-        let index_len = int("index-bytes")?;
-        let index_checksum = fields
-            .next()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| bad("header checksum field is not hex".into()))?;
-        if fields.next().is_some() {
-            return Err(bad("trailing header fields".into()));
-        }
-        if c == 0 || h == 0 || w == 0 || chunk_samples == 0 {
-            return Err(bad(format!(
-                "degenerate geometry [{n}, {c}, {h}, {w}] / chunk {chunk_samples}"
+        let (record, body) = sizes(shape)?;
+        // `8 * chunks <= 8 * n <= n * record`, which `sizes` proved fits.
+        let chunks = shape[0].div_ceil(chunk_samples);
+        let table = head.rest();
+        if table.len() != 8 * chunks {
+            return Err(Error::Format(format!(
+                "head holds {} checksum bytes but {chunks} chunks need {}",
+                table.len(),
+                8 * chunks
             )));
         }
-
-        // Index: declared length, then checksum, then JSON.
-        let mut index_bytes = vec![0u8; index_len];
-        file.seek(SeekFrom::Start(nl as u64 + 1))?;
-        file.read_exact(&mut index_bytes).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                bad("file ends inside the chunk index (truncated write?)".into())
-            } else {
-                LoaderError::Io(e)
-            }
-        })?;
-        let actual = fnv1a64(&index_bytes);
-        if actual != index_checksum {
-            return Err(bad(format!(
-                "index checksum {actual:016x} does not match header {index_checksum:016x} \
-                 (corrupt file?)"
-            )));
-        }
-        let index_text = std::str::from_utf8(&index_bytes)
-            .map_err(|_| bad("chunk index is not valid UTF-8".into()))?;
-        let index: ChunkIndex = serde_json::from_str(index_text)
-            .map_err(|e| bad(format!("chunk index does not parse: {e}")))?;
-
-        // Geometry must add up: per-chunk sample counts against `n` and
-        // `chunk_samples`, per-chunk byte counts against the record size,
-        // and the summed data region against the actual file length (the
-        // mid-chunk-torn-write check).
-        let row = c * h * w;
-        let record = 4 + 4 * row;
-        let mut samples = 0usize;
-        let mut data_bytes = 0u64;
-        for (i, chunk) in index.chunks.iter().enumerate() {
-            let expect = if i + 1 < index.chunks.len() {
-                chunk_samples
-            } else {
-                chunk.samples // the tail chunk may be short
-            };
-            if chunk.samples == 0 || chunk.samples != expect || chunk.samples > chunk_samples {
-                return Err(bad(format!(
-                    "chunk {i} holds {} samples (want {expect}, nominal {chunk_samples})",
-                    chunk.samples
-                )));
-            }
-            if chunk.bytes != chunk.samples * record {
-                return Err(bad(format!(
-                    "chunk {i} declares {} bytes for {} samples of {record} bytes",
-                    chunk.bytes, chunk.samples
-                )));
-            }
-            samples += chunk.samples;
-            data_bytes += chunk.bytes as u64;
-        }
-        if samples != n {
-            return Err(bad(format!(
-                "chunks hold {samples} samples but the header declares {n}"
-            )));
-        }
-        let data_start = nl as u64 + 1 + index_len as u64;
-        let file_len = file.metadata()?.len();
-        if file_len != data_start + data_bytes {
-            return Err(bad(format!(
-                "file is {file_len} bytes but header + index + chunks need {} \
+        let found = frame.body.end - frame.body.start;
+        if found != body as u64 {
+            return Err(Error::Format(format!(
+                "body is {found} bytes but {} records of {record} bytes need {body} \
                  (truncated or torn mid-chunk?)",
-                data_start + data_bytes
+                shape[0]
             )));
         }
-
         Ok(Self {
             path: path.to_path_buf(),
-            shape: [n, c, h, w],
+            shape,
             chunk_samples,
-            data_start,
-            chunks: index.chunks,
+            record,
+            body_start: frame.body.start,
+            checksums: table
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("chunks of 8")))
+                .collect(),
         })
     }
 
@@ -340,7 +206,7 @@ impl DiskDataset {
 
     /// Number of chunks in the file.
     pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
+        self.checksums.len()
     }
 
     /// Path this dataset was opened from.
@@ -348,31 +214,25 @@ impl DiskDataset {
         &self.path
     }
 
-    /// Byte offset of chunk `i`'s first byte within the file.
-    fn chunk_offset(&self, i: usize) -> u64 {
-        self.data_start + self.chunks[..i].iter().map(|c| c.bytes as u64).sum::<u64>()
+    /// Records in chunk `i` (the last may be short).
+    fn chunk_len(&self, i: usize) -> usize {
+        self.chunk_samples.min(self.len() - i * self.chunk_samples)
     }
 
-    /// Reads and checksum-validates chunk `i` into `buf` (resized to the
-    /// chunk's byte count) through the given file handle.
-    fn read_chunk_into(
-        &self,
-        file: &mut File,
-        i: usize,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), LoaderError> {
-        let entry = &self.chunks[i];
-        buf.resize(entry.bytes, 0);
-        file.seek(SeekFrom::Start(self.chunk_offset(i)))?;
+    /// Reads chunk `i` into `buf` (resized to the chunk's bytes) through
+    /// `file` and verifies its checksum: the one chunk read, behind both
+    /// [`read_prefix`](DiskDataset::read_prefix) and the loader thread.
+    fn read_chunk(&self, file: &mut File, i: usize, buf: &mut Vec<u8>) -> Result<(), Error> {
+        let want = self.checksums[i];
+        buf.resize(self.chunk_len(i) * self.record, 0);
+        let offset = i * self.chunk_samples * self.record;
+        file.seek(SeekFrom::Start(self.body_start + offset as u64))?;
         file.read_exact(buf)?;
         let actual = fnv1a64(buf);
-        if actual != entry.checksum {
-            return Err(LoaderError::ChunkCorrupt {
+        if actual != want {
+            return Err(Error::Corrupt {
                 chunk: i,
-                reason: format!(
-                    "checksum {actual:016x} does not match index {:016x}",
-                    entry.checksum
-                ),
+                reason: format!("checksum {actual:016x} does not match the head's {want:016x}"),
             });
         }
         Ok(())
@@ -384,8 +244,8 @@ impl DiskDataset {
     ///
     /// # Errors
     ///
-    /// [`LoaderError::ChunkCorrupt`] naming the first damaged chunk;
-    /// [`LoaderError::Io`] for filesystem failures.
+    /// [`Error::Corrupt`] naming the first damaged chunk;
+    /// [`Error::Io`] for filesystem failures.
     ///
     /// # Examples
     ///
@@ -402,7 +262,7 @@ impl DiskDataset {
     /// assert_eq!(reloaded.labels, set.labels);
     /// # let _ = std::fs::remove_dir_all(&dir);
     /// ```
-    pub fn load(&self) -> Result<Dataset, LoaderError> {
+    pub fn load(&self) -> Result<Dataset, Error> {
         let (tensor, labels) = self.read_prefix(self.len())?;
         Ok(Dataset {
             images: tensor,
@@ -418,7 +278,7 @@ impl DiskDataset {
     /// # Errors
     ///
     /// Same as [`DiskDataset::load`].
-    pub fn read_prefix(&self, k: usize) -> Result<(Tensor, Vec<usize>), LoaderError> {
+    pub fn read_prefix(&self, k: usize) -> Result<(Tensor, Vec<usize>), Error> {
         let k = k.min(self.len());
         let [_, c, h, w] = self.shape;
         let row = self.row_elems();
@@ -427,17 +287,17 @@ impl DiskDataset {
         let mut labels = Vec::with_capacity(k);
         let mut chunk_buf = Vec::new();
         let mut done = 0usize;
-        for (i, entry) in self.chunks.iter().enumerate() {
+        for i in 0..self.num_chunks() {
             if done >= k {
                 break;
             }
-            self.read_chunk_into(&mut file, i, &mut chunk_buf)?;
-            let take = entry.samples.min(k - done);
+            self.read_chunk(&mut file, i, &mut chunk_buf)?;
+            let take = self.chunk_len(i).min(k - done);
             for s in 0..take {
-                let rec = s * (4 + 4 * row);
+                let rec = s * self.record;
                 labels.push(decode_label(&chunk_buf[rec..rec + 4]));
                 decode_row(
-                    &chunk_buf[rec + 4..rec + 4 + 4 * row],
+                    &chunk_buf[rec + 4..rec + self.record],
                     &mut tensor.data_mut()[(done + s) * row..(done + s + 1) * row],
                 );
             }
@@ -445,20 +305,6 @@ impl DiskDataset {
         }
         Ok((tensor, labels))
     }
-}
-
-/// Reads as many bytes as the reader will give into `buf`, stopping at
-/// EOF (unlike `read_exact`, short files are not an error here — the
-/// header parser decides what "too short" means).
-fn read_up_to(file: &mut File, buf: &mut [u8]) -> Result<usize, std::io::Error> {
-    let mut got = 0;
-    while got < buf.len() {
-        match file.read(&mut buf[got..])? {
-            0 => break,
-            k => got += k,
-        }
-    }
-    Ok(got)
 }
 
 fn decode_label(bytes: &[u8]) -> usize {
@@ -479,91 +325,43 @@ fn encode_record(label: usize, row: &[f32], out: &mut Vec<u8>) {
     }
 }
 
-/// Streams already-encoded chunks into a side `.data` temp file while
-/// accumulating the index, then assembles the final file (header, then
-/// index, then a data copy) atomically. Writers never hold more than
-/// one chunk in memory, so generating a dataset far larger than RAM is
+/// Writes the `n = shape[0]` records of a `shape` dataset as an atomic
+/// `*.mbsds` file in chunks of `chunk_samples`, `record(i, out)`
+/// appending sample `i`'s encoding. The head is reserved first; the
+/// chunks stream into the one staged file while their checksums fill the
+/// head in memory; then the head is patched and the file committed. One
+/// chunk is in memory at a time, so a dataset far larger than RAM is
 /// fine.
-struct ChunkWriter {
-    dir: PathBuf,
-    final_path: PathBuf,
-    data_tmp: PathBuf,
-    data: File,
-    chunks: Vec<ChunkEntry>,
+fn write_chunked(
+    path: &Path,
     shape: [usize; 4],
     chunk_samples: usize,
-}
-
-impl ChunkWriter {
-    fn new(path: &Path, shape: [usize; 4], chunk_samples: usize) -> Result<Self, LoaderError> {
-        let dir = path
-            .parent()
-            .unwrap_or_else(|| Path::new("."))
-            .to_path_buf();
-        fs::create_dir_all(&dir)?;
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| LoaderError::Format("dataset path has no file name".into()))?;
-        let data_tmp = dir.join(format!("{name}.tmp.data"));
-        let data = File::create(&data_tmp)?;
-        Ok(Self {
-            dir,
-            final_path: path.to_path_buf(),
-            data_tmp,
-            data,
-            chunks: Vec::new(),
-            shape,
-            chunk_samples,
-        })
+    mut record: impl FnMut(usize, &mut Vec<u8>),
+) -> Result<(), Error> {
+    let (record_bytes, _) = sizes(shape)?;
+    let n = shape[0];
+    let mut head = Vec::new();
+    let start = container::begin(&mut head, MBSDS_MAGIC, MBSDS_VERSION);
+    for v in shape.into_iter().chain([chunk_samples]) {
+        head.extend_from_slice(&(v as u64).to_le_bytes());
     }
-
-    fn push_chunk(&mut self, samples: usize, bytes: &[u8]) -> Result<(), LoaderError> {
-        self.data.write_all(bytes)?;
-        self.chunks.push(ChunkEntry {
-            samples,
-            bytes: bytes.len(),
-            checksum: fnv1a64(bytes),
-        });
-        Ok(())
-    }
-
-    /// Writes header + index, appends the staged data, fsyncs, renames
-    /// over the final name, and fsyncs the directory — the checkpoint
-    /// module's durability protocol, applied to datasets.
-    fn finish(mut self) -> Result<(), LoaderError> {
-        self.data.sync_all()?;
-        let index = serde_json::to_string(&ChunkIndex {
-            chunks: std::mem::take(&mut self.chunks),
-        })
-        .expect("chunk index always serializes");
-        let [n, c, h, w] = self.shape;
-        let header = format!(
-            "{MBSDS_MAGIC} {MBSDS_VERSION} {n} {c} {h} {w} {} {} {:016x}\n",
-            self.chunk_samples,
-            index.len(),
-            fnv1a64(index.as_bytes())
-        );
-        let name = self
-            .final_path
-            .file_name()
-            .and_then(|f| f.to_str())
-            .expect("validated in new");
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        let mut out = File::create(&tmp)?;
-        out.write_all(header.as_bytes())?;
-        out.write_all(index.as_bytes())?;
-        let mut staged = File::open(&self.data_tmp)?;
-        std::io::copy(&mut staged, &mut out)?;
-        out.sync_all()?;
-        drop(out);
-        fs::rename(&tmp, &self.final_path)?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all(); // best effort, like checkpoint::sync_dir
+    let table = head.len();
+    head.resize(table + 8 * n.div_ceil(chunk_samples), 0);
+    let mut staged = Staged::create(path)?;
+    staged.file.write_all(&head)?;
+    let mut bytes = Vec::with_capacity(chunk_samples.min(n) * record_bytes);
+    for (chunk, first) in (0..n).step_by(chunk_samples).enumerate() {
+        bytes.clear();
+        for i in first..n.min(first + chunk_samples) {
+            record(i, &mut bytes);
         }
-        let _ = fs::remove_file(&self.data_tmp);
-        Ok(())
+        staged.file.write_all(&bytes)?;
+        head[table + 8 * chunk..][..8].copy_from_slice(&fnv1a64(&bytes).to_le_bytes());
     }
+    container::seal(&mut head, start);
+    staged.file.rewind()?;
+    staged.file.write_all(&head)?;
+    staged.commit()
 }
 
 /// Saves an in-memory [`Dataset`] as `path` in chunks of
@@ -572,7 +370,7 @@ impl ChunkWriter {
 /// # Errors
 ///
 /// Same as [`save_dataset_chunked`].
-pub fn save_dataset(set: &Dataset, path: impl AsRef<Path>) -> Result<(), LoaderError> {
+pub fn save_dataset(set: &Dataset, path: impl AsRef<Path>) -> Result<(), Error> {
     save_dataset_chunked(set, path, DEFAULT_CHUNK_SAMPLES)
 }
 
@@ -583,46 +381,31 @@ pub fn save_dataset(set: &Dataset, path: impl AsRef<Path>) -> Result<(), LoaderE
 ///
 /// # Errors
 ///
-/// [`LoaderError::Format`] when the image tensor is not 4-D `[n,c,h,w]`
-/// or the label count disagrees with it; [`LoaderError::Io`] for
-/// filesystem failures.
+/// [`Error::Format`] when the image tensor is not 4-D `[n,c,h,w]` or the
+/// label count disagrees with it; [`Error::Io`] for filesystem failures.
 pub fn save_dataset_chunked(
     set: &Dataset,
     path: impl AsRef<Path>,
     chunk_samples: usize,
-) -> Result<(), LoaderError> {
-    let shape = set.images.shape();
-    if shape.len() != 4 {
-        return Err(LoaderError::Format(format!(
-            "dataset images must be [n, c, h, w], got {shape:?}"
-        )));
-    }
-    let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
-    if set.labels.len() != n {
-        return Err(LoaderError::Format(format!(
-            "{n} images but {} labels",
+) -> Result<(), Error> {
+    let shape: [usize; 4] = set.images.shape().try_into().map_err(|_| {
+        Error::Format(format!(
+            "dataset images must be [n, c, h, w], got {:?}",
+            set.images.shape()
+        ))
+    })?;
+    if set.labels.len() != shape[0] {
+        return Err(Error::Format(format!(
+            "{} images but {} labels",
+            shape[0],
             set.labels.len()
         )));
     }
-    let chunk_samples = chunk_samples.max(1);
-    let row = c * h * w;
-    let mut writer = ChunkWriter::new(path.as_ref(), [n, c, h, w], chunk_samples)?;
-    let mut bytes = Vec::with_capacity(chunk_samples * (4 + 4 * row));
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + chunk_samples).min(n);
-        bytes.clear();
-        for i in start..end {
-            encode_record(
-                set.labels[i],
-                &set.images.data()[i * row..(i + 1) * row],
-                &mut bytes,
-            );
-        }
-        writer.push_chunk(end - start, &bytes)?;
-        start = end;
-    }
-    writer.finish()
+    let row = shape[1] * shape[2] * shape[3];
+    let images = set.images.data();
+    write_chunked(path.as_ref(), shape, chunk_samples.max(1), |i, out| {
+        encode_record(set.labels[i], &images[i * row..(i + 1) * row], out);
+    })
 }
 
 /// Generates `n` synthetic-ImageNet samples of `size × size` straight to
@@ -638,7 +421,7 @@ pub fn generate_to(
     size: usize,
     noise: f32,
     seed: u64,
-) -> Result<DiskDataset, LoaderError> {
+) -> Result<DiskDataset, Error> {
     generate_to_chunked(path, n, size, noise, seed, DEFAULT_CHUNK_SAMPLES)
 }
 
@@ -653,7 +436,8 @@ pub fn generate_to(
 ///
 /// # Errors
 ///
-/// [`LoaderError::Io`] for filesystem failures.
+/// [`Error::Format`] when the geometry overflows; [`Error::Io`] for
+/// filesystem failures.
 ///
 /// # Examples
 ///
@@ -673,25 +457,15 @@ pub fn generate_to_chunked(
     noise: f32,
     seed: u64,
     chunk_samples: usize,
-) -> Result<DiskDataset, LoaderError> {
-    let chunk_samples = chunk_samples.max(1);
-    let row = 3 * size * size;
+) -> Result<DiskDataset, Error> {
+    let shape = [n, 3, size, size];
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut writer = ChunkWriter::new(path.as_ref(), [n, 3, size, size], chunk_samples)?;
-    let mut image = vec![0.0f32; row];
-    let mut bytes = Vec::with_capacity(chunk_samples * (4 + 4 * row));
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + chunk_samples).min(n);
-        bytes.clear();
-        for _ in start..end {
-            let class = generate_image_into(&mut rng, size, noise, &mut image);
-            encode_record(class, &image, &mut bytes);
-        }
-        writer.push_chunk(end - start, &bytes)?;
-        start = end;
-    }
-    writer.finish()?;
+    let (record, _) = sizes(shape)?;
+    let mut image = vec![0.0f32; (record - 4) / 4];
+    write_chunked(path.as_ref(), shape, chunk_samples.max(1), |_, out| {
+        let class = generate_image_into(&mut rng, size, noise, &mut image);
+        encode_record(class, &image, out);
+    })?;
     DiskDataset::open(path)
 }
 
@@ -771,7 +545,7 @@ pub struct LoaderStats {
 #[derive(Debug)]
 pub struct StreamLoader {
     plan_tx: Option<Sender<EpochPlan>>,
-    batch_rx: Option<Receiver<Result<Batch, LoaderError>>>,
+    batch_rx: Option<Receiver<Result<Batch, Error>>>,
     recycle_tx: Option<Sender<Batch>>,
     handle: Option<JoinHandle<()>>,
     counters: Arc<SharedCounters>,
@@ -785,16 +559,11 @@ impl StreamLoader {
     ///
     /// # Errors
     ///
-    /// [`LoaderError::Io`] if the dataset file cannot be reopened.
-    pub fn new(ds: &DiskDataset, prefetch: usize) -> Result<Self, LoaderError> {
+    /// [`Error::Io`] if the dataset file cannot be reopened.
+    pub fn new(ds: &DiskDataset, prefetch: usize) -> Result<Self, Error> {
         let prefetch = prefetch.max(1);
         let file = File::open(ds.path())?;
-        let meta = ThreadMeta {
-            shape: ds.shape,
-            chunk_samples: ds.chunk_samples,
-            data_start: ds.data_start,
-            chunks: ds.chunks.clone(),
-        };
+        let ds = ds.clone();
         let (plan_tx, plan_rx) = std::sync::mpsc::channel::<EpochPlan>();
         let (batch_tx, batch_rx) = std::sync::mpsc::sync_channel(prefetch);
         let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<Batch>();
@@ -806,7 +575,7 @@ impl StreamLoader {
             .spawn(move || {
                 prefetch_thread(
                     file,
-                    meta,
+                    ds,
                     plan_rx,
                     batch_tx,
                     recycle_rx,
@@ -814,7 +583,7 @@ impl StreamLoader {
                     max_bufs,
                 )
             })
-            .map_err(LoaderError::Io)?;
+            .map_err(Error::Io)?;
         Ok(Self {
             plan_tx: Some(plan_tx),
             batch_rx: Some(batch_rx),
@@ -846,13 +615,13 @@ impl StreamLoader {
     ///
     /// # Errors
     ///
-    /// A structured [`LoaderError`] when the background thread hit one
+    /// A structured [`Error`] when the background thread hit one
     /// (chunk corruption, I/O failure) — the thread then discards the
     /// rest of the epoch and waits for the next plan — or
-    /// [`LoaderError::Format`] if the thread is gone entirely.
+    /// [`Error::Format`] if the thread is gone entirely.
     ///
     /// [`begin_epoch`]: StreamLoader::begin_epoch
-    pub fn next_batch(&mut self) -> Result<Batch, LoaderError> {
+    pub fn next_batch(&mut self) -> Result<Batch, Error> {
         let rx = self
             .batch_rx
             .as_ref()
@@ -862,11 +631,9 @@ impl StreamLoader {
             Err(TryRecvError::Empty) => {
                 self.stalls += 1;
                 rx.recv()
-                    .map_err(|_| LoaderError::Format("loader thread exited".into()))?
+                    .map_err(|_| Error::Format("loader thread exited".into()))?
             }
-            Err(TryRecvError::Disconnected) => {
-                Err(LoaderError::Format("loader thread exited".into()))
-            }
+            Err(TryRecvError::Disconnected) => Err(Error::Format("loader thread exited".into())),
         }
     }
 
@@ -915,25 +682,6 @@ impl Drop for StreamLoader {
     }
 }
 
-/// What the background thread needs from the [`DiskDataset`] (owned, so
-/// the loader is not borrow-tied to it).
-struct ThreadMeta {
-    shape: [usize; 4],
-    chunk_samples: usize,
-    data_start: u64,
-    chunks: Vec<ChunkEntry>,
-}
-
-impl ThreadMeta {
-    fn row_elems(&self) -> usize {
-        self.shape[1] * self.shape[2] * self.shape[3]
-    }
-
-    fn chunk_offset(&self, i: usize) -> u64 {
-        self.data_start + self.chunks[..i].iter().map(|c| c.bytes as u64).sum::<u64>()
-    }
-}
-
 /// A small LRU of decoded chunks, keyed by chunk index. Shuffled batch
 /// assembly hops between chunks; keeping the last few resident bounds
 /// re-reads without pinning the whole file.
@@ -957,10 +705,10 @@ impl ChunkCache {
     fn get(
         &mut self,
         file: &mut File,
-        meta: &ThreadMeta,
+        ds: &DiskDataset,
         chunk: usize,
         counters: &SharedCounters,
-    ) -> Result<&[u8], LoaderError> {
+    ) -> Result<&[u8], Error> {
         self.tick += 1;
         if let Some(pos) = self.slots.iter().position(|(c, _, _)| *c == chunk) {
             self.slots[pos].1 = self.tick;
@@ -981,29 +729,18 @@ impl ChunkCache {
             self.slots[evict].1 = self.tick;
             evict
         };
-        let entry = &meta.chunks[chunk];
-        let buf = &mut self.slots[slot].2;
-        buf.resize(entry.bytes, 0);
-        file.seek(SeekFrom::Start(meta.chunk_offset(chunk)))?;
-        file.read_exact(buf)?;
-        counters
-            .bytes_read
-            .fetch_add(entry.bytes as u64, Ordering::Relaxed);
-        counters.chunk_loads.fetch_add(1, Ordering::Relaxed);
-        let actual = fnv1a64(buf);
-        if actual != entry.checksum {
+        let (id, _, buf) = &mut self.slots[slot];
+        if let Err(e) = ds.read_chunk(file, chunk, buf) {
             // Poison the slot so a retry re-reads instead of serving the
             // damaged bytes from cache.
-            self.slots[slot].0 = usize::MAX;
-            return Err(LoaderError::ChunkCorrupt {
-                chunk,
-                reason: format!(
-                    "checksum {actual:016x} does not match index {:016x}",
-                    entry.checksum
-                ),
-            });
+            *id = usize::MAX;
+            return Err(e);
         }
-        Ok(&self.slots[slot].2)
+        counters
+            .bytes_read
+            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        counters.chunk_loads.fetch_add(1, Ordering::Relaxed);
+        Ok(buf.as_slice())
     }
 }
 
@@ -1013,14 +750,14 @@ impl ChunkCache {
 /// that epoch, then waits for the next plan.
 fn prefetch_thread(
     mut file: File,
-    meta: ThreadMeta,
+    ds: DiskDataset,
     plans: Receiver<EpochPlan>,
-    batches: SyncSender<Result<Batch, LoaderError>>,
+    batches: SyncSender<Result<Batch, Error>>,
     recycle: Receiver<Batch>,
     counters: Arc<SharedCounters>,
     max_bufs: usize,
 ) {
-    let mut cache = ChunkCache::new(CACHE_CHUNKS.min(meta.chunks.len().max(1)));
+    let mut cache = ChunkCache::new(CACHE_CHUNKS.min(ds.num_chunks().max(1)));
     let mut created = 0usize;
     while let Ok(plan) = plans.recv() {
         let n = plan.order.len();
@@ -1047,7 +784,7 @@ fn prefetch_thread(
             let filled = fill_batch(
                 &mut buf,
                 &plan.order[start..end],
-                &meta,
+                &ds,
                 &mut file,
                 &mut cache,
                 &counters,
@@ -1076,13 +813,13 @@ fn prefetch_thread(
 fn fill_batch(
     buf: &mut Batch,
     idxs: &[usize],
-    meta: &ThreadMeta,
+    ds: &DiskDataset,
     file: &mut File,
     cache: &mut ChunkCache,
     counters: &SharedCounters,
-) -> Result<(), LoaderError> {
-    let [_, c, h, w] = meta.shape;
-    let row = meta.row_elems();
+) -> Result<(), Error> {
+    let [_, c, h, w] = ds.shape;
+    let row = ds.row_elems();
     let shape = [idxs.len(), c, h, w];
     if buf.images.shape() != shape {
         // Dropping the old tensor recycles its storage into the arena;
@@ -1093,13 +830,13 @@ fn fill_batch(
     buf.labels.clear();
     let data = buf.images.data_mut();
     for (i, &idx) in idxs.iter().enumerate() {
-        let chunk = idx / meta.chunk_samples;
-        let within = idx % meta.chunk_samples;
-        let bytes = cache.get(file, meta, chunk, counters)?;
-        let rec = within * (4 + 4 * row);
+        let chunk = idx / ds.chunk_samples;
+        let within = idx % ds.chunk_samples;
+        let bytes = cache.get(file, ds, chunk, counters)?;
+        let rec = within * ds.record;
         buf.labels.push(decode_label(&bytes[rec..rec + 4]));
         decode_row(
-            &bytes[rec + 4..rec + 4 + 4 * row],
+            &bytes[rec + 4..rec + ds.record],
             &mut data[i * row..(i + 1) * row],
         );
     }
@@ -1108,6 +845,8 @@ fn fill_batch(
 
 #[cfg(test)]
 mod tests {
+    use std::fs;
+
     use super::*;
     use crate::data::generate;
 
@@ -1246,7 +985,11 @@ mod tests {
         let mut set = generate(4, 4, 0.2, 11);
         set.labels.pop();
         let err = save_dataset_chunked(&set, &path, 2).unwrap_err();
-        assert!(matches!(err, LoaderError::Format(msg) if msg.contains("labels")));
+        assert!(matches!(err, Error::Format(msg) if msg.contains("labels")));
+        // Empty samples are refused before any file is written.
+        let err = generate_to_chunked(&path, 4, 0, 0.2, 11, 2).unwrap_err();
+        assert!(matches!(err, Error::Format(msg) if msg.contains("degenerate")));
+        assert!(!path.exists() && !dir.join("set.mbsds.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -19,10 +19,11 @@ use mbs_core::Schedule;
 use crate::checkpoint::{
     self, CheckpointConfig, CheckpointError, CheckpointWriter, FaultPlan, TrainCheckpoint,
 };
+use crate::container;
 use crate::data::Dataset;
 use crate::executor::evaluate;
 use crate::grouped::GroupedExecutor;
-use crate::loader::{self, DiskDataset, LoaderError, LoaderStats, StreamLoader};
+use crate::loader::{self, DiskDataset, LoaderStats, StreamLoader};
 use crate::lower::{lower, LowerError, LoweredNet};
 use crate::module::{slice_batch, Module, StateDict, StateError};
 use crate::optim::{step_lr, Sgd};
@@ -164,8 +165,8 @@ pub enum TrainError {
     /// Saving or loading a checkpoint failed.
     Checkpoint(CheckpointError),
     /// Opening or streaming the on-disk training set failed (bad file,
-    /// chunk corruption, I/O error). See [`LoaderError`].
-    Loader(LoaderError),
+    /// chunk corruption, I/O error).
+    Loader(container::Error),
     /// A resumed checkpoint's state did not fit the lowered model —
     /// format drift the fingerprint could not catch.
     State(StateError),
@@ -253,8 +254,8 @@ impl From<StateError> for TrainError {
     }
 }
 
-impl From<LoaderError> for TrainError {
-    fn from(e: LoaderError) -> Self {
+impl From<container::Error> for TrainError {
+    fn from(e: container::Error) -> Self {
         Self::Loader(e)
     }
 }
@@ -710,9 +711,8 @@ fn restore(
     let mut vdict = StateDict::from_entries(loaded.velocities.clone());
     opt.import_state(&mut vdict)?;
     let words: [u64; 4] = loaded.rng.as_slice().try_into().map_err(|_| {
-        TrainError::Checkpoint(CheckpointError::Format(format!(
-            "RNG state has {} words (want 4)",
-            loaded.rng.len()
+        TrainError::Checkpoint(CheckpointError::Container(container::Error::Format(
+            format!("RNG state has {} words (want 4)", loaded.rng.len()),
         )))
     })?;
     *rng = StdRng::from_state(words);

@@ -13,7 +13,7 @@ use mbs_core::{ExecConfig, HardwareConfig, MbsScheduler, Schedule};
 use mbs_train::checkpoint::{self, CheckpointWriter};
 use mbs_train::data::{generate, Dataset};
 use mbs_train::training::{train_grouped, TrainConfig, TrainError};
-use mbs_train::{CheckpointConfig, CheckpointError, Fault, FaultPlan};
+use mbs_train::{container, CheckpointConfig, CheckpointError, Fault, FaultPlan};
 
 struct Case {
     name: &'static str,
@@ -347,7 +347,10 @@ fn unwritable_checkpoint_dir_is_an_io_error() {
     )
     .expect_err("a file cannot hold checkpoints");
     assert!(
-        matches!(err, TrainError::Checkpoint(CheckpointError::Io(_))),
+        matches!(
+            err,
+            TrainError::Checkpoint(CheckpointError::Container(container::Error::Io(_)))
+        ),
         "{err}"
     );
 
@@ -360,12 +363,18 @@ fn unwritable_checkpoint_dir_is_an_io_error() {
     // This save fails behind the caller; the submit itself still returns.
     writer.submit(|c| c.epoch = 2).unwrap();
     let err = writer.submit(|c| c.epoch = 3).expect_err("surfaces here");
-    assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+    assert!(
+        matches!(err, CheckpointError::Container(container::Error::Io(_))),
+        "{err}"
+    );
     // The failed save handed its buffer back, so the writer is still
     // usable — and still failing, now reported by `finish`.
     writer.submit(|c| c.epoch = 4).unwrap();
     let err = writer.finish().expect_err("and here");
-    assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+    assert!(
+        matches!(err, CheckpointError::Container(container::Error::Io(_))),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -388,7 +397,7 @@ fn a_panicking_save_is_a_structured_error() {
     )
     .expect_err("the second save panics");
     match err {
-        TrainError::Checkpoint(CheckpointError::Io(e)) => {
+        TrainError::Checkpoint(CheckpointError::Container(container::Error::Io(e))) => {
             assert!(e.to_string().contains("panicked"), "{e}");
         }
         other => panic!("want a checkpoint I/O error, got {other}"),

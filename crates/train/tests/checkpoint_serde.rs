@@ -2,17 +2,17 @@
 //! pattern must survive encode → decode bitwise), golden files committed
 //! to the repo so accidental format drift breaks CI instead of silently
 //! orphaning users' saved checkpoints, and a mutation suite over the v2
-//! golden: whatever bytes `decode` is handed, it answers with a
-//! structured error — no panic, and no allocation larger than the input
-//! (this binary's allocator records the largest request per thread).
+//! golden (`common::mutate`, shared with the dataset format): whatever
+//! bytes `decode` is handed, it answers with a structured error — no
+//! panic, and no allocation larger than the input (this binary's
+//! allocator records the largest request per thread).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use mbs_core::fnv1a64;
 use mbs_train::checkpoint::{decode, encode, CKPT_VERSION};
-use mbs_train::{CheckpointError, EpochStats, StateEntry, TrainCheckpoint};
+use mbs_train::{container, EpochStats, StateEntry, TrainCheckpoint};
 
 mod common;
 
@@ -193,7 +193,7 @@ fn golden_file_pins_the_format() {
 fn golden_v1_file_is_refused_by_version() {
     assert!(matches!(
         decode(&golden_bytes(1)),
-        Err(CheckpointError::Version(1))
+        Err(container::Error::Version(1))
     ));
 }
 
@@ -257,39 +257,9 @@ fn every_value_class_round_trips_bitwise() {
     assert_bitwise_eq(&decode(&encode(&empty)).expect("empty round trip"), &empty);
 }
 
-/// `payload` under a header that describes it truthfully, so mutations
-/// get past the length and checksum checks and reach the payload reader.
-fn reseal(payload: &[u8]) -> Vec<u8> {
-    let mut bytes = format!(
-        "MBSCKPT {CKPT_VERSION} {} {:016x}\n",
-        payload.len(),
-        fnv1a64(payload)
-    )
-    .into_bytes();
-    bytes.extend_from_slice(payload);
-    bytes
-}
-
-/// Decodes hostile bytes and checks the two promises: a structured
-/// `Format`/`Version` error (`Ok` only where `may_decode`), and no
-/// allocation request larger than the input (or than an error message).
+/// Decodes hostile bytes through the shared mutation harness.
 fn decode_hostile(bytes: &[u8], may_decode: bool, what: &str) {
-    common::reset_largest();
-    let result = decode(bytes);
-    let largest = common::largest();
-    // An error message is the one thing decode may allocate that the
-    // input does not back; none comes near this.
-    const MESSAGE_BYTES: usize = 256;
-    assert!(
-        largest <= bytes.len().max(MESSAGE_BYTES),
-        "{what}: decode asked for {largest} bytes at once, the input has {}",
-        bytes.len()
-    );
-    match result {
-        Err(CheckpointError::Format(_) | CheckpointError::Version(_)) => {}
-        Ok(_) if may_decode => {}
-        other => panic!("{what}: want a Format/Version error, got {other:?}"),
-    }
+    common::mutate::hostile(bytes, may_decode, what, &mut decode);
 }
 
 /// Byte offsets of every count, rank and length field in the golden
@@ -326,35 +296,9 @@ fn golden_length_fields(payload: &[u8]) -> Vec<usize> {
 #[test]
 fn mutated_golden_bytes_never_panic_or_over_allocate() {
     let golden = golden_bytes(CKPT_VERSION);
+    common::mutate::every_cut_and_flip(&golden, decode);
     let body = golden.iter().position(|&b| b == b'\n').unwrap() + 1;
     let payload = &golden[body..];
-    decode_hostile(&golden, true, "the golden file itself");
-
-    // Raw damage never gets past the header's length and checksum.
-    for cut in 0..golden.len() {
-        decode_hostile(&golden[..cut], false, &format!("file cut to {cut}"));
-    }
-    for bit in 0..golden.len() * 8 {
-        let mut bytes = golden.clone();
-        bytes[bit / 8] ^= 1 << (bit % 8);
-        decode_hostile(&bytes, false, &format!("file bit {bit} flipped"));
-    }
-
-    // Damage under a truthful header reaches the payload reader. A cut
-    // payload is always short of something; a flipped bit may land in a
-    // float and decode to a different, valid checkpoint.
-    for cut in 0..payload.len() {
-        decode_hostile(
-            &reseal(&payload[..cut]),
-            false,
-            &format!("payload cut to {cut}"),
-        );
-    }
-    for bit in 0..payload.len() * 8 {
-        let mut bytes = payload.to_vec();
-        bytes[bit / 8] ^= 1 << (bit % 8);
-        decode_hostile(&reseal(&bytes), true, &format!("payload bit {bit} flipped"));
-    }
     let fields = golden_length_fields(payload);
     assert_eq!(fields.len(), 3 + 2 + 2 * 3, "golden has 3 entries");
     let hostile = [
@@ -372,7 +316,8 @@ fn mutated_golden_bytes_never_panic_or_over_allocate() {
             let mut bytes = payload.to_vec();
             bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
             let what = format!("length field at {at} = {value:#x}");
-            decode_hostile(&reseal(&bytes), false, &what);
+            let resealed = common::mutate::reseal(&golden, &bytes, &[]);
+            decode_hostile(&resealed, false, &what);
         }
     }
 }
@@ -399,7 +344,7 @@ proptest! {
             payload[at] = rng.next_u32() as u8;
         }
         payload.truncate(rng.gen_range(payload.len() / 2..payload.len() + 1));
-        decode_hostile(&reseal(&payload), true, "random damage");
+        decode_hostile(&common::mutate::reseal(&good, &payload, &[]), true, "random damage");
     }
 }
 

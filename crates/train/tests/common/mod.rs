@@ -6,8 +6,11 @@
 //!
 //! A binary opts in with
 //! `#[global_allocator] static ALLOC: common::Probe = common::Probe;`.
+//! [`mutate`] builds the file-decoder mutation harness on it.
 
 #![allow(dead_code)] // each binary reads only the counter it pins
+
+pub mod mutate;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -38,7 +38,9 @@ use mbs_train::grouped::GroupedExecutor;
 use mbs_train::loader::{save_dataset_chunked, DiskDataset, StreamLoader};
 use mbs_train::lower::lower;
 use mbs_train::training::{train_grouped_source, DataSource, TrainConfig, TrainError};
-use mbs_train::{CheckpointConfig, CheckpointError, Fault, FaultPlan, Module, Sgd, StateDict};
+use mbs_train::{
+    container, CheckpointConfig, CheckpointError, Fault, FaultPlan, Module, Sgd, StateDict,
+};
 
 /// Names of this process's live threads (Linux; empty elsewhere, which
 /// makes the leak checks below vacuous rather than wrong).
@@ -269,7 +271,9 @@ fn steady_state_grouped_training_is_arena_miss_free() {
     assert!(
         matches!(
             panicked,
-            Err(TrainError::Checkpoint(CheckpointError::Io(_)))
+            Err(TrainError::Checkpoint(CheckpointError::Container(
+                container::Error::Io(_)
+            )))
         ),
         "a panicking save is an error: {panicked:?}"
     );
