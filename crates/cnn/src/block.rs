@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::layer::{FeatureShape, Layer, ShapeError};
 
 /// How branch outputs are merged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MergeOp {
     /// Element-wise sum (residual blocks). All branches must produce the
     /// same shape.
@@ -25,7 +23,7 @@ pub enum MergeOp {
 
 /// Block flavor, which selects the buffer-provisioning equation used by the
 /// MBS scheduler (paper Eq. 1 for residual, Eq. 2 for inception).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     /// Two-branch residual module: a main branch plus a shortcut branch
     /// (identity or a projection convolution).
@@ -38,7 +36,7 @@ pub enum BlockKind {
 ///
 /// Branch 0 is the *main* branch by convention (paper Eq. 1 uses `b = 1` for
 /// the main branch). An empty branch represents an identity shortcut.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Block name (e.g. `res2a`).
     pub name: String,
@@ -212,7 +210,7 @@ impl fmt::Display for Block {
 
 /// One scheduling unit in a [`crate::Network`]: either a single layer or a
 /// whole multi-branch block (the granularity of the paper's Fig. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// A single layer.
     Single(Layer),

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::WORD_BYTES;
 
 /// Shape of one feature map for a single sample (`C × H × W`).
@@ -18,7 +16,7 @@ use crate::WORD_BYTES;
 /// assert_eq!(s.elems(), 64 * 56 * 56);
 /// assert_eq!(s.bytes(), s.elems() * 2); // 16-bit words
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FeatureShape {
     /// Number of channels.
     pub channels: usize,
@@ -65,7 +63,7 @@ impl fmt::Display for FeatureShape {
 }
 
 /// Pooling flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Max pooling. Requires the forward input during back propagation.
     Max,
@@ -74,7 +72,7 @@ pub enum PoolKind {
 }
 
 /// Feature-normalization flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NormKind {
     /// Batch normalization: statistics across the whole per-processor
     /// mini-batch. Incompatible with MBS serialization (paper §3.1).
@@ -90,7 +88,7 @@ pub enum NormKind {
 }
 
 /// The operator computed by a [`Layer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution (no bias; the zoo pairs convolutions with norms).
     Conv {
@@ -213,7 +211,7 @@ impl std::error::Error for ShapeError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layer {
     /// Human-readable layer name (unique within a network by construction).
     pub name: String,

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{Block, Node};
 use crate::layer::{FeatureShape, Layer, NormKind, PoolKind, ShapeError};
 
@@ -24,7 +22,7 @@ use crate::layer::{FeatureShape, Layer, NormKind, PoolKind, ShapeError};
 /// assert_eq!(net.nodes().len(), 24);
 /// assert_eq!(net.output().channels, 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     name: String,
     input: FeatureShape,

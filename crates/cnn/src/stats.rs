@@ -1,12 +1,12 @@
 //! Per-layer footprint statistics (the paper's Fig. 3 analysis).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::layer::Layer;
 use crate::network::Network;
 
 /// Footprint of one layer for a given mini-batch size.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LayerFootprint {
     /// Layer name.
     pub name: String,
@@ -46,7 +46,7 @@ fn layer_footprint(layer: &Layer, batch: usize) -> LayerFootprint {
 /// Summary of how much inter-layer data a given on-chip buffer could reuse
 /// under conventional (whole-mini-batch) training — the paper's "only 9.3%
 /// of inter-layer data can be reused even with 10MiB" observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ReuseSummary {
     /// Total inter-layer bytes across all layers.
     pub total_inter_layer_bytes: usize,

@@ -78,20 +78,6 @@ proptest! {
         prop_assert!(large.reusable_pct <= 100.0);
     }
 
-    /// Networks survive a serde round trip exactly — the IR is now the
-    /// source of truth for *runnable* models (the train crate lowers it),
-    /// so a serialized network must deserialize to an identical graph.
-    #[test]
-    fn network_serde_round_trip(
-        widths in proptest::collection::vec(2usize..32, 1..5),
-        batch in 1usize..16,
-    ) {
-        let net = conv_chain(&widths, FeatureShape::new(3, 32, 32), batch);
-        let json = serde_json::to_string(&net).expect("serialize network");
-        let back: mbs_cnn::Network = serde_json::from_str(&json).expect("deserialize network");
-        prop_assert_eq!(back, net);
-    }
-
     /// Backward stores never exceed total inter-layer data.
     #[test]
     fn backward_stores_bounded(

@@ -3,10 +3,10 @@
 
 use mbs_tensor::env::parse_byte_size;
 use mbs_tensor::prec::Precision;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The six execution configurations evaluated in the paper (Tab. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecConfig {
     /// Two-level GEMM input blocking only; no inter-layer reuse, and the
     /// systolic array pays the weight-load idle time between waves.
@@ -98,7 +98,7 @@ impl std::fmt::Display for ExecConfig {
 }
 
 /// Off-chip memory technologies evaluated in the paper (Tab. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MemoryKind {
     /// One HBM2 stack: 300 GiB/s, 8 GiB, 8 channels (default).
     Hbm2,
@@ -111,7 +111,7 @@ pub enum MemoryKind {
 }
 
 /// A concrete off-chip memory configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MemoryConfig {
     /// Technology.
     pub kind: MemoryKind,
@@ -180,7 +180,7 @@ impl MemoryConfig {
 }
 
 /// WaveCore hardware parameters (paper §4.2, Fig. 9, Tab. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareConfig {
     /// Global buffer bytes per core (default 10 MiB).
     pub global_buffer_bytes: usize,

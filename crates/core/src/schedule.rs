@@ -1,15 +1,13 @@
 //! Schedules: layer groups with sub-batch sizes (the output of the MBS
 //! scheduler, paper Fig. 4/5).
 
-use serde::{Deserialize, Serialize};
-
 use mbs_cnn::Network;
 
 use crate::config::ExecConfig;
 use crate::hash::{fnv1a64_step, FNV_OFFSET};
 
 /// A contiguous range of network nodes processed with one sub-batch size.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Group {
     /// First node index (inclusive).
     pub start: usize,
@@ -72,7 +70,7 @@ impl Group {
 }
 
 /// A complete schedule for one network under one execution configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     config: ExecConfig,
     batch: usize,

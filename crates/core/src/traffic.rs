@@ -21,8 +21,6 @@
 //! - ReLU gradients use 1-bit masks under MBS instead of 16-bit values
 //!   (paper §3 "Back Propagation").
 
-use serde::{Deserialize, Serialize};
-
 use mbs_cnn::{Block, Layer, LayerKind, Network, Node, PoolKind};
 
 use crate::config::ExecConfig;
@@ -31,7 +29,7 @@ use crate::schedule::Schedule;
 
 /// Bytes moved by one layer (forward + backward of one training step, one
 /// core's share of the mini-batch).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerTraffic {
     /// The layer (cloned from the network for self-contained reports).
     pub layer: Layer,
@@ -66,7 +64,7 @@ impl LayerTraffic {
 }
 
 /// Traffic aggregated by cause, for reporting (paper §6 discussion).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficBreakdown {
     /// Weight/parameter reads (forward + backward), including sub-batch
     /// re-reads.
@@ -104,7 +102,7 @@ impl TrafficBreakdown {
 }
 
 /// Full traffic analysis of one training step on one core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficReport {
     /// Configuration analyzed.
     pub config: ExecConfig,

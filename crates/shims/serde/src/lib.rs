@@ -1,30 +1,26 @@
-//! Offline stand-in for `serde`.
+//! Offline stand-in for `serde`, write side only.
 //!
 //! The build environment has no network access, so this workspace carries a
 //! small serialization framework under the `serde` package name: a JSON-ish
-//! [`Value`] tree, [`Serialize`]/[`Deserialize`] traits mapping types to and
-//! from it, and derive macros (re-exported from the sibling `serde_derive`
-//! shim) for structs with named fields and enums with unit, newtype, tuple,
-//! and struct variants — exactly the shapes the MBS crates declare.
+//! [`Value`] tree, the [`Serialize`] trait mapping types to it, and a derive
+//! macro (re-exported from the sibling `serde_derive` shim) for structs with
+//! named fields and enums whose variants are all unit — the shapes the
+//! figure reports and `crash_resume`'s curve write. Nothing in the workspace
+//! reads JSON back, so only the write half exists.
 //!
 //! The wire format (produced by the `serde_json` shim) matches serde's
-//! defaults for those shapes: structs are objects, unit enum variants are
-//! strings, data-carrying variants are externally tagged single-key
-//! objects. Attribute-driven customization (`#[serde(...)]`) is not
+//! defaults for those shapes: structs are objects and unit enum variants
+//! are strings. Attribute-driven customization (`#[serde(...)]`) is not
 //! supported.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
-/// A parsed JSON-like value.
+/// A JSON-like value, the form every [`Serialize`] type renders to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Integer (kept exact so `u64` counters round-trip).
+    /// Integer (kept exact so `u64` counters are written exactly).
     Int(i128),
-    /// Floating-point number.
+    /// Floating-point number (written as `null` when not finite).
     Float(f64),
     /// String.
     Str(String),
@@ -34,56 +30,9 @@ pub enum Value {
     Obj(Vec<(String, Value)>),
 }
 
-/// Shared null used as the fallback for absent object fields.
-pub static NULL: Value = Value::Null;
-
-impl Value {
-    /// The object fields, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Looks up `key` in an object's fields, yielding `Null` when absent so
-/// `Option` fields deserialize to `None`.
-pub fn obj_get<'a>(fields: &'a [(String, Value)], key: &str) -> &'a Value {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .unwrap_or(&NULL)
-}
-
-/// Externally-tagged enum accessor: a single-key object yields
-/// `(tag, payload)`.
-pub fn variant(v: &Value) -> Option<(&str, &Value)> {
-    match v {
-        Value::Obj(fields) if fields.len() == 1 => Some((fields[0].0.as_str(), &fields[0].1)),
-        _ => None,
-    }
-}
-
-/// Serialization/deserialization error.
+/// Serialization error (the `serde_json` shim's `Result` error type).
 #[derive(Debug, Clone)]
 pub struct Error(pub String);
-
-impl Error {
-    /// An error carrying a message.
-    pub fn custom(msg: impl Into<String>) -> Self {
-        Error(msg.into())
-    }
-}
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -99,49 +48,11 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Types reconstructible from a [`Value`].
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self`, reporting shape mismatches as [`Error`]s.
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::custom("expected bool")),
-        }
-    }
-}
-
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Int(*self as i128)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = match v {
-                    Value::Int(i) => *i,
-                    Value::Float(f) if f.fract() == 0.0 => *f as i128,
-                    _ => return Err(Error::custom(concat!("expected ", stringify!($t)))),
-                };
-                <$t>::try_from(n)
-                    .map_err(|_| Error::custom(concat!("out of range for ", stringify!($t))))
             }
         }
     )*};
@@ -155,17 +66,6 @@ macro_rules! float_impls {
                 Value::Float(*self as f64)
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    // serde_json writes non-finite floats as null.
-                    Value::Null => Ok(<$t>::NAN),
-                    _ => Err(Error::custom(concat!("expected ", stringify!($t)))),
-                }
-            }
-        }
     )*};
 }
 float_impls!(f32, f64);
@@ -176,64 +76,9 @@ impl Serialize for String {
     }
 }
 
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(Error::custom("expected string")),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_arr()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
     }
 }
 
@@ -244,41 +89,11 @@ macro_rules! tuple_impls {
                 Value::Arr(vec![$(self.$n.to_value()),+])
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let arr = v.as_arr().ok_or_else(|| Error::custom("expected tuple array"))?;
-                Ok(($($t::from_value(arr.get($n).unwrap_or(&NULL))?,)+))
-            }
-        }
     )*};
 }
 tuple_impls! {
-    (0 A)
     (0 A, 1 B)
     (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-}
-
-impl<K: Serialize + ToString, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        // Sort keys for stable output (HashMap order is nondeterministic).
-        let mut fields: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_value()))
-            .collect();
-        fields.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Obj(fields)
-    }
-}
-
-impl<K: Serialize + ToString, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Obj(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -286,23 +101,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn option_round_trip() {
-        assert_eq!(Some(3u32).to_value(), Value::Int(3));
-        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
-        assert_eq!(Option::<u32>::from_value(&Value::Int(3)).unwrap(), Some(3));
-    }
-
-    #[test]
-    fn obj_get_falls_back_to_null() {
-        let fields = vec![("a".to_string(), Value::Bool(true))];
-        assert_eq!(obj_get(&fields, "a"), &Value::Bool(true));
-        assert_eq!(obj_get(&fields, "missing"), &Value::Null);
-    }
-
-    #[test]
     fn u64_values_stay_exact() {
-        let big = u64::MAX - 3;
-        let v = big.to_value();
-        assert_eq!(u64::from_value(&v).unwrap(), big);
+        assert_eq!(u64::MAX.to_value(), Value::Int(u64::MAX as i128));
+        assert_eq!(
+            (u64::MAX - 3).to_value(),
+            Value::Int(18_446_744_073_709_551_612)
+        );
     }
 }

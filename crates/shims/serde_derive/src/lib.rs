@@ -1,32 +1,22 @@
-//! Offline `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the serde
-//! shim.
+//! Offline `#[derive(Serialize)]` for the serde shim.
 //!
 //! Implemented directly on `proc_macro::TokenStream` (no `syn`/`quote` —
 //! the environment has no registry access). Supports the shapes the MBS
-//! crates actually declare:
+//! crates write:
 //!
 //! - structs with named fields,
-//! - enums whose variants are unit, tuple (any arity), or struct-like.
+//! - enums whose variants are all unit.
 //!
-//! Generics and `#[serde(...)]` attributes are unsupported and produce a
-//! compile error naming the offending item.
+//! Generics, data-carrying enum variants and `#[serde(...)]` attributes are
+//! unsupported and produce a compile error naming the offending item.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Body {
+    /// Field names of a named-field struct.
     Struct(Vec<String>),
-    Enum(Vec<Variant>),
-}
-
-struct Variant {
-    name: String,
-    kind: VariantKind,
-}
-
-enum VariantKind {
-    Unit,
-    Tuple(usize),
-    Named(Vec<String>),
+    /// Variant names of an all-unit enum.
+    Enum(Vec<String>),
 }
 
 struct Parsed {
@@ -34,22 +24,13 @@ struct Parsed {
     body: Body,
 }
 
-/// Derives `serde::Serialize` for named-field structs and simple enums.
+/// Derives `serde::Serialize` for named-field structs and unit-variant enums.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let parsed = parse(input);
     gen_serialize(&parsed)
         .parse()
         .expect("generated Serialize impl must parse")
-}
-
-/// Derives `serde::Deserialize` for named-field structs and simple enums.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let parsed = parse(input);
-    gen_deserialize(&parsed)
-        .parse()
-        .expect("generated Deserialize impl must parse")
 }
 
 fn parse(input: TokenStream) -> Parsed {
@@ -82,7 +63,7 @@ fn parse(input: TokenStream) -> Parsed {
                 match iter.next() {
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                         let body = if is_enum {
-                            Body::Enum(parse_variants(g.stream()))
+                            Body::Enum(parse_variants(&name, g.stream()))
                         } else {
                             Body::Struct(parse_fields(g.stream()))
                         };
@@ -160,7 +141,9 @@ fn skip_attrs_and_vis(iter: &mut std::iter::Peekable<proc_macro::token_stream::I
     }
 }
 
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
+/// Parses an enum body, returning the variant names; a variant that
+/// carries data panics, naming the enum and the variant.
+fn parse_variants(enum_name: &str, stream: TokenStream) -> Vec<String> {
     let mut variants = Vec::new();
     let mut iter = stream.into_iter().peekable();
     loop {
@@ -170,38 +153,17 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             Some(TokenTree::Ident(id)) => id.to_string(),
             other => panic!("expected variant name, got {other:?}"),
         };
-        let kind = match iter.peek() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let arity = count_tuple_fields(g.stream());
-                iter.next();
-                VariantKind::Tuple(arity)
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let fields = parse_fields(g.stream());
-                iter.next();
-                VariantKind::Named(fields)
-            }
-            _ => VariantKind::Unit,
-        };
+        if let Some(TokenTree::Group(_)) = iter.peek() {
+            panic!(
+                "serde shim derive supports only unit enum variants \
+                 (type `{enum_name}`, variant `{name}`)"
+            );
+        }
         // Skip to the next variant (also consumes `= discriminant`).
         skip_type(&mut iter);
-        variants.push(Variant { name, kind });
+        variants.push(name);
     }
     variants
-}
-
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let mut iter = stream.into_iter().peekable();
-    let mut count = 0;
-    loop {
-        skip_attrs_and_vis(&mut iter);
-        if iter.peek().is_none() {
-            break;
-        }
-        skip_type(&mut iter);
-        count += 1;
-    }
-    count
 }
 
 fn gen_serialize(p: &Parsed) -> String {
@@ -225,158 +187,13 @@ fn gen_serialize(p: &Parsed) -> String {
         Body::Enum(variants) => {
             let arms: String = variants
                 .iter()
-                .map(|v| {
-                    let vn = &v.name;
-                    match &v.kind {
-                        VariantKind::Unit => {
-                            format!("{name}::{vn} => ::serde::Value::Str({vn:?}.to_string()),")
-                        }
-                        VariantKind::Tuple(1) => format!(
-                            "{name}::{vn}(__f0) => ::serde::Value::Obj(vec![({vn:?}.to_string(), \
-                             ::serde::Serialize::to_value(__f0))]),"
-                        ),
-                        VariantKind::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                            let items: String = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b}),"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({}) => ::serde::Value::Obj(vec![({vn:?}.to_string(), \
-                                 ::serde::Value::Arr(vec![{items}]))]),",
-                                binds.join(", ")
-                            )
-                        }
-                        VariantKind::Named(fields) => {
-                            let binds = fields.join(", ");
-                            let pushes: String = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "__inner.push(({f:?}.to_string(), \
-                                         ::serde::Serialize::to_value({f})));"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "{name}::{vn} {{ {binds} }} => {{ \
-                                 let mut __inner: ::std::vec::Vec<(::std::string::String, \
-                                 ::serde::Value)> = ::std::vec::Vec::new(); {pushes} \
-                                 ::serde::Value::Obj(vec![({vn:?}.to_string(), \
-                                 ::serde::Value::Obj(__inner))]) }},"
-                            )
-                        }
-                    }
-                })
+                .map(|vn| format!("{name}::{vn} => {vn:?},"))
                 .collect();
-            format!("match self {{ {arms} }}")
+            format!("::serde::Value::Str(match self {{ {arms} }}.to_string())")
         }
     };
     format!(
         "impl ::serde::Serialize for {name} {{ \
          fn to_value(&self) -> ::serde::Value {{ {body} }} }}"
-    )
-}
-
-fn gen_deserialize(p: &Parsed) -> String {
-    let name = &p.name;
-    let body = match &p.body {
-        Body::Struct(fields) => {
-            let inits: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(\
-                         ::serde::obj_get(__obj, {f:?}))?,"
-                    )
-                })
-                .collect();
-            format!(
-                "let __obj = __v.as_obj().ok_or_else(|| \
-                 ::serde::Error::custom(\"expected object for {name}\"))?; \
-                 ::std::result::Result::Ok({name} {{ {inits} }})"
-            )
-        }
-        Body::Enum(variants) => {
-            let unit_arms: String = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| {
-                    let vn = &v.name;
-                    format!("{vn:?} => return ::std::result::Result::Ok({name}::{vn}),")
-                })
-                .collect();
-            let unit_block = if unit_arms.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    "if let ::serde::Value::Str(__s) = __v {{ \
-                     match __s.as_str() {{ {unit_arms} _ => {{}} }} }}"
-                )
-            };
-            let tagged_arms: String = variants
-                .iter()
-                .filter(|v| !matches!(v.kind, VariantKind::Unit))
-                .map(|v| {
-                    let vn = &v.name;
-                    match &v.kind {
-                        VariantKind::Tuple(1) => format!(
-                            "{vn:?} => return ::std::result::Result::Ok({name}::{vn}(\
-                             ::serde::Deserialize::from_value(__inner)?)),"
-                        ),
-                        VariantKind::Tuple(n) => {
-                            let items: String = (0..*n)
-                                .map(|i| {
-                                    format!(
-                                        "::serde::Deserialize::from_value(\
-                                         __arr.get({i}).unwrap_or(&::serde::NULL))?,"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "{vn:?} => {{ let __arr = __inner.as_arr().ok_or_else(|| \
-                                 ::serde::Error::custom(\"expected array for {name}::{vn}\"))?; \
-                                 return ::std::result::Result::Ok({name}::{vn}({items})); }},"
-                            )
-                        }
-                        VariantKind::Named(fields) => {
-                            let inits: String = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "{f}: ::serde::Deserialize::from_value(\
-                                         ::serde::obj_get(__obj, {f:?}))?,"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "{vn:?} => {{ let __obj = __inner.as_obj().ok_or_else(|| \
-                                 ::serde::Error::custom(\"expected object for {name}::{vn}\"))?; \
-                                 return ::std::result::Result::Ok({name}::{vn} {{ {inits} }}); }},"
-                            )
-                        }
-                        VariantKind::Unit => unreachable!(),
-                    }
-                })
-                .collect();
-            let tagged_block = if tagged_arms.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    "if let ::std::option::Option::Some((__tag, __inner)) = \
-                     ::serde::variant(__v) {{ match __tag {{ {tagged_arms} _ => {{}} }} }}"
-                )
-            };
-            format!(
-                "{unit_block} {tagged_block} \
-                 ::std::result::Result::Err(::serde::Error::custom(\
-                 \"unrecognized variant for {name}\"))"
-            )
-        }
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{ \
-         fn from_value(__v: &::serde::Value) \
-         -> ::std::result::Result<Self, ::serde::Error> {{ {body} }} }}"
     )
 }

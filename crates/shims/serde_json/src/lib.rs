@@ -1,10 +1,11 @@
-//! Offline stand-in for `serde_json`: JSON text ⇄ the serde shim's
-//! [`Value`] tree.
+//! Offline stand-in for `serde_json`, write side only: the serde shim's
+//! [`Value`] tree → JSON text.
 //!
-//! Provides `to_string`, `to_string_pretty`, and `from_str` over the shim's
-//! `Serialize`/`Deserialize` traits. Numbers keep integers exact (i128
-//! internally) so `u64` cycle counters survive a round trip; non-finite
-//! floats serialize as `null`, matching serde_json's default behavior.
+//! Provides `to_string` and `to_string_pretty` over the shim's `Serialize`
+//! trait, for the figure reports and `crash_resume`'s curve. Integers are
+//! written exactly (i128 internally), so `u64` cycle counters keep every
+//! digit; floats use Rust's shortest round-trip form; non-finite floats
+//! serialize as `null`, matching serde_json's default behavior.
 
 pub use serde::{Error, Value};
 
@@ -30,20 +31,8 @@ pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String, Error>
     Ok(out)
 }
 
-/// Parses JSON text into any deserializable type.
-///
-/// # Errors
-///
-/// Returns an error describing the first syntax or shape mismatch.
-pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse_value(text)?;
-    T::from_value(&value)
-}
-
 fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Int(i) => out.push_str(&i.to_string()),
         Value::Float(f) => {
             if f.is_finite() {
@@ -126,251 +115,113 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom(format!("trailing input at byte {}", p.pos)));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, Error> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| Error::custom("unexpected end of input"))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(Error::custom(format!(
-                "invalid literal at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek()? {
-            b'n' => self.literal("null", Value::Null),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'"' => self.string().map(Value::Str),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(Error::custom("expected `,` or `]`")),
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    fields.push((key, self.value()?));
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(Error::custom("expected `,` or `}`")),
-                    }
-                }
-            }
-            _ => self.number(),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| Error::custom("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::custom("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::custom("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::custom("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::custom("bad \\u code point"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "unknown escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => {
-                    // Re-decode UTF-8 starting at the byte we consumed.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        let start = self.pos;
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if text.is_empty() {
-            return Err(Error::custom(format!("expected value at byte {start}")));
-        }
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        } else {
-            text.parse::<i128>()
-                .map(Value::Int)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The written integers parse back exactly, `u64::MAX` included.
     #[test]
     fn round_trip_vec() {
-        let text = to_string(&vec![1i32, 2, 3]).unwrap();
-        assert_eq!(text, "[1,2,3]");
-        let back: Vec<i32> = from_str(&text).unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
+        let xs = vec![0u64, 1, u64::MAX];
+        let text = to_string(&xs).unwrap();
+        assert_eq!(text, "[0,1,18446744073709551615]");
+        let back: Vec<u64> = text[1..text.len() - 1]
+            .split(',')
+            .map(|t| t.parse().unwrap())
+            .collect();
+        assert_eq!(back, xs);
+    }
+
+    /// Finite floats are written in their shortest form and parse back
+    /// bit for bit.
+    #[test]
+    fn floats_round_trip() {
+        let xs = vec![1.5f64, -0.25, 1e-9, 3.0, 0.1];
+        let text = to_string(&xs).unwrap();
+        assert_eq!(text, "[1.5,-0.25,1e-9,3.0,0.1]");
+        for (token, x) in text[1..text.len() - 1].split(',').zip(&xs) {
+            assert_eq!(token.parse::<f64>().unwrap().to_bits(), x.to_bits());
+        }
     }
 
     #[test]
-    fn floats_round_trip() {
-        let xs = vec![1.5f64, -0.25, 1e-9, 3.0];
-        let text = to_string(&xs).unwrap();
-        let back: Vec<f64> = from_str(&text).unwrap();
-        assert_eq!(back, xs);
+    fn non_finite_floats_write_null() {
+        let xs = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        assert_eq!(to_string(&xs).unwrap(), "[null,null,null]");
+        assert_eq!(to_string(&f32::NAN).unwrap(), "null");
+    }
+
+    #[test]
+    fn strings_escape_exactly() {
+        let s = "line\n\"quoted\" \\ tab\t\r bell\u{7} unit\u{1f} é".to_string();
+        assert_eq!(
+            to_string(&s).unwrap(),
+            r#""line\n\"quoted\" \\ tab\t\r bell\u0007 unit\u001f é""#
+        );
+    }
+
+    #[derive(serde::Serialize)]
+    enum Kind {
+        Dram,
+        Hbm,
+    }
+
+    #[derive(serde::Serialize)]
+    struct Inner {
+        kind: Kind,
+        bytes: u64,
+    }
+
+    #[derive(serde::Serialize)]
+    struct Report {
+        name: String,
+        rows: Vec<Inner>,
+        empty: Vec<u32>,
+        pair: (u32, f64),
     }
 
     #[test]
     fn pretty_output_is_indented() {
-        let text = to_string_pretty(&vec![1i32]).unwrap();
-        assert_eq!(text, "[\n  1\n]");
+        assert_eq!(to_string_pretty(&vec![1i32]).unwrap(), "[\n  1\n]");
+        let report = Report {
+            name: "fig".to_string(),
+            rows: vec![
+                Inner {
+                    kind: Kind::Dram,
+                    bytes: 7,
+                },
+                Inner {
+                    kind: Kind::Hbm,
+                    bytes: u64::MAX,
+                },
+            ],
+            empty: Vec::new(),
+            pair: (2, 0.5),
+        };
+        assert_eq!(
+            to_string_pretty(&report).unwrap(),
+            r#"{
+  "name": "fig",
+  "rows": [
+    {
+      "kind": "Dram",
+      "bytes": 7
+    },
+    {
+      "kind": "Hbm",
+      "bytes": 18446744073709551615
     }
-
-    #[test]
-    fn strings_escape_and_parse() {
-        let s = "line\n\"quoted\" \\ tab\t".to_string();
-        let text = to_string(&s).unwrap();
-        let back: String = from_str(&text).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn parses_whitespace_and_nesting() {
-        let v: Vec<Vec<f64>> = from_str(" [ [1.0, 2.0] , [] ] ").unwrap();
-        assert_eq!(v, vec![vec![1.0, 2.0], vec![]]);
+  ],
+  "empty": [],
+  "pair": [
+    2,
+    0.5
+  ]
+}"#
+        );
+        assert_eq!(
+            to_string(&report).unwrap(),
+            r#"{"name":"fig","rows":[{"kind":"Dram","bytes":7},{"kind":"Hbm","bytes":18446744073709551615}],"empty":[],"pair":[2,0.5]}"#
+        );
     }
 }

@@ -65,7 +65,6 @@ use std::thread::JoinHandle;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 use mbs_core::fnv1a64;
 use mbs_tensor::Tensor;
@@ -500,7 +499,7 @@ struct SharedCounters {
 }
 
 /// A [`StreamLoader`]'s observable behavior, for benches and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoaderStats {
     /// Times [`StreamLoader::next_batch`] found the queue empty and had
     /// to block — the prefetch-stall count. Zero means the training step
@@ -550,6 +549,8 @@ pub struct StreamLoader {
     handle: Option<JoinHandle<()>>,
     counters: Arc<SharedCounters>,
     stalls: u64,
+    /// The dataset's sample count, which bounds every order index.
+    len: usize,
 }
 
 impl StreamLoader {
@@ -563,6 +564,7 @@ impl StreamLoader {
     pub fn new(ds: &DiskDataset, prefetch: usize) -> Result<Self, Error> {
         let prefetch = prefetch.max(1);
         let file = File::open(ds.path())?;
+        let len = ds.len();
         let ds = ds.clone();
         let (plan_tx, plan_rx) = std::sync::mpsc::channel::<EpochPlan>();
         let (batch_tx, batch_rx) = std::sync::mpsc::sync_channel(prefetch);
@@ -591,6 +593,7 @@ impl StreamLoader {
             handle: Some(handle),
             counters,
             stalls: 0,
+            len,
         })
     }
 
@@ -598,7 +601,20 @@ impl StreamLoader {
     /// it will assemble batches `order[skip*batch..]` in `batch`-sized
     /// slices (the tail batch may be short). `skip` is the checkpoint-
     /// resume cursor — skipped batches are never read off disk.
+    ///
+    /// # Panics
+    ///
+    /// If an index in `order` is not below [`DiskDataset::len`]. That is
+    /// a caller bug; left to the prefetch thread it would surface as a
+    /// damaged-file error from [`next_batch`](StreamLoader::next_batch).
     pub fn begin_epoch(&mut self, order: &[usize], batch: usize, skip: usize) {
+        for &i in order {
+            assert!(
+                i < self.len,
+                "sample index {i} is out of range for a dataset of {} samples",
+                self.len
+            );
+        }
         if let Some(tx) = &self.plan_tx {
             // A send can only fail if the thread died; next_batch will
             // surface that as a structured error.
@@ -960,6 +976,18 @@ mod tests {
         assert_eq!(tail.labels, vec![set.labels[1], set.labels[0]]);
         loader.recycle(tail);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample index 100 is out of range for a dataset of 8 samples")]
+    fn out_of_range_order_index_panics_in_begin_epoch() {
+        let dir = scratch("badorder");
+        let path = dir.join("set.mbsds");
+        save_dataset_chunked(&generate(8, 4, 0.2, 12), &path, 4).unwrap();
+        let disk = DiskDataset::open(&path).unwrap();
+        let mut loader = StreamLoader::new(&disk, 1).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        loader.begin_epoch(&[0, 100], 2, 0);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! and timing models, and produces per-step reports (execution time,
 //! energy, DRAM traffic, utilization, per-layer-type breakdowns).
 
-use serde::{Deserialize, Serialize};
-
 use mbs_cnn::Network;
 use mbs_core::{analyze, ExecConfig, HardwareConfig, MbsScheduler, Schedule, TrafficBreakdown};
 
@@ -11,7 +9,7 @@ use crate::energy::{step_energy, EnergyParams, EnergyReport};
 use crate::timing::{layer_time, LayerTime};
 
 /// Simulation result for one training step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepReport {
     /// Network name.
     pub network: String,

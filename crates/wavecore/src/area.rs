@@ -4,10 +4,10 @@
 //! PE (24T flip-flops from Kim et al. 2014, FP multiplier/adder from
 //! Hickmann et al. 2007), CACTI-style SRAM buffers, Orion 2.0 NoC numbers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-component area model for one WaveCore chip (two cores).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Area of one processing element in µm².
     pub pe_um2: f64,
@@ -50,7 +50,7 @@ impl AreaModel {
 }
 
 /// Peak power model for the chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Energy per MAC in pJ (multiplier + adder at 32 nm).
     pub mac_pj: f64,
@@ -87,7 +87,7 @@ impl PowerModel {
 }
 
 /// One row of the paper's Tab. 2 accelerator comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AcceleratorSpec {
     /// Device name.
     pub name: String,

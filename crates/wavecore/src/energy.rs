@@ -14,12 +14,10 @@
 //! paper's reported DRAM energy share (~21.6% on ResNet50) and a ~56 W
 //! peak (Tab. 2).
 
-use serde::{Deserialize, Serialize};
-
 use mbs_core::MemoryConfig;
 
 /// Energy model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// DRAM energy per byte (8 bits × per-bit cost of the technology).
     pub dram_pj_per_byte: f64,
@@ -50,7 +48,7 @@ impl EnergyParams {
 }
 
 /// Energy of one training step, by component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyReport {
     /// DRAM access energy in joules.
     pub dram_j: f64,

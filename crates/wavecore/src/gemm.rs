@@ -10,12 +10,10 @@
 //! | Data gradient   | N · Hi · Wi   | Ci  | Co · R · S    |
 //! | Weight gradient | Ci · R · S    | Co  | N · Ho · Wo   |
 
-use serde::{Deserialize, Serialize};
-
 use mbs_cnn::{Layer, LayerKind};
 
 /// The three GEMMs of one convolution/FC training step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrainingPhase {
     /// Output = input ∗ weights.
     Forward,
@@ -37,7 +35,7 @@ impl TrainingPhase {
 }
 
 /// Dimensions of one im2col GEMM: `(Gh × K) · (K × Gw)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmDims {
     /// Output rows.
     pub gh: usize,

@@ -8,15 +8,13 @@
 //! out when explaining why the gap grows with network depth), plus a fixed
 //! per-layer kernel/framework overhead.
 
-use serde::{Deserialize, Serialize};
-
 use mbs_cnn::Network;
 use mbs_core::{analyze, ExecConfig, HardwareConfig, MbsScheduler};
 
 use crate::gemm::{training_gemms, GemmDims};
 
 /// A roofline GPU device model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Peak multiply-accumulate throughput (MAC/s). 125 TFLOPS FP16 =
     /// 62.5 T-MAC/s for the V100.

@@ -7,15 +7,13 @@
 //! time = local MBS step time + an all-reduce of the weight gradients over
 //! an inter-accelerator link.
 
-use serde::{Deserialize, Serialize};
-
 use mbs_cnn::Network;
 use mbs_core::{ExecConfig, HardwareConfig};
 
 use crate::accelerator::WaveCore;
 
 /// Inter-accelerator interconnect description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interconnect {
     /// Per-device link bandwidth in bytes/s.
     pub link_bw_bytes: f64,
@@ -42,7 +40,7 @@ impl Interconnect {
 }
 
 /// One point of a scaling sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalePoint {
     /// Number of accelerators.
     pub devices: usize,

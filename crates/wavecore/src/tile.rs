@@ -10,12 +10,10 @@
 //! wave's weights load *during* the current wave, so a whole tile runs
 //! gap-free (modulo short tiles whose stream time cannot cover the load).
 
-use serde::{Deserialize, Serialize};
-
 use crate::gemm::GemmDims;
 
 /// Systolic-array geometry used by the cycle model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayGeometry {
     /// Array height `k` (reduction direction).
     pub rows: usize,
@@ -42,7 +40,7 @@ impl ArrayGeometry {
 }
 
 /// Cycle accounting for one GEMM on the systolic array.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleReport {
     /// Total cycles including fills, stalls, and drains.
     pub cycles: u64,

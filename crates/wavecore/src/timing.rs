@@ -11,15 +11,13 @@
 //! where the serial component is the weight-gradient partial-sum traffic
 //! that the paper notes "cannot be hidden" (§6, MBS-FS discussion).
 
-use serde::{Deserialize, Serialize};
-
 use mbs_core::{HardwareConfig, LayerTraffic};
 
 use crate::gemm::training_gemms;
 use crate::tile::{gemm_cycles, ArrayGeometry, CycleReport};
 
 /// Timing of one layer's forward + backward work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerTime {
     /// Layer name.
     pub name: String,

@@ -1,7 +1,7 @@
 //! End-to-end integration: network IR → MBS schedule → traffic model →
 //! WaveCore simulation, checking cross-crate coherence.
 
-use mbs::cnn::networks::{resnet, toy};
+use mbs::cnn::networks::resnet;
 use mbs::core::{analyze, ExecConfig, HardwareConfig, MbsScheduler};
 use mbs::wavecore::WaveCore;
 
@@ -50,22 +50,6 @@ fn layer_records_cover_every_layer_of_every_network() {
         let traffic = analyze(&net, &schedule, hw.global_buffer_bytes);
         assert_eq!(traffic.layers.len(), net.layers().count(), "{}", net.name());
     }
-}
-
-#[test]
-fn traffic_reports_serialize_to_json() {
-    let net = toy::tiny_resnet(1, 8);
-    let hw = HardwareConfig::default();
-    let schedule = MbsScheduler::new(&net, &hw, ExecConfig::Mbs1).schedule();
-    let traffic = analyze(&net, &schedule, hw.global_buffer_bytes);
-    let json = serde_json::to_string(&traffic).expect("serialize");
-    let back: mbs::core::TrafficReport = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back.dram_bytes(), traffic.dram_bytes());
-
-    let report = WaveCore::new(hw).simulate_scheduled(&net, &schedule);
-    let json = serde_json::to_string(&report).expect("serialize");
-    let back: mbs::wavecore::StepReport = serde_json::from_str(&json).expect("deserialize");
-    assert!((back.time_s - report.time_s).abs() < 1e-15);
 }
 
 #[test]
