@@ -1,4 +1,6 @@
-//! Dynamic-batch sizing policy and the admission-controlled queue.
+//! Every serving decision, as pure values: the dynamic-batch sizing
+//! policy, the admission-controlled queue, and the [`Dispatcher`] that
+//! decides with them.
 //!
 //! Collection is **work-conserving**: a free worker takes
 //! `min(queued, max_batch)` requests the moment anything is queued and
@@ -15,21 +17,31 @@
 //! priority queue whose non-blocking admission ([`ShedQueue::offer`])
 //! sheds the **most-expired, then lowest-priority** queued request to
 //! admit more important work, and rejects the incoming request when
-//! nothing queued is less important. Collectors harvest expired requests
+//! nothing queued is less important. Expired requests are harvested
 //! ([`ShedQueue::take_expired`]) *before* batching, so a request past its
 //! deadline never wastes a forward pass.
 //!
-//! Policy and queue are both pure — plain integers for sizes and
-//! priorities, microsecond timestamps (`u128`) for time — so the worker
-//! loop and the property-test simulations drive the exact same
-//! arithmetic, the former from [`std::time::Instant`] deltas and the
-//! latter from virtual clocks.
+//! [`Dispatcher`] owns the queue and makes every other decision too —
+//! admission, expiry, batch formation, the respawn breaker, the degraded
+//! drain, the swap's reset, and the [`ServeStats`] they produce. Nothing
+//! here holds a thread or reads a clock (time is the caller's `now`), so
+//! the server's workers, which hold the dispatcher under one lock, and
+//! the tests, which drive it on virtual clocks, run the same decisions.
 
 use mbs_core::footprint;
+
+use crate::server::{ServeConfig, ServeError, ServeStats, SubmitOptions};
 
 /// Ceiling on the budget-derived batch cap, so footprint-free models
 /// (`per_sample_bytes == 0`) still get a finite batch size.
 const MAX_BATCH_CEILING: usize = 1024;
+
+/// Base of the worker-respawn exponential backoff, in milliseconds
+/// (doubled per consecutive panic, capped at [`BACKOFF_CAP_MS`]).
+const BACKOFF_BASE_MS: u64 = 2;
+
+/// Ceiling of the worker-respawn backoff, in milliseconds.
+const BACKOFF_CAP_MS: u64 = 200;
 
 /// How many queued requests a free worker takes into its next batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,9 +301,326 @@ impl<T> ShedQueue<T> {
     }
 }
 
+/// What [`Dispatcher::admit`] did with a submission.
+#[derive(Debug)]
+pub enum Admit<J> {
+    /// The request is queued. A shedding admission may have evicted a
+    /// less important request to make room; the caller answers that
+    /// victim with the error given.
+    Queued(Option<(J, ServeError)>),
+    /// The queue is full and this admission does not shed: the job comes
+    /// back, and a blocking caller offers it again once room appears.
+    Full(J),
+    /// The request is refused: [`ServeError::Rejected`] when closed,
+    /// [`ServeError::WorkerFailed`] when degraded, and
+    /// [`ServeError::Overloaded`] when a shedding admission finds nothing
+    /// queued less important.
+    Refused(ServeError),
+}
+
+/// What a free worker does after [`Dispatcher::next`] has named the
+/// requests to answer.
+#[derive(Debug)]
+pub enum Action<J> {
+    /// Run these requests as one batch.
+    Run {
+        /// The batch, in service order.
+        jobs: Vec<J>,
+        /// Batches handed out before this one, over every worker — the
+        /// dispatch index a [`ServeFaultPlan`](crate::ServeFaultPlan)
+        /// names.
+        index: u64,
+        /// Summed over `jobs`: admission until now, in nanoseconds.
+        queue_wait_ns: u64,
+    },
+    /// Nothing is queued: sleep until a submission or a close.
+    Wait,
+    /// The server is closed and nothing is queued: the worker exits.
+    Exit,
+}
+
+/// Every serving decision, as a plain value: admission and shedding,
+/// deadline expiry, batch formation, the respawn circuit breaker, the
+/// degraded drain and the swap, with the [`ServeStats`] they produce.
+///
+/// It holds no threads and reads no clock. Each method takes the
+/// caller's `now_ns` (nanoseconds on one monotonic clock) and returns
+/// what to do; the server's threads hold it under one mutex and carry
+/// that out, and tests drive it on a virtual clock. `J` is the queued
+/// job, opaque here.
+///
+/// The lifecycle is three states: accepting, degraded after
+/// `max_respawns + 1` consecutive panics ([`Dispatcher::panicked`]), back
+/// to accepting on a swap ([`Dispatcher::swapped`]); either way
+/// [`Dispatcher::close`] stops intake, and once the queue is drained
+/// [`Dispatcher::next`] says [`Action::Exit`].
+#[derive(Debug)]
+pub struct Dispatcher<J> {
+    queue: ShedQueue<J>,
+    policy: BatchPolicy,
+    config: ServeConfig,
+    closed: bool,
+    degraded: bool,
+    /// Worker panics since the last successful batch or swap.
+    consecutive_panics: u32,
+    /// EWMA of forward nanoseconds per served request; `0` until the
+    /// first batch. Feeds the `retry_after_us` hint.
+    request_ns: f64,
+    /// Batches handed out so far.
+    dispatched: u64,
+    stats: ServeStats,
+}
+
+impl<J> Dispatcher<J> {
+    /// An accepting dispatcher with an empty queue of
+    /// `config.queue_depth` (minimum 1) and batches of at most
+    /// `config.max_batch` (minimum 1).
+    pub fn new(config: ServeConfig) -> Self {
+        Self {
+            queue: ShedQueue::new(config.queue_depth),
+            policy: BatchPolicy {
+                max_batch: config.max_batch.max(1),
+            },
+            config,
+            closed: false,
+            degraded: false,
+            consecutive_panics: 0,
+            request_ns: 0.0,
+            dispatched: 0,
+            stats: ServeStats::default(),
+        }
+    }
+
+    /// Offers a request submitted at `now_ns`. Its priority is clamped to
+    /// `0..priority_levels` and its deadline, explicit or the configured
+    /// default, counts from `now_ns` — a blocking caller offering again
+    /// after [`Admit::Full`] passes its original submission time. With
+    /// `shed`, a full queue evicts by [`ShedQueue::offer`]'s rules
+    /// instead of returning the job.
+    pub fn admit(&mut self, opts: SubmitOptions, now_ns: u128, job: J, shed: bool) -> Admit<J> {
+        if self.closed {
+            return Admit::Refused(ServeError::Rejected);
+        }
+        if self.degraded {
+            return Admit::Refused(ServeError::WorkerFailed);
+        }
+        let priority = opts.priority.min(self.config.priority_levels.max(1) - 1);
+        let default = (self.config.deadline_us > 0).then_some(u128::from(self.config.deadline_us));
+        // The queue keeps microseconds. Rounded up, so a queue wait
+        // computed from it is never longer than the real one.
+        let now_us = now_ns.div_ceil(1_000);
+        let deadline_us = opts
+            .deadline
+            .map(|d| d.as_micros())
+            .or(default)
+            .map(|d| now_us + d);
+        if !shed && !self.queue.has_room() {
+            return Admit::Full(job);
+        }
+        match self.queue.offer(priority, deadline_us, now_us, job) {
+            Offer::Admitted => Admit::Queued(None),
+            Offer::Shed {
+                victim: (_, victim),
+                expired,
+            } => {
+                let err = if expired {
+                    self.stats.expired += 1;
+                    ServeError::DeadlineExceeded
+                } else {
+                    self.stats.shed += 1;
+                    self.overloaded()
+                };
+                Admit::Queued(Some((victim, err)))
+            }
+            Offer::Full(_) => Admit::Refused(self.overloaded()),
+        }
+    }
+
+    /// An overloaded answer whose retry hint covers the current queue;
+    /// see [`retry_hint_us`].
+    fn overloaded(&self) -> ServeError {
+        ServeError::Overloaded {
+            retry_after_us: retry_hint_us(self.queue.len(), self.request_ns, self.config.workers),
+        }
+    }
+
+    /// A free worker's next step at `now_ns`. First the requests to
+    /// answer at once: everything past its deadline
+    /// ([`ServeError::DeadlineExceeded`], never batched), or, while
+    /// degraded, everything queued ([`ServeError::WorkerFailed`]). Then
+    /// [`Action::Run`] with [`BatchPolicy::take`] of what is left, in
+    /// service order; [`Action::Wait`] when nothing is; [`Action::Exit`]
+    /// when nothing is and the dispatcher is closed. Never runs a batch
+    /// while degraded.
+    pub fn next(&mut self, now_ns: u128) -> (Vec<(J, ServeError)>, Action<J>) {
+        let now_us = now_ns / 1_000;
+        let (answered, err) = if self.degraded {
+            let drained = self.queue.drain_all();
+            self.stats.failed += drained.len() as u64;
+            (drained, ServeError::WorkerFailed)
+        } else {
+            let expired = self.queue.take_expired(now_us);
+            self.stats.expired += expired.len() as u64;
+            (expired, ServeError::DeadlineExceeded)
+        };
+        let answers = answered
+            .into_iter()
+            .map(|(_, job)| (job, err.clone()))
+            .collect();
+        let take = self.policy.take(self.queue.len());
+        let action = if take > 0 {
+            let mut queue_wait_ns = 0;
+            // Nothing left in the queue is expired at `now_us`, so every
+            // pop yields.
+            let jobs = std::iter::from_fn(|| self.queue.pop(now_us))
+                .take(take)
+                .map(|(meta, job)| {
+                    queue_wait_ns += now_ns.saturating_sub(meta.enqueued_us * 1_000) as u64;
+                    job
+                })
+                .collect();
+            self.dispatched += 1;
+            Action::Run {
+                jobs,
+                index: self.dispatched - 1,
+                queue_wait_ns,
+            }
+        } else if self.closed {
+            Action::Exit
+        } else {
+            Action::Wait
+        };
+        (answers, action)
+    }
+
+    /// Records a batch of `k` that ran and answered every member, with
+    /// its stage times `[queue_wait, collect, forward, fan_out]` in
+    /// nanoseconds (see [`ServeStats`]). A success resets the breaker's
+    /// count, and the forward time feeds the retry hint.
+    pub fn finished(&mut self, k: usize, stage_ns: [u64; 4]) {
+        let [queue_wait_ns, collect_ns, forward_ns, fan_out_ns] = stage_ns;
+        self.consecutive_panics = 0;
+        self.request_ns = fold_request_ns(self.request_ns, forward_ns as f64, k);
+        let s = &mut self.stats;
+        if s.histogram.len() <= k {
+            s.histogram.resize(k + 1, 0);
+        }
+        s.histogram[k] += 1;
+        s.batches += 1;
+        s.requests += k as u64;
+        s.queue_wait_ns += queue_wait_ns;
+        s.collect_ns += collect_ns;
+        s.forward_ns += forward_ns;
+        s.fan_out_ns += fan_out_ns;
+    }
+
+    /// Records a worker panic that left `unanswered` members of its batch
+    /// for the caller to answer [`ServeError::WorkerFailed`], and returns
+    /// the backoff in milliseconds before that worker serves again (2 ms
+    /// doubled per consecutive panic, at most 200 ms). The
+    /// `max_respawns + 1`-th consecutive panic trips the breaker: the
+    /// dispatcher turns degraded, is not counted as a respawn, and from
+    /// then on refuses and drains everything until [`Dispatcher::swapped`].
+    pub fn panicked(&mut self, unanswered: usize) -> u64 {
+        self.consecutive_panics += 1;
+        let tripped = self.consecutive_panics > self.config.max_respawns;
+        self.degraded |= tripped;
+        self.stats.panics += 1;
+        self.stats.respawns += u64::from(!tripped);
+        self.stats.failed += unanswered as u64;
+        (BACKOFF_BASE_MS << self.consecutive_panics.min(6)).min(BACKOFF_CAP_MS)
+    }
+
+    /// Records a successful model swap: the breaker resets and a degraded
+    /// dispatcher accepts again.
+    pub fn swapped(&mut self) {
+        self.consecutive_panics = 0;
+        self.degraded = false;
+        self.stats.swaps += 1;
+    }
+
+    /// Stops intake for good: later admissions are
+    /// [`ServeError::Rejected`], and what is queued is still served.
+    pub fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// Whether the breaker has tripped and no swap has healed it yet.
+    pub fn is_degraded(&self) -> bool {
+        self.degraded
+    }
+
+    /// The counters so far.
+    pub fn stats(&self) -> &ServeStats {
+        &self.stats
+    }
+}
+
+/// The per-request service-time EWMA after a forward pass of `dt_ns`
+/// over `k` requests. Dividing by the batch's own size — not by the
+/// largest batch the policy allows — keeps the estimate right whether
+/// batches run full or, as at light load, hold one request each. `prev`
+/// is `0` before the first measurement.
+fn fold_request_ns(prev: f64, dt_ns: f64, k: usize) -> f64 {
+    let per_request = dt_ns / k.max(1) as f64;
+    if prev <= 0.0 {
+        per_request
+    } else {
+        0.8 * prev + 0.2 * per_request
+    }
+}
+
+/// Microseconds until a request admitted behind `queue_len` others would
+/// be served: `(queue_len + 1) × request_ns ÷ workers`. Before the first
+/// measured batch (`request_ns` 0) there is nothing to go on, and the
+/// hint is the smallest one.
+fn retry_hint_us(queue_len: usize, request_ns: f64, workers: usize) -> u64 {
+    let drain_ns = (queue_len as f64 + 1.0) * request_ns / workers.max(1) as f64;
+    ((drain_ns / 1e3).ceil() as u64).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The EWMA after `n` identical forward passes of `dt_ns` over `k`.
+    fn settled(dt_ns: f64, k: usize, n: usize) -> f64 {
+        (0..n).fold(0.0, |ewma, _| fold_request_ns(ewma, dt_ns, k))
+    }
+
+    #[test]
+    fn retry_hint_is_the_queue_drain_time_at_singleton_batches() {
+        // 1 ms forwards of one request each, 8 queued, one worker: the
+        // refused request would be the ninth in line.
+        let request_ns = settled(1e6, 1, 20);
+        assert_eq!(request_ns, 1e6);
+        assert_eq!(retry_hint_us(8, request_ns, 1), 9_000);
+    }
+
+    #[test]
+    fn retry_hint_does_not_depend_on_how_requests_were_batched() {
+        // The same service rate, reached in full batches: 8 ms per 8.
+        assert_eq!(settled(8e6, 8, 20), settled(1e6, 1, 20));
+        assert_eq!(retry_hint_us(8, settled(8e6, 8, 20), 1), 9_000);
+        // A mix converges on the same per-request time too.
+        let mixed = (0..40).fold(0.0, |ewma, i| {
+            let k = [1, 8, 3][i % 3];
+            fold_request_ns(ewma, k as f64 * 1e6, k)
+        });
+        assert!((mixed - 1e6).abs() < 1.0, "mixed batches read {mixed} ns");
+    }
+
+    #[test]
+    fn retry_hint_splits_the_queue_across_workers() {
+        assert_eq!(retry_hint_us(8, 1e6, 2), 4_500);
+        assert_eq!(retry_hint_us(0, 1e6, 2), 500);
+        assert_eq!(retry_hint_us(8, 1e6, 0), 9_000, "zero workers reads as one");
+    }
+
+    #[test]
+    fn retry_hint_before_any_measurement_is_the_smallest() {
+        assert_eq!(retry_hint_us(64, 0.0, 1), 1);
+    }
 
     #[test]
     fn budget_cap_mirrors_the_scheduler_footprint_model() {

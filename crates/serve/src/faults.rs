@@ -60,11 +60,6 @@ impl ServeFaultPlan {
         self
     }
 
-    /// Whether this plan injects anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.panic_at_batches.is_empty() && self.stalls.is_empty()
-    }
-
     /// Whether the worker dispatching batch `index` should panic.
     pub fn should_panic(&self, index: u64) -> bool {
         self.panic_at_batches.contains(&index)

@@ -15,19 +15,18 @@
 //!   inference lowering path ([`mbs_train::lower_inference`]) — state
 //!   imported, batch norms folded into their convolutions, no training
 //!   caches.
-//! - [`BatchPolicy`] / [`ShedQueue`] ([`batcher`]): the pure collection
-//!   rule (take `min(queued, max_batch)`) and the bounded priority queue
-//!   with shed-on-full admission, shared verbatim by the worker loop and
-//!   the property tests.
-//! - [`Server`] / [`Client`] ([`server`]): thread-per-core workers behind
-//!   the shed queue, responses fanned back over per-request oneshot
-//!   slots, graceful drain on shutdown, per-stage time sums in
-//!   [`ServeStats`] — plus the robustness layer:
-//!   deadline shedding ([`ServeError::DeadlineExceeded`]), admission
-//!   control with measured-backoff refusals ([`ServeError::Overloaded`]),
-//!   panic supervision with a respawn circuit breaker
-//!   ([`ServeError::WorkerFailed`]), and validated hot model swap with
-//!   automatic rollback ([`Server::swap`]).
+//! - [`BatchPolicy`] / [`ShedQueue`] / [`Dispatcher`] ([`batcher`]): the
+//!   pure collection rule (take `min(queued, max_batch)`), the bounded
+//!   priority queue with shed-on-full admission, and the one clock-free
+//!   decider over them — admission, deadline shedding
+//!   ([`ServeError::DeadlineExceeded`]), measured-backoff refusals
+//!   ([`ServeError::Overloaded`]), the respawn circuit breaker
+//!   ([`ServeError::WorkerFailed`]) and [`ServeStats`].
+//! - [`Server`] / [`Client`] ([`server`]): thread-per-core workers that
+//!   hold the dispatcher and the model under one lock and carry out its
+//!   decisions — no wait polls — with per-request oneshot slots, panic
+//!   supervision, graceful drain on shutdown, and validated hot model
+//!   swap with automatic rollback ([`Server::swap`]).
 //! - [`ServeFaultPlan`] ([`faults`]): deterministic worker panics and
 //!   stalls, the serving counterpart of the checkpoint
 //!   [`FaultPlan`](mbs_train::FaultPlan), driving the chaos tests.
@@ -47,7 +46,7 @@ pub mod faults;
 pub mod model;
 pub mod server;
 
-pub use batcher::{BatchPolicy, Offer, QueuedMeta, ShedQueue};
+pub use batcher::{Action, Admit, BatchPolicy, Dispatcher, Offer, QueuedMeta, ShedQueue};
 pub use faults::ServeFaultPlan;
 pub use model::{ModelError, ModelHandle, ModelRunner, Prediction};
 pub use server::{

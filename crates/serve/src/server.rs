@@ -1,11 +1,17 @@
-//! The in-process request loop: admission control, supervision, hot swap.
+//! The in-process request loop: threads that carry out what one
+//! [`Dispatcher`] decides.
 //!
-//! [`Server::start`] spawns thread-per-core workers behind one bounded,
-//! priority-ordered request queue (a [`ShedQueue`] under a mutex/condvar
-//! pair). Each request carries its own oneshot response slot; a
-//! [`Client`] submits a single sample and gets a [`Pending`] handle to
-//! wait on. Collection is work-conserving: a free worker sleeps only
-//! while the queue is empty, then takes `min(queued, max_batch)` requests
+//! [`Server::start`] spawns thread-per-core workers around **one lock**:
+//! a mutex over the [`Dispatcher`] — the bounded, priority-ordered
+//! request queue and every serving decision — and the served model.
+//! Each request carries its own oneshot response slot; a [`Client`]
+//! submits a single sample and gets a [`Pending`] handle to wait on. A
+//! worker's loop is: lock, ask [`Dispatcher::next`], then, outside the
+//! lock, answer what it names and run the batch it hands out — or sleep
+//! on a condvar until a submission or a close. Every state change
+//! happens under that lock and wakes whoever sleeps on it, so no wait
+//! has a timeout and nothing polls. Collection is work-conserving: a
+//! free worker takes `min(queued, max_batch)` requests
 //! ([`BatchPolicy::take`]) and dispatches at once — a lone request is
 //! never held for batch-mates, and a batch larger than one is exactly
 //! what queued up while every worker was busy. Each worker installs a
@@ -20,32 +26,31 @@
 //! lowest-priority queued request to admit more important work, and
 //! refuses the incoming request with [`ServeError::Overloaded`] (carrying
 //! a `retry_after_us` computed from the measured per-request service
-//! time) when nothing queued is less important.
-//! Collectors answer already-expired requests with
-//! [`ServeError::DeadlineExceeded`] *before* batching, so no forward pass
-//! is wasted on a result nobody will read.
+//! time) when nothing queued is less important. Already-expired requests
+//! are answered [`ServeError::DeadlineExceeded`] *before* batching, so no
+//! forward pass is wasted on a result nobody will read.
 //!
-//! **Supervision.** Every worker runs its collect/dispatch loop under
-//! [`std::panic::catch_unwind`]. A panic mid-batch answers every request
-//! in the doomed batch with [`ServeError::WorkerFailed`] (a drop guard
-//! owns the batch, so even the panic path answers), then the worker
-//! respawns with exponential backoff. A run of consecutive panics with no
-//! successful batch in between trips the circuit breaker
-//! ([`ServeConfig::max_respawns`]): the server flips into **degraded**
-//! mode, where submissions and queued work are rejected fast with
-//! `WorkerFailed` instead of being fed to a model that keeps crashing.
-//! A successful [`Server::swap`] heals a degraded server.
+//! **Supervision.** A worker runs each batch under
+//! [`std::panic::catch_unwind`]. A panic mid-batch answers every
+//! unanswered request in it with [`ServeError::WorkerFailed`], drops the
+//! worker's runner (the respawn) and sleeps the backoff the dispatcher
+//! returns. A run of consecutive panics with no successful batch in
+//! between trips the circuit breaker ([`ServeConfig::max_respawns`]):
+//! the server turns **degraded**, where submissions and queued work are
+//! rejected fast with `WorkerFailed` instead of being fed to a model
+//! that keeps crashing. A successful [`Server::swap`] heals a degraded
+//! server.
 //!
 //! **Hot swap.** [`Server::swap`] (and the file/directory conveniences
 //! [`Server::swap_file`] / [`Server::swap_latest`]) validates the
 //! replacement model *off* the worker path — checkpoint checksum and
 //! fingerprint guards via the loading path, geometry compatibility, and
-//! a probe forward — then flips the shared handle between batches. Every
-//! in-flight batch finishes on the handle it started with, so each
+//! a probe forward — then flips the shared handle under the lock. A
+//! worker takes the model current when it pops a batch, so every
 //! response is attributable to exactly one model version; a failed load
 //! or probe leaves the previous model serving (automatic rollback).
 //!
-//! The server lifecycle is a three-state machine:
+//! The server lifecycle is the dispatcher's three-state machine:
 //!
 //! ```text
 //! accepting ──(max_respawns+1 consecutive panics)──▶ degraded
@@ -54,14 +59,13 @@
 //! accepting | degraded ──(shutdown / drop)──▶ shut down (terminal)
 //! ```
 //!
-//! Shutdown closes the queue; workers drain whatever is already queued
-//! (every accepted request still gets its response), then exit.
+//! Shutdown closes the dispatcher; workers drain whatever is already
+//! queued (every accepted request still gets its response), then exit.
 //! Submissions after shutdown fail fast with [`ServeError::Rejected`] —
 //! no hangs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -71,21 +75,9 @@ use mbs_core::{HardwareConfig, Schedule};
 use mbs_tensor::{arena, Tensor};
 use mbs_train::checkpoint::LoadReport;
 
-use crate::batcher::{BatchPolicy, Offer, ShedQueue};
+use crate::batcher::{Action, Admit, BatchPolicy, Dispatcher};
 use crate::faults::ServeFaultPlan;
 use crate::model::{ModelError, ModelHandle, ModelRunner, Prediction};
-
-/// Base of the worker-respawn exponential backoff, in milliseconds
-/// (doubled per consecutive panic, capped at [`BACKOFF_CAP_MS`]).
-const BACKOFF_BASE_MS: u64 = 2;
-
-/// Ceiling of the worker-respawn backoff, in milliseconds.
-const BACKOFF_CAP_MS: u64 = 200;
-
-/// Longest a worker sleeps on a condvar before re-checking the
-/// closed/degraded flags — bounds how stale a state flip can go
-/// unnoticed, never how long a request waits.
-const POLL_CAP: Duration = Duration::from_millis(25);
 
 /// Why a request failed. Every variant's `Display` text names the
 /// recovery action, so surfacing the error *is* the runbook.
@@ -333,7 +325,7 @@ pub struct ServeStats {
     /// Requests answered [`ServeError::WorkerFailed`] (in a panicked
     /// batch, or drained in degraded mode).
     pub failed: u64,
-    /// Worker panics caught by the supervisor.
+    /// Worker panics caught mid-batch.
     pub panics: u64,
     /// Worker respawns performed (panics that did not trip the breaker).
     pub respawns: u64,
@@ -356,15 +348,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    fn record_batch(&mut self, size: usize) {
-        if self.histogram.len() <= size {
-            self.histogram.resize(size + 1, 0);
-        }
-        self.histogram[size] += 1;
-        self.batches += 1;
-        self.requests += size as u64;
-    }
-
     /// Requests answered in total, over every outcome: predictions,
     /// sheds, expiries, and worker failures.
     pub fn answered(&self) -> u64 {
@@ -425,10 +408,10 @@ struct Job {
     slot: Arc<ResponseSlot>,
 }
 
-/// The response side of one submitted request.
+/// The response side of one submitted request. Dropping it, answered or
+/// not, abandons its slot.
 pub struct Pending {
     slot: Arc<ResponseSlot>,
-    taken: bool,
 }
 
 impl Pending {
@@ -439,19 +422,8 @@ impl Pending {
     ///
     /// Whatever the server answered: [`ServeError::DeadlineExceeded`],
     /// [`ServeError::Overloaded`] (shed), or [`ServeError::WorkerFailed`].
-    pub fn wait(mut self) -> Result<Prediction, ServeError> {
-        let mut s = lock(&self.slot.state);
-        loop {
-            if let SlotState::Filled(_) = *s {
-                let r = std::mem::replace(&mut *s, SlotState::Abandoned);
-                self.taken = true;
-                match r {
-                    SlotState::Filled(result) => return result,
-                    _ => unreachable!("checked Filled above"),
-                }
-            }
-            s = self.slot.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
+    pub fn wait(self) -> Result<Prediction, ServeError> {
+        self.wait_until(None)
     }
 
     /// Like [`Pending::wait`] but gives up after `timeout`. Giving up
@@ -463,158 +435,68 @@ impl Pending {
     ///
     /// [`ServeError::DeadlineExceeded`] when `timeout` passes first; any
     /// error the server answered with.
-    pub fn wait_timeout(mut self, timeout: Duration) -> Result<Prediction, ServeError> {
-        let deadline = Instant::now() + timeout;
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Prediction, ServeError> {
+        self.wait_until(Some(Instant::now() + timeout))
+    }
+
+    /// Waits for the slot to fill, or until `deadline` when one is given.
+    fn wait_until(self, deadline: Option<Instant>) -> Result<Prediction, ServeError> {
         let mut s = lock(&self.slot.state);
         loop {
-            if let SlotState::Filled(_) = *s {
-                let r = std::mem::replace(&mut *s, SlotState::Abandoned);
-                self.taken = true;
-                match r {
-                    SlotState::Filled(result) => return result,
-                    _ => unreachable!("checked Filled above"),
+            match std::mem::replace(&mut *s, SlotState::Abandoned) {
+                SlotState::Filled(result) => return result,
+                other => *s = other,
+            }
+            let cv = &self.slot.cv;
+            s = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => cv.wait(s).unwrap_or_else(PoisonError::into_inner),
+                Some(left) if left.is_zero() => return Err(ServeError::DeadlineExceeded),
+                Some(left) => {
+                    cv.wait_timeout(s, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
                 }
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                *s = SlotState::Abandoned;
-                self.taken = true;
-                return Err(ServeError::DeadlineExceeded);
-            }
-            let (guard, _) = self
-                .slot
-                .cv
-                .wait_timeout(s, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            s = guard;
+            };
         }
     }
 }
 
 impl Drop for Pending {
     fn drop(&mut self) {
-        if !self.taken {
-            let mut s = lock(&self.slot.state);
-            *s = SlotState::Abandoned;
-        }
+        *lock(&self.slot.state) = SlotState::Abandoned;
     }
-}
-
-/// The queue plus its closed flag, under one mutex.
-struct QueueState {
-    queue: ShedQueue<Job>,
-    closed: bool,
 }
 
 /// State shared between the server handle, its clients, and its workers.
 struct Shared {
-    queue: Mutex<QueueState>,
-    /// Signalled when work arrives or the closed/degraded state flips.
-    not_empty: Condvar,
-    /// Signalled when queue room appears (blocking submit backpressure).
-    not_full: Condvar,
-    stats: Mutex<ServeStats>,
-    /// The served model; [`Server::swap`] replaces the `Arc` and bumps
-    /// `model_version`, and workers re-clone their runner when the
-    /// version they cached goes stale — an ArcSwap without the crate.
-    model: Mutex<Arc<ModelHandle>>,
-    model_version: AtomicU64,
-    /// Circuit-breaker state: consecutive worker panics with no
-    /// successful batch in between, and the reject-fast degraded flag.
-    consecutive_panics: AtomicU32,
-    degraded: AtomicBool,
-    /// EWMA of forward nanoseconds per served *request* (bits of an
-    /// `f64`); `0` until the first batch. Feeds `retry_after_us`.
-    request_ns_ewma: AtomicU64,
-    /// Global dispatch counter driving the fault plan.
-    batch_counter: AtomicU64,
+    /// The one lock: every serving decision and the served model.
+    state: Mutex<State>,
+    /// Signalled when work is queued, the server closes or it degrades.
+    work: Condvar,
+    /// Signalled when queue room appears, the server closes or it
+    /// degrades (blocking-submit backpressure).
+    room: Condvar,
     fault: ServeFaultPlan,
-    /// Epoch all queue timestamps (admission, deadlines) and stage
-    /// boundaries are measured against.
+    /// Epoch of the one clock every decision and stage time reads.
     epoch: Instant,
     input: FeatureShape,
     classes: usize,
-    policy: BatchPolicy,
-    config: ServeConfig,
+}
+
+/// What [`Shared::state`] guards.
+struct State {
+    dispatcher: Dispatcher<Job>,
+    /// The served model; [`Server::swap`] replaces it and bumps
+    /// `version`, and a worker re-clones its runner when the version it
+    /// cached goes stale.
+    model: Arc<ModelHandle>,
+    version: u64,
 }
 
 impl Shared {
-    fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
+    fn now_ns(&self) -> u128 {
+        self.epoch.elapsed().as_nanos()
     }
-
-    /// Resolves submit options against the config and reads the
-    /// request's one clock: clamped priority, absolute deadline (explicit
-    /// or the configured default), admission time — both in microseconds
-    /// since the epoch.
-    fn admission(&self, opts: SubmitOptions) -> (u8, Option<u128>, u128) {
-        let priority = opts.priority.min(self.config.priority_levels.max(1) - 1);
-        let deadline = opts.deadline.map(|d| d.as_micros()).or_else(|| {
-            (self.config.deadline_us > 0).then_some(u128::from(self.config.deadline_us))
-        });
-        // Rounded up, so a queue wait computed from it is never longer
-        // than the real one.
-        let now_us = self.epoch.elapsed().as_nanos().div_ceil(1_000);
-        (priority, deadline.map(|d| now_us + d), now_us)
-    }
-
-    /// Suggested retry backoff for an overloaded answer; see
-    /// [`retry_hint_us`].
-    fn retry_after_us(&self, queue_len: usize) -> u64 {
-        let request_ns = f64::from_bits(self.request_ns_ewma.load(Ordering::Relaxed));
-        retry_hint_us(queue_len, request_ns, self.config.workers)
-    }
-
-    /// Folds one measured forward pass over `k` requests into the
-    /// per-request service-time EWMA.
-    fn note_batch_time(&self, dt_ns: f64, k: usize) {
-        let prev = f64::from_bits(self.request_ns_ewma.load(Ordering::Relaxed));
-        let next = fold_request_ns(prev, dt_ns, k);
-        self.request_ns_ewma
-            .store(next.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Answers and counts a shed victim (from `try_submit` admission).
-    fn answer_victim(&self, job: Job, expired: bool, queue_len: usize) {
-        let mut stats = lock(&self.stats);
-        if expired {
-            stats.expired += 1;
-        } else {
-            stats.shed += 1;
-        }
-        drop(stats);
-        let err = if expired {
-            ServeError::DeadlineExceeded
-        } else {
-            ServeError::Overloaded {
-                retry_after_us: self.retry_after_us(queue_len),
-            }
-        };
-        job.slot.fill(Err(err));
-    }
-}
-
-/// The per-request service-time EWMA after a forward pass of `dt_ns`
-/// over `k` requests. Dividing by the batch's own size — not by the
-/// largest batch the policy allows — keeps the estimate right whether
-/// batches run full or, as at light load, hold one request each. `prev`
-/// is `0` before the first measurement.
-fn fold_request_ns(prev: f64, dt_ns: f64, k: usize) -> f64 {
-    let per_request = dt_ns / k.max(1) as f64;
-    if prev <= 0.0 {
-        per_request
-    } else {
-        0.8 * prev + 0.2 * per_request
-    }
-}
-
-/// Microseconds until a request admitted behind `queue_len` others would
-/// be served: `(queue_len + 1) × request_ns ÷ workers`. Before the first
-/// measured batch (`request_ns` 0) there is nothing to go on, and the
-/// hint is the smallest one.
-fn retry_hint_us(queue_len: usize, request_ns: f64, workers: usize) -> u64 {
-    let drain_ns = (queue_len as f64 + 1.0) * request_ns / workers.max(1) as f64;
-    ((drain_ns / 1e3).ceil() as u64).max(1)
 }
 
 /// A running dynamic-batching inference server. Dropping it (or calling
@@ -640,36 +522,25 @@ impl Server {
         config: ServeConfig,
         fault: ServeFaultPlan,
     ) -> Self {
-        let policy = BatchPolicy {
-            max_batch: config.max_batch.max(1),
-        };
         let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState {
-                queue: ShedQueue::new(config.queue_depth.max(1)),
-                closed: false,
+            state: Mutex::new(State {
+                dispatcher: Dispatcher::new(config),
+                model: Arc::new(model.clone()),
+                version: 0,
             }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            stats: Mutex::new(ServeStats::default()),
-            model: Mutex::new(Arc::new(model.clone())),
-            model_version: AtomicU64::new(0),
-            consecutive_panics: AtomicU32::new(0),
-            degraded: AtomicBool::new(false),
-            request_ns_ewma: AtomicU64::new(0),
-            batch_counter: AtomicU64::new(0),
+            work: Condvar::new(),
+            room: Condvar::new(),
             fault,
             epoch: Instant::now(),
             input: model.input(),
             classes: model.classes(),
-            policy,
-            config,
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("mbs-serve-{i}"))
-                    .spawn(move || worker_thread(&shared))
+                    .spawn(move || worker(&shared))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -685,13 +556,13 @@ impl Server {
 
     /// Snapshot of the counters so far.
     pub fn stats(&self) -> ServeStats {
-        lock(&self.shared.stats).clone()
+        lock(&self.shared.state).dispatcher.stats().clone()
     }
 
     /// Whether the circuit breaker has flipped the server into
     /// reject-fast degraded mode (healed by a successful [`Server::swap`]).
     pub fn is_degraded(&self) -> bool {
-        self.shared.is_degraded()
+        lock(&self.shared.state).dispatcher.is_degraded()
     }
 
     /// Replaces the served model with `handle`, validated off the worker
@@ -725,18 +596,10 @@ impl Server {
         let zero = Tensor::zeros(&[input.channels, input.height, input.width]);
         catch_unwind(AssertUnwindSafe(|| probe.infer_one(&zero))).map_err(|_| SwapError::Probe)?;
 
-        let mut model = lock(&self.shared.model);
-        *model = Arc::new(handle);
-        // Bump under the model lock so workers that re-clone observe a
-        // consistent (version, handle) pair.
-        self.shared.model_version.fetch_add(1, Ordering::Release);
-        drop(model);
-        // Self-heal: a validated new model resets the breaker.
-        self.shared.consecutive_panics.store(0, Ordering::Release);
-        self.shared.degraded.store(false, Ordering::Release);
-        lock(&self.shared.stats).swaps += 1;
-        // Wake degraded drains so they resume serving promptly.
-        self.shared.not_empty.notify_all();
+        let mut state = lock(&self.shared.state);
+        state.model = Arc::new(handle);
+        state.version += 1;
+        state.dispatcher.swapped();
         Ok(())
     }
 
@@ -785,9 +648,9 @@ impl Server {
     }
 
     fn close_and_join(&mut self) {
-        lock(&self.shared.queue).closed = true;
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
+        lock(&self.shared.state).dispatcher.close();
+        self.shared.work.notify_all();
+        self.shared.room.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -808,28 +671,6 @@ pub struct Client {
 }
 
 impl Client {
-    /// Shape-checks a sample and builds its job/pending pair.
-    fn make_job(&self, sample: &Tensor) -> Result<(Job, Pending), ServeError> {
-        let want = self.shared.input;
-        let expected = [want.channels, want.height, want.width];
-        let shape = sample.shape();
-        let ok = shape == expected || (shape.len() == 4 && shape[0] == 1 && shape[1..] == expected);
-        if !ok {
-            return Err(ServeError::Shape {
-                expected: expected.to_vec(),
-                found: shape.to_vec(),
-            });
-        }
-        let slot = ResponseSlot::new();
-        Ok((
-            Job {
-                sample: sample.clone(),
-                slot: Arc::clone(&slot),
-            },
-            Pending { slot, taken: false },
-        ))
-    }
-
     /// Submits one sample (shape `[c, h, w]` or `[1, c, h, w]`) at the
     /// default priority and deadline. Blocks only while the request queue
     /// is full (backpressure), never after shutdown — a closed server
@@ -850,29 +691,7 @@ impl Client {
     ///
     /// Same as [`Client::submit`].
     pub fn submit_with(&self, sample: &Tensor, opts: SubmitOptions) -> Result<Pending, ServeError> {
-        let (job, pending) = self.make_job(sample)?;
-        let (priority, deadline_us, now_us) = self.shared.admission(opts);
-        let mut qs = lock(&self.shared.queue);
-        loop {
-            if qs.closed {
-                return Err(ServeError::Rejected);
-            }
-            if self.shared.is_degraded() {
-                return Err(ServeError::WorkerFailed);
-            }
-            if qs.queue.has_room() {
-                qs.queue.push(priority, deadline_us, now_us, job);
-                drop(qs);
-                self.shared.not_empty.notify_one();
-                return Ok(pending);
-            }
-            let (guard, _) = self
-                .shared
-                .not_full
-                .wait_timeout(qs, POLL_CAP)
-                .unwrap_or_else(PoisonError::into_inner);
-            qs = guard;
-        }
+        self.offer(sample, opts, false)
     }
 
     /// Non-blocking admission-controlled submit. When the queue is full,
@@ -889,342 +708,187 @@ impl Client {
     /// [`ServeError::Overloaded`] when refused at a full queue, plus
     /// everything [`Client::submit`] reports.
     pub fn try_submit(&self, sample: &Tensor, opts: SubmitOptions) -> Result<Pending, ServeError> {
-        let (job, pending) = self.make_job(sample)?;
-        let (priority, deadline_us, now_us) = self.shared.admission(opts);
-        let mut qs = lock(&self.shared.queue);
-        if qs.closed {
-            return Err(ServeError::Rejected);
-        }
-        if self.shared.is_degraded() {
-            return Err(ServeError::WorkerFailed);
-        }
-        match qs.queue.offer(priority, deadline_us, now_us, job) {
-            Offer::Admitted => {
-                drop(qs);
-                self.shared.not_empty.notify_one();
-                Ok(pending)
-            }
-            Offer::Shed { victim, expired } => {
-                let queue_len = qs.queue.len();
-                drop(qs);
-                let (_, job) = victim;
-                self.shared.answer_victim(job, expired, queue_len);
-                self.shared.not_empty.notify_one();
-                Ok(pending)
-            }
-            Offer::Full(_) => {
-                let queue_len = qs.queue.len();
-                drop(qs);
-                Err(ServeError::Overloaded {
-                    retry_after_us: self.shared.retry_after_us(queue_len),
-                })
-            }
-        }
+        self.offer(sample, opts, true)
     }
-}
 
-/// The requests one free worker took off the queue together.
-struct Batch {
-    jobs: Vec<Job>,
-    /// When they were popped, since the epoch.
-    popped: Duration,
-    /// Summed over `jobs`: submission until `popped`, in nanoseconds.
-    queue_wait_ns: u64,
-}
-
-/// What one collection attempt produced.
-enum Collected {
-    Batch(Batch),
-    /// The server degraded while this worker waited; the caller loops
-    /// into the degraded drain.
-    Degraded,
-    /// The queue is closed and fully drained; the worker exits.
-    Closed,
-}
-
-/// Answers every queued request already expired at `now_us` with
-/// `DeadlineExceeded` — called before each pop so an expired request
-/// never enters a batch.
-fn answer_expired(shared: &Shared, qs: &mut QueueState, now_us: u128) {
-    let expired = qs.queue.take_expired(now_us);
-    if expired.is_empty() {
-        return;
-    }
-    lock(&shared.stats).expired += expired.len() as u64;
-    for (_, job) in expired {
-        job.slot.fill(Err(ServeError::DeadlineExceeded));
-    }
-    shared.not_full.notify_all();
-}
-
-/// Work-conserving batch assembly for one free worker: sleep (in bounded
-/// slices, so closed/degraded flips are noticed) only while nothing is
-/// poppable, then take what [`BatchPolicy::take`] allows in one pass
-/// under the queue lock and return. Nothing is ever held for batch-mates.
-fn collect(shared: &Shared) -> Collected {
-    let mut qs = lock(&shared.queue);
-    loop {
-        let popped = shared.epoch.elapsed();
-        let (now_us, popped_ns) = (popped.as_micros(), popped.as_nanos());
-        answer_expired(shared, &mut qs, now_us);
-        let take = shared.policy.take(qs.queue.len());
-        if take > 0 {
-            let mut jobs = Vec::with_capacity(take);
-            let mut queue_wait_ns = 0;
-            // Nothing left in the queue is expired at `now_us`, so every
-            // pop yields.
-            for (meta, job) in std::iter::from_fn(|| qs.queue.pop(now_us)).take(take) {
-                queue_wait_ns += popped_ns.saturating_sub(meta.enqueued_us * 1_000) as u64;
-                jobs.push(job);
-            }
-            drop(qs);
-            shared.not_full.notify_all();
-            return Collected::Batch(Batch {
-                jobs,
-                popped,
-                queue_wait_ns,
+    /// Shape-checks a sample and offers it to the dispatcher, waiting for
+    /// room while a non-shedding offer finds the queue full.
+    fn offer(
+        &self,
+        sample: &Tensor,
+        opts: SubmitOptions,
+        shed: bool,
+    ) -> Result<Pending, ServeError> {
+        let want = self.shared.input;
+        let expected = [want.channels, want.height, want.width];
+        let shape = sample.shape();
+        let ok = shape == expected || (shape.len() == 4 && shape[0] == 1 && shape[1..] == expected);
+        if !ok {
+            return Err(ServeError::Shape {
+                expected: expected.to_vec(),
+                found: shape.to_vec(),
             });
         }
-        if qs.closed {
-            return Collected::Closed;
+        let slot = ResponseSlot::new();
+        let mut job = Job {
+            sample: sample.clone(),
+            slot: Arc::clone(&slot),
+        };
+        // The request's one clock read: its queue wait and deadline count
+        // from here, a blocking submit's wait for room included.
+        let now_ns = self.shared.now_ns();
+        let mut state = lock(&self.shared.state);
+        loop {
+            match state.dispatcher.admit(opts, now_ns, job, shed) {
+                Admit::Queued(victim) => {
+                    drop(state);
+                    self.shared.work.notify_one();
+                    if let Some((victim, err)) = victim {
+                        victim.slot.fill(Err(err));
+                    }
+                    return Ok(Pending { slot });
+                }
+                Admit::Full(back) => {
+                    job = back;
+                    state = self
+                        .shared
+                        .room
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                Admit::Refused(err) => return Err(err),
+            }
         }
-        if shared.is_degraded() {
-            return Collected::Degraded;
-        }
-        let (guard, _) = shared
-            .not_empty
-            .wait_timeout(qs, POLL_CAP)
-            .unwrap_or_else(PoisonError::into_inner);
-        qs = guard;
     }
 }
 
-/// Owns a batch through dispatch: any job still unanswered when this
-/// drops — i.e. the dispatching worker panicked — is answered
-/// [`ServeError::WorkerFailed`], so even the panic path answers every
-/// request exactly once.
-struct BatchGuard<'a> {
-    shared: &'a Shared,
-    jobs: Vec<Option<Job>>,
-}
-
-impl<'a> BatchGuard<'a> {
-    fn new(shared: &'a Shared, batch: Vec<Job>) -> Self {
-        Self {
-            shared,
-            jobs: batch.into_iter().map(Some).collect(),
+/// One serving thread: under the lock it asks the dispatcher what to do,
+/// outside it does that — answers requests, runs a batch, sleeps until
+/// something changes, or exits.
+fn worker(shared: &Shared) {
+    let _arena = arena::LocalArena::install();
+    // The worker's private runner, tagged with the model version it was
+    // cloned from; re-cloned after a swap, dropped after a panic.
+    let mut runner: Option<(ModelRunner, u64)> = None;
+    let mut state = lock(&shared.state);
+    loop {
+        let popped_ns = shared.now_ns();
+        let (answers, action) = state.dispatcher.next(popped_ns);
+        if answers.is_empty() && matches!(action, Action::Wait) {
+            state = shared
+                .work
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
         }
-    }
-}
-
-impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        let unanswered: Vec<Job> = self.jobs.iter_mut().filter_map(Option::take).collect();
-        if unanswered.is_empty() {
-            return;
+        // The model current at the pop serves the batch; the runner is
+        // cloned from it outside the lock.
+        let fresh = (matches!(action, Action::Run { .. })
+            && runner.as_ref().map(|&(_, v)| v) != Some(state.version))
+        .then(|| (Arc::clone(&state.model), state.version));
+        drop(state);
+        shared.room.notify_all();
+        for (job, err) in answers {
+            job.slot.fill(Err(err));
         }
-        lock(&self.shared.stats).failed += unanswered.len() as u64;
+        let (jobs, index, queue_wait_ns) = match action {
+            Action::Run {
+                jobs,
+                index,
+                queue_wait_ns,
+            } => (jobs, index, queue_wait_ns),
+            Action::Wait => {
+                state = lock(&shared.state);
+                continue;
+            }
+            Action::Exit => return,
+        };
+        let mut answered = 0;
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run_batch(
+                shared,
+                &mut runner,
+                fresh,
+                &jobs,
+                index,
+                popped_ns,
+                &mut answered,
+            )
+        }));
+        state = lock(&shared.state);
+        if let Ok([collect_ns, forward_ns, fan_out_ns]) = ran {
+            let stages = [queue_wait_ns, collect_ns, forward_ns, fan_out_ns];
+            state.dispatcher.finished(jobs.len(), stages);
+            continue;
+        }
+        let unanswered = &jobs[answered..];
+        let backoff_ms = state.dispatcher.panicked(unanswered.len());
+        drop(state);
+        // The server may have just turned degraded: wake every waiter.
+        shared.work.notify_all();
+        shared.room.notify_all();
         for job in unanswered {
             job.slot.fill(Err(ServeError::WorkerFailed));
         }
+        runner = None;
+        thread::sleep(Duration::from_millis(backoff_ms));
+        state = lock(&shared.state);
     }
 }
 
-/// Stacks a batch into one `[k, c, h, w]` tensor, runs the inference
-/// forward on the *current* model version (re-cloning the runner if a
-/// swap happened since the last batch), and fans the per-row logits back
-/// to the response slots. A requester that already gave up (dropped or
-/// timed-out [`Pending`]) is skipped silently. May panic — by injected
-/// fault or a genuine model bug — in which case the [`BatchGuard`]
-/// answers the batch and the supervisor respawns the worker.
-fn dispatch(shared: &Shared, runner: &mut Option<(ModelRunner, u64)>, batch: Batch) {
-    let mut guard = BatchGuard::new(shared, batch.jobs);
-    let index = shared.batch_counter.fetch_add(1, Ordering::Relaxed);
-    if !shared.fault.is_empty() {
-        if let Some(stall) = shared.fault.stall_for(index) {
-            thread::sleep(stall);
-        }
-        assert!(
-            !shared.fault.should_panic(index),
-            "mbs-serve fault injection: worker panic at batch {index}"
-        );
+/// Runs batch `index`: the fault plan's stall or panic, a runner
+/// re-clone when `fresh` carries a newer model, the forward over the
+/// stacked `[k, c, h, w]` samples, and the fan-out of each row's logits
+/// to its slot (a requester that gave up is skipped silently). Counts
+/// the answered jobs in `answered`, so after a panic — injected or a
+/// model bug — the caller answers the rest. Returns the collect, forward
+/// and fan-out nanoseconds.
+fn run_batch(
+    shared: &Shared,
+    runner: &mut Option<(ModelRunner, u64)>,
+    fresh: Option<(Arc<ModelHandle>, u64)>,
+    jobs: &[Job],
+    index: u64,
+    popped_ns: u128,
+    answered: &mut usize,
+) -> [u64; 3] {
+    if let Some(stall) = shared.fault.stall_for(index) {
+        thread::sleep(stall);
     }
-    // Refresh the runner inside the guard: even a panicking model clone
-    // must answer the batch.
-    let version = shared.model_version.load(Ordering::Acquire);
-    let stale = runner.as_ref().is_none_or(|&(_, v)| v != version);
-    if stale {
-        let model = lock(&shared.model);
-        let v = shared.model_version.load(Ordering::Acquire);
-        *runner = Some((model.runner(), v));
+    assert!(
+        !shared.fault.should_panic(index),
+        "mbs-serve fault injection: worker panic at batch {index}"
+    );
+    if let Some((model, version)) = fresh {
+        *runner = Some((model.runner(), version));
     }
-    let (runner, _) = runner.as_mut().expect("runner refreshed above");
-
-    let k = guard.jobs.len();
+    let (runner, _) = runner.as_mut().expect("the first batch brings a model");
     let shape = runner.input();
-    let mut data = Vec::with_capacity(k * shape.elems());
-    for job in guard.jobs.iter().flatten() {
+    let mut data = Vec::with_capacity(jobs.len() * shape.elems());
+    for job in jobs {
         data.extend_from_slice(job.sample.data());
     }
-    let x = Tensor::from_vec(&[k, shape.channels, shape.height, shape.width], data);
-    let forward_start = shared.epoch.elapsed();
+    let x = Tensor::from_vec(
+        &[jobs.len(), shape.channels, shape.height, shape.width],
+        data,
+    );
+    let forward_start = shared.now_ns();
     let y = runner.infer(x);
-    let forward_end = shared.epoch.elapsed();
-    let forward_ns = (forward_end - forward_start).as_nanos() as u64;
-    shared.note_batch_time(forward_ns as f64, k);
-    let classes = runner.classes();
-    let out = y.data();
+    let forward_end = shared.now_ns();
     let mut fanned_out = forward_end;
-    for i in 0..k {
-        let job = guard.jobs[i].take().expect("each job answered once");
-        let logits = out[i * classes..(i + 1) * classes].to_vec();
-        let prediction = Prediction::from_logits(logits);
-        if i + 1 == k {
+    for (job, logits) in jobs.iter().zip(y.data().chunks_exact(runner.classes())) {
+        let prediction = Prediction::from_logits(logits.to_vec());
+        if *answered + 1 == jobs.len() {
             // Read before the last waiter can wake; see `fan_out_ns`.
-            fanned_out = shared.epoch.elapsed();
+            fanned_out = shared.now_ns();
         }
         job.slot.fill(Ok(prediction));
+        *answered += 1;
     }
-    drop(guard);
-    let mut stats = lock(&shared.stats);
-    stats.record_batch(k);
-    stats.queue_wait_ns += batch.queue_wait_ns;
-    stats.collect_ns += (forward_start - batch.popped).as_nanos() as u64;
-    stats.forward_ns += forward_ns;
-    stats.fan_out_ns += (fanned_out - forward_end).as_nanos() as u64;
-}
-
-/// Reject-fast service while degraded: every queued (and newly arriving)
-/// request is answered [`ServeError::WorkerFailed`] without touching the
-/// model. Returns `true` when the server healed (a swap cleared the
-/// flag) and serving should resume, `false` when the queue closed.
-fn degraded_drain(shared: &Shared) -> bool {
-    let mut qs = lock(&shared.queue);
-    loop {
-        let drained = qs.queue.drain_all();
-        if !drained.is_empty() {
-            lock(&shared.stats).failed += drained.len() as u64;
-            for (_, job) in drained {
-                job.slot.fill(Err(ServeError::WorkerFailed));
-            }
-            shared.not_full.notify_all();
-        }
-        if !shared.is_degraded() {
-            return true;
-        }
-        if qs.closed {
-            return false;
-        }
-        let (guard, _) = shared
-            .not_empty
-            .wait_timeout(qs, POLL_CAP)
-            .unwrap_or_else(PoisonError::into_inner);
-        qs = guard;
-    }
-}
-
-/// One supervised serving incarnation: collect and dispatch until the
-/// queue closes. Panics propagate to the supervisor in
-/// [`worker_thread`]; a normal return means clean shutdown.
-fn worker_run(shared: &Shared) {
-    let _arena = arena::LocalArena::install();
-    // The worker's private runner, tagged with the model version it was
-    // cloned from; `dispatch` re-clones after a swap.
-    let mut runner: Option<(ModelRunner, u64)> = None;
-    loop {
-        if shared.is_degraded() {
-            if degraded_drain(shared) {
-                // Healed by a swap: drop the stale runner and resume.
-                runner = None;
-                continue;
-            }
-            return;
-        }
-        match collect(shared) {
-            Collected::Closed => return,
-            Collected::Degraded => continue,
-            Collected::Batch(batch) => {
-                dispatch(shared, &mut runner, batch);
-                // A successful batch proves the model serves: reset the
-                // breaker.
-                shared.consecutive_panics.store(0, Ordering::Release);
-            }
-        }
-    }
-}
-
-/// The supervisor wrapping one worker thread: runs [`worker_run`] under
-/// `catch_unwind`, and on a panic counts it, backs off exponentially,
-/// and respawns the loop — or, past [`ServeConfig::max_respawns`]
-/// consecutive failures, flips the server into degraded mode (the
-/// respawned loop then rejects fast until a swap heals it).
-fn worker_thread(shared: &Arc<Shared>) {
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| worker_run(shared))) {
-            Ok(()) => return,
-            Err(_) => {
-                let consecutive = shared.consecutive_panics.fetch_add(1, Ordering::AcqRel) + 1;
-                let tripped = consecutive > shared.config.max_respawns;
-                {
-                    let mut stats = lock(&shared.stats);
-                    stats.panics += 1;
-                    if !tripped {
-                        stats.respawns += 1;
-                    }
-                }
-                if tripped && !shared.degraded.swap(true, Ordering::AcqRel) {
-                    // Newly degraded: wake every waiter so blocked
-                    // submitters and collectors learn fast.
-                    shared.not_empty.notify_all();
-                    shared.not_full.notify_all();
-                }
-                let backoff = (BACKOFF_BASE_MS << consecutive.min(6)).min(BACKOFF_CAP_MS);
-                thread::sleep(Duration::from_millis(backoff));
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The EWMA after `n` identical forward passes of `dt_ns` over `k`.
-    fn settled(dt_ns: f64, k: usize, n: usize) -> f64 {
-        (0..n).fold(0.0, |ewma, _| fold_request_ns(ewma, dt_ns, k))
-    }
-
-    #[test]
-    fn retry_hint_is_the_queue_drain_time_at_singleton_batches() {
-        // 1 ms forwards of one request each, 8 queued, one worker: the
-        // refused request would be the ninth in line.
-        let request_ns = settled(1e6, 1, 20);
-        assert_eq!(request_ns, 1e6);
-        assert_eq!(retry_hint_us(8, request_ns, 1), 9_000);
-    }
-
-    #[test]
-    fn retry_hint_does_not_depend_on_how_requests_were_batched() {
-        // The same service rate, reached in full batches: 8 ms per 8.
-        assert_eq!(settled(8e6, 8, 20), settled(1e6, 1, 20));
-        assert_eq!(retry_hint_us(8, settled(8e6, 8, 20), 1), 9_000);
-        // A mix converges on the same per-request time too.
-        let mixed = (0..40).fold(0.0, |ewma, i| {
-            let k = [1, 8, 3][i % 3];
-            fold_request_ns(ewma, k as f64 * 1e6, k)
-        });
-        assert!((mixed - 1e6).abs() < 1.0, "mixed batches read {mixed} ns");
-    }
-
-    #[test]
-    fn retry_hint_splits_the_queue_across_workers() {
-        assert_eq!(retry_hint_us(8, 1e6, 2), 4_500);
-        assert_eq!(retry_hint_us(0, 1e6, 2), 500);
-        assert_eq!(retry_hint_us(8, 1e6, 0), 9_000, "zero workers reads as one");
-    }
-
-    #[test]
-    fn retry_hint_before_any_measurement_is_the_smallest() {
-        assert_eq!(retry_hint_us(64, 0.0, 1), 1);
-    }
+    [
+        forward_start - popped_ns,
+        forward_end - forward_start,
+        fanned_out - forward_end,
+    ]
+    .map(|ns| ns as u64)
 }

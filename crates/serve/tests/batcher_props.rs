@@ -1,8 +1,8 @@
 //! Property tests for the collection policy on a virtual microsecond
 //! clock *with service time*: W workers, a service-time table `t(k)`,
-//! seeded arrivals, and the same [`BatchPolicy::take`] and [`ShedQueue`]
-//! the server's collect loop calls. The invariants proved here are the
-//! ones the server runs under:
+//! seeded arrivals, and the server's own decider — a [`Dispatcher`]
+//! asked to `admit`, `next` and `finished` exactly as a worker asks it.
+//! The invariants proved here are the ones the server runs under:
 //!
 //! 1. no batch exceeds the configured max batch size or the cache-budget
 //!    bound, and every request lands in exactly one batch, in order;
@@ -22,7 +22,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mbs_serve::{BatchPolicy, Offer, ShedQueue};
+use mbs_serve::{
+    Action, Admit, BatchPolicy, Dispatcher, Offer, ServeConfig, ShedQueue, SubmitOptions,
+};
 
 /// One simulated dispatch, in virtual µs.
 #[derive(Debug)]
@@ -39,16 +41,26 @@ struct SimBatch {
     arrivals: Vec<u128>,
 }
 
-/// Replays the server's collect loop over sorted arrival times: whichever
-/// worker is free first sleeps only while the queue is empty, then pops
-/// `policy.take(queued)` requests and is busy for `service_us(size)`.
+/// The dispatcher's clock reads nanoseconds.
+fn ns(us: u128) -> u128 {
+    us * 1_000
+}
+
+/// Replays the server's worker loop over sorted arrival times: whichever
+/// worker is free first sleeps only while nothing is queued, then asks
+/// the dispatcher for its next batch and is busy for `service_us(size)`.
 fn simulate(
     policy: BatchPolicy,
     workers: usize,
     arrivals: &[u128],
     service_us: impl Fn(usize) -> u128,
 ) -> Vec<SimBatch> {
-    let mut queue: ShedQueue<usize> = ShedQueue::new(arrivals.len());
+    let mut dispatcher: Dispatcher<usize> = Dispatcher::new(ServeConfig {
+        workers,
+        max_batch: policy.max_batch,
+        queue_depth: arrivals.len(),
+        ..ServeConfig::default()
+    });
     let mut free_at = vec![0u128; workers];
     let mut batches = Vec::new();
     let (mut admitted, mut served) = (0, 0);
@@ -63,19 +75,42 @@ fn simulate(
         // sleeps until it arrives.
         let start_us = free_us.max(arrivals[served]);
         while admitted < arrivals.len() && arrivals[admitted] <= start_us {
-            queue.push(0, None, arrivals[admitted], admitted);
+            let opts = SubmitOptions::default();
+            let admit = dispatcher.admit(opts, ns(arrivals[admitted]), admitted, false);
+            assert!(
+                matches!(admit, Admit::Queued(None)),
+                "the queue holds every arrival"
+            );
             admitted += 1;
         }
-        let queued = queue.len();
-        let members: Vec<u128> = (0..policy.take(queued))
-            .map(|_| {
-                let (meta, id) = queue.pop(start_us).expect("take never exceeds the queue");
+        let queued = admitted - served;
+        let (answers, action) = dispatcher.next(ns(start_us));
+        assert!(answers.is_empty(), "nothing expires without a deadline");
+        let Action::Run {
+            jobs,
+            queue_wait_ns,
+            ..
+        } = action
+        else {
+            panic!("a free worker facing {queued} queued requests did not run them")
+        };
+        let members: Vec<u128> = jobs
+            .iter()
+            .map(|&id| {
                 assert_eq!(id, served, "requests of one priority are served in order");
                 served += 1;
-                meta.enqueued_us
+                arrivals[id]
             })
             .collect();
+        let waited: u128 = members.iter().map(|&a| ns(start_us - a)).sum();
+        assert_eq!(
+            u128::from(queue_wait_ns),
+            waited,
+            "queue wait is admission to pop"
+        );
         let done_us = start_us + service_us(members.len());
+        let forward_ns = ns(done_us - start_us) as u64;
+        dispatcher.finished(members.len(), [queue_wait_ns, 0, forward_ns, 0]);
         free_at[worker] = done_us;
         batches.push(SimBatch {
             worker,
@@ -86,6 +121,7 @@ fn simulate(
             arrivals: members,
         });
     }
+    assert_eq!(dispatcher.stats().requests, arrivals.len() as u64);
     batches
 }
 

@@ -290,47 +290,121 @@ fn row_major_gemm(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, exec: Exec
     c
 }
 
-/// Edge tiles: shapes straddling every registered tile boundary (8 and 16
-/// wide/tall, ±1) stay correct for every kernel — the packed zero-padding
-/// lanes must never leak into C.
-#[test]
-fn edge_tiles_around_every_tile_boundary() {
+/// Every kernel × precision × {1, 2} threads: what each edge-shape case
+/// runs on.
+fn every_exec() -> Vec<Exec> {
+    let mut execs = Vec::new();
     for kern in kernel::available() {
-        for &(m, n, k) in &[
-            (1usize, 1usize, 1usize),
-            (7, 9, 5),
-            (8, 8, 8),
-            (9, 7, 8),
-            (15, 17, 16),
-            (16, 16, 16),
-            (17, 15, 33),
-            (31, 33, 130),
-            (63, 257, 129),
-            (65, 255, 127),
-        ] {
-            let a = Tensor::from_vec(
-                &[m, k],
-                (0..m * k).map(|v| (v % 23) as f32 / 4.0 - 2.5).collect(),
-            );
-            let b = Tensor::from_vec(
-                &[k, n],
-                (0..k * n).map(|v| (v % 19) as f32 / 4.0 - 2.0).collect(),
-            );
-            let exec = Exec {
-                kernel: kern,
-                threads: 1,
-                ..Exec::process()
-            };
-            let c = row_major_gemm(a.data(), b.data(), m, n, k, exec);
-            let got = Tensor::from_vec(&[m, n], c);
-            assert_close(
-                &got,
-                &matmul_naive(&a, &b),
-                k,
-                &format!("{} ({m},{n},{k})", kern.name),
-            );
+        for precision in [Precision::F32, Precision::Bf16] {
+            for threads in [1, 2] {
+                execs.push(Exec {
+                    kernel: kern,
+                    threads,
+                    precision,
+                });
+            }
         }
     }
+    execs
+}
+
+/// Edge tiles: shapes straddling every registered tile boundary (8 and 16
+/// wide/tall, ±1) stay correct for every kernel, precision and thread
+/// count — the packed zero-padding lanes must never leak into C. The
+/// operands are multiples of ¼ no larger than 3, exact in bf16, so one
+/// tolerance holds at both precisions.
+#[test]
+fn edge_tiles_around_every_tile_boundary() {
+    for &(m, n, k) in &[
+        (1usize, 1usize, 1usize),
+        (7, 9, 5),
+        (8, 8, 8),
+        (9, 7, 8),
+        (15, 17, 16),
+        (16, 16, 16),
+        (17, 15, 33),
+        (31, 33, 130),
+        (63, 257, 129),
+        (65, 255, 127),
+    ] {
+        let a = Tensor::from_vec(
+            &[m, k],
+            (0..m * k).map(|v| (v % 23) as f32 / 4.0 - 2.5).collect(),
+        );
+        let b = Tensor::from_vec(
+            &[k, n],
+            (0..k * n).map(|v| (v % 19) as f32 / 4.0 - 2.0).collect(),
+        );
+        let want = matmul_naive(&a, &b);
+        for exec in every_exec() {
+            let c = row_major_gemm(a.data(), b.data(), m, n, k, exec);
+            let got = Tensor::from_vec(&[m, n], c);
+            let what = format!(
+                "{} {:?} x{} ({m},{n},{k})",
+                exec.kernel.name, exec.precision, exec.threads
+            );
+            assert_close(&got, &want, k, &what);
+        }
+    }
+}
+
+/// `gemm` at empty extents, as documented: `m == 0` or `n == 0` is a
+/// no-op (a bias included), and `k == 0` leaves C as it was — not zeroed.
+#[test]
+fn empty_extents_follow_the_gemm_contract() {
+    for exec in every_exec() {
+        for (m, n, k) in [(0, 5, 3), (4, 0, 3), (0, 0, 7), (0, 5, 0), (4, 0, 0)] {
+            let (a, b, bias) = (vec![1.0; m * k], vec![1.0; k * n], vec![1.0; n]);
+            let mut c = Vec::new();
+            let bias = (k > 0).then_some(&bias[..]);
+            let a = MatSrc::RowMajor {
+                data: &a,
+                stride: k,
+            };
+            let b = MatSrc::RowMajor {
+                data: &b,
+                stride: n,
+            };
+            gemm(&a, &b, &mut c, m, n, k, bias, exec);
+        }
+        let (m, n) = (5, 7);
+        let before: Vec<f32> = (0..m * n).map(|v| v as f32 - 3.5).collect();
+        let mut c = before.clone();
+        let a = MatSrc::RowMajor {
+            data: &[],
+            stride: 0,
+        };
+        let b = MatSrc::RowMajor {
+            data: &[],
+            stride: n,
+        };
+        gemm(&a, &b, &mut c, m, n, 0, None, exec);
+        assert_eq!(c, before, "k == 0 on {exec:?}");
+    }
+}
+
+/// An empty reduction never reaches the store that adds the bias, so a
+/// bias with `k == 0` is refused rather than silently dropped.
+#[test]
+#[should_panic(expected = "a bias needs a non-empty reduction")]
+fn a_bias_with_an_empty_reduction_panics() {
+    let mut c = vec![0.0f32; 4];
+    gemm(
+        &MatSrc::RowMajor {
+            data: &[],
+            stride: 0,
+        },
+        &MatSrc::RowMajor {
+            data: &[],
+            stride: 2,
+        },
+        &mut c,
+        2,
+        2,
+        0,
+        Some(&[1.0, 2.0]),
+        Exec::process(),
+    );
 }
 
 /// The production entry points (`matmul`, `conv2d`, …) run on the
