@@ -351,61 +351,324 @@ fn round_bf16(v: f32) -> f32 {
     bf16_to_f32(f32_to_bf16(v))
 }
 
-/// For each `(plane, src)` of `planes`: `plane[r·wp + c] = src[(s·r +
-/// oy)·sw + s·c + ox]` where that lies in the `sh × sw` source, else
-/// `fill`, for `r < hp`, `c < wp`; everything past `hp·wp` (the tile read
-/// slack) is `fill` too. The convolutions pad with zeros, pooling with its
-/// op's identity (`ops::pool`). One call stages every plane that shares a
-/// geometry and phase, so the valid region is worked out once.
-pub(super) fn stage_planes<'a>(
-    planes: impl Iterator<Item = (&'a mut [f32], &'a [f32])>,
-    (hp, wp): (usize, usize),
-    (sh, sw): (usize, usize),
-    s: usize,
-    (oy, ox): (isize, isize),
-    fill: f32,
-    round: bool,
-) {
-    // Plane indices whose source coordinate s·i + o falls in [0, ext).
-    let valid = |o: isize, ext: usize, cap: usize| {
-        let lo = ((-o).max(0) as usize).div_ceil(s);
-        let top = ext as isize - 1 - o;
-        let hi = if top < 0 { 0 } else { top as usize / s + 1 };
-        lo..hi.min(cap)
-    };
-    let (rows, cols) = (valid(oy, sh, hp), valid(ox, sw, wp));
-    let x0 = ((s * cols.start) as isize + ox) as usize;
-    for (plane, src) in planes {
+/// One staging geometry: `sh × sw` source planes subsampled at stride `s`
+/// into `hp × wp` planes of `len` floats each, padded with `fill` and,
+/// when `round`, rounded through bfloat16. The convolutions pad with
+/// zeros, pooling with its op's identity (`ops::pool`).
+pub(super) struct Staging {
+    pub(super) hp: usize,
+    pub(super) wp: usize,
+    /// Floats of one staged plane: `hp·wp` and the tile read slack after.
+    pub(super) len: usize,
+    pub(super) sh: usize,
+    pub(super) sw: usize,
+    pub(super) s: usize,
+    pub(super) fill: f32,
+    pub(super) round: bool,
+}
+
+impl Staging {
+    /// Stages column phases `px < phases` of every `sh·sw` plane `i` of
+    /// `src`: the plane at `dst[i·plane + px·phase..][..len]` gets
+    /// `[r·wp + c] = src_i[(s·r + oy)·sw + s·c + px + ox]` where that lies
+    /// in the source, else `fill`, for `r < hp`, `c < wp`; everything past
+    /// `hp·wp` (the tile read slack) is `fill` too. The valid region is
+    /// worked out once per call. A plane that is its source unpadded is
+    /// one copy; at stride 2 each source row is read once into both
+    /// column phases.
+    pub(super) fn stage(
+        &self,
+        src: &[f32],
+        dst: &mut [f32],
+        (plane, phase): (usize, usize),
+        phases: usize,
+        origin: (isize, isize),
+    ) {
+        if self.round {
+            self.stage_with(src, dst, (plane, phase), phases, origin, round_bf16);
+        } else {
+            self.stage_with(src, dst, (plane, phase), phases, origin, |v| v);
+        }
+    }
+
+    /// [`Staging::stage`] with the value map `f`, so the rounding branch
+    /// sits outside every loop.
+    fn stage_with(
+        &self,
+        src: &[f32],
+        dst: &mut [f32],
+        (plane, phase): (usize, usize),
+        phases: usize,
+        (oy, ox): (isize, isize),
+        f: impl Fn(f32) -> f32 + Copy,
+    ) {
+        let (s, area) = (self.s, self.sh * self.sw);
+        // Plane indices whose source coordinate s·i + o falls in [0, ext).
+        let valid = |o: isize, ext: usize, cap: usize| {
+            let lo = ((-o).max(0) as usize).div_ceil(s);
+            let top = ext as isize - 1 - o;
+            let hi = if top < 0 { 0 } else { top as usize / s + 1 };
+            lo..hi.min(cap)
+        };
+        let rows = valid(oy, self.sh, self.hp);
+        let cols = |px: usize| valid(ox + px as isize, self.sw, self.wp);
+        let planes = src.chunks_exact(area).enumerate();
+        if s == 2 && phases == 2 {
+            let (c0, c1) = (cols(0), cols(1));
+            for (i, src) in planes {
+                let (d0, d1) = dst[i * plane..].split_at_mut(phase);
+                let d = [&mut d0[..self.len], &mut d1[..self.len]];
+                self.stage_pair(d, src, rows.clone(), [c0.clone(), c1.clone()], (oy, ox), f);
+            }
+            return;
+        }
+        for px in 0..phases {
+            let cols = cols(px);
+            for (i, src) in planes.clone() {
+                let d = &mut dst[i * plane + px * phase..][..self.len];
+                self.stage_one(
+                    d,
+                    src,
+                    rows.clone(),
+                    cols.clone(),
+                    (oy, ox + px as isize),
+                    f,
+                );
+            }
+        }
+    }
+
+    /// The source offset of plane cell `(r, c)` under origin `(oy, ox)`,
+    /// for a cell inside the valid region.
+    fn at(&self, r: usize, c: usize, (oy, ox): (isize, isize)) -> usize {
+        ((self.s * r) as isize + oy) as usize * self.sw + ((self.s * c) as isize + ox) as usize
+    }
+
+    /// Fills the rows of `d` outside `rows`; false (all of `d` filled)
+    /// when the valid region is empty.
+    fn pad_rows(&self, d: &mut [f32], rows: &Range<usize>, cols: &Range<usize>) -> bool {
         if rows.is_empty() || cols.is_empty() {
-            plane.fill(fill);
-            continue;
+            d.fill(self.fill);
+            return false;
         }
-        plane[..rows.start * wp].fill(fill);
-        plane[rows.end * wp..].fill(fill);
-        for r in rows.clone() {
-            let src_row = &src[((s * r) as isize + oy) as usize * sw..][..sw];
-            let row = &mut plane[r * wp..(r + 1) * wp];
-            row[..cols.start].fill(fill);
-            row[cols.end..].fill(fill);
-            let dst = &mut row[cols.clone()];
-            if s == 1 && !round {
-                dst.copy_from_slice(&src_row[x0..x0 + dst.len()]);
-                continue;
-            }
-            // Whole `s`-chunks, then the last cell: at a run-time stride
-            // about half of `step_by(s)`'s cost per element.
-            let n = dst.len();
-            let src = &src_row[x0..][..(n - 1) * s + 1];
-            let (head, last) = dst.split_at_mut(n - 1);
-            for (d, v) in head.iter_mut().zip(src.chunks_exact(s)) {
-                *d = if round { round_bf16(v[0]) } else { v[0] };
-            }
-            last[0] = if round {
-                round_bf16(src[(n - 1) * s])
-            } else {
-                src[(n - 1) * s]
-            };
+        d[..rows.start * self.wp].fill(self.fill);
+        d[rows.end * self.wp..].fill(self.fill);
+        true
+    }
+
+    /// Fills the cells of a plane row outside `cols`.
+    #[inline]
+    fn pad_cols(&self, row: &mut [f32], cols: &Range<usize>) {
+        row[..cols.start].fill(self.fill);
+        row[cols.end..].fill(self.fill);
+    }
+
+    /// One column phase of one plane.
+    #[inline]
+    fn stage_one(
+        &self,
+        d: &mut [f32],
+        src: &[f32],
+        rows: Range<usize>,
+        cols: Range<usize>,
+        origin: (isize, isize),
+        f: impl Fn(f32) -> f32 + Copy,
+    ) {
+        if !self.pad_rows(d, &rows, &cols) {
+            return;
         }
+        let (s, wp, sw) = (self.s, self.wp, self.sw);
+        let first = self.at(rows.start, cols.start, origin);
+        if s == 1 && wp == sw && cols.len() == wp {
+            // The valid rows are whole source rows at the source's pitch:
+            // one run.
+            let n = rows.len() * wp;
+            map(&mut d[rows.start * wp..][..n], &src[first..][..n], f);
+            return;
+        }
+        // One loop per stride: a loop holding the stride-2 split's
+        // constants would reload them after every stride-1 row copy (a
+        // `memcpy` call).
+        let n = cols.len();
+        let rows = (rows, &cols, first);
+        match s {
+            1 => self.each_row(d, src, rows, |dst, src| map(dst, &src[..n], f)),
+            2 => self.each_row(d, src, rows, |dst, src| {
+                every_other(dst, &src[..2 * n - 1], f);
+            }),
+            _ => self.each_row(d, src, rows, |dst, src| {
+                // Whole `s`-chunks, then the last cell: at a run-time
+                // stride about half of `step_by(s)`'s cost per element.
+                let src = &src[..(n - 1) * s + 1];
+                for (d, v) in dst.iter_mut().zip(src.chunks_exact(s)) {
+                    *d = f(v[0]);
+                }
+                dst[n - 1] = f(src[(n - 1) * s]);
+            }),
+        }
+    }
+
+    /// Runs `copy(cells, source)` on every valid row of `d`, the source
+    /// starting at the row's first valid cell (`first` for the first).
+    /// A plane with column padding first has its valid rows filled whole:
+    /// one fill, not two per row.
+    fn each_row(
+        &self,
+        d: &mut [f32],
+        src: &[f32],
+        (rows, cols, first): (Range<usize>, &Range<usize>, usize),
+        copy: impl Fn(&mut [f32], &[f32]),
+    ) {
+        let wp = self.wp;
+        if cols.len() < wp {
+            d[rows.start * wp..rows.end * wp].fill(self.fill);
+        }
+        for (k, r) in rows.enumerate() {
+            let row = &mut d[r * wp..][..wp];
+            copy(&mut row[cols.clone()], &src[first + k * self.s * self.sw..]);
+        }
+    }
+
+    /// Both column phases of one plane at stride 2, each source row read
+    /// once: the columns both phases hold, `c0.start..c1.end`, are
+    /// consecutive source pairs, split in one pass; phase 1 may hold one
+    /// more cell on the left and phase 0 one more on the right.
+    fn stage_pair(
+        &self,
+        [d0, d1]: [&mut [f32]; 2],
+        src: &[f32],
+        rows: Range<usize>,
+        [c0, c1]: [Range<usize>; 2],
+        (oy, ox): (isize, isize),
+        f: impl Fn(f32) -> f32 + Copy,
+    ) {
+        if rows.is_empty() || c0.is_empty() || c1.is_empty() {
+            // A phase without a valid cell (say, of a one-column source):
+            // each phase on its own.
+            self.stage_one(d0, src, rows.clone(), c0, (oy, ox), f);
+            self.stage_one(d1, src, rows, c1, (oy, ox + 1), f);
+            return;
+        }
+        self.pad_rows(d0, &rows, &c0);
+        self.pad_rows(d1, &rows, &c1);
+        let (lo, hi) = (c0.start, c1.end);
+        debug_assert!(c1.start <= lo && lo <= c1.start + 1 && hi <= c0.end && c0.end <= hi + 1);
+        let wp = self.wp;
+        let padded = c0.len() < wp || c1.len() < wp;
+        // Where phase 0's cell `lo` comes from in the first valid row.
+        let first = self.at(rows.start, lo, (oy, ox));
+        let step = 2 * self.sw;
+        for (k, r) in rows.enumerate() {
+            let (a, b) = (&mut d0[r * wp..][..wp], &mut d1[r * wp..][..wp]);
+            if padded {
+                self.pad_cols(a, &c0);
+                self.pad_cols(b, &c1);
+            }
+            let at = first + k * step;
+            split_pairs(
+                &mut a[lo..hi],
+                &mut b[lo..hi],
+                &src[at..][..2 * (hi - lo)],
+                f,
+            );
+            if c1.start < lo {
+                b[c1.start] = f(src[at - 1]);
+            }
+            if hi < c0.end {
+                a[hi] = f(src[at + 2 * (hi - lo)]);
+            }
+        }
+    }
+}
+
+/// Writes `f` of the `[live][hw]` channels of `src` into lanes `0..live`
+/// of the `[hw][width]` panel, and zeros into the rest. Over blocks of 64
+/// pixels, whose rows stay in L1 while they are zeroed (when some lanes
+/// are dead) and every group of 8, 4 and 1 channels writes them: a group
+/// reads its channels in order and writes each pixel's lanes of the group
+/// in one store.
+fn transpose_panel(
+    panel: &mut [f32],
+    src: &[f32],
+    width: usize,
+    live: usize,
+    f: impl Fn(f32) -> f32 + Copy,
+) {
+    const PIXELS: usize = 64;
+    let hw = panel.len() / width;
+    for p0 in (0..hw).step_by(PIXELS) {
+        let rows = &mut panel[p0 * width..hw.min(p0 + PIXELS) * width];
+        if live < width {
+            rows.fill(0.0);
+        }
+        let block = (src, hw, p0);
+        let mut c = 0;
+        while c + 8 <= live {
+            transpose_group::<8>(rows, block, width, c, f);
+            c += 8;
+        }
+        if c + 4 <= live {
+            transpose_group::<4>(rows, block, width, c, f);
+            c += 4;
+        }
+        for c in c..live {
+            transpose_group::<1>(rows, block, width, c, f);
+        }
+    }
+}
+
+/// Lanes `c0..c0 + G` of the pixel rows `rows` (pixels `p0..` of
+/// channels of `hw` pixels in `src`), from channels `c0..c0 + G`.
+fn transpose_group<const G: usize>(
+    rows: &mut [f32],
+    (src, hw, p0): (&[f32], usize, usize),
+    width: usize,
+    c0: usize,
+    f: impl Fn(f32) -> f32 + Copy,
+) {
+    let n = rows.len() / width;
+    let chans: [&[f32]; G] = std::array::from_fn(|g| &src[(c0 + g) * hw + p0..][..n]);
+    for (p, row) in rows.chunks_exact_mut(width).enumerate() {
+        row[c0..c0 + G].copy_from_slice(&std::array::from_fn::<f32, G, _>(|g| f(chans[g][p])));
+    }
+}
+
+/// `dst[i] = f(src[i])`: a copy when `f` is the identity.
+#[inline]
+fn map(dst: &mut [f32], src: &[f32], f: impl Fn(f32) -> f32) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = f(v);
+    }
+}
+
+/// `a[i] = f(src[2i])` and `b[i] = f(src[2i + 1])` for every `i`, eight
+/// lanes at a time: `src` holds `2·a.len()` floats, `b` as many as `a`.
+#[inline]
+fn split_pairs(a: &mut [f32], b: &mut [f32], src: &[f32], f: impl Fn(f32) -> f32 + Copy) {
+    let (s16, rest) = src.as_chunks::<16>();
+    let ((a8, a1), (b8, b1)) = (a.as_chunks_mut::<8>(), b.as_chunks_mut::<8>());
+    for ((a, b), s) in a8.iter_mut().zip(b8).zip(s16) {
+        *a = std::array::from_fn(|j| f(s[2 * j]));
+        *b = std::array::from_fn(|j| f(s[2 * j + 1]));
+    }
+    for ((a, b), s) in a1.iter_mut().zip(b1).zip(rest.as_chunks::<2>().0) {
+        *a = f(s[0]);
+        *b = f(s[1]);
+    }
+}
+
+/// `dst[i] = f(src[2i])` for every `i`, eight lanes at a time: `src`
+/// holds `2·dst.len() - 1` floats.
+#[inline]
+fn every_other(dst: &mut [f32], src: &[f32], f: impl Fn(f32) -> f32 + Copy) {
+    let (s16, _) = src.as_chunks::<16>();
+    let (d8, _) = dst.as_chunks_mut::<8>();
+    let whole = d8.len().min(s16.len());
+    for (d, v) in d8[..whole].iter_mut().zip(s16) {
+        *d = std::array::from_fn(|j| f(v[2 * j]));
+    }
+    for (i, d) in dst.iter_mut().enumerate().skip(8 * whole) {
+        *d = f(src[2 * i]);
     }
 }
 
@@ -456,23 +719,29 @@ impl InputPlanes {
     }
 
     /// Stages sample `s` of `x` (`[n, ci, h, w]`) into `buf`
-    /// (`ci · chan_stride()`).
+    /// (`ci · chan_stride()`): per row phase, every channel's column
+    /// phases in one call.
     fn stage(&self, x: &[f32], s: usize, buf: &mut [f32], round: bool) {
         let hw = self.h * self.w;
         let sample = &x[s * self.ci * hw..(s + 1) * self.ci * hw];
-        let phases = self.npy * self.npx;
-        for phase in 0..phases {
+        let staging = Staging {
+            hp: self.hp,
+            wp: self.wp,
+            len: self.plane_len,
+            sh: self.h,
+            sw: self.w,
+            s: self.cfg.stride,
+            fill: 0.0,
+            round,
+        };
+        let strides = (self.chan_stride(), self.plane_len);
+        for py in 0..self.npy {
             let origin = (
-                (phase / self.npx) as isize - self.cfg.pad_h as isize,
-                (phase % self.npx) as isize - self.cfg.pad_w as isize,
+                py as isize - self.cfg.pad_h as isize,
+                -(self.cfg.pad_w as isize),
             );
-            let planes = buf
-                .chunks_exact_mut(self.plane_len)
-                .skip(phase)
-                .step_by(phases);
-            let (dims, s) = ((self.h, self.w), self.cfg.stride);
-            let planes = planes.zip(sample.chunks_exact(hw));
-            stage_planes(planes, (self.hp, self.wp), dims, s, origin, 0.0, round);
+            let dst = &mut buf[py * self.npx * self.plane_len..];
+            staging.stage(sample, dst, strides, self.npx, origin);
         }
     }
 }
@@ -483,33 +752,62 @@ impl InputPlanes {
 /// place, a panel is a few floats every `ci·taps` — on wide layers a
 /// power-of-two stride that aliases the whole reduction into one cache
 /// set. The forward pass's rows are contiguous in `w` and need no copy.)
-/// `w` is read once, eight rows at a time, so each visit to a block's
-/// panel writes eight contiguous cells.
 fn pack_swapped(
     w: &[f32],
-    (co, ci, taps): (usize, usize, usize),
+    dims: (usize, usize, usize),
     cells: &[(usize, usize)],
     cb: usize,
     round: bool,
 ) -> Scratch {
-    let cell = cells.len() * cb;
-    let mut out = arena::take(ci.div_ceil(cb) * co * cell);
-    for (g, rows) in w.chunks(8 * ci * taps).enumerate() {
-        for (b, panel) in out.chunks_exact_mut(co * cell).enumerate() {
-            let lo = b * cb * taps;
-            let dsts = panel[g * 8 * cell..].chunks_exact_mut(cell);
-            for (row, dst) in rows.chunks_exact(ci * taps).zip(dsts) {
-                let src = &row[lo..(lo + cb * taps).min(row.len())];
-                for (lanes, &(_, wt)) in dst.chunks_exact_mut(cb).zip(cells) {
-                    for (i, slot) in lanes.iter_mut().enumerate() {
-                        let v = src.get(i * taps + wt).copied().unwrap_or(0.0);
-                        *slot = if round { round_bf16(v) } else { v };
-                    }
+    let (co, ci, _) = dims;
+    let mut out = arena::take(ci.div_ceil(cb) * co * cells.len() * cb);
+    match (cb, round) {
+        (4, false) => pack_blocks::<4>(&mut out, w, dims, cells, |v| v),
+        (4, true) => pack_blocks::<4>(&mut out, w, dims, cells, round_bf16),
+        (8, false) => pack_blocks::<8>(&mut out, w, dims, cells, |v| v),
+        (8, true) => pack_blocks::<8>(&mut out, w, dims, cells, round_bf16),
+        _ => unreachable!("every tier's tile has 4 or 8 rows"),
+    }
+    out
+}
+
+/// [`pack_swapped`]'s body for tiles of `CB` rows, with the value map
+/// `f`. A channel block of an output channel's weights is a contiguous
+/// run of `w`, read in order; eight output channels are packed per visit
+/// to a block, so each visit writes eight contiguous cells, and a cell's
+/// `CB` lanes are one store.
+fn pack_blocks<const CB: usize>(
+    out: &mut [f32],
+    w: &[f32],
+    (co, ci, taps): (usize, usize, usize),
+    cells: &[(usize, usize)],
+    f: impl Fn(f32) -> f32 + Copy,
+) {
+    let (cell, row) = (cells.len() * CB, ci * taps);
+    for c0 in (0..co).step_by(8) {
+        let rows = &w[c0 * row..co.min(c0 + 8) * row];
+        for b in 0..ci.div_ceil(CB) {
+            let live = CB.min(ci - b * CB);
+            let dsts = out[(b * co + c0) * cell..].chunks_exact_mut(cell);
+            for (r, dst) in rows.chunks_exact(row).zip(dsts) {
+                let block = &r[b * CB * taps..][..live * taps];
+                let (dst, _) = dst.as_chunks_mut::<CB>();
+                for (lanes, &(_, wt)) in dst.iter_mut().zip(cells) {
+                    *lanes = if live == CB {
+                        std::array::from_fn(|i| f(block[i * taps + wt]))
+                    } else {
+                        std::array::from_fn(|i| {
+                            if i < live {
+                                f(block[i * taps + wt])
+                            } else {
+                                0.0
+                            }
+                        })
+                    };
                 }
             }
         }
     }
-    out
 }
 
 /// One correlation over the staged planes: a tap list with its weights,
@@ -946,13 +1244,20 @@ fn backward_data_within(
         chunk: budget.chunk(co * plane_len * f, co * f, weights * f),
         bias: None,
     };
+    let staging = Staging {
+        hp,
+        wp,
+        len: plane_len,
+        sh: ho,
+        sw: wo,
+        s: 1,
+        fill: 0.0,
+        round,
+    };
     let stage = |i: usize, buf: &mut [f32]| {
         let src = &dy.data()[i * co * ho * wo..(i + 1) * co * ho * wo];
         let origin = (-(ty as isize), -(tx as isize));
-        let planes = buf
-            .chunks_exact_mut(plane_len)
-            .zip(src.chunks_exact(ho * wo));
-        stage_planes(planes, (hp, wp), (ho, wo), 1, origin, 0.0, round);
+        staging.stage(src, buf, (plane_len, plane_len), 1, origin);
     };
     job.run(n, stage, dx.data_mut());
     dx
@@ -1017,7 +1322,8 @@ fn backward_weights_within(
     // whole vectors and cut into panels of the widest tile, so a tile's
     // lanes for consecutive pixels are one contiguous stream. Panel `b`
     // holds channels [b·pw, b·pw + width) and starts at b·pw·hw in its
-    // sample; only the last panel may be narrower than `pw`.
+    // sample; only the last panel may be narrower than `pw`, and only its
+    // lanes past `co` are dead (zero).
     let (hw, cop) = (ho * wo, co.next_multiple_of(t.lanes));
     let pw = t.max_px().min(cop);
     let mut dyt = arena::take(n * hw * cop);
@@ -1026,11 +1332,10 @@ fn backward_weights_within(
             let (c0, width) = (b * pw, panel.len() / hw);
             let live = co.min(c0 + width) - c0;
             let src = &dy.data()[(s * co + c0) * hw..][..live * hw];
-            for (p, row) in panel.chunks_exact_mut(width).enumerate() {
-                for (slot, chan) in row.iter_mut().zip(src.chunks_exact(hw)) {
-                    *slot = if round { round_bf16(chan[p]) } else { chan[p] };
-                }
-                row[live..].fill(0.0);
+            if round {
+                transpose_panel(panel, src, width, live, round_bf16);
+            } else {
+                transpose_panel(panel, src, width, live, |v| v);
             }
         }
     }
@@ -1042,10 +1347,30 @@ fn backward_weights_within(
         stream(k - taps) + max_tap + last_px < x_sample,
         "staged planes too short for the stream reads"
     );
+    // The reduction in order, for a panel of `width` lanes: every valid
+    // output pixel of every sample as (offset in the panel, offset in a
+    // staged stream), counted row by row, and its blocks whose panel
+    // slice fits the budget. Built once for the full width and once for a
+    // narrower last panel.
+    let reduction = |width: usize| {
+        let mut pixels = Vec::with_capacity(hw);
+        for oy in 0..ho {
+            let (lane, x) = (oy * wo * width, oy * planes.wp);
+            pixels.extend((0..wo).map(|ox| (lane + ox * width, x + ox)));
+        }
+        let blocks = budget.reduction_blocks(n, hw, width * size_of::<f32>());
+        (pixels, blocks)
+    };
+    let full = reduction(pw);
+    let last_width = cop - (cop - 1) / pw * pw;
+    let narrow = (last_width < pw).then(|| reduction(last_width));
     // Per worker, the running sums of one tile: one cb·pw slot per step of
     // cb weights when the reduction is split into blocks, else one slot.
-    let blocked = budget.reduction_blocks(n, hw, pw * size_of::<f32>()).len() > 1;
-    let slots = if blocked { k.div_ceil(t.cb) } else { 1 };
+    let slots = if full.1.len() > 1 {
+        k.div_ceil(t.cb)
+    } else {
+        1
+    };
     // Work items: tiles of output channels (whole rows of `grad`), one per
     // dy panel.
     let work = |_, tiles: Range<usize>, chunk: &mut [f32], mut sums: Scratch| {
@@ -1053,13 +1378,10 @@ fn backward_weights_within(
             let co0 = tile * pw;
             let width = pw.min(cop - co0);
             let nv = width / t.lanes;
-            // The reduction in order: every valid output pixel of every
-            // sample as (offset in the panel, offset in a staged stream),
-            // in blocks whose panel slice fits the budget.
-            let pixels: Vec<(usize, usize)> = (0..hw)
-                .map(|p| (p * width, p / wo * planes.wp + p % wo))
-                .collect();
-            let blocks = budget.reduction_blocks(n, hw, width * size_of::<f32>());
+            let (pixels, blocks) = match &narrow {
+                Some(narrow) if width < pw => narrow,
+                _ => &full,
+            };
             let stride = if blocks.len() > 1 { t.cb * width } else { 0 };
             for (bi, (samples, span)) in blocks.iter().enumerate() {
                 let x0 = samples.start * hw * cop + co0 * hw;
@@ -1138,6 +1460,8 @@ mod tests {
         all.extend([&x86::AVX2, &x86::AVX512]);
         for t in all {
             assert!(t.cb <= MAX_CB && t.cb * t.max_px() <= MAX_ACC);
+            // `pack_swapped` has a body for each.
+            assert!(t.cb == 4 || t.cb == 8);
         }
     }
 
@@ -1164,16 +1488,90 @@ mod tests {
         }
     }
 
+    /// `Staging::stage` against its definition, cell by cell and bit for
+    /// bit, over strides 1–3 with every column phase count, origins on
+    /// both sides of the source, plane extents that clip the source on
+    /// each side or pass it, rows long enough for whole vector runs, an
+    /// unpadded plane (the one-copy path), fills of `0`, `-0.0` and
+    /// `-inf`, bf16 rounding on and off, and both buffer layouts (a
+    /// channel's phases adjacent, as the convolutions stage; planes
+    /// adjacent within a phase, as pooling does). The read slack must be
+    /// all `fill`, and no cell outside the staged planes may be written.
     #[test]
     fn stage_plane_pads_subsamples_and_clears_the_slack() {
-        let src: Vec<f32> = (1..=12).map(|v| v as f32).collect(); // 3 × 4
-        let mut plane = [f32::NAN; 3 * 3 + 4];
-        // Rows 2r - 1, columns 2c - 1 of the source.
-        let planes = std::iter::once((&mut plane[..], &src[..]));
-        stage_planes(planes, (3, 3), (3, 4), 2, (-1, -1), 0.0, false);
-        let want = [0.0, 0.0, 0.0, 0.0, 6.0, 8.0, 0.0, 0.0, 0.0];
-        assert_eq!(&plane[..9], &want);
-        assert!(plane[9..].iter().all(|&v| v == 0.0));
+        const SLACK: usize = 3;
+        const UNTOUCHED: f32 = 1.5e30;
+        // Extents of the source and of the planes: the widest rows reach
+        // the stride-2 split's whole 16-float runs.
+        let (heights, widths) = ([1, 4, 7], [[1, 4, 7, 35], [1, 4, 7, 18]]);
+        let origins = [-2isize, -1, 0, 1, 2];
+        let mut cases = 0;
+        for s in 1..=3 {
+            for e in 0..144 {
+                let (sh, hp) = (heights[e / 48], heights[e / 16 % 3]);
+                let (sw, wp) = (widths[0][e / 4 % 4], widths[1][e % 4]);
+                // Two source planes whose values bf16 rounds.
+                let src: Vec<f32> = (0..2 * sh * sw)
+                    .map(|v| 1.0 + v as f32 / 4.0 + 2f32.powi(-12))
+                    .collect();
+                for o in 0..25 {
+                    let (oy, ox) = (origins[o / 5], origins[o % 5]);
+                    for phases in 1..=s {
+                        for (fill, round) in
+                            [(0.0, false), (-0.0, true), (f32::NEG_INFINITY, false)]
+                        {
+                            let len = hp * wp + SLACK;
+                            let staging = Staging {
+                                hp,
+                                wp,
+                                len,
+                                sh,
+                                sw,
+                                s,
+                                fill,
+                                round,
+                            };
+                            // (plane, phase) strides with a gap between planes.
+                            for (plane, phase) in [(phases * len + 2, len), (len, 2 * len + 1)] {
+                                let mut dst = vec![UNTOUCHED; plane + phases * phase + len];
+                                staging.stage(&src, &mut dst, (plane, phase), phases, (oy, ox));
+                                let mut want = vec![UNTOUCHED; dst.len()];
+                                for i in 0..2 {
+                                    for px in 0..phases {
+                                        let out = &mut want[i * plane + px * phase..][..len];
+                                        out.fill(fill);
+                                        for (r, c) in
+                                            (0..hp).flat_map(|r| (0..wp).map(move |c| (r, c)))
+                                        {
+                                            let y = (s * r) as isize + oy;
+                                            let x = (s * c + px) as isize + ox;
+                                            if (0..sh as isize).contains(&y)
+                                                && (0..sw as isize).contains(&x)
+                                            {
+                                                let v =
+                                                    src[i * sh * sw + y as usize * sw + x as usize];
+                                                out[r * wp + c] =
+                                                    if round { round_bf16(v) } else { v };
+                                            }
+                                        }
+                                    }
+                                }
+                                let bits =
+                                    |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(
+                                    bits(&dst),
+                                    bits(&want),
+                                    "s{s} src {sh}x{sw} plane {hp}x{wp} origin ({oy},{ox}) {phases} phases \
+                                     fill {fill} round {round} strides ({plane},{phase})"
+                                );
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 6 * 144 * 25 * 3 * 2);
     }
 
     /// No blocking anywhere: one chunk, one reduction block.

@@ -14,7 +14,7 @@
 //! (`crates/tensor/tests/pooling.rs` holds that scalar oracle).
 
 use crate::arena;
-use crate::ops::direct::{dy_planes, stage_planes};
+use crate::ops::direct::{dy_planes, Staging};
 use crate::ops::im2col::Conv2dCfg;
 use crate::tensor::Tensor;
 
@@ -147,24 +147,23 @@ impl Staged {
     }
 
     /// Stages the whole `h × w` planes of `src` (at most `chunk`), padded
-    /// with `fill`.
+    /// with `fill`: per row phase, every plane's column phases in one call.
     fn stage(&self, win: &Window, src: &[f32], buf: &mut [f32], fill: f32) {
-        let (dims, pad) = ((win.h, win.w), win.pad as isize);
-        let phases = (0..self.phases).flat_map(|py| (0..self.phases).map(move |px| (py, px)));
-        for ((py, px), block) in phases.zip(buf.chunks_exact_mut(self.block())) {
-            let origin = (py as isize - pad, px as isize - pad);
-            let planes = block
-                .chunks_exact_mut(self.area)
-                .zip(src.chunks_exact(dims.0 * dims.1));
-            stage_planes(
-                planes,
-                (self.hp, self.wp),
-                dims,
-                self.stride,
-                origin,
-                fill,
-                false,
-            );
+        let staging = Staging {
+            hp: self.hp,
+            wp: self.wp,
+            len: self.area,
+            sh: win.h,
+            sw: win.w,
+            s: self.stride,
+            fill,
+            round: false,
+        };
+        let pad = win.pad as isize;
+        for py in 0..self.phases {
+            let dst = &mut buf[py * self.phases * self.block()..];
+            let origin = (py as isize - pad, -pad);
+            staging.stage(src, dst, (self.area, self.block()), self.phases, origin);
         }
     }
 
@@ -449,16 +448,23 @@ pub fn avgpool2d_backward(
     let chunk = win.chunk(2 * area);
     let mut scratch = arena::take(2 * chunk * area);
     let (staged, acc) = scratch.split_at_mut(chunk * area);
+    let staging = Staging {
+        hp,
+        wp,
+        len: area,
+        sh: win.ho,
+        sw: win.wo,
+        s: 1,
+        fill: -0.0,
+        round: false,
+    };
     let (plane, out_plane) = (win.h * win.w, win.ho * win.wo);
     let chunks = dx.data_mut().chunks_mut(chunk * plane);
     for (dx, dy) in chunks.zip(dy.data().chunks(chunk * out_plane)) {
         let planes = dy.len() / out_plane;
         let staged = &mut staged[..planes * area];
         let origin = (-(t as isize), -(t as isize));
-        let pairs = staged
-            .chunks_exact_mut(area)
-            .zip(dy.chunks_exact(out_plane));
-        stage_planes(pairs, (hp, wp), (win.ho, win.wo), 1, origin, -0.0, false);
+        staging.stage(dy, staged, (area, area), 1, origin);
         for g in staged.iter_mut() {
             *g *= inv_area;
         }

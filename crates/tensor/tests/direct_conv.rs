@@ -3,7 +3,9 @@
 //! straddles every tile boundary, for every ISA tier this CPU has, plus
 //! the adjoint identities and the bitwise pins the executor and the server
 //! rely on (batched ≡ single-sample, thread invariance, fused ≡ unfused,
-//! bf16 ≡ f32 on bf16-rounded operands, `_into` ≡ alloc-then-add).
+//! bf16 ≡ f32 on bf16-rounded operands, `_into` ≡ alloc-then-add), and
+//! bitwise equality with scalar loops that do the stated multiply-adds in
+//! the stated order.
 
 use proptest::prelude::*;
 
@@ -316,6 +318,228 @@ proptest! {
             direct::backward_weights_into(&x, &dy, c.cfg, &mut dw, e);
             want.add_assign(&dw);
             prop_assert_eq!(bits(&into), bits(&want), "{} {:?}", kern.name, c);
+        }
+    }
+}
+
+/// `acc + a·b` as the tier's tile computes it: one rounding on the FMA
+/// tiers, two on the portable one.
+fn mac(fused: bool, a: f32, b: f32, acc: f32) -> f32 {
+    if fused {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
+
+/// All three ops as scalar loops doing the multiply-adds the module docs
+/// state, in their order, padding taps included (they read zero):
+/// forward `(ci, ky, kx)` per output, then the bias; data gradient `(co,
+/// qy, qx)` over the flipped sub-kernel of each output phase, `ky = s·(T -
+/// 1 - qy) + ρ`; weight gradient every output pixel of every sample in
+/// order, then one `+=` onto `grad`.
+struct ScalarLoops<'a> {
+    c: &'a Case,
+    fused: bool,
+}
+
+impl ScalarLoops<'_> {
+    /// `[n, c, h, w]` element index of `(sample, channel, row, column)`.
+    fn at(&self, chans: usize, (h, w): (usize, usize), [s, c, y, x]: [usize; 4]) -> usize {
+        ((s * chans + c) * h + y) * w + x
+    }
+
+    /// Input `(smp, c)` under tap `(ky, kx)` of output `(oy, ox)`: zero
+    /// in the padding.
+    fn tap(
+        &self,
+        x: &Tensor,
+        (smp, c): (usize, usize),
+        (oy, ox): (usize, usize),
+        (ky, kx): (usize, usize),
+    ) -> f32 {
+        let (cfg, h, w) = (self.c.cfg, self.c.h, self.c.w);
+        let iy = (oy * cfg.stride + ky).wrapping_sub(cfg.pad_h);
+        let ix = (ox * cfg.stride + kx).wrapping_sub(cfg.pad_w);
+        if iy < h && ix < w {
+            x.data()[self.at(self.c.ci, (h, w), [smp, c, iy, ix])]
+        } else {
+            0.0
+        }
+    }
+
+    fn weight(&self, w: &Tensor, o: usize, c: usize, (ky, kx): (usize, usize)) -> f32 {
+        let k = (self.c.cfg.kernel_h, self.c.cfg.kernel_w);
+        w.data()[self.at(self.c.ci, k, [o, c, ky, kx])]
+    }
+
+    fn forward(&self, x: &Tensor, w: &Tensor, bias: &[f32]) -> Tensor {
+        let Case { cfg, n, ci, co, .. } = *self.c;
+        let (ho, wo) = cfg.out_extent(self.c.h, self.c.w);
+        let (kh, kw) = (cfg.kernel_h, cfg.kernel_w);
+        let mut y = Tensor::zeros(&[n, co, ho, wo]);
+        for (i, out) in y.data_mut().iter_mut().enumerate() {
+            let (smp, o, oy, ox) = (i / (co * ho * wo), i / (ho * wo) % co, i / wo % ho, i % wo);
+            let mut acc = 0.0f32;
+            for (c, t) in (0..ci).flat_map(|c| (0..kh * kw).map(move |t| (c, t))) {
+                let k = (t / kw, t % kw);
+                let v = self.tap(x, (smp, c), (oy, ox), k);
+                acc = mac(self.fused, self.weight(w, o, c, k), v, acc);
+            }
+            *out = acc + bias[o];
+        }
+        y
+    }
+
+    fn backward_data(&self, dy: &Tensor, w: &Tensor) -> Tensor {
+        let Case {
+            cfg,
+            n,
+            ci,
+            co,
+            h,
+            w: wd,
+        } = *self.c;
+        let (ho, wo) = cfg.out_extent(h, wd);
+        let s = cfg.stride;
+        // Taps of input position `i` along an axis, in the flipped
+        // sub-kernel's order: (kernel tap, output index or None past the
+        // edge).
+        let taps = |i: usize, k: usize, p: usize, out: usize| {
+            let (rho, m) = ((i + p) % s, (i + p) / s);
+            let count = (k + s - 1 - rho) / s;
+            (0..count).map(move |q| {
+                let back = count - 1 - q;
+                (s * back + rho, m.checked_sub(back).filter(|&o| o < out))
+            })
+        };
+        let mut dx = Tensor::zeros(&[n, ci, h, wd]);
+        for (i, out) in dx.data_mut().iter_mut().enumerate() {
+            let (smp, c, iy, ix) = (i / (ci * h * wd), i / (h * wd) % ci, i / wd % h, i % wd);
+            let mut acc = 0.0f32;
+            for o in 0..co {
+                for (ky, oy) in taps(iy, cfg.kernel_h, cfg.pad_h, ho) {
+                    for (kx, ox) in taps(ix, cfg.kernel_w, cfg.pad_w, wo) {
+                        let g = match (oy, ox) {
+                            (Some(oy), Some(ox)) => {
+                                dy.data()[self.at(co, (ho, wo), [smp, o, oy, ox])]
+                            }
+                            _ => 0.0,
+                        };
+                        acc = mac(self.fused, self.weight(w, o, c, (ky, kx)), g, acc);
+                    }
+                }
+            }
+            *out = acc;
+        }
+        dx
+    }
+
+    fn backward_weights(&self, x: &Tensor, dy: &Tensor, grad: &mut Tensor) {
+        let Case { cfg, n, ci, co, .. } = *self.c;
+        let (ho, wo) = cfg.out_extent(self.c.h, self.c.w);
+        let (kh, kw) = (cfg.kernel_h, cfg.kernel_w);
+        for (i, g) in grad.data_mut().iter_mut().enumerate() {
+            let (o, c, k) = (
+                i / (ci * kh * kw),
+                i / (kh * kw) % ci,
+                (i / kw % kh, i % kw),
+            );
+            let mut acc = 0.0f32;
+            for (smp, oy, ox) in (0..n).flat_map(|n| (0..ho * wo).map(move |p| (n, p / wo, p % wo)))
+            {
+                let v = self.tap(x, (smp, c), (oy, ox), k);
+                acc = mac(
+                    self.fused,
+                    v,
+                    dy.data()[self.at(co, (ho, wo), [smp, o, oy, ox])],
+                    acc,
+                );
+            }
+            *g += acc;
+        }
+    }
+}
+
+/// Every tier's forward (with a bias), data gradient and weight gradient
+/// (onto a non-zero `grad`) equal the scalar loops bit for bit.
+fn assert_bitwise_scalar_loops(c: &Case) {
+    let (x, w, dy) = (c.x(), c.weights(), c.dy());
+    let bias: Vec<f32> = (0..c.co).map(|o| o as f32 / 8.0 - 0.5).collect();
+    for kern in kernel::available() {
+        let e = exec(kern, 1);
+        let oracle = ScalarLoops {
+            c,
+            fused: !std::ptr::eq(kern, &kernel::SCALAR_8X8),
+        };
+        let what = format!("{} {c:?}", kern.name);
+        let y = direct::forward(&x, &w, Some(&bias), c.cfg, e);
+        assert_eq!(
+            bits(&y),
+            bits(&oracle.forward(&x, &w, &bias)),
+            "forward {what}"
+        );
+        let dx = direct::backward_data(&dy, &w, x.shape(), c.cfg, e);
+        assert_eq!(
+            bits(&dx),
+            bits(&oracle.backward_data(&dy, &w)),
+            "backward_data {what}"
+        );
+        let (mut dw, mut want) = (seeded(w.shape(), 4), seeded(w.shape(), 4));
+        direct::backward_weights_into(&x, &dy, c.cfg, &mut dw, e);
+        oracle.backward_weights(&x, &dy, &mut want);
+        assert_eq!(bits(&dw), bits(&want), "backward_weights {what}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The grid, bit for bit against the scalar loops.
+    #[test]
+    fn direct_ops_are_bitwise_the_scalar_loops(c in cases()) {
+        assert_bitwise_scalar_loops(&c);
+    }
+}
+
+/// The scalar-loop pin on the narrow output channels and stride-2 pad-0
+/// shapes of the Inception toy the benchmark trains (`toy::tiny_inception`
+/// at 16²: its 1×1 8→4 convs, its 3×3 4→8 and 3→8 ones, `red.b1`'s 3×3/2
+/// 16→8), at one sample and at three, beside co ∈ {4, 8} over the grid's
+/// kernels at odd extents.
+#[test]
+fn narrow_and_strided_shapes_are_bitwise_the_scalar_loops() {
+    let mut shapes = vec![
+        (Conv2dCfg::square(1, 1, 0), 8, 4, (16, 16)),
+        (Conv2dCfg::square(3, 1, 1), 4, 8, (16, 16)),
+        (Conv2dCfg::square(3, 1, 1), 3, 8, (16, 16)),
+        (Conv2dCfg::square(3, 2, 0), 16, 8, (16, 16)),
+        (Conv2dCfg::square(1, 2, 0), 8, 4, (16, 16)),
+    ];
+    for co in [4, 8] {
+        for (kh, kw) in KERNELS {
+            for (stride, pad) in [(1, 0), (2, 0), (2, 1)] {
+                let cfg = Conv2dCfg {
+                    kernel_h: kh,
+                    kernel_w: kw,
+                    stride,
+                    pad_h: pad.min(kh - 1),
+                    pad_w: pad.min(kw - 1),
+                };
+                shapes.push((cfg, 3, co, (9, 11)));
+            }
+        }
+    }
+    for (cfg, ci, co, (h, w)) in shapes {
+        for n in [1, 3] {
+            assert_bitwise_scalar_loops(&Case {
+                cfg,
+                n,
+                ci,
+                co,
+                h,
+                w,
+            });
         }
     }
 }

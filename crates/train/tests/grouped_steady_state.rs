@@ -26,6 +26,8 @@
 //! [`StreamLoader`]: mbs_train::loader::StreamLoader
 //! [`CheckpointWriter`]: mbs_train::checkpoint::CheckpointWriter
 
+use std::time::{Duration, Instant};
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,12 +56,23 @@ fn live_thread_names() -> Vec<String> {
         .collect()
 }
 
+/// No `mbs-*` thread is alive. A joined thread's task entry can outlive
+/// `join()` for a moment, so the check polls for up to two seconds before
+/// it fails: a thread that was joined is gone by then, a leaked one is not.
 fn assert_no_background_threads(when: &str) {
-    let leaked: Vec<String> = live_thread_names()
-        .into_iter()
-        .filter(|n| n.starts_with("mbs-"))
-        .collect();
-    assert!(leaked.is_empty(), "{when}: leaked threads {leaked:?}");
+    let leaked = || -> Vec<String> {
+        live_thread_names()
+            .into_iter()
+            .filter(|n| n.starts_with("mbs-"))
+            .collect()
+    };
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut left = leaked();
+    while !left.is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        left = leaked();
+    }
+    assert!(left.is_empty(), "{when}: leaked threads {left:?}");
 }
 
 #[test]
