@@ -46,6 +46,13 @@
 //! channel block on a chunk before the next (when the weights, re-read per
 //! chunk, fit `CACHE.weights`). Neither blocking changes a sum.
 //!
+//! A **1×1** convolution's forward pass and data gradient stage nothing:
+//! their lane domain is every output pixel of a run of samples, flattened
+//! across them, and each chunk of the widest tile's lanes is copied into a
+//! panel `[channel][lanes]`, so a tile's reduction reads one sequential
+//! stream (`Pointwise`). Groups of panels within `CACHE.staged` run every
+//! channel block before the next group, as the chunks above do.
+//!
 //! Every output element is reduced in a fixed order by one accumulator
 //! lane, independent of what shares its tile, and threads split `sample ×
 //! channel-block` items (never a reduction): batched ≡ single-sample and
@@ -95,7 +102,8 @@ struct Tiles {
 }
 
 impl Tiles {
-    /// Lanes of the widest tile: the read slack of every staged plane.
+    /// Lanes of the widest tile: a lane chunk of the 1×1 panels, and the
+    /// read slack after a buffer of staged planes.
     fn max_px(&self) -> usize {
         self.by_vectors.len() * self.lanes
     }
@@ -148,32 +156,126 @@ impl Budget {
         }
     }
 
+    /// Lanes per group of a 1×1 correlation's panels ([`Pointwise`]),
+    /// `lane` bytes a lane, whose groups each re-read `weights` bytes: the
+    /// whole `domain` when it fits the staged budget, else the budget's
+    /// chunk — or one sample of `hw` lanes when the weights do not fit,
+    /// the most the staged path holds — cut to whole chunks of `chunk`
+    /// lanes.
+    fn panels(&self, domain: usize, hw: usize, lane: usize, weights: usize, chunk: usize) -> usize {
+        let lanes = match self.chunk(domain * lane, lane, weights) {
+            usize::MAX if domain * lane > self.staged => hw,
+            lanes => lanes.min(domain),
+        };
+        (lanes / chunk).max(1) * chunk
+    }
+
     /// The weight gradient's reduction over `n` samples of `hw` pixels, in
     /// order, as `(samples, pixels)` blocks whose `dy` panel (`row` bytes
     /// a pixel) fits the panel budget: all samples at once when they fit,
     /// else whole samples at a time, else pixel blocks of one sample.
-    fn reduction_blocks(
-        &self,
-        n: usize,
-        hw: usize,
-        row: usize,
-    ) -> Vec<(Range<usize>, Range<usize>)> {
+    fn reduction_blocks(&self, n: usize, hw: usize, row: usize) -> Blocks {
         let sample = hw * row;
         if sample <= self.panel {
             let per = self.panel / sample.max(1);
-            return (0..n)
-                .step_by(per)
-                .map(|s| (s..n.min(s + per), 0..hw))
-                .collect();
+            return Blocks {
+                n,
+                hw,
+                per,
+                by_pixels: false,
+            };
         }
-        let per = (self.panel / row).max(1);
-        (0..n)
-            .flat_map(|s| {
-                (0..hw)
-                    .step_by(per)
-                    .map(move |p| (s..s + 1, p..hw.min(p + per)))
-            })
-            .collect()
+        Blocks {
+            n,
+            hw,
+            per: (self.panel / row).max(1),
+            by_pixels: true,
+        }
+    }
+}
+
+/// [`Budget::reduction_blocks`]' blocks, worked out on demand (listing
+/// them allocates nothing): `per` whole samples a block, or `per` pixels
+/// of one sample when `by_pixels`.
+#[derive(Clone, Copy, Debug)]
+struct Blocks {
+    n: usize,
+    hw: usize,
+    per: usize,
+    by_pixels: bool,
+}
+
+impl Blocks {
+    fn len(&self) -> usize {
+        if self.by_pixels {
+            self.n * self.hw.div_ceil(self.per)
+        } else {
+            self.n.div_ceil(self.per)
+        }
+    }
+
+    /// Block `i`: its samples and, within each, its pixels.
+    fn get(&self, i: usize) -> (Range<usize>, Range<usize>) {
+        if self.by_pixels {
+            let blocks = self.hw.div_ceil(self.per);
+            let (s, p) = (i / blocks, i % blocks * self.per);
+            (s..s + 1, p..self.hw.min(p + self.per))
+        } else {
+            let s = i * self.per;
+            (s..self.n.min(s.saturating_add(self.per)), 0..self.hw)
+        }
+    }
+
+    fn iter(&self) -> <&Self as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+}
+
+type Block = (Range<usize>, Range<usize>);
+
+impl<'a> IntoIterator for &'a Blocks {
+    type Item = Block;
+    type IntoIter = std::iter::Map<
+        std::iter::Zip<Range<usize>, std::iter::Repeat<&'a Blocks>>,
+        fn((usize, &Blocks)) -> Block,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        (0..self.len())
+            .zip(std::iter::repeat(self))
+            .map(|(i, b)| b.get(i))
+    }
+}
+
+/// Offset pairs in arena scratch — the weight gradient's reduction list —
+/// so a warm call allocates nothing.
+struct Pairs {
+    buf: Scratch,
+    /// Where the 8-aligned pairs start in `buf`, in floats.
+    at: usize,
+    len: usize,
+}
+
+impl Pairs {
+    /// Room for `len` pairs, of unspecified values.
+    fn take(len: usize) -> Self {
+        const PER: usize = size_of::<(usize, usize)>() / size_of::<f32>();
+        let buf = arena::take(len * PER + PER);
+        let addr = buf.as_ptr().addr();
+        let at = (addr.next_multiple_of(align_of::<(usize, usize)>()) - addr) / size_of::<f32>();
+        assert!(at < PER, "f32 buffers are 4-aligned");
+        Self { buf, at, len }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(usize, usize)] {
+        // SAFETY: `buf[at..]` starts at an address aligned for `(usize,
+        // usize)` (worked out in `take`) and holds `len·PER` floats, the
+        // bytes of `len` pairs; every bit pattern is a valid `usize`, so
+        // the floats are valid pairs; the slice borrows `self` mutably, so
+        // nothing else reads or writes `buf` while it lives.
+        unsafe {
+            std::slice::from_raw_parts_mut(self.buf.as_mut_ptr().add(self.at).cast(), self.len)
+        }
     }
 }
 
@@ -673,7 +775,10 @@ fn every_other(dst: &mut [f32], src: &[f32], f: impl Fn(f32) -> f32 + Copy) {
 }
 
 /// The staged form of one sample's convolution input: per channel,
-/// `npy·npx` phase planes of `hp × wp` (plus read slack).
+/// `npy·npx` phase planes of `hp × wp`, back to back. A tile's reads past
+/// a plane's data land in the next plane (lanes that are never stored);
+/// only the buffer's last plane needs read slack, which
+/// [`Correlation::run`] appends.
 struct InputPlanes {
     cfg: Conv2dCfg,
     ci: usize,
@@ -687,7 +792,7 @@ struct InputPlanes {
 }
 
 impl InputPlanes {
-    fn new(ci: usize, h: usize, w: usize, cfg: Conv2dCfg, t: &Tiles) -> Self {
+    fn new(ci: usize, h: usize, w: usize, cfg: Conv2dCfg) -> Self {
         let (ho, wo) = cfg.out_extent(h, w);
         let s = cfg.stride;
         let (hp, wp) = (ho + (cfg.kernel_h - 1) / s, wo + (cfg.kernel_w - 1) / s);
@@ -700,7 +805,7 @@ impl InputPlanes {
             npx: s.min(cfg.kernel_w),
             hp,
             wp,
-            plane_len: hp * wp + t.max_px(),
+            plane_len: hp * wp,
         }
     }
 
@@ -882,14 +987,21 @@ impl Correlation<'_> {
             .max()
             .unwrap_or(0);
         let chunk = self.chunk.clamp(1, domain.max(1));
-        let planes = |_| arena::take(self.chans * self.chan_stride);
+        // The staged planes, then one read slack of zeros (never stale
+        // floats: a denormal in an unstored lane still costs FMA assists).
+        let staged = self.chans * self.chan_stride;
+        let planes = |_| {
+            let mut buf = arena::take(staged + self.tiles.max_px());
+            buf[staged..].fill(0.0);
+            buf
+        };
         let work = |_, items: Range<usize>, out: &mut [f32], mut buf: Scratch| {
             let first = bound(items.start);
             let mut start = items.start;
             while start < items.end {
                 let s = start / blocks;
                 let end = items.end.min((s + 1) * blocks);
-                stage(s, &mut buf);
+                stage(s, &mut buf[..staged]);
                 for j0 in (0..domain).step_by(chunk) {
                     let lanes = j0..domain.min(j0 + chunk);
                     for item in start..end {
@@ -1002,7 +1114,7 @@ impl Correlation<'_> {
             for (i, chan) in dst.chunks_exact_mut(len).enumerate() {
                 let src = &acc[i * px + lane..][..run];
                 if pass.col_stride == 1 {
-                    self.write(&mut chan[off..off + run], src, chan0 + i);
+                    write(&mut chan[off..off + run], src, self.bias, chan0 + i);
                 } else {
                     for (q, &v) in src.iter().enumerate() {
                         chan[off + q * pass.col_stride] = v;
@@ -1012,14 +1124,371 @@ impl Correlation<'_> {
             j += run;
         }
     }
+}
 
-    /// `dst = src + bias[chan]`, or `dst = src` without a bias.
-    #[inline]
-    fn write(&self, dst: &mut [f32], src: &[f32], chan: usize) {
-        match self.bias.map(|b| b[chan]) {
-            Some(b) => dst.iter_mut().zip(src).for_each(|(d, &a)| *d = a + b),
-            None => dst.copy_from_slice(src),
+/// `dst = src + bias[chan]`, or `dst = src` without a bias.
+#[inline]
+fn write(dst: &mut [f32], src: &[f32], bias: Option<&[f32]>, chan: usize) {
+    match bias.map(|b| b[chan]) {
+        Some(b) => dst.iter_mut().zip(src).for_each(|(d, &a)| *d = a + b),
+        None => dst.copy_from_slice(src),
+    }
+}
+
+/// How a 1×1 correlation's lane grid lies on an `h × w` image: lane `(oy,
+/// ox)` is image cell `(s·oy - pad_h, s·ox - pad_w)`, when that is inside.
+#[derive(Clone, Copy)]
+struct Grid {
+    h: usize,
+    w: usize,
+    s: usize,
+    pad_h: usize,
+    pad_w: usize,
+}
+
+impl Grid {
+    /// The image is the lane grid itself.
+    fn dense(h: usize, w: usize) -> Self {
+        Self {
+            h,
+            w,
+            s: 1,
+            pad_h: 0,
+            pad_w: 0,
         }
+    }
+
+    fn is_dense(&self) -> bool {
+        self.s == 1 && self.pad_h == 0 && self.pad_w == 0
+    }
+
+    /// The image index of lane index `o` along an axis, if inside.
+    fn at(&self, o: usize, pad: usize, ext: usize) -> Option<usize> {
+        (self.s * o).checked_sub(pad).filter(|&i| i < ext)
+    }
+
+    /// The image indices lane `o` owns along an axis: from its cell up to
+    /// the next lane's, clipped to `[0, ext)`. Over a whole lane grid (its
+    /// extent the conv's output extent of this image) they partition the
+    /// axis, so a data gradient that writes every owned cell writes every
+    /// `dx` element once.
+    fn owned(&self, o: usize, pad: usize, ext: usize) -> Range<usize> {
+        let clip = |i: usize| i.saturating_sub(pad).min(ext);
+        clip(self.s * o)..clip(self.s * (o + 1))
+    }
+}
+
+/// A 1×1 correlation — the forward pass or the data gradient of a 1×1
+/// convolution at any stride — over **lane-chunk panels**. The lane domain
+/// is every output pixel of a run of samples, flattened across them; a
+/// chunk of it, the widest tile's lanes, is copied into a panel
+/// `[channel][lanes]`, so a tile's whole reduction reads one sequential
+/// stream and every channel block reuses the panel from cache. Lane `(oy,
+/// ox)` reads source cell `read` of it and its sum lands on `write`'s cell
+/// (a strided data gradient writes the cells between lanes as zeros in the
+/// same pass). The sums are the staged path's: one accumulator lane, the
+/// channels in order, from zero.
+struct Pointwise<'a> {
+    tiles: &'static Tiles,
+    threads: usize,
+    /// The source `[n, chans, read.h, read.w]`.
+    src: &'a [f32],
+    chans: usize,
+    read: Grid,
+    /// The lane grid of one sample.
+    rows: usize,
+    cols: usize,
+    /// As [`Pass`]: output channel `i` of block `b`, reduction channel `c`
+    /// is `w[b·w_block + i·w_row + c·w_chan]`.
+    w: &'a [f32],
+    w_block: usize,
+    w_row: usize,
+    w_chan: usize,
+    /// The output `[n, out_chans, write.h, write.w]`.
+    out_chans: usize,
+    write: Grid,
+    /// Lanes per group of panels, a whole number of chunks (see
+    /// [`Budget::panels`]).
+    group: usize,
+    bias: Option<&'a [f32]>,
+    round: bool,
+}
+
+impl Pointwise<'_> {
+    /// Runs the correlation for `n` samples into `out`. Threads split
+    /// `(sample, channel block)` items as [`Correlation::run`] does; a
+    /// worker runs its whole samples as one lane domain, and a sample the
+    /// split cuts on its own over that sample's blocks.
+    fn run(&self, n: usize, out: &mut [f32]) {
+        let cb = self.tiles.cb;
+        let blocks = self.out_chans.div_ceil(cb);
+        let len = self.write.h * self.write.w;
+        let bound = |item: usize| {
+            let chan = (item / blocks) * self.out_chans + (item % blocks * cb).min(self.out_chans);
+            chan * len
+        };
+        let panels = |_| arena::take(self.chans * self.group);
+        let work = |_, items: Range<usize>, out: &mut [f32], mut panels: Scratch| {
+            let first = bound(items.start);
+            let mut start = items.start;
+            while start < items.end {
+                let (s, b) = (start / blocks, start % blocks);
+                let (samples, chans, end) = if b == 0 && items.end >= (s + 1) * blocks {
+                    let e = items.end / blocks;
+                    (s..e, 0..blocks, e * blocks)
+                } else {
+                    let end = items.end.min((s + 1) * blocks);
+                    (s..s + 1, b..end - s * blocks, end)
+                };
+                let dst = &mut out[bound(start) - first..bound(end) - first];
+                self.run_samples(samples, chans, dst, &mut panels);
+                start = end;
+            }
+        };
+        scoped_chunks(out, n * blocks, self.threads, panels, bound, work);
+    }
+
+    /// Channel blocks `blocks` of samples `samples` into `dst` (those
+    /// samples' channels from the first block's on). Over each group of
+    /// panels it runs every block on every panel of the group before the
+    /// next group, so a block writes its channels' lanes in order and the
+    /// group's panels are read from cache by every block after the first.
+    fn run_samples(
+        &self,
+        samples: Range<usize>,
+        blocks: Range<usize>,
+        dst: &mut [f32],
+        panels: &mut [f32],
+    ) {
+        let t = self.tiles;
+        let hw = self.rows * self.cols;
+        let lanes = samples.start * hw..samples.end * hw;
+        let base = samples.start * self.out_chans + blocks.start * t.cb;
+        let stride = self.chans * t.max_px();
+        let mut acc = [0.0f32; MAX_ACC];
+        for g0 in lanes.clone().step_by(self.group) {
+            let group = g0..lanes.end.min(g0 + self.group);
+            // The group's lane chunks, each with its panel `[chans][pitch]`
+            // (`pitch` = whole vectors; only the last chunk is narrower).
+            let chunks = group.clone().step_by(t.max_px()).map(|j0| {
+                let chunk = j0..group.end.min(j0 + t.max_px());
+                let nv = chunk.len().div_ceil(t.lanes);
+                (chunk, nv, (j0 - g0) / t.max_px() * stride)
+            });
+            self.pack(panels, group.clone());
+            for b in blocks.clone() {
+                let live = t.cb.min(self.out_chans - b * t.cb);
+                // A partial block repeats its last channel: computed, not
+                // stored.
+                let w_rows: [usize; MAX_CB] =
+                    std::array::from_fn(|i| b * self.w_block + i.min(live - 1) * self.w_row);
+                assert!(
+                    self.chans == 0
+                        || w_rows[live - 1] + (self.chans - 1) * self.w_chan < self.w.len(),
+                    "weights too short for the tile reads"
+                );
+                for (chunk, nv, at) in chunks.clone() {
+                    let pitch = nv * t.lanes;
+                    let panel = &panels[at..][..self.chans * pitch];
+                    debug_assert!(t.cb * pitch <= acc.len(), "tile writes past acc");
+                    // SAFETY: the tier's ISA is present (see `tiles`);
+                    // `w_rows` holds MAX_CB ≥ cb offsets; the tile reads
+                    // lanes `< nv·lanes = pitch` of channel `c < chans` at
+                    // `c·pitch` of `panel`, which holds `chans·pitch`
+                    // floats; the farthest weight read is `w_rows[live -
+                    // 1] + (chans - 1)·w_chan < w.len()` (checked above;
+                    // with no channels nothing is read); the farthest `acc`
+                    // write is `cb·pitch - 1 < MAX_ACC`.
+                    unsafe {
+                        (t.by_vectors[nv - 1][0])(
+                            self.chans,
+                            panel.as_ptr(),
+                            pitch,
+                            self.w.as_ptr(),
+                            self.w_chan,
+                            w_rows.as_ptr(),
+                            &[(0, 0)],
+                            acc.as_mut_ptr(),
+                        );
+                    }
+                    self.store(&acc[..live * pitch], pitch, chunk, b * t.cb, base, dst);
+                }
+            }
+        }
+    }
+
+    /// Calls `f(lane, sample, pixels)` on every run of `lanes` (`rows·cols`
+    /// a sample, flattened) that lies in one sample, in one lane row when
+    /// `by_row`, and in one chunk of `split` lanes counted from
+    /// `lanes.start` — `lane` being its offset from there.
+    fn each_run(
+        &self,
+        lanes: Range<usize>,
+        by_row: bool,
+        split: usize,
+        mut f: impl FnMut(usize, usize, Range<usize>),
+    ) {
+        let hw = self.rows * self.cols;
+        let mut j = lanes.start;
+        while j < lanes.end {
+            let (s, p) = (j / hw, j % hw);
+            let stop = if by_row {
+                p - p % self.cols + self.cols
+            } else {
+                hw
+            };
+            let lane = j - lanes.start;
+            let run = (stop - p).min(lanes.end - j).min(split - lane % split);
+            f(lane, s, p..p + run);
+            j += run;
+        }
+    }
+
+    /// Copies the lanes `group` of every source channel into the group's
+    /// panels — chunk `k` (`max_px` lanes) at `panels[k·chans·max_px..]`,
+    /// `[chans][pitch]` — rounded through bfloat16 when `round`, and zeros
+    /// into the last panel's lanes past the group.
+    fn pack(&self, panels: &mut [f32], group: Range<usize>) {
+        if self.round {
+            self.pack_with(panels, group, round_bf16);
+        } else {
+            self.pack_with(panels, group, |v| v);
+        }
+    }
+
+    /// [`Pointwise::pack`] with the value map `f`, channel by channel, so
+    /// each source plane is read in order.
+    fn pack_with(&self, panels: &mut [f32], group: Range<usize>, f: impl Fn(f32) -> f32 + Copy) {
+        let (t, g) = (self.tiles, self.read);
+        let (px, plane) = (t.max_px(), g.h * g.w);
+        let stride = self.chans * px;
+        let last = (group.len() - 1) / px;
+        let width = group.len() - last * px;
+        let pitch = |k: usize| {
+            if k < last {
+                px
+            } else {
+                width.div_ceil(t.lanes) * t.lanes
+            }
+        };
+        if width < pitch(last) {
+            panels[last * stride..][..self.chans * pitch(last)]
+                .chunks_exact_mut(pitch(last))
+                .for_each(|row| row[width..].fill(0.0));
+        }
+        // The columns of the lane grid that lie in the image.
+        let cols = g.pad_w.div_ceil(g.s)..(g.w + g.pad_w).div_ceil(g.s);
+        for c in 0..self.chans {
+            self.each_run(group.clone(), !g.is_dense(), px, |lane, s, run| {
+                let (k, n) = (lane / px, run.len());
+                let d = &mut panels[k * stride + c * pitch(k) + lane % px..][..n];
+                let src = &self.src[(s * self.chans + c) * plane..][..plane];
+                if g.is_dense() {
+                    // A run of one sample is a run of its source plane.
+                    map(d, &src[run], f);
+                    return;
+                }
+                let (oy, ox) = (run.start / self.cols, run.start % self.cols);
+                // The run's lanes whose column lies in the image: `lo..hi`.
+                let (lo, hi) = (
+                    cols.start.clamp(ox, ox + n) - ox,
+                    cols.end.clamp(ox, ox + n) - ox,
+                );
+                let Some(iy) = g.at(oy, g.pad_h, g.h).filter(|_| lo < hi) else {
+                    d.fill(0.0);
+                    return;
+                };
+                d[..lo].fill(0.0);
+                d[hi..].fill(0.0);
+                let at = iy * g.w + g.s * (ox + lo) - g.pad_w;
+                let (d, m) = (&mut d[lo..hi], hi - lo);
+                match g.s {
+                    1 => map(d, &src[at..][..m], f),
+                    2 => every_other(d, &src[at..][..2 * m - 1], f),
+                    s => d
+                        .iter_mut()
+                        .zip(src[at..].iter().step_by(s))
+                        .for_each(|(d, &v)| *d = f(v)),
+                }
+            });
+        }
+    }
+
+    /// Writes one tile's sums (`acc[i·pitch + lane]`, lanes `chunk`) for
+    /// output channels `chan0..` into `dst`, whose first channel is channel
+    /// `base` of the flattened `[n·out_chans]` planes: each lane's cell
+    /// (plus the bias), and the zeros of the cells it owns besides.
+    fn store(
+        &self,
+        acc: &[f32],
+        pitch: usize,
+        chunk: Range<usize>,
+        chan0: usize,
+        base: usize,
+        dst: &mut [f32],
+    ) {
+        let (g, len) = (self.write, self.write.h * self.write.w);
+        let plane = |s: usize, i: usize| (s * self.out_chans + chan0 + i - base) * len;
+        let sums = acc.chunks_exact(pitch);
+        if g.is_dense() {
+            self.each_run(chunk, false, usize::MAX, |lane, s, px| {
+                for (i, sums) in sums.clone().enumerate() {
+                    let o = plane(s, i);
+                    write(
+                        &mut dst[o..][px.clone()],
+                        &sums[lane..][..px.len()],
+                        self.bias,
+                        chan0 + i,
+                    );
+                }
+            });
+            return;
+        }
+        self.each_run(chunk, true, usize::MAX, |lane, s, px| {
+            let (oy, ox) = (px.start / self.cols, px.start % self.cols);
+            let ox_end = ox + px.len();
+            let rows = g.owned(oy, g.pad_h, g.h);
+            let cells = g.owned(ox, g.pad_w, g.w).start..g.owned(ox_end - 1, g.pad_w, g.w).end;
+            let sums_row = g.at(oy, g.pad_h, g.h);
+            // The run's first lane with a cell of its own (the lanes before
+            // own only padding), and that cell.
+            let lo = g.pad_w.div_ceil(g.s).clamp(ox, ox_end);
+            let lead = g.owned(lo, g.pad_w, g.w).start;
+            for (i, sums) in sums.clone().enumerate() {
+                let o = plane(s, i);
+                let sums = &sums[lane + lo - ox..][..ox_end - lo];
+                for y in rows.clone() {
+                    let row = &mut dst[o + y * g.w..][cells.clone()];
+                    if Some(y) == sums_row {
+                        let (pad, rest) = row.split_at_mut(lead - cells.start);
+                        pad.fill(0.0);
+                        scatter(rest, sums, g.s);
+                    } else {
+                        row.fill(0.0);
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// `row[s·k] = v[k]` and zeros between: `row` holds `s·k + 1..=s·(k + 1)`
+/// cells for the `k + 1` values it takes (`v` may hold more).
+#[inline]
+fn scatter(row: &mut [f32], v: &[f32], s: usize) {
+    if s == 2 {
+        let (pairs, last) = row.as_chunks_mut::<2>();
+        for (p, &v) in pairs.iter_mut().zip(v) {
+            *p = [v, 0.0];
+        }
+        if let [last] = last {
+            *last = v[pairs.len()];
+        }
+        return;
+    }
+    for (cells, &v) in row.chunks_mut(s).zip(v) {
+        cells[0] = v;
+        cells[1..].fill(0.0);
     }
 }
 
@@ -1058,12 +1527,42 @@ fn forward_within(
     let (ho, wo) = cfg.out_extent(h, wd);
     let t = tiles(exec.kernel);
     let round = exec.precision == Precision::Bf16;
-    let planes = InputPlanes::new(ci, h, wd, cfg, t);
+    let f = size_of::<f32>();
     let weights: Cow<'_, [f32]> = if round {
         w.data().iter().map(|&v| round_bf16(v)).collect()
     } else {
         w.data().into()
     };
+    let mut y = Tensor::uninit(&[n, co, ho, wo]);
+    if taps == 1 {
+        let job = Pointwise {
+            tiles: t,
+            threads: exec.threads,
+            src: x.data(),
+            chans: ci,
+            read: Grid {
+                h,
+                w: wd,
+                s: cfg.stride,
+                pad_h: cfg.pad_h,
+                pad_w: cfg.pad_w,
+            },
+            rows: ho,
+            cols: wo,
+            w: &weights,
+            w_block: t.cb * ci,
+            w_row: ci,
+            w_chan: 1,
+            out_chans: co,
+            write: Grid::dense(ho, wo),
+            group: budget.panels(n * ho * wo, ho * wo, ci * f, weights.len() * f, t.max_px()),
+            bias,
+            round,
+        };
+        job.run(n, y.data_mut());
+        return y;
+    }
+    let planes = InputPlanes::new(ci, h, wd, cfg);
     let pass = Pass {
         taps: (0..taps).map(|tap| (planes.tap_offset(tap), tap)).collect(),
         w: &weights,
@@ -1076,9 +1575,7 @@ fn forward_within(
         row_stride: wo,
         col_stride: 1,
     };
-    let mut y = Tensor::uninit(&[n, co, ho, wo]);
     // A domain lane reads one element of every phase plane of a channel.
-    let f = size_of::<f32>();
     let staged = ci * planes.chan_stride() * f;
     let lane = ci * planes.npy * planes.npx * f;
     let job = Correlation {
@@ -1189,9 +1686,40 @@ fn backward_data_within(
     }
     let t = tiles(exec.kernel);
     let round = exec.precision == Precision::Bf16;
+    let f = size_of::<f32>();
+    if kh * kw == 1 {
+        let mut dx = Tensor::uninit(x_shape);
+        let weights = pack_swapped(w.data(), (co, ci, 1), &[(0, 0)], t.cb, round);
+        let job = Pointwise {
+            tiles: t,
+            threads: exec.threads,
+            src: dy.data(),
+            chans: co,
+            read: Grid::dense(ho, wo),
+            rows: ho,
+            cols: wo,
+            w: &weights,
+            w_block: co * t.cb,
+            w_row: 1,
+            w_chan: t.cb,
+            out_chans: ci,
+            write: Grid {
+                h,
+                w: wd,
+                s,
+                pad_h: cfg.pad_h,
+                pad_w: cfg.pad_w,
+            },
+            group: budget.panels(n * ho * wo, ho * wo, co * f, weights.len() * f, t.max_px()),
+            bias: None,
+            round,
+        };
+        job.run(n, dx.data_mut());
+        return dx;
+    }
     let (py, px, hp, wp) = dy_planes(h, wd, cfg);
     let (ty, tx) = ((kh - 1) / s, (kw - 1) / s);
-    let plane_len = hp * wp + t.max_px();
+    let plane_len = hp * wp;
     // Per phase with taps: its cells (plane offset, kernel tap of the
     // flipped sub-kernel) and their packed weights.
     let mut packed = Vec::with_capacity(s * s);
@@ -1230,7 +1758,6 @@ fn backward_data_within(
     } else {
         Tensor::uninit(x_shape)
     };
-    let f = size_of::<f32>();
     let weights: usize = passes.iter().map(|p| p.w.len()).sum();
     let job = Correlation {
         tiles: t,
@@ -1308,16 +1835,25 @@ fn backward_weights_within(
     }
     let t = tiles(exec.kernel);
     let round = exec.precision == Precision::Bf16;
-    // Every sample's input, staged as for the forward pass.
-    let planes = InputPlanes::new(ci, h, wd, cfg, t);
+    // Every sample's input, staged as for the forward pass — or `x`
+    // itself, which is its staged form when unpadded at stride 1 and not
+    // rounded (the stream reads stay inside the planes: no read slack).
+    let planes = InputPlanes::new(ci, h, wd, cfg);
     let x_sample = ci * planes.chan_stride();
-    let mut xs = arena::take(n * x_sample);
-    let stage = |_, samples: Range<usize>, chunk: &mut [f32], ()| {
-        for (s, buf) in samples.zip(chunk.chunks_exact_mut(x_sample)) {
-            planes.stage(x.data(), s, buf, round);
-        }
+    let staged;
+    let xs: &[f32] = if cfg.stride == 1 && cfg.pad_h == 0 && cfg.pad_w == 0 && !round {
+        x.data()
+    } else {
+        let mut buf = arena::take(n * x_sample);
+        let stage = |_, samples: Range<usize>, chunk: &mut [f32], ()| {
+            for (s, buf) in samples.zip(chunk.chunks_exact_mut(x_sample)) {
+                planes.stage(x.data(), s, buf, round);
+            }
+        };
+        scoped_chunks(&mut buf, n, exec.threads, |_| (), |s| s * x_sample, stage);
+        staged = buf;
+        &staged
     };
-    scoped_chunks(&mut xs, n, exec.threads, |_| (), |s| s * x_sample, stage);
     // dy panel-major: [n][cop/pw][ho·wo][width], channels zero-padded to
     // whole vectors and cut into panels of the widest tile, so a tile's
     // lanes for consecutive pixels are one contiguous stream. Panel `b`
@@ -1353,17 +1889,22 @@ fn backward_weights_within(
     // slice fits the budget. Built once for the full width and once for a
     // narrower last panel.
     let reduction = |width: usize| {
-        let mut pixels = Vec::with_capacity(hw);
-        for oy in 0..ho {
+        let mut pixels = Pairs::take(hw);
+        let list = pixels.as_mut_slice();
+        for (oy, row) in list.chunks_exact_mut(wo).enumerate() {
             let (lane, x) = (oy * wo * width, oy * planes.wp);
-            pixels.extend((0..wo).map(|ox| (lane + ox * width, x + ox)));
+            for (ox, p) in row.iter_mut().enumerate() {
+                *p = (lane + ox * width, x + ox);
+            }
         }
         let blocks = budget.reduction_blocks(n, hw, width * size_of::<f32>());
         (pixels, blocks)
     };
-    let full = reduction(pw);
+    let mut full = reduction(pw);
     let last_width = cop - (cop - 1) / pw * pw;
-    let narrow = (last_width < pw).then(|| reduction(last_width));
+    let mut narrow = (last_width < pw).then(|| reduction(last_width));
+    let full = (&*full.0.as_mut_slice(), full.1);
+    let narrow = narrow.as_mut().map(|(p, b)| (&*p.as_mut_slice(), *b));
     // Per worker, the running sums of one tile: one cb·pw slot per step of
     // cb weights when the reduction is split into blocks, else one slot.
     let slots = if full.1.len() > 1 {
@@ -1378,9 +1919,9 @@ fn backward_weights_within(
             let co0 = tile * pw;
             let width = pw.min(cop - co0);
             let nv = width / t.lanes;
-            let (pixels, blocks) = match &narrow {
+            let (pixels, blocks) = match narrow {
                 Some(narrow) if width < pw => narrow,
-                _ => &full,
+                _ => full,
             };
             let stride = if blocks.len() > 1 { t.cb * width } else { 0 };
             for (bi, (samples, span)) in blocks.iter().enumerate() {
@@ -1621,6 +2162,70 @@ mod tests {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The 1×1 panels' groups only reorder which tile runs when: under
+    /// budgets that cut the lane domain into groups of one chunk, of a
+    /// chunk and a lane, of two chunks, one lane short of the domain, one
+    /// sample (weights past their budget) and one past the domain, the
+    /// forward pass and the data gradient give the bits of one group — on
+    /// every tier, at 1, 2 and 3 threads, in f32 and bf16.
+    #[test]
+    fn panel_groups_are_bitwise_invisible() {
+        let f = size_of::<f32>();
+        for (n, ci, co, s, (h, w)) in [
+            (2, 9, 17, 1, (7, 7)),
+            (3, 4, 9, 2, (13, 14)),
+            (1, 17, 8, 1, (1, 97)),
+            (3, 64, 3, 1, (4, 4)),
+        ] {
+            let cfg = Conv2dCfg::square(1, s, 0);
+            let (ho, wo) = cfg.out_extent(h, w);
+            let domain = n * ho * wo;
+            let (x, wt, dy) = (
+                seeded(&[n, ci, h, w], 1),
+                seeded(&[co, ci, 1, 1], 2),
+                seeded(&[n, co, ho, wo], 3),
+            );
+            let bias: Vec<f32> = (0..co).map(|o| o as f32 / 8.0 - 1.0).collect();
+            for kern in kernel::available() {
+                let px = tiles(kern).max_px();
+                for precision in [Precision::F32, Precision::Bf16] {
+                    let run = |threads: usize, lanes: Option<usize>| {
+                        let e = Exec {
+                            kernel: kern,
+                            threads,
+                            precision,
+                        };
+                        let budget = |chans: usize| match lanes {
+                            None => UNBOUNDED,
+                            Some(0) => Budget {
+                                staged: chans * f,
+                                weights: 0,
+                                ..UNBOUNDED
+                            },
+                            Some(l) => Budget {
+                                staged: l * chans * f,
+                                ..UNBOUNDED
+                            },
+                        };
+                        let y = forward_within(&x, &wt, Some(&bias), cfg, e, budget(ci));
+                        let dx = backward_data_within(&dy, &wt, x.shape(), cfg, e, budget(co));
+                        (bits(&y), bits(&dx))
+                    };
+                    let want = run(1, None);
+                    for lanes in [1, px + 1, 2 * px, domain - 1, 0, domain + 1] {
+                        for threads in 1..=3 {
+                            assert!(
+                                run(threads, Some(lanes)) == want,
+                                "{} {precision:?} n{n} ci{ci} co{co} /{s} {h}x{w}: {lanes} lanes, {threads} threads",
+                                kern.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Blocking only reorders which tile runs when, never a lane's sum:
     /// all three ops give the same bits as unblocked under budgets whose
     /// blocks straddle the shape's edges — per op, chunks of 7 lanes and
@@ -1654,7 +2259,7 @@ mod tests {
             for kern in kernel::available() {
                 let t = tiles(kern);
                 // Each op's domain and staged bytes per domain lane.
-                let planes = InputPlanes::new(ci, h, w, cfg, t);
+                let planes = InputPlanes::new(ci, h, w, cfg);
                 let fwd = ((ho - 1) * planes.wp + wo, ci * planes.npy * planes.npx * f);
                 let (py, px, _, wp) = dy_planes(h, w, cfg);
                 let counts = |ph: &[Phase]| -> Vec<usize> {

@@ -544,6 +544,92 @@ fn narrow_and_strided_shapes_are_bitwise_the_scalar_loops() {
     }
 }
 
+/// The 1×1 panel path, forward and data gradient, bit for bit against the
+/// scalar loops: output grids of 1, 15, 16, 17, 47, 48, 49 (7×7), 97 and
+/// 196 (14×14) pixels — around the 16- and 48-lane chunks, so chunks end
+/// inside a sample and cross into the next — at one, two and three
+/// samples, strides 1 and 2 (odd and even inputs, so a strided data
+/// gradient's last row or column is a zero one) without padding and with,
+/// and every channel count of {1, 3, 4, 8, 9, 17, 64} on both sides; on
+/// every tier, at 1, 2 and 3 threads, in f32 and in bf16 (against the
+/// loops on bf16-rounded operands).
+#[test]
+fn pointwise_panels_are_bitwise_the_scalar_loops() {
+    const GRIDS: [(usize, usize); 9] = [
+        (1, 1),
+        (3, 5),
+        (4, 4),
+        (1, 17),
+        (1, 47),
+        (6, 8),
+        (7, 7),
+        (1, 97),
+        (14, 14),
+    ];
+    const CHANS: [usize; 7] = [1, 3, 4, 8, 9, 17, 64];
+    let mut cases = 0;
+    for (g, &(ho, wo)) in GRIDS.iter().enumerate() {
+        for n in 1..=3 {
+            for (stride, pad) in [(1, 0), (2, 0), (1, 1), (2, 1)] {
+                // Inputs whose output grid is (ho, wo): odd or even.
+                let ext = |o: usize, odd: usize| {
+                    (stride * (o - 1) + 1 + odd * (stride - 1)).max(2 * pad + 1) - 2 * pad
+                };
+                let (h, w) = (ext(ho, (g + n) % 2), ext(wo, g % 2));
+                let cfg = Conv2dCfg::square(1, stride, pad);
+                for i in 0..CHANS.len() {
+                    let (ci, co) = (CHANS[i], CHANS[(i + g + n) % CHANS.len()]);
+                    let c = Case {
+                        cfg,
+                        n,
+                        ci,
+                        co,
+                        h,
+                        w,
+                    };
+                    assert_pointwise_bitwise(&c);
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 9 * 3 * 4 * 7);
+}
+
+/// [`pointwise_panels_are_bitwise_the_scalar_loops`] for one case.
+fn assert_pointwise_bitwise(c: &Case) {
+    let (x, w, dy) = (c.x(), c.weights(), c.dy());
+    let bias: Vec<f32> = (0..c.co).map(|o| o as f32 / 8.0 - 0.5).collect();
+    for precision in [Precision::F32, Precision::Bf16] {
+        let (xr, wr, dyr) = match precision {
+            Precision::F32 => (x.clone(), w.clone(), dy.clone()),
+            Precision::Bf16 => (rounded(&x), rounded(&w), rounded(&dy)),
+        };
+        for fused in [false, true] {
+            let oracle = ScalarLoops { c, fused };
+            let want_y = bits(&oracle.forward(&xr, &wr, &bias));
+            let want_dx = bits(&oracle.backward_data(&dyr, &wr));
+            let tiers = kernel::available()
+                .into_iter()
+                .filter(|k| std::ptr::eq(*k, &kernel::SCALAR_8X8) != fused);
+            for kern in tiers {
+                for threads in 1..=3 {
+                    let e = Exec {
+                        kernel: kern,
+                        threads,
+                        precision,
+                    };
+                    let what = format!("{} {threads} threads {precision:?} {c:?}", kern.name);
+                    let y = direct::forward(&x, &w, Some(&bias), c.cfg, e);
+                    assert_eq!(bits(&y), want_y, "forward {what}");
+                    let dx = direct::backward_data(&dy, &w, x.shape(), c.cfg, e);
+                    assert_eq!(bits(&dx), want_dx, "backward_data {what}");
+                }
+            }
+        }
+    }
+}
+
 /// Values in [-1, 1) from a 64-bit LCG: unstructured signs, so a long sum
 /// cancels the way real gradients do.
 fn noise(shape: &[usize], seed: u64) -> Tensor {
