@@ -14,9 +14,9 @@
 //! free worker takes `min(queued, max_batch)` requests
 //! ([`BatchPolicy::take`]) and dispatches at once — a lone request is
 //! never held for batch-mates, and a batch larger than one is exactly
-//! what queued up while every worker was busy. Each worker installs a
-//! [`LocalArena`](mbs_tensor::arena::LocalArena) so scratch-buffer reuse
-//! never contends across workers. [`ServeStats`] splits the time a
+//! what queued up while every worker was busy. Each worker recycles its
+//! scratch through its own thread's [`mbs_tensor::arena`] pool, so buffer
+//! reuse never contends across workers. [`ServeStats`] splits the time a
 //! request spends in the server into queue-wait, collect, forward and
 //! fan-out.
 //!
@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 
 use mbs_cnn::{FeatureShape, Network};
 use mbs_core::{HardwareConfig, Schedule};
-use mbs_tensor::{arena, Tensor};
+use mbs_tensor::Tensor;
 use mbs_train::checkpoint::LoadReport;
 
 use crate::batcher::{Action, Admit, BatchPolicy, Dispatcher};
@@ -766,7 +766,6 @@ impl Client {
 /// outside it does that — answers requests, runs a batch, sleeps until
 /// something changes, or exits.
 fn worker(shared: &Shared) {
-    let _arena = arena::LocalArena::install();
     // The worker's private runner, tagged with the model version it was
     // cloned from; re-cloned after a swap, dropped after a panic.
     let mut runner: Option<(ModelRunner, u64)> = None;

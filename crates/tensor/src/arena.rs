@@ -5,7 +5,7 @@
 //! propagations (paper §3), so the per-op intermediates — GEMM packing
 //! panels, the convolutions' staged planes — would otherwise be allocated
 //! and freed once per layer per sub-batch. This arena keeps those buffers
-//! alive in a global pool: [`take`] hands out a buffer (reusing a pooled
+//! alive in a pool: [`take`] hands out a buffer (reusing a pooled
 //! allocation when one fits) and dropping the returned [`Scratch`]
 //! recycles it.
 //!
@@ -17,32 +17,34 @@
 //! arena misses (pinned by `crates/train/tests/grouped_steady_state.rs`;
 //! the repository benchmark reports `tensor.arena_misses_per_step`).
 //!
-//! The pool is process-global and thread-safe; GEMM worker threads check
-//! buffers in and out independently. [`stats`] exposes hit/miss counters so
-//! tests can pin the reuse behavior.
+//! **One pool per thread.** Every thread has its own pool, created empty
+//! on its first use: a `take` and a `Scratch` drop touch only the calling
+//! thread's pool and never take a lock. A buffer dropped on another thread
+//! than the one that took it joins *that* thread's pool — ownership is
+//! wherever the drop happens. A thread's pool, and every buffer in it, is
+//! freed when the thread exits. The kernels' worker threads therefore
+//! check out nothing themselves: their scratch is taken on the calling
+//! thread and dropped there after the workers join
+//! (`ops::pack::scoped_chunks`), so it returns to the caller's pool.
+//! [`stats`] exposes process-wide hit/miss counters so tests and the
+//! benchmark can pin the reuse behavior.
+//!
+//! **Scopes.** A [`LocalArena`] guard gives the thread a fresh, empty pool
+//! for as long as it lives and, when dropped, frees that pool and puts the
+//! thread's previous one back; guards nest. A training run
+//! (`mbs_train::training::train_grouped*`) runs under one, so the buffers
+//! it leaves pooled go back to the allocator when it returns and the next
+//! run's peak is its own, not stacked on an earlier run's idle buffers.
 //!
 //! A training step checks out over a thousand buffers, so the free list is
 //! ordered by capacity: a `take` finds its best fit — the smallest pooled
 //! capacity within the fit bound, its most recently dropped buffer — with
 //! one binary search instead of a walk over every pooled buffer, and a
 //! take + drop costs about what a `malloc`/`free` pair does.
-//!
-//! Long-lived worker threads that must not contend on the global mutex —
-//! the `mbs-serve` inference workers, which each run a private model
-//! replica — can instead install a **thread-local** pool with
-//! [`LocalArena::install`]: while the guard lives, every `take` and every
-//! `Scratch` drop on that thread goes through the local free list (no
-//! lock, no cross-worker interference), and dropping the guard frees the
-//! local buffers. Threads without a guard keep the global-pool behavior
-//! unchanged, so the steady-state zero-miss pins on the training loop are
-//! unaffected. A buffer allocated under a local arena and dropped on
-//! another thread simply recycles into *that* thread's pool (local or
-//! global) — ownership is wherever the drop happens.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Buffers kept in the pool at once; excess buffers are simply freed.
 /// Sized for the training hot loop: a sub-batch step cycles layer
@@ -57,8 +59,8 @@ const MAX_POOLED_LEN: usize = 1 << 24; // 64 MiB of f32
 /// Total elements the pool may hold across all buffers (256 MiB of f32).
 /// A count cap alone would let 256 large buffers pin ~16 GiB now that
 /// every `Tensor` routes through the arena; the byte budget bounds what a
-/// transient large-tensor phase can leave behind for the process
-/// lifetime.
+/// transient large-tensor phase can leave behind for its thread's (or
+/// scope's) lifetime.
 const MAX_POOLED_TOTAL: usize = 1 << 26;
 
 /// Elements a pooled buffer may exceed twice a request by and still serve
@@ -78,8 +80,7 @@ struct Slot {
 
 /// The free list, ordered by capacity, plus running count and capacity
 /// totals so the cap checks in `Scratch::drop` are O(1) instead of a sum
-/// over the pool inside the global mutex (every `Tensor` drop takes this
-/// lock).
+/// over the pool (every `Tensor` drop makes them).
 ///
 /// The best fit is a binary search over the distinct pooled capacities and
 /// a pop off that capacity's chain; a drop is a search and a push. Only a
@@ -97,7 +98,7 @@ struct Pool {
     /// One entry per capacity the pool holds, ascending: the capacity and
     /// the slot of its most recently adopted buffer (the one most likely
     /// still in cache). An entry leaves with its last buffer, so the list
-    /// never grows with the number of distinct sizes a process has seen.
+    /// never grows with the number of distinct sizes a thread has seen.
     caps: Vec<(usize, usize)>,
     /// The pooled buffers' slots and the emptied ones.
     slots: Vec<Slot>,
@@ -174,53 +175,58 @@ impl Pool {
     }
 }
 
-static POOL: Mutex<Pool> = Mutex::new(Pool::new());
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// The thread's private pool while a [`LocalArena`] guard is alive;
-    /// `None` routes to the global pool.
-    static LOCAL: RefCell<Option<Pool>> = const { RefCell::new(None) };
+    /// The calling thread's pool: the innermost live [`LocalArena`]'s, or
+    /// the thread's own outside every scope.
+    static POOL: RefCell<Pool> = const { RefCell::new(Pool::new()) };
 }
 
-/// Guard installing a private, lock-free arena pool for the current
-/// thread. While it lives, [`take`]/[`take_zeroed`] and `Scratch` drops on
-/// this thread use the thread-local free list exclusively — a cold local
-/// pool allocates fresh rather than stealing from (and contending on) the
-/// global pool. Dropping the guard frees every locally pooled buffer and
-/// restores the global-pool behavior.
+/// Scope guard giving the current thread a fresh, empty arena pool. While
+/// it lives, [`take`]/[`take_zeroed`] and `Scratch` drops on this thread
+/// use that pool; dropping the guard frees every buffer it pooled and puts
+/// back the pool the thread had before. Guards nest: drop them in reverse
+/// order of installation (as scoped locals are).
+///
+/// A training run installs one for its whole length, so what it leaves
+/// pooled is freed when it returns.
 ///
 /// # Examples
 ///
 /// ```
 /// use mbs_tensor::arena;
 ///
+/// drop(arena::take(256)); // pooled in the thread's own pool
+/// let outer = arena::pooled();
 /// let guard = arena::LocalArena::install();
-/// let a = arena::take(256);
-/// drop(a); // recycles into this thread's pool, no lock taken
-/// let b = arena::take(256); // local hit
-/// assert_eq!(b.len(), 256);
-/// drop(guard); // local buffers freed
+/// assert_eq!(arena::pooled(), (0, 0)); // a fresh pool
+/// drop(arena::take(512)); // recycles into the scope's pool
+/// let b = arena::take(512); // a hit in the scope's pool
+/// drop(b);
+/// drop(guard); // the scope's buffers are freed
+/// assert_eq!(arena::pooled(), outer);
 /// ```
-#[derive(Debug)]
 pub struct LocalArena {
+    /// The pool this guard displaced, restored on drop.
+    outer: Pool,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
+impl std::fmt::Debug for LocalArena {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LocalArena").finish_non_exhaustive()
+    }
+}
+
 impl LocalArena {
-    /// Installs the thread-local pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this thread already has a live `LocalArena` guard.
+    /// Installs a fresh pool for the current thread, saving the one it
+    /// replaces.
     pub fn install() -> Self {
-        LOCAL.with(|l| {
-            let mut slot = l.borrow_mut();
-            assert!(slot.is_none(), "thread already has a LocalArena installed");
-            *slot = Some(Pool::new());
-        });
+        let outer = POOL.with(|p| std::mem::replace(&mut *p.borrow_mut(), Pool::new()));
         Self {
+            outer,
             _not_send: std::marker::PhantomData,
         }
     }
@@ -228,8 +234,9 @@ impl LocalArena {
 
 impl Drop for LocalArena {
     fn drop(&mut self) {
-        // Ignore TLS teardown: the pool (and its buffers) die with it.
-        let _ = LOCAL.try_with(|l| l.borrow_mut().take());
+        let outer = std::mem::replace(&mut self.outer, Pool::new());
+        // In TLS teardown the outer pool is simply freed with this guard.
+        let _freed = POOL.try_with(|p| std::mem::replace(&mut *p.borrow_mut(), outer));
     }
 }
 
@@ -271,27 +278,9 @@ impl Drop for Scratch {
         if self.buf.capacity() == 0 || self.buf.capacity() > MAX_POOLED_LEN {
             return;
         }
-        let mut buf = Some(std::mem::take(&mut self.buf));
-        // A thread with a LocalArena recycles into its private pool — no
-        // lock. `try_with` covers TLS teardown, where the buffer is freed.
-        let routed_locally = LOCAL
-            .try_with(|l| match l.borrow_mut().as_mut() {
-                Some(pool) => {
-                    pool.adopt(buf.take().expect("buffer moved at most once"));
-                    true
-                }
-                None => false,
-            })
-            .unwrap_or(true);
-        if routed_locally {
-            return;
-        }
-        let buf = buf.expect("global route leaves the buffer in place");
-        let mut pool = match POOL.lock() {
-            Ok(pool) => pool,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.adopt(buf);
+        let buf = std::mem::take(&mut self.buf);
+        // In TLS teardown the closure never runs and the buffer is freed.
+        let _ = POOL.try_with(|p| p.borrow_mut().adopt(buf));
     }
 }
 
@@ -342,9 +331,7 @@ pub fn take_zeroed(len: usize) -> Scratch {
 
 /// Pops the best-fit pooled buffer for a `len`-element request (smallest
 /// sufficient capacity, so a small request does not burn a large buffer)
-/// and bumps the hit/miss counters. A thread with a [`LocalArena`] guard
-/// serves the request from its private pool only — a cold local pool is a
-/// miss (fresh allocation), never a locked steal from the global pool.
+/// from the calling thread's pool and bumps the hit/miss counters.
 ///
 /// An empty request needs no storage, so it touches neither the pool nor
 /// the counters: the fit bound would let it hold a pooled buffer of up to
@@ -353,19 +340,9 @@ fn reuse(len: usize) -> Option<Vec<f32>> {
     if len == 0 {
         return None;
     }
-    let local = LOCAL
-        .try_with(|l| l.borrow_mut().as_mut().map(|pool| pool.pop_best_fit(len)))
+    let reused = POOL
+        .try_with(|p| p.borrow_mut().pop_best_fit(len))
         .unwrap_or(None);
-    let reused = match local {
-        Some(found) => found,
-        None => {
-            let mut pool = match POOL.lock() {
-                Ok(pool) => pool,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            pool.pop_best_fit(len)
-        }
-    };
     match &reused {
         Some(_) => HITS.fetch_add(1, Ordering::Relaxed),
         None => MISSES.fetch_add(1, Ordering::Relaxed),
@@ -373,7 +350,8 @@ fn reuse(len: usize) -> Option<Vec<f32>> {
     reused
 }
 
-/// `(hits, misses)` counters since process start (or the last [`reset_stats`]).
+/// `(hits, misses)` counters over every thread since process start (or
+/// the last [`reset_stats`]).
 pub fn stats() -> (u64, u64) {
     (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
 }
@@ -384,13 +362,17 @@ pub fn reset_stats() {
     MISSES.store(0, Ordering::Relaxed);
 }
 
-/// Drops every pooled buffer.
+/// `(buffers, bytes)` the calling thread's pool holds.
+pub fn pooled() -> (usize, usize) {
+    POOL.with(|p| {
+        let pool = p.borrow();
+        (pool.count, pool.total * std::mem::size_of::<f32>())
+    })
+}
+
+/// Frees every buffer in the calling thread's pool.
 pub fn clear() {
-    let mut pool = match POOL.lock() {
-        Ok(pool) => pool,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    *pool = Pool::new();
+    let _freed = POOL.with(|p| std::mem::replace(&mut *p.borrow_mut(), Pool::new()));
 }
 
 #[cfg(test)]
@@ -400,50 +382,35 @@ mod tests {
 
     #[test]
     fn buffers_are_reused_and_take_zeroed_zeroes() {
-        // A private pool: the global pool and the hit counter are shared
-        // with every test running beside this one.
-        std::thread::spawn(|| {
-            let _guard = LocalArena::install();
-            let recycled = {
-                let mut a = take(1000);
-                a[0] = 7.0;
-                a[999] = 3.0;
-                a.as_ptr()
-            }; // recycled here
-            let b = take_zeroed(500);
-            assert_eq!(
-                (b.as_ptr(), b.buf.capacity()),
-                (recycled, 1000),
-                "take_zeroed(500) must reuse the capacity-1000 buffer just dropped"
-            );
-            assert!(
-                b.iter().all(|&v| v == 0.0),
-                "take_zeroed must clear reused contents"
-            );
-            assert_eq!(b.len(), 500);
-        })
-        .join()
-        .unwrap();
+        let _scope = LocalArena::install();
+        let recycled = {
+            let mut a = take(1000);
+            a[0] = 7.0;
+            a[999] = 3.0;
+            a.as_ptr()
+        }; // recycled here
+        let b = take_zeroed(500);
+        assert_eq!(
+            (b.as_ptr(), b.buf.capacity()),
+            (recycled, 1000),
+            "take_zeroed(500) must reuse the capacity-1000 buffer just dropped"
+        );
+        assert!(
+            b.iter().all(|&v| v == 0.0),
+            "take_zeroed must clear reused contents"
+        );
+        assert_eq!(b.len(), 500);
     }
 
     #[test]
     fn empty_requests_do_not_borrow_a_pooled_buffer() {
-        std::thread::spawn(|| {
-            let _guard = LocalArena::install();
-            drop(take(100));
-            let empty = take(0);
-            let empty_zeroed = take_zeroed(0);
-            assert_eq!(empty.buf.capacity(), 0);
-            assert_eq!(empty_zeroed.buf.capacity(), 0);
-            let pooled = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
-            assert_eq!(
-                pooled,
-                Some(1),
-                "an empty request must leave the pool alone"
-            );
-        })
-        .join()
-        .unwrap();
+        let _scope = LocalArena::install();
+        drop(take(100));
+        let empty = take(0);
+        let empty_zeroed = take_zeroed(0);
+        assert_eq!(empty.buf.capacity(), 0);
+        assert_eq!(empty_zeroed.buf.capacity(), 0);
+        assert_eq!(pooled().0, 1, "an empty request must leave the pool alone");
     }
 
     #[test]
@@ -453,46 +420,107 @@ mod tests {
     }
 
     #[test]
-    fn local_arena_isolates_a_thread_from_the_global_pool() {
-        std::thread::spawn(|| {
-            // Sentinel capacity no other test uses, so presence in the
-            // global pool is attributable to this thread alone.
-            const LEN: usize = 7_777_777;
-            let guard = LocalArena::install();
-            {
-                let mut a = take(LEN);
-                a[0] = 1.0;
-            } // recycled into the thread-local pool, not the global one
-            let in_global = {
-                let pool = POOL.lock().unwrap_or_else(|p| p.into_inner());
-                pool.slots.iter().any(|s| s.buf.capacity() == LEN)
-            };
-            assert!(!in_global, "local drop must not reach the global pool");
-            // The local pool holds the recycled buffer until the guard dies.
-            let held = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
-            assert_eq!(held, Some(1));
-            drop(guard);
-            let held = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
-            assert_eq!(held, None, "dropping the guard frees the local pool");
-        })
-        .join()
-        .unwrap();
+    fn local_arena_reuses_buffers_within_the_thread() {
+        let _scope = LocalArena::install();
+        drop(take(4096));
+        assert_eq!(pooled(), (1, 4096 * 4));
+        let s = take(4096); // must be served by the scope's free list
+        assert_eq!(s.len(), 4096);
+        assert_eq!(
+            pooled(),
+            (0, 0),
+            "take must have consumed the pooled buffer"
+        );
     }
 
     #[test]
-    fn local_arena_reuses_buffers_within_the_thread() {
-        std::thread::spawn(|| {
-            let _guard = LocalArena::install();
-            drop(take(4096));
-            let pooled = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
-            assert_eq!(pooled, Some(1));
-            let s = take(4096); // must be served by the local free list
-            assert_eq!(s.len(), 4096);
-            let pooled = LOCAL.with(|l| l.borrow().as_ref().map(|p| p.count));
-            assert_eq!(pooled, Some(0), "take must have consumed the local buffer");
+    fn nested_scopes_restore_the_outer_pool() {
+        let _outer = LocalArena::install();
+        let kept = {
+            let a = take(1000);
+            a.as_ptr()
+        };
+        assert_eq!(pooled(), (1, 4000));
+        let inner = LocalArena::install();
+        assert_eq!(pooled(), (0, 0), "a scope starts on an empty pool");
+        drop(take(2000));
+        let nested = LocalArena::install();
+        drop(take(3000));
+        assert_eq!(pooled(), (1, 12_000));
+        drop(nested);
+        assert_eq!(pooled(), (1, 8000), "the middle scope's pool is back");
+        drop(inner);
+        assert_eq!(pooled(), (1, 4000), "the outer pool is back");
+        assert_eq!(
+            take(1000).as_ptr(),
+            kept,
+            "the outer pool still holds its own buffer"
+        );
+    }
+
+    #[test]
+    fn a_scope_frees_its_buffers_at_its_end() {
+        let _outer = LocalArena::install();
+        drop(take(100));
+        let before = pooled();
+        {
+            let _run = LocalArena::install();
+            let held: Vec<Scratch> = (1..=5).map(|i| take(i * 10_000)).collect();
+            drop(held);
+            assert_eq!(pooled().0, 5);
+        }
+        assert_eq!(
+            pooled(),
+            before,
+            "the scope's buffers went to the allocator"
+        );
+    }
+
+    #[test]
+    fn a_buffer_dropped_on_another_thread_joins_that_threads_pool() {
+        let _scope = LocalArena::install();
+        let moved = take(5000);
+        let there = std::thread::spawn(move || {
+            assert_eq!(pooled(), (0, 0), "a new thread starts on an empty pool");
+            drop(moved);
+            pooled()
         })
         .join()
         .unwrap();
+        assert_eq!(
+            there,
+            (1, 5000 * 4),
+            "the drop pooled it on the other thread"
+        );
+        assert_eq!(pooled(), (0, 0), "the taking thread's pool never saw it");
+    }
+
+    #[test]
+    fn worker_scratch_returns_to_the_callers_pool() {
+        let _scope = LocalArena::install();
+        let mut out = vec![0.0f32; 64];
+        let call = |out: &mut [f32], hits: &mut usize| {
+            let state = |_| {
+                let before = pooled().0;
+                let s = take(1000);
+                *hits += usize::from(pooled().0 < before);
+                s
+            };
+            let work = |t: usize, _, chunk: &mut [f32], s: &mut Scratch| {
+                s[0] = t as f32;
+                chunk.fill(s[0]);
+            };
+            crate::ops::pack::scoped_chunks(out, 2, 2, state, |i| i * 32, work);
+        };
+        let mut hits = 0;
+        call(&mut out, &mut hits);
+        assert_eq!(hits, 0, "a first call on an empty pool misses");
+        assert_eq!(pooled().0, 2, "both workers' scratch came home");
+        call(&mut out, &mut hits);
+        assert_eq!(hits, 2, "a second identical call is all hits");
+        assert_eq!(pooled().0, 2);
+        assert_eq!(out[..32], [0.0; 32]);
+        assert_eq!(out[32..], [1.0; 32]);
     }
 
     #[test]
@@ -500,7 +528,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 std::thread::spawn(move || {
-                    let _guard = LocalArena::install();
+                    let _scope = LocalArena::install();
                     for round in 0..50 {
                         let len = 128 + 64 * t + round;
                         let mut s = take(len);
@@ -508,24 +536,18 @@ mod tests {
                         s[len - 1] = round as f32;
                         assert_eq!(s.len(), len);
                     }
+                    pooled().0
                 })
             })
             .collect();
         for h in handles {
-            h.join().unwrap();
+            assert!(h.join().unwrap() >= 1, "each thread pooled its own buffers");
         }
     }
 
     #[test]
-    #[should_panic(expected = "already has a LocalArena")]
-    fn nested_local_arena_install_panics() {
-        let _a = LocalArena::install();
-        let _b = LocalArena::install();
-    }
-
-    #[test]
     fn pool_respects_the_total_byte_budget() {
-        clear();
+        let _scope = LocalArena::install();
         // Drop budget-sized buffers until the total cap must reject one.
         let each = MAX_POOLED_LEN / 2;
         let fits = MAX_POOLED_TOTAL / each;
@@ -534,19 +556,18 @@ mod tests {
                 buf: Vec::with_capacity(each),
             });
         }
-        let (pooled, total) = {
-            let pool = POOL.lock().unwrap_or_else(|p| p.into_inner());
+        let (pooled, total) = POOL.with(|p| {
+            let pool = p.borrow();
             (
                 pool.slots.iter().map(|s| s.buf.capacity()).sum::<usize>(),
                 pool.total,
             )
-        };
+        });
         assert!(
             pooled <= MAX_POOLED_TOTAL,
             "pool holds {pooled} elements, budget is {MAX_POOLED_TOTAL}"
         );
         assert_eq!(pooled, total, "running total must track actual capacity");
-        clear();
     }
 
     /// The free list as a linear walk for the smallest fitting capacity:

@@ -995,7 +995,7 @@ impl Correlation<'_> {
             buf[staged..].fill(0.0);
             buf
         };
-        let work = |_, items: Range<usize>, out: &mut [f32], mut buf: Scratch| {
+        let work = |_, items: Range<usize>, out: &mut [f32], buf: &mut Scratch| {
             let first = bound(items.start);
             let mut start = items.start;
             while start < items.end {
@@ -1008,7 +1008,7 @@ impl Correlation<'_> {
                         let (b, elem0) = (item % blocks, bound(item));
                         let dst = &mut out[elem0 - first..bound(item + 1) - first];
                         for pass in self.passes {
-                            self.run_pass(pass, &buf, b, dst, lanes.clone());
+                            self.run_pass(pass, buf, b, dst, lanes.clone());
                         }
                     }
                 }
@@ -1228,7 +1228,7 @@ impl Pointwise<'_> {
             chan * len
         };
         let panels = |_| arena::take(self.chans * self.group);
-        let work = |_, items: Range<usize>, out: &mut [f32], mut panels: Scratch| {
+        let work = |_, items: Range<usize>, out: &mut [f32], panels: &mut Scratch| {
             let first = bound(items.start);
             let mut start = items.start;
             while start < items.end {
@@ -1241,7 +1241,7 @@ impl Pointwise<'_> {
                     (s..s + 1, b..end - s * blocks, end)
                 };
                 let dst = &mut out[bound(start) - first..bound(end) - first];
-                self.run_samples(samples, chans, dst, &mut panels);
+                self.run_samples(samples, chans, dst, panels);
                 start = end;
             }
         };
@@ -1845,7 +1845,7 @@ fn backward_weights_within(
         x.data()
     } else {
         let mut buf = arena::take(n * x_sample);
-        let stage = |_, samples: Range<usize>, chunk: &mut [f32], ()| {
+        let stage = |_, samples: Range<usize>, chunk: &mut [f32], _: &mut ()| {
             for (s, buf) in samples.zip(chunk.chunks_exact_mut(x_sample)) {
                 planes.stage(x.data(), s, buf, round);
             }
@@ -1914,7 +1914,7 @@ fn backward_weights_within(
     };
     // Work items: tiles of output channels (whole rows of `grad`), one per
     // dy panel.
-    let work = |_, tiles: Range<usize>, chunk: &mut [f32], mut sums: Scratch| {
+    let work = |_, tiles: Range<usize>, chunk: &mut [f32], sums: &mut Scratch| {
         for (tile, rows) in tiles.zip(chunk.chunks_mut(pw * k)) {
             let co0 = tile * pw;
             let width = pw.min(cop - co0);

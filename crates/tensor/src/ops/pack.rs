@@ -358,7 +358,7 @@ fn run_shared<E: PackElem>(
     let barrier = Barrier::new(workers);
     let bound = |block: usize| (block * MC).min(m) * n;
     let a_panel = |_| ElemBuf::<E>::take(MC * KC);
-    let work = |t, run: Range<usize>, chunk: &mut [f32], a_buf| {
+    let work = |t, run: Range<usize>, chunk: &mut [f32], a_buf: &mut ElemBuf<E>| {
         shared_worker(
             a,
             b,
@@ -400,7 +400,7 @@ fn shared_worker<E: PackElem>(
     bias: Option<&[f32]>,
     shared: &SharedPanel<E>,
     barrier: &Barrier,
-    mut a_buf: ElemBuf<E>,
+    a_buf: &mut ElemBuf<E>,
 ) {
     let nr = kern.nr;
     let rows = c_rows.len() / n;
@@ -546,12 +546,14 @@ pub(crate) fn chunk_workers(items: usize, threads: usize) -> usize {
 /// split ([`run_shared`]) and the direct convolutions' `(sample, channel
 /// block)` split.
 ///
-/// A worker's `state` is its arena scratch, and every state is built on
-/// the calling thread, in worker order, before any worker starts. A worker
-/// that checked its scratch out itself could finish (and recycle it)
-/// before the next one starts, so how many buffers the pool needs at once
-/// would depend on thread timing, and a steady-state step could miss where
-/// the warm-up happened to run the workers one after the other.
+/// A worker's `state` is its arena scratch. Every state is built on the
+/// calling thread, in worker order, before any worker starts, and dropped
+/// there after every worker has joined, so the scratch comes from and
+/// returns to the caller's arena pool: a scoped thread's own pool dies
+/// with it, so scratch dropped there would miss again on every call. A
+/// worker that checked its scratch out itself could also finish (and
+/// recycle it) before the next one starts, so how many buffers the pool
+/// needs at once would depend on thread timing.
 pub(crate) fn scoped_chunks<S, I, B, F>(
     buf: &mut [f32],
     items: usize,
@@ -563,7 +565,7 @@ pub(crate) fn scoped_chunks<S, I, B, F>(
     S: Send,
     I: FnMut(usize) -> S,
     B: Fn(usize) -> usize,
-    F: Fn(usize, Range<usize>, &mut [f32], S) + Sync,
+    F: Fn(usize, Range<usize>, &mut [f32], &mut S) + Sync,
 {
     if buf.is_empty() || items == 0 {
         return;
@@ -571,17 +573,17 @@ pub(crate) fn scoped_chunks<S, I, B, F>(
     let threads = chunk_workers(items, threads);
     let mut states = (0..threads).map(state);
     if threads == 1 {
-        let only = states.next().expect("one worker state");
-        f(0, 0..items, buf, only);
+        let mut only = states.next().expect("one worker state");
+        f(0, 0..items, buf, &mut only);
         return;
     }
-    let states: Vec<S> = states.collect();
+    let mut states: Vec<S> = states.collect();
     let per = items / threads;
     let extra = items % threads;
     std::thread::scope(|scope| {
         let mut rest = buf;
         let mut item = 0usize;
-        for (t, st) in states.into_iter().enumerate() {
+        for (t, st) in states.iter_mut().enumerate() {
             let count = per + usize::from(t < extra);
             let (chunk, tail) = rest.split_at_mut(bound(item + count) - bound(item));
             rest = tail;

@@ -1,6 +1,6 @@
 //! An empty request neither borrows a pooled buffer nor counts as a hit
-//! or a miss. Its own test binary, so the process-global pool and
-//! counters see no other test.
+//! or a miss. Its own test binary, so the process-wide counters see no
+//! other test.
 
 use mbs_tensor::arena;
 

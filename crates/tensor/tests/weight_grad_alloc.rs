@@ -3,13 +3,12 @@
 //! scratch, and its reduction blocks are worked out on demand.
 //!
 //! This binary's allocator counts requests per thread, so the counts
-//! below see only the call under test; a thread-local arena keeps other
-//! tests from taking the warm call's pooled buffers.
+//! below see only the call under test, and the arena's pools are per
+//! thread, so no other test takes the warm call's pooled buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mbs_tensor::arena::LocalArena;
 use mbs_tensor::ops::{direct, kernel, Conv2dCfg, Exec};
 use mbs_tensor::prec::Precision;
 use mbs_tensor::Tensor;
@@ -71,7 +70,6 @@ fn seeded(shape: &[usize], salt: usize) -> Tensor {
 /// tier, at f32 and bf16.
 #[test]
 fn warm_weight_gradient_makes_no_heap_allocation() {
-    let _arena = LocalArena::install();
     let shapes = [
         ([2, 3, 9, 9], 53, Conv2dCfg::square(3, 1, 1)),
         ([3, 5, 8, 8], 9, Conv2dCfg::square(1, 2, 0)),

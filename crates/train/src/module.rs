@@ -24,7 +24,7 @@ pub struct Param {
 impl Param {
     /// Creates a parameter with a zeroed gradient.
     pub fn new(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape());
+        let grad = state_zeros(value.shape());
         Self { value, grad }
     }
 
@@ -32,6 +32,15 @@ impl Param {
     pub fn zero_grad(&mut self) {
         self.grad.scale(0.0);
     }
+}
+
+/// Zeros in an allocation of exactly their size, for state that lives as
+/// long as the model (gradients, momentum). The arena may serve a request
+/// from a pooled buffer of up to twice its size plus 256 KiB: run-long
+/// state settled in one keeps an activation's buffer for the whole run,
+/// and that activation then misses until the pool has grown another.
+pub(crate) fn state_zeros(shape: &[usize]) -> Tensor {
+    Tensor::from_vec(shape, vec![0.0; shape.iter().product()])
 }
 
 /// One moved-out piece of a module's backward state. Every variant wraps

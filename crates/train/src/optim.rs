@@ -3,7 +3,7 @@
 
 use mbs_tensor::Tensor;
 
-use crate::module::{Module, StateDict, StateError};
+use crate::module::{state_zeros, Module, StateDict, StateError};
 
 /// Stochastic gradient descent with classical momentum.
 #[derive(Debug, Clone)]
@@ -40,7 +40,7 @@ impl Sgd {
         let velocities = &mut self.velocities;
         model.visit_params(&mut |p| {
             if velocities.len() <= i {
-                velocities.push(Tensor::zeros(p.value.shape()));
+                velocities.push(state_zeros(p.value.shape()));
             }
             let v = &mut velocities[i];
             for ((vv, &g), &w) in v

@@ -15,6 +15,7 @@ use serde::Serialize;
 
 use mbs_cnn::Network;
 use mbs_core::Schedule;
+use mbs_tensor::arena::LocalArena;
 
 use crate::checkpoint::{
     self, CheckpointConfig, CheckpointError, CheckpointWriter, FaultPlan, TrainCheckpoint,
@@ -468,6 +469,10 @@ fn run_grouped(
     val_set: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<(Vec<EpochStats>, Option<LoaderStats>), TrainError> {
+    // The run's scratch pool, freed when the run returns (declared first,
+    // so dropped after every tensor below): the next run starts its own
+    // peak from what is live, not on this run's idle buffers.
+    let _arena = LocalArena::install();
     validate_inputs(net, schedule, &feed, val_set)?;
     let fingerprint = schedule.fingerprint(net);
 

@@ -13,9 +13,8 @@
 //!
 //! This binary's allocator counts requests per thread, so the writer
 //! thread's own work (paths, directory listings) is not in the numbers.
-//! A single `#[test]`, because the tensor arena is process-global and a
-//! concurrent test would perturb which tensor requests reach the
-//! allocator.
+//! A single `#[test]`, so no concurrent test shares the process while it
+//! counts.
 
 use mbs_cnn::networks::toy;
 use mbs_core::{ExecConfig, HardwareConfig, MbsScheduler};

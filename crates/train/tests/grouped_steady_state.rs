@@ -32,6 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use mbs_cnn::networks::toy;
+use mbs_cnn::{Block, FeatureShape, Layer, Network, NetworkBuilder, Node, NormKind};
 use mbs_core::{ExecConfig, Group, Schedule};
 use mbs_tensor::arena;
 use mbs_train::checkpoint::CheckpointWriter;
@@ -73,6 +74,57 @@ fn assert_no_background_threads(when: &str) {
         left = leaked();
     }
     assert!(left.is_empty(), "{when}: leaked threads {left:?}");
+}
+
+/// A group norm of `shape` named `name`.
+fn gn(name: String, shape: FeatureShape) -> Layer {
+    Layer::norm(name, shape, NormKind::Group { groups: 4 })
+}
+
+/// A bottleneck block: 1×1 → 3×3 at `stride` → 1×1, each normed, beside
+/// a 1×1 projection shortcut at `stride`.
+fn bottleneck(name: &str, input: FeatureShape, mid: usize, out: usize, stride: usize) -> Block {
+    let conv = |part: &str, input, out, kernel, stride, pad| {
+        Layer::conv(format!("{name}.{part}"), input, out, kernel, stride, pad)
+            .expect("the kernel fits")
+    };
+    let c1 = conv("1", input, mid, 1, 1, 0);
+    let c2 = conv("2", c1.output, mid, 3, stride, 1);
+    let c3 = conv("3", c2.output, out, 1, 1, 0);
+    let (s1, s2, s3) = (c1.output, c2.output, c3.output);
+    let main = vec![
+        c1,
+        gn(format!("{name}.1.norm"), s1),
+        Layer::relu(format!("{name}.1.relu"), s1),
+        c2,
+        gn(format!("{name}.2.norm"), s2),
+        Layer::relu(format!("{name}.2.relu"), s2),
+        c3,
+        gn(format!("{name}.3.norm"), s3),
+    ];
+    let shortcut = vec![
+        conv("sc", input, out, 1, stride, 0),
+        gn(format!("{name}.sc.norm"), s3),
+    ];
+    Block::residual(name, input, main, shortcut).expect("the branches agree")
+}
+
+/// A stem and two bottlenecks (the second at stride 2) on 32×32 inputs.
+fn pointwise_miniature() -> Network {
+    let mut b = NetworkBuilder::new("PointwiseMini", FeatureShape::new(3, 32, 32), 8);
+    let stem = Layer::conv("stem", b.shape(), 16, 3, 1, 1).expect("the kernel fits");
+    let shape = stem.output;
+    b = b
+        .push(Node::Single(stem))
+        .push(Node::Single(gn("stem.norm".into(), shape)))
+        .relu("stem.relu");
+    let first = bottleneck("a", b.shape(), 8, 32, 1);
+    b = b.block(first);
+    let second = bottleneck("b", b.shape(), 16, 64, 2);
+    b.block(second)
+        .global_avg_pool("gap")
+        .fully_connected("fc", 10)
+        .build()
 }
 
 #[test]
@@ -158,6 +210,40 @@ fn steady_state_grouped_training_is_arena_miss_free() {
                 "{label}: steady-state step allocated fresh buffers"
             );
             println!("{label}: {hits} arena hits per step");
+        }
+    }
+
+    // ---- Pointwise leg: a miniature of `train_dram_resnet`'s bottlenecks
+    // (1×1 convs at strides 1 and 2) in two groups at sub-batches 2 and 4,
+    // run the way `train_grouped` runs it: in a scope of its own, from an
+    // empty pool. Its gradients and momentum are run-long; the momentum is
+    // made inside the first step, while that step's activations sit
+    // pooled, so a pooled buffer would settle it in an activation's
+    // capacity and the pool would take steps to re-balance (the third
+    // step missed three times when it did).
+    {
+        let _run = arena::LocalArena::install();
+        let net = pointwise_miniature();
+        let nodes = net.nodes().len();
+        let schedule = Schedule::new(
+            ExecConfig::Mbs1,
+            8,
+            vec![Group::new(0, 4, 2, 8), Group::new(4, nodes, 4, 8)],
+            true,
+        );
+        let d = generate(8, 32, 0.3, 82);
+        let mut model = lower(&net, &mut StdRng::seed_from_u64(6)).expect("the miniature lowers");
+        let mut exec = GroupedExecutor::new(&schedule, model.len());
+        let mut opt = Sgd::new(0.05, 0.9, 1e-4);
+        for _ in 0..2 {
+            let _ = exec.train_step(&mut model, &d.images, &d.labels, &mut opt);
+        }
+        for step in 2..5 {
+            arena::reset_stats();
+            let _ = exec.train_step(&mut model, &d.images, &d.labels, &mut opt);
+            let (hits, misses) = arena::stats();
+            assert!(hits > 0, "pointwise: the step must route through the arena");
+            assert_eq!(misses, 0, "pointwise: step {step} allocated fresh buffers");
         }
     }
 
