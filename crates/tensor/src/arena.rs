@@ -36,6 +36,11 @@
 //! it leaves pooled go back to the allocator when it returns and the next
 //! run's peak is its own, not stacked on an earlier run's idle buffers.
 //!
+//! **Caps.** A pool holds at most 256 buffers and 256 MiB; a drop into a
+//! full pool frees its least recently adopted buffers to make room, so a
+//! pool that an earlier phase filled with other sizes follows the sizes
+//! its thread uses now.
+//!
 //! A training step checks out over a thousand buffers, so the free list is
 //! ordered by capacity: a `take` finds its best fit — the smallest pooled
 //! capacity within the fit bound, its most recently dropped buffer — with
@@ -46,10 +51,11 @@ use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Buffers kept in the pool at once; excess buffers are simply freed.
-/// Sized for the training hot loop: a sub-batch step cycles layer
-/// outputs, backward gradients, and per-layer caches through the pool,
-/// and evicting any of them re-introduces a steady-state miss.
+/// Buffers kept in the pool at once; a full pool frees its least recently
+/// adopted buffer to make room for the next. Sized for the training hot
+/// loop: a sub-batch step cycles layer outputs, backward gradients, and
+/// per-layer caches through the pool, and evicting any of them
+/// re-introduces a steady-state miss.
 const MAX_POOLED: usize = 256;
 
 /// Largest single buffer worth pooling (elements). Anything bigger is
@@ -63,6 +69,10 @@ const MAX_POOLED_LEN: usize = 1 << 24; // 64 MiB of f32
 /// scope's) lifetime.
 const MAX_POOLED_TOTAL: usize = 1 << 26;
 
+// Any buffer the pool is offered fits once the pool is empty, so making
+// room for it always ends.
+const _: () = assert!(MAX_POOLED_LEN <= MAX_POOLED_TOTAL);
+
 /// Elements a pooled buffer may exceed twice a request by and still serve
 /// it (256 KiB): small tensors take whatever is free, as they always did.
 const MAX_FIT_SLACK: usize = 1 << 16;
@@ -70,12 +80,14 @@ const MAX_FIT_SLACK: usize = 1 << 16;
 /// Ends a chain of [`Slot`]s.
 const END: usize = usize::MAX;
 
-/// A pooled buffer and the slot of the next-older pooled buffer of the
-/// same capacity. An emptied slot holds no allocation and chains to the
-/// next emptied one instead.
+/// A pooled buffer, the slot of the next-older pooled buffer of the same
+/// capacity, and when the buffer was adopted (the pool's adoption count at
+/// the time). An emptied slot holds no allocation and chains to the next
+/// emptied one instead.
 struct Slot {
     buf: Vec<f32>,
     next: usize,
+    adopted: u64,
 }
 
 /// The free list, ordered by capacity, plus running count and capacity
@@ -85,9 +97,11 @@ struct Slot {
 /// The best fit is a binary search over the distinct pooled capacities and
 /// a pop off that capacity's chain; a drop is a search and a push. Only a
 /// capacity that appears or leaves shifts the 16-byte entries above it, and
-/// a steady state repeats a handful of sizes, so that is rare. The unit
-/// tests pin every fit and every adopt-or-free decision against a linear
-/// walk over the pooled buffers.
+/// a steady state repeats a handful of sizes, so that is rare. A drop into
+/// a full pool first frees the least recently adopted buffer, found by a
+/// walk over the slots: a pool whose working set fits never pays it. The
+/// unit tests pin every fit and every eviction against a linear walk over
+/// the pooled buffers.
 ///
 /// Neither vector shrinks, and each grows only to the most capacities
 /// (`caps`) or buffers (`slots`, at most [`MAX_POOLED`]) the pool has held
@@ -108,6 +122,8 @@ struct Pool {
     /// sum of their capacities.
     count: usize,
     total: usize,
+    /// Buffers adopted so far: the next adopted buffer's stamp.
+    adoptions: u64,
 }
 
 impl Pool {
@@ -118,6 +134,7 @@ impl Pool {
             free: END,
             count: 0,
             total: 0,
+            adoptions: 0,
         }
     }
 
@@ -146,32 +163,67 @@ impl Pool {
         Some(buf)
     }
 
-    /// Adopts `buf` if the count and byte caps allow; otherwise frees it.
+    /// Adopts `buf` (never empty, at most [`MAX_POOLED_LEN`]), first
+    /// freeing the least recently adopted buffers until the count and byte
+    /// caps allow it. A full pool so follows what its thread uses now: the
+    /// sizes an earlier phase left behind (a probe, a different net) give
+    /// way instead of turning every new buffer away for good.
     fn adopt(&mut self, buf: Vec<f32>) {
         let cap = buf.capacity();
-        if self.count < MAX_POOLED && self.total + cap <= MAX_POOLED_TOTAL {
-            self.count += 1;
-            self.total += cap;
-            let i = match self.caps.binary_search_by_key(&cap, |&(cap, _)| cap) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.caps.insert(i, (cap, END));
-                    i
-                }
-            };
-            let slot = Slot {
-                buf,
-                next: self.caps[i].1,
-            };
-            self.caps[i].1 = if self.free == END {
-                self.slots.push(slot);
-                self.slots.len() - 1
-            } else {
-                let emptied = self.free;
-                self.free = std::mem::replace(&mut self.slots[emptied], slot).next;
-                emptied
-            };
+        while self.count == MAX_POOLED || self.total + cap > MAX_POOLED_TOTAL {
+            self.evict_oldest();
         }
+        self.count += 1;
+        self.total += cap;
+        let i = match self.caps.binary_search_by_key(&cap, |&(cap, _)| cap) {
+            Ok(i) => i,
+            Err(i) => {
+                self.caps.insert(i, (cap, END));
+                i
+            }
+        };
+        let slot = Slot {
+            buf,
+            next: self.caps[i].1,
+            adopted: self.adoptions,
+        };
+        self.adoptions += 1;
+        self.caps[i].1 = if self.free == END {
+            self.slots.push(slot);
+            self.slots.len() - 1
+        } else {
+            let emptied = self.free;
+            self.free = std::mem::replace(&mut self.slots[emptied], slot).next;
+            emptied
+        };
+    }
+
+    /// Frees the least recently adopted buffer. It is also the oldest of
+    /// its capacity, so it ends that capacity's chain.
+    fn evict_oldest(&mut self) {
+        let oldest = (0..self.slots.len())
+            .filter(|&s| self.slots[s].buf.capacity() > 0)
+            .min_by_key(|&s| self.slots[s].adopted)
+            .expect("a pool past a cap holds a buffer");
+        let cap = self.slots[oldest].buf.capacity();
+        let i = self.caps.partition_point(|&(c, _)| c < cap);
+        if self.caps[i].1 == oldest {
+            self.caps.remove(i);
+        } else {
+            let mut slot = self.caps[i].1;
+            while self.slots[slot].next != oldest {
+                slot = self.slots[slot].next;
+            }
+            self.slots[slot].next = END;
+        }
+        self.slots[oldest] = Slot {
+            buf: Vec::new(),
+            next: self.free,
+            adopted: 0,
+        };
+        self.free = oldest;
+        self.count -= 1;
+        self.total -= cap;
     }
 }
 
@@ -370,11 +422,6 @@ pub fn pooled() -> (usize, usize) {
     })
 }
 
-/// Frees every buffer in the calling thread's pool.
-pub fn clear() {
-    let _freed = POOL.with(|p| std::mem::replace(&mut *p.borrow_mut(), Pool::new()));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,6 +593,35 @@ mod tests {
     }
 
     #[test]
+    fn a_full_pool_gives_way_to_the_sizes_in_use() {
+        let _scope = LocalArena::install();
+        // An earlier phase leaves the pool at its count cap, in sizes the
+        // loop below never asks for.
+        let stale: Vec<Scratch> = (0..MAX_POOLED).map(|_| take(3)).collect();
+        drop(stale);
+        assert_eq!(pooled().0, MAX_POOLED);
+        let sizes = [1000, 2000, 3000, 5000, 8000];
+        let round = || {
+            let mut hits = 0;
+            let held: Vec<Scratch> = sizes
+                .iter()
+                .map(|&len| {
+                    let before = pooled().0;
+                    let s = take(len);
+                    hits += usize::from(pooled().0 < before);
+                    s
+                })
+                .collect();
+            drop(held);
+            hits
+        };
+        assert_eq!(round(), 0, "a first round misses");
+        assert_eq!(round(), sizes.len(), "the next round is all hits");
+        assert_eq!(round(), sizes.len());
+        assert_eq!(pooled().0, MAX_POOLED, "the cap still holds");
+    }
+
+    #[test]
     fn pool_respects_the_total_byte_budget() {
         let _scope = LocalArena::install();
         // Drop budget-sized buffers until the total cap must reject one.
@@ -570,36 +646,48 @@ mod tests {
         assert_eq!(pooled, total, "running total must track actual capacity");
     }
 
-    /// The free list as a linear walk for the smallest fitting capacity:
-    /// the oracle the capacity-ordered [`Pool`] must match decision for
-    /// decision.
+    /// The free list as a linear walk for the smallest fitting capacity
+    /// (the most recently adopted among equals) and for the oldest buffer
+    /// to evict: the oracle the capacity-ordered [`Pool`] must match
+    /// decision for decision. Each buffer carries its adoption stamp.
     struct ScanPool {
-        bufs: Vec<Vec<f32>>,
+        bufs: Vec<(u64, Vec<f32>)>,
         total: usize,
+        adoptions: u64,
     }
 
     impl ScanPool {
         fn pop_best_fit(&mut self, len: usize) -> Option<Vec<f32>> {
-            let mut best: Option<(usize, usize)> = None;
-            for (i, b) in self.bufs.iter().enumerate() {
-                let fits = b.capacity() >= len && b.capacity() <= 2 * len + MAX_FIT_SLACK;
-                if fits && best.is_none_or(|(_, cap)| b.capacity() < cap) {
-                    best = Some((i, b.capacity()));
+            let mut best: Option<(usize, usize, u64)> = None;
+            for (i, (stamp, b)) in self.bufs.iter().enumerate() {
+                let cap = b.capacity();
+                let fits = cap >= len && cap <= 2 * len + MAX_FIT_SLACK;
+                let better = best.is_none_or(|(_, c, s)| cap < c || (cap == c && *stamp > s));
+                if fits && better {
+                    best = Some((i, cap, *stamp));
                 }
             }
-            best.map(|(i, cap)| {
+            best.map(|(i, cap, _)| {
                 self.total -= cap;
-                self.bufs.swap_remove(i)
+                self.bufs.swap_remove(i).1
             })
         }
 
         fn adopt(&mut self, buf: Vec<f32>) {
-            if self.bufs.len() < MAX_POOLED && self.total + buf.capacity() <= MAX_POOLED_TOTAL {
-                self.total += buf.capacity();
-                self.bufs.push(buf);
+            while self.bufs.len() == MAX_POOLED || self.total + buf.capacity() > MAX_POOLED_TOTAL {
+                let oldest = (0..self.bufs.len())
+                    .min_by_key(|&i| self.bufs[i].0)
+                    .unwrap();
+                self.total -= self.bufs.swap_remove(oldest).1.capacity();
             }
+            self.total += buf.capacity();
+            self.bufs.push((self.adoptions, buf));
+            self.adoptions += 1;
         }
     }
+
+    /// Pooled buffers as `(capacity, adoption stamp)` pairs.
+    type Stamped = Vec<(usize, u64)>;
 
     /// The two pools side by side, plus the buffers checked out of them
     /// (each pair of equal capacity).
@@ -618,37 +706,53 @@ mod tests {
         fits_on_the_bound: usize,
         misses_beside_a_bound: usize,
         picks_among_equals: usize,
-        count_cap_frees: usize,
-        byte_cap_frees: usize,
+        count_cap_evictions: usize,
+        byte_cap_evictions: usize,
+        multiple_evictions: usize,
         byte_cap_filled: usize,
     }
 
     impl Twin {
-        /// Both pools' capacities, ascending; the ordered pool's read off
-        /// its chains, checking each entry holds only its own capacity.
-        fn capacities(&self) -> (Vec<usize>, Vec<usize>) {
+        /// Both pools' `(capacity, adoption stamp)` pairs, ascending; the
+        /// ordered pool's read off its chains, checking each entry holds
+        /// only its own capacity, newest first.
+        fn pooled(&self) -> (Stamped, Stamped) {
             let mut ordered = Vec::new();
             for &(cap, head) in &self.pool.caps {
                 assert_ne!(head, END, "capacity {cap} outlived its last buffer");
                 let mut slot = head;
+                let mut newer = u64::MAX;
                 while slot != END {
-                    assert_eq!(self.pool.slots[slot].buf.capacity(), cap);
-                    ordered.push(cap);
-                    slot = self.pool.slots[slot].next;
+                    let Slot { buf, next, adopted } = &self.pool.slots[slot];
+                    assert_eq!(buf.capacity(), cap);
+                    assert!(*adopted < newer, "capacity {cap}'s chain is out of order");
+                    newer = *adopted;
+                    ordered.push((cap, *adopted));
+                    slot = *next;
                 }
             }
-            let mut scanned: Vec<usize> = self.scan.bufs.iter().map(Vec::capacity).collect();
+            ordered.sort_unstable();
+            let mut scanned: Stamped = self
+                .scan
+                .bufs
+                .iter()
+                .map(|(s, b)| (b.capacity(), *s))
+                .collect();
             scanned.sort_unstable();
             (ordered, scanned)
         }
 
-        /// Both pools must hold the same capacities and the same totals,
-        /// and the ordered one must keep its own books.
+        /// Both pools must hold the same buffers (capacity and adoption)
+        /// and the same totals, and the ordered one must keep its own books.
         fn assert_in_step(&self) {
-            let (ordered, scanned) = self.capacities();
-            assert_eq!(ordered, scanned, "pooled capacities diverged");
+            let (ordered, scanned) = self.pooled();
+            assert_eq!(ordered, scanned, "pooled buffers diverged");
             assert_eq!(self.pool.total, self.scan.total);
-            assert_eq!(self.pool.total, ordered.iter().sum::<usize>());
+            assert_eq!(self.pool.adoptions, self.scan.adoptions);
+            assert_eq!(
+                self.pool.total,
+                ordered.iter().map(|&(cap, _)| cap).sum::<usize>()
+            );
             assert_eq!(self.pool.count, ordered.len());
             assert!(self.pool.caps.is_sorted_by(|a, b| a.0 < b.0));
             let mut emptied = 0;
@@ -663,7 +767,7 @@ mod tests {
         }
 
         fn take(&mut self, len: usize, seen: &mut Seen) {
-            let (_, held) = self.capacities();
+            let held: Vec<usize> = self.pooled().1.iter().map(|&(cap, _)| cap).collect();
             let max_cap = 2 * len + MAX_FIT_SLACK;
             let got = self.pool.pop_best_fit(len);
             let want = self.scan.pop_best_fit(len);
@@ -691,28 +795,29 @@ mod tests {
             self.out.push(pair);
         }
 
-        /// Offers a buffer of capacity `cap` to both pools.
+        /// Offers a buffer of capacity `cap` to both pools; both always
+        /// adopt it, `assert_in_step` checks they evicted the same ones.
         fn adopt(&mut self, pair: (Vec<f32>, Vec<f32>), seen: &mut Seen) {
             let cap = pair.0.capacity();
             assert_eq!(cap, pair.1.capacity());
             let count_full = self.scan.bufs.len() >= MAX_POOLED;
             let bytes_full = self.scan.total + cap > MAX_POOLED_TOTAL;
-            let before = (self.pool.count, self.scan.bufs.len());
+            let before = self.scan.bufs.len();
             self.pool.adopt(pair.0);
             self.scan.adopt(pair.1);
-            let adopted = (self.pool.count > before.0, self.scan.bufs.len() > before.1);
-            assert_eq!(adopted.0, adopted.1, "adopt-or-free of capacity {cap}");
-            seen.count_cap_frees += usize::from(count_full);
-            seen.byte_cap_frees += usize::from(bytes_full && !count_full);
+            seen.count_cap_evictions += usize::from(count_full);
+            seen.byte_cap_evictions += usize::from(bytes_full && !count_full);
+            seen.multiple_evictions += usize::from(self.scan.bufs.len() + 1 < before);
             seen.byte_cap_filled += usize::from(self.scan.total == MAX_POOLED_TOTAL);
         }
     }
 
     /// A length from one of the size classes the policy treats
     /// differently: tiny (many equal capacities, and 0), either side of
-    /// [`MAX_FIT_SLACK`], medium, and large enough to reach the byte cap.
-    fn draw_len(rng: &mut TestRng) -> usize {
-        match (0u8..4).generate(rng) {
+    /// [`MAX_FIT_SLACK`], medium, and — when `large` — large enough to
+    /// reach the byte cap.
+    fn draw_len(large: bool, rng: &mut TestRng) -> usize {
+        match (0u8..3 + u8::from(large)).generate(rng) {
             0 => (0..24usize).generate(rng),
             1 => (MAX_FIT_SLACK - 24..MAX_FIT_SLACK + 24).generate(rng),
             2 => (0..4 * MAX_FIT_SLACK).generate(rng),
@@ -743,14 +848,15 @@ mod tests {
                 scan: ScanPool {
                     bufs: Vec::new(),
                     total: 0,
+                    adoptions: 0,
                 },
                 out: Vec::new(),
             };
             // Tenths of the operations that offer a fresh buffer: from a
             // draining pool to one that fills past both caps.
             let fresh = (2..8u8).generate(&mut rng);
-            // Half the sequences probe the byte cap's edge; the rest leave
-            // room to reach the count cap.
+            // Half the sequences probe the byte cap's edge; the rest draw
+            // no large buffer, so they reach the count cap instead.
             let probe_bytes = proptest::bool::ANY.generate(&mut rng);
             for _ in 0..(200..900usize).generate(&mut rng) {
                 let op = (0..10u8).generate(&mut rng);
@@ -764,7 +870,7 @@ mod tests {
                         {
                             (left + (0..3usize).generate(&mut rng)).saturating_sub(1)
                         }
-                        _ => draw_len(&mut rng),
+                        _ => draw_len(probe_bytes, &mut rng),
                     };
                     let a = Vec::with_capacity(cap.max(1));
                     let b = Vec::with_capacity(a.capacity());
@@ -776,10 +882,10 @@ mod tests {
                 } else {
                     let len = match twin.scan.bufs.len() {
                         n if n > 0 && proptest::bool::ANY.generate(&mut rng) => edge_len(
-                            twin.scan.bufs[(0..n).generate(&mut rng)].capacity(),
+                            twin.scan.bufs[(0..n).generate(&mut rng)].1.capacity(),
                             &mut rng,
                         ),
-                        _ => draw_len(&mut rng),
+                        _ => draw_len(probe_bytes, &mut rng),
                     };
                     twin.take(len, &mut seen);
                 }
@@ -792,8 +898,9 @@ mod tests {
             seen.fits_on_the_bound,
             seen.misses_beside_a_bound,
             seen.picks_among_equals,
-            seen.count_cap_frees,
-            seen.byte_cap_frees,
+            seen.count_cap_evictions,
+            seen.byte_cap_evictions,
+            seen.multiple_evictions,
             seen.byte_cap_filled,
         ];
         assert!(

@@ -325,6 +325,7 @@ pub fn train_grouped(
     val_set: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<Vec<EpochStats>, TrainError> {
+    let _arena = LocalArena::install();
     run_grouped(net, schedule, Feed::Memory(train_set), val_set, cfg).map(|(curve, _)| curve)
 }
 
@@ -391,6 +392,7 @@ pub fn train_grouped_source_with_stats(
     val_set: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<(Vec<EpochStats>, Option<LoaderStats>), TrainError> {
+    let _arena = LocalArena::install();
     let feed = match source {
         DataSource::Memory(set) => Feed::Memory(set),
         DataSource::Stream(path) => {
@@ -462,6 +464,11 @@ impl Feed<'_> {
     }
 }
 
+/// One training run. Its callers open the run's arena scope
+/// ([`LocalArena`]) before building `feed`, so everything the run leaves
+/// pooled — the loader's queued batches included, which drop with `feed`
+/// at the end of this call — is freed when the scope ends, and the next
+/// run's peak is its own rather than stacked on this run's idle buffers.
 fn run_grouped(
     net: &Network,
     schedule: &Schedule,
@@ -469,10 +476,6 @@ fn run_grouped(
     val_set: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<(Vec<EpochStats>, Option<LoaderStats>), TrainError> {
-    // The run's scratch pool, freed when the run returns (declared first,
-    // so dropped after every tensor below): the next run starts its own
-    // peak from what is live, not on this run's idle buffers.
-    let _arena = LocalArena::install();
     validate_inputs(net, schedule, &feed, val_set)?;
     let fingerprint = schedule.fingerprint(net);
 
